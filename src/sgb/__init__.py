@@ -12,7 +12,6 @@ from .core import (
     dehomogenize,
     drl_compare,
     drl_key,
-    fp_inv,
     homogenize,
     homogenize_system,
     mono_deg,
@@ -20,6 +19,7 @@ from .core import (
     mono_divides,
     mono_lcm,
     mono_mul,
+    monom_to_string,
     monomials_of_degree,
     poly_to_string,
     top_part,

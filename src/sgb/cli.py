@@ -12,12 +12,11 @@ import sys
 from pathlib import Path
 
 from . import io as sgbio
-from .analysis import _certification, exact_hilbert_of_ideal, verify_main_theorem
+from .analysis import _certification, exact_hilbert_of_ideal, groebner_basis, verify_main_theorem
 from .analysis import check_noether_position, check_weakly_revlex
-from .core import poly_to_string
-from .engine import gb_up_to, buchberger
-from .errors import NotHomogeneous, SgbError
-from .series import bound_report, lazard_bound
+from .core import monom_to_string, poly_to_string
+from .errors import SgbError
+from .series import bound_report
 
 
 def _fmt(v) -> str:
@@ -39,37 +38,34 @@ def _load_doc(path: str) -> sgbio.SystemDoc:
     return sgbio.parse_system_doc(Path(path).read_text(encoding="utf-8"))
 
 
-def _common_flags(parser: argparse.ArgumentParser):
-    parser.add_argument("--seed", type=int, default=0, help="master random seed")
-    parser.add_argument("--omega", type=float, default=2.807,
-                        help="matrix multiplication exponent in [2, 3)")
-    parser.add_argument("--engine", choices=["macaulay", "buchberger", "capped"],
-                        default=None, help="basis engine")
-    parser.add_argument("--cap", type=int, default=None, help="degree cap for the Macaulay engine")
-    parser.add_argument("--attempts", type=int, default=64, help="linear-form search budget")
-    parser.add_argument("--trials", type=int, default=10, help="experiment trial count")
-    parser.add_argument("--construction", choices=["generic", "Z"], default="generic")
-    parser.add_argument("--out", type=str, default=None, help="output file path")
+_FLAGS = {
+    "seed": dict(type=int, default=0, help="master random seed"),
+    "omega": dict(type=float, default=2.807, help="matrix multiplication exponent in [2, 3)"),
+    "engine": dict(choices=["macaulay", "buchberger"], default="buchberger", help="basis engine"),
+    "cap": dict(type=int, default=None, help="degree cap for the Macaulay engine"),
+    "attempts": dict(type=int, default=64, help="linear-form search budget"),
+    "trials": dict(type=int, default=10, help="experiment trial count"),
+    "construction": dict(choices=["generic", "Z"], default="generic"),
+    "out": dict(type=str, default=None, help="output file path"),
+}
+
+
+def _add_flags(parser: argparse.ArgumentParser, *names, **defaults):
+    """Attach the named flags; any other flag is a usage error."""
+    for name in names:
+        parser.add_argument(f"--{name}", **_FLAGS[name])
+    parser.set_defaults(**defaults)
 
 
 def _cmd_gb(args) -> int:
     doc = _load_doc(args.file)
-    engine = args.engine or "macaulay"
-    if engine == "buchberger":
-        basis = buchberger(doc.system)
-    else:
-        if not doc.system.homogeneous:
-            raise NotHomogeneous("the Macaulay engine needs a homogeneous system")
-        cap = args.cap
-        if cap is None:
-            cap = lazard_bound(doc.system.n, doc.system.m, doc.system.degrees)
-            print(
-                f"warning: no --cap given; using the Lazard bound {cap} "
-                "(result is degree-capped)",
-                file=sys.stderr,
-            )
-        cap = max(cap, max(doc.system.degrees))
-        basis = gb_up_to(doc.system, cap)
+    basis = groebner_basis(doc.system, args.engine, args.cap)
+    if args.cap is None and not basis.complete:
+        print(
+            f"warning: no --cap given; using the Lazard bound {basis.degree_cap} "
+            "(result is degree-capped)",
+            file=sys.stderr,
+        )
     out = sys.stdout if args.out is None else open(args.out, "w", encoding="utf-8")
     try:
         for g in basis:
@@ -98,9 +94,7 @@ def _cmd_analyze(args) -> int:
         d_reg=profile.d_reg,
         gen_d_reg=profile.gen_d_reg,
         hp_constant=profile.hp_constant,
-        lm_generators=";".join(
-            poly_to_string_monom(g, doc.names) for g in lm.gens
-        ),
+        lm_generators=";".join(monom_to_string(g, doc.names) for g in lm.gens),
         noether_position=check_noether_position(lm, profile.krull_dim),
         weakly_revlex=check_weakly_revlex(lm),
         d_checked=cert.d_checked,
@@ -110,16 +104,6 @@ def _cmd_analyze(args) -> int:
         first_defect_degree=cert.first_defect_degree,
     )
     return 0
-
-
-def poly_to_string_monom(m, names) -> str:
-    factors = []
-    for i, e in enumerate(m):
-        if e == 1:
-            factors.append(names[i])
-        elif e > 1:
-            factors.append(f"{names[i]}^{e}")
-    return "*".join(factors) if factors else "1"
 
 
 def _parse_degrees(text: str) -> tuple:
@@ -152,7 +136,7 @@ def _cmd_verify(args) -> int:
         doc.system,
         seed=args.seed,
         max_attempts=args.attempts,
-        engine=args.engine or "buchberger",
+        engine=args.engine,
     )
     sigma = ";".join(",".join(str(v) for v in row) for row in report.sigma.matrix)
     _print_kv(
@@ -212,7 +196,7 @@ def _cmd_experiment(args) -> int:
         trials=args.trials,
         seed=args.seed,
         construction=args.construction,
-        engine=args.engine or "buchberger",
+        engine=args.engine,
         max_attempts=args.attempts,
         timings=args.timings,
     )
@@ -236,29 +220,28 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_gb = sub.add_parser("gb", help="reduced Groebner basis of a system file")
     p_gb.add_argument("file")
-    _common_flags(p_gb)
+    _add_flags(p_gb, "engine", "cap", "out", engine="macaulay")
     p_gb.set_defaults(func=_cmd_gb)
 
     p_an = sub.add_parser("analyze", help="exact Hilbert data and semi-regularity certificates")
     p_an.add_argument("file")
-    _common_flags(p_an)
     p_an.set_defaults(func=_cmd_analyze)
 
     p_bd = sub.add_parser("bound", help="degree and cost bounds for a system shape")
     p_bd.add_argument("-n", type=int, required=True, dest="n")
     p_bd.add_argument("-m", type=int, required=True, dest="m")
     p_bd.add_argument("-d", required=True, dest="degrees", help="comma-separated degrees")
-    _common_flags(p_bd)
+    _add_flags(p_bd, "omega")
     p_bd.set_defaults(func=_cmd_bound)
 
     p_vf = sub.add_parser("verify", help="run the degree-bound verifier on a system file")
     p_vf.add_argument("file")
-    _common_flags(p_vf)
+    _add_flags(p_vf, "seed", "attempts", "engine")
     p_vf.set_defaults(func=_cmd_verify)
 
     p_hg = sub.add_parser("homogenize", help="homogenize a system file by an extra variable y")
     p_hg.add_argument("file")
-    _common_flags(p_hg)
+    _add_flags(p_hg, "out")
     p_hg.set_defaults(func=_cmd_homogenize)
 
     p_ex = sub.add_parser("experiment", help="seeded random trials with CSV output")
@@ -268,7 +251,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_ex.add_argument("-q", type=int, default=31, dest="q", help="field characteristic")
     p_ex.add_argument("--timings", action="store_true",
                       help="record wall-clock per trial (breaks byte-reproducibility)")
-    _common_flags(p_ex)
+    _add_flags(p_ex, "seed", "engine", "attempts", "trials", "construction", "out")
     p_ex.set_defaults(func=_cmd_experiment)
 
     return parser

@@ -62,21 +62,6 @@ class PrimeField:
             raise BadModulus(f"modulus {p!r} is not a prime in [2, 2^31)")
         self.p = p
 
-    def normalize(self, a: int) -> int:
-        return a % self.p
-
-    def add(self, a: int, b: int) -> int:
-        return (a + b) % self.p
-
-    def sub(self, a: int, b: int) -> int:
-        return (a - b) % self.p
-
-    def mul(self, a: int, b: int) -> int:
-        return a * b % self.p
-
-    def neg(self, a: int) -> int:
-        return -a % self.p
-
     def inv(self, a: int) -> int:
         if a % self.p == 0:
             raise ZeroInverse(f"0 has no inverse mod {self.p}")
@@ -90,11 +75,6 @@ class PrimeField:
 
     def __repr__(self):
         return f"PrimeField({self.p})"
-
-
-def fp_inv(a: int, fld: PrimeField) -> int:
-    """Inverse of ``a`` in F_p; raises ZeroInverse on ``a == 0``."""
-    return fld.inv(a)
 
 
 # ---------------------------------------------------------------------------
@@ -364,6 +344,17 @@ def default_var_names(n: int) -> list:
     return [f"x{i + 1}" for i in range(n)]
 
 
+def monom_to_string(m: Monom, names) -> str:
+    """Factors of ``m`` joined by "*" (``x^e`` for e > 1); "1" for the unit."""
+    factors = []
+    for i, e in enumerate(m):
+        if e == 1:
+            factors.append(names[i])
+        elif e > 1:
+            factors.append(f"{names[i]}^{e}")
+    return "*".join(factors) if factors else "1"
+
+
 def poly_to_string(f: Polynomial, names=None) -> str:
     """Canonical string form: DRL-descending terms joined by " + ".
 
@@ -375,18 +366,12 @@ def poly_to_string(f: Polynomial, names=None) -> str:
     names = names or default_var_names(f.n)
     parts = []
     for m, c in f.terms():
-        factors = []
-        for i, e in enumerate(m):
-            if e == 1:
-                factors.append(names[i])
-            elif e > 1:
-                factors.append(f"{names[i]}^{e}")
-        if not factors:
+        if not any(m):
             parts.append(str(c))
         elif c == 1:
-            parts.append("*".join(factors))
+            parts.append(monom_to_string(m, names))
         else:
-            parts.append(f"{c}*" + "*".join(factors))
+            parts.append(f"{c}*" + monom_to_string(m, names))
     return " + ".join(parts)
 
 

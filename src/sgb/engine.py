@@ -29,6 +29,7 @@ from .errors import (
     NotHomogeneous,
     ZeroPolynomial,
 )
+from .hilbert import minimalize
 
 # ---------------------------------------------------------------------------
 # Macaulay matrices
@@ -248,12 +249,11 @@ def _interreduce(elements) -> list:
 
 
 def _minimalize_basis(elements) -> list:
-    kept = []
-    for g in sorted(elements, key=lambda h: drl_key(h.leading_monomial())):
-        lm = g.leading_monomial()
-        if not any(mono_divides(k.leading_monomial(), lm) for k in kept):
-            kept.append(g)
-    return kept
+    """The first element for each minimal leading monomial."""
+    by_lm = {}
+    for g in elements:
+        by_lm.setdefault(g.leading_monomial(), g)
+    return [by_lm[lm] for lm in minimalize(by_lm, elements[0].n)]
 
 
 def _spoly(f: Polynomial, g: Polynomial) -> Polynomial:
@@ -368,8 +368,6 @@ def gb_up_to(system: PolySystem, cap: int) -> GroebnerBasis:
 
 def leading_monomial_ideal(basis: GroebnerBasis):
     """Minimal generators of <LM(G)> as a MonomialIdeal."""
-    from .hilbert import minimalize
-
     if not basis.elements:
         raise EmptyBasis("empty basis has no leading-monomial ideal")
     n = basis.elements[0].n

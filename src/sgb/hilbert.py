@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 from .core import Monom, drl_key, mono_divides, monomials_of_degree
 from .errors import DimensionMismatch, UnitIdeal
-from .series import poly_eval, poly_trim
+from .series import degree_product, poly_eval, poly_trim
 
 # ---------------------------------------------------------------------------
 # monomial ideals
@@ -58,42 +58,16 @@ def _is_pure_power(m: Monom) -> bool:
 
 
 def _pure_power_numerator(gens) -> list:
-    out = [1]
-    for g in gens:
-        d = sum(g)
-        if d == 0:
-            return []
-        factor = [0] * (d + 1)
-        factor[0], factor[d] = 1, -1
-        out = _zmul(out, factor)
-    return out
+    """prod (1 - z^deg(g)) over pure powers; [] once a generator is 1."""
+    degrees = [sum(g) for g in gens]
+    return degree_product(degrees) if all(degrees) else []
 
 
-def _zmul(a, b):
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                if y:
-                    out[i + j] += x * y
-    return poly_trim(out)
-
-
-def _zshift_sub(a, b, s):
-    """a - z^s * b."""
+def _shift_add(a, b, s, sign=1):
+    """a + sign * z^s * b."""
     out = list(a) + [0] * max(0, s + len(b) - len(a))
     for j, y in enumerate(b):
-        out[s + j] -= y
-    return poly_trim(out)
-
-
-def _zshift_add(a, b, s):
-    """a + z^s * b."""
-    out = list(a) + [0] * max(0, s + len(b) - len(a))
-    for j, y in enumerate(b):
-        out[s + j] += y
+        out[s + j] += sign * y
     return poly_trim(out)
 
 
@@ -118,7 +92,7 @@ def _numerator(gens, n, memo) -> list:
     elif len(mixed) == 1:
         m = mixed[0]
         colon = _pure_power_numerator(_colon_by(pure, m))
-        out = _zshift_sub(_pure_power_numerator(pure), colon, sum(m))
+        out = _shift_add(_pure_power_numerator(pure), colon, sum(m), -1)
     else:
         counts = [0] * n
         for g in mixed:
@@ -129,18 +103,10 @@ def _numerator(gens, n, memo) -> list:
         # N(J) = N(J + <x>) + z * N(J : x) for the pivot variable x
         x = tuple(int(i == piv) for i in range(n))
         plus = [g for g in gens if g[piv] == 0] + [x]
-        colon = _reminimalize(_colon_by(gens, x))
-        out = _zshift_add(_numerator(plus, n, memo), _numerator(colon, n, memo), 1)
+        colon = minimalize(_colon_by(gens, x), n).gens
+        out = _shift_add(_numerator(plus, n, memo), _numerator(colon, n, memo), 1)
     memo[key] = out
     return out
-
-
-def _reminimalize(gens):
-    kept = []
-    for m in sorted(set(gens), key=sum):
-        if not any(mono_divides(g, m) for g in kept):
-            kept.append(m)
-    return kept
 
 
 def hilbert_numerator(J: MonomialIdeal) -> list:

@@ -318,11 +318,18 @@ def _trial_record(args) -> ExperimentRecord:
     return record
 
 
-def worker_count() -> int:
+def worker_count(trials: int) -> int:
+    """Pool width: ``SGB_THREADS`` (default: the core count), clamped to the
+    trial and core counts, since a ``fork`` pool starts every worker at once."""
+    cores = os.cpu_count() or 1
     env = os.environ.get("SGB_THREADS")
-    if env:
-        return max(1, int(env))
-    return os.cpu_count() or 1
+    try:
+        wanted = int(env) if env else cores
+    except ValueError:
+        wanted = 0
+    if wanted < 1:
+        raise SgbError(f"SGB_THREADS must be a positive integer, got {env!r}")
+    return min(wanted, trials, cores)
 
 
 def run_experiment(
@@ -354,8 +361,8 @@ def run_experiment(
          timings, pair_budget)
         for t in range(trials)
     ]
-    workers = worker_count()
-    if workers <= 1 or trials == 1:
+    workers = worker_count(trials)
+    if workers == 1:
         return [_trial_record(job) for job in jobs]
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(_trial_record, jobs, chunksize=max(1, trials // (4 * workers))))

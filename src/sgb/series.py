@@ -81,32 +81,12 @@ class TruncSeries:
     def __getitem__(self, k: int) -> int:
         return self.coeffs[k]
 
-    def truncate(self, cap: int) -> "TruncSeries":
-        if cap > len(self.coeffs):
-            raise InvalidDegree(f"cannot extend cap {len(self.coeffs)} to {cap}")
-        return TruncSeries(self.coeffs[:cap])
-
-    def __add__(self, other: "TruncSeries") -> "TruncSeries":
-        return TruncSeries(tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
-
-    def scale(self, c: int) -> "TruncSeries":
-        return TruncSeries(tuple(c * a for a in self.coeffs))
-
     def mul_poly(self, poly) -> "TruncSeries":
         out = [0] * self.cap
         for i, x in enumerate(poly):
             if x:
                 for j in range(self.cap - i):
                     out[i + j] += x * self.coeffs[j]
-        return TruncSeries(tuple(out))
-
-    def __mul__(self, other: "TruncSeries") -> "TruncSeries":
-        cap = min(self.cap, other.cap)
-        out = [0] * cap
-        for i in range(cap):
-            if self.coeffs[i]:
-                for j in range(cap - i):
-                    out[i + j] += self.coeffs[i] * other.coeffs[j]
         return TruncSeries(tuple(out))
 
 

@@ -3,6 +3,7 @@ experiment runner's determinism."""
 
 import io
 import json
+import os
 import random
 
 import pytest
@@ -21,8 +22,8 @@ from sgb import (
     system_doc,
     write_csv,
 )
-from sgb.io import CSV_COLUMNS
-from sgb.errors import BadModulus, ParseError, UnknownVariable
+from sgb.io import CSV_COLUMNS, worker_count
+from sgb.errors import BadModulus, ParseError, SgbError, UnknownVariable
 from conftest import random_polynomial, run_cli
 
 
@@ -216,6 +217,23 @@ class TestCliCommands:
         # help exits 0
         assert run_cli(["--help"])[0] == 0
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["gb", "SYS", "--seed", "1"],
+            ["analyze", "SYS", "--engine", "buchberger"],
+            ["verify", "SYS", "--cap", "3"],
+            ["homogenize", "SYS", "--omega", "2.5"],
+            ["bound", "-n", "2", "-m", "3", "-d", "2,2,2", "--trials", "5"],
+            ["verify", "SYS", "--engine", "capped"],
+        ],
+    )
+    def test_flags_a_command_does_not_read_are_usage_errors(self, tmp_path, argv):
+        path = tmp_path / "sys.json"
+        path.write_text(FIXTURE)
+        code, out, err = run_cli([str(path) if a == "SYS" else a for a in argv])
+        assert code == 2 and out == "" and "usage:" in err
+
 
 class TestExperiment:
     def test_csv_schema_and_determinism(self, tmp_path):
@@ -275,6 +293,24 @@ class TestExperiment:
             2, 2, (2, 2), 31, trials=4, seed=2, construction="generic"
         )
         assert [r.trial for r in records] == [0, 1, 2, 3]
+
+    def test_worker_count_is_clamped(self, monkeypatch):
+        # only the count is computed; no pool is started with it
+        cores = os.cpu_count() or 1
+        monkeypatch.setenv("SGB_THREADS", "1000000")
+        assert worker_count(3) == min(3, cores)
+        assert worker_count(10**9) == cores
+        monkeypatch.delenv("SGB_THREADS")
+        assert worker_count(1) == 1
+        assert worker_count(10**9) == cores
+
+    @pytest.mark.parametrize("value", ["abc", "0", "-2", "1.5"])
+    def test_worker_count_rejects_bad_values(self, monkeypatch, value):
+        monkeypatch.setenv("SGB_THREADS", value)
+        with pytest.raises(SgbError, match="SGB_THREADS"):
+            worker_count(4)
+        code, _, err = run_cli(["experiment", "-n", "2", "-m", "2", "-d", "2,2", "--trials", "2"])
+        assert code == 1 and "SGB_THREADS" in err
 
     def test_records_independent_of_worker_count(self, monkeypatch):
         monkeypatch.setenv("SGB_THREADS", "1")
