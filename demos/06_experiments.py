@@ -25,8 +25,8 @@ print(summarize(z_records))
 print("dimensions seen under Z:", sorted({r.r for r in z_records}))
 
 # The theorem as a batch oracle: among rows whose hypotheses were verified
-# (dimension <= 1, form found, generalized semi-regular, uncapped engine),
-# a single inequality violation would be an implementation bug.
+# (dimension <= 1, form found, generalized semi-regular), a single
+# inequality violation would be an implementation bug.
 verified = [r for r in records + z_records if r.hypotheses_verified]
 violations = [r for r in verified if r.ineq_maxGB is False or r.ineq_Dnm is False]
 print(f"\n{len(verified)} verified rows, {len(violations)} violations")

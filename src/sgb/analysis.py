@@ -13,7 +13,7 @@ regular-sequence law.  All Hilbert data is exact; nothing is sampled.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .core import (
     LinearChange,
@@ -26,7 +26,6 @@ from .core import (
 )
 from .engine import GroebnerBasis, buchberger, gb_up_to, leading_monomial_ideal, max_gb_deg
 from .errors import (
-    BudgetExhausted,
     DegreeTooSmall,
     DimensionTooHigh,
     NotHomogeneous,
@@ -70,12 +69,13 @@ def _hilbert_of_basis(basis: GroebnerBasis) -> tuple[MonomialIdeal, HilbertProfi
 
 
 def exact_hilbert_of_ideal(
-    system: PolySystem, engine: str = "buchberger", pair_budget: int | None = None
+    system: PolySystem, pair_budget: int | None = None
 ) -> tuple[MonomialIdeal, HilbertProfile]:
-    """Leading-monomial ideal of the reduced basis plus its exact profile."""
+    """Leading-monomial ideal of the complete reduced basis plus its exact
+    profile."""
     if not system.homogeneous:
         raise NotHomogeneous("exact Hilbert data needs a homogeneous system")
-    return _hilbert_of_basis(groebner_basis(system, engine, pair_budget=pair_budget))
+    return _hilbert_of_basis(groebner_basis(system, pair_budget=pair_budget))
 
 
 # ---------------------------------------------------------------------------
@@ -185,8 +185,16 @@ def check_noether_position(lm: MonomialIdeal, r: int) -> bool:
 
 def check_weakly_revlex(lm: MonomialIdeal) -> bool:
     """True iff every same-degree monomial preceding a minimal generator also
-    lies in the ideal."""
-    for g in lm.gens:
+    lies in the ideal.
+
+    The monomials preceding a generator include those preceding every larger
+    generator of its degree, so each degree is walked once, from its
+    DRL-smallest generator.
+    """
+    smallest = {}
+    for g in sorted(lm.gens, key=drl_key, reverse=True):
+        smallest[mono_deg(g)] = g
+    for g in smallest.values():
         kg = drl_key(g)
         for t in monomials_of_degree(lm.n, mono_deg(g)):
             if drl_key(t) <= kg:
@@ -254,7 +262,7 @@ def normalized_form(ell: Polynomial) -> tuple[Polynomial, int]:
     return ell.scale(ell.field.inv(coeffs[pivot])), pivot
 
 
-def _search_linear_form(system, seed, max_attempts, engine, pair_budget=None):
+def _search_linear_form(system, seed, max_attempts, pair_budget=None):
     """Candidate loop; assumes the dimension precondition already holds.
 
     Returns the position change together with the basis and profile of the
@@ -276,7 +284,7 @@ def _search_linear_form(system, seed, max_attempts, engine, pair_budget=None):
         if attempts >= max_attempts:
             break
         attempts += 1
-        ext_basis = groebner_basis(system.extended(ell), engine, pair_budget=pair_budget)
+        ext_basis = groebner_basis(system.extended(ell), pair_budget=pair_budget)
         _, ext_profile = _hilbert_of_basis(ext_basis)
         if ext_profile.krull_dim == 0:
             ell, pivot = normalized_form(ell)
@@ -292,7 +300,6 @@ def find_linear_form(
     system: PolySystem,
     seed: int = 0,
     max_attempts: int = 64,
-    engine: str = "buchberger",
 ) -> PositionChange:
     """Search for a linear form l with R/<I, l> Artinian.
 
@@ -300,12 +307,12 @@ def find_linear_form(
     SearchExhausted when the budget runs out (the field may be too small)
     and DimensionTooHigh when R/I itself has dimension >= 2.
     """
-    _, profile = exact_hilbert_of_ideal(system, engine)
+    _, profile = exact_hilbert_of_ideal(system)
     if profile.krull_dim >= 2:
         raise DimensionTooHigh(
             f"Krull dimension {profile.krull_dim} >= 2: no single form can work"
         )
-    pos, _, _ = _search_linear_form(system, seed, max_attempts, engine)
+    pos, _, _ = _search_linear_form(system, seed, max_attempts)
     return pos
 
 
@@ -318,9 +325,9 @@ def find_linear_form(
 class TheoremReport:
     """Per-system verification record for the full inequality chain.
 
-    When the hypotheses hold (dimension <= 1, form found, generalized
-    semi-regular, uncapped engine), ``ineq_max_gb`` and ``ineq_D_nm`` are
-    theorems: a False value signals an implementation bug.
+    When the hypotheses hold (dimension <= 1, generalized semi-regular),
+    ``ineq_max_gb`` and ``ineq_D_nm`` are theorems: a False value signals an
+    implementation bug.  ``engine`` names the engine of every basis in it.
     """
 
     n: int
@@ -328,7 +335,6 @@ class TheoremReport:
     degrees: tuple
     q: int
     krull_dim: int
-    ell_found: bool
     ell: Polynomial | None
     sigma: LinearChange | None
     attempts_used: int
@@ -348,55 +354,36 @@ class TheoremReport:
 
     @property
     def hypotheses_verified(self) -> bool:
-        return (
-            self.krull_dim <= 1
-            and self.ell_found
-            and self.semiregular.generalized is True
-            and self.engine != "capped"
-        )
+        return self.krull_dim <= 1 and self.semiregular.generalized is True
 
 
 def verify_main_theorem(
     system: PolySystem,
     seed: int = 0,
     max_attempts: int = 64,
-    engine: str = "buchberger",
     pair_budget: int | None = None,
 ) -> TheoremReport:
     """Run the whole pipeline on one homogeneous system and fill every flag.
 
-    ``engine='macaulay'`` switches the basis computations to the Macaulay
-    engine capped at the Lazard bound.  When a ``pair_budget`` is given and
-    the Buchberger oracle exhausts it, the run falls back to that engine
-    automatically (deterministically, since the budget counts S-pair
-    reductions rather than wall time); the report is then labelled
-    ``engine='capped'`` and excluded from theorem assertions by callers.
+    Every basis is the complete reduced basis from the Buchberger oracle; a
+    degree-capped basis is not certified in Krull dimension one.  When a
+    ``pair_budget`` is given and one basis computation exhausts it, the run
+    raises BudgetExhausted (deterministically, since the budget counts
+    S-pair reductions rather than wall time).
     """
-    try:
-        return _verify(system, seed, max_attempts, engine, pair_budget)
-    except BudgetExhausted:
-        if engine != "buchberger":
-            raise
-        report = _verify(system, seed, max_attempts, "macaulay", None)
-        return replace(report, engine="capped")
-
-
-def _verify(system, seed, max_attempts, engine, pair_budget) -> TheoremReport:
     if not system.homogeneous:
         raise NotHomogeneous("the degree bounds apply to homogeneous ideals")
     n, m = system.n, system.m
     degrees = system.degrees
 
-    basis = groebner_basis(system, engine, pair_budget=pair_budget)
-    lm, profile = _hilbert_of_basis(basis)
+    basis = groebner_basis(system, pair_budget=pair_budget)
+    _, profile = _hilbert_of_basis(basis)
     if profile.krull_dim >= 2:
         raise DimensionTooHigh(f"Krull dimension {profile.krull_dim} >= 2")
     semireg = _certification(profile, degrees)
     gen_d_reg = profile.gen_d_reg
 
-    pos, _, ext_profile = _search_linear_form(
-        system, seed, max_attempts, engine, pair_budget
-    )
+    pos, _, ext_profile = _search_linear_form(system, seed, max_attempts, pair_budget)
     d_reg_ell = ext_profile.d_reg
 
     xn = Polynomial.variable(system.field, n, n - 1)
@@ -405,16 +392,14 @@ def _verify(system, seed, max_attempts, engine, pair_budget) -> TheoremReport:
         basis_sigma = basis
     else:
         sigma_system = apply_to_system(system, pos.sigma)
-        basis_sigma = groebner_basis(sigma_system, engine, pair_budget=pair_budget)
+        basis_sigma = groebner_basis(sigma_system, pair_budget=pair_budget)
     lm_sigma = leading_monomial_ideal(basis_sigma)
     gb_deg_sigma = max_gb_deg(basis_sigma)
 
     if pos.sigma.is_identity() and pos.ell == xn:
         sigma_xn_profile = ext_profile
     else:
-        _, sigma_xn_profile = exact_hilbert_of_ideal(
-            sigma_system.extended(xn), engine, pair_budget
-        )
+        _, sigma_xn_profile = exact_hilbert_of_ideal(sigma_system.extended(xn), pair_budget)
     artinian_after_sigma = sigma_xn_profile.krull_dim == 0
     if artinian_after_sigma and sigma_xn_profile.d_reg != d_reg_ell:
         raise AssertionError(
@@ -449,7 +434,6 @@ def _verify(system, seed, max_attempts, engine, pair_budget) -> TheoremReport:
         degrees=degrees,
         q=system.field.p,
         krull_dim=profile.krull_dim,
-        ell_found=True,
         ell=pos.ell,
         sigma=pos.sigma,
         attempts_used=pos.attempts_used,
@@ -465,7 +449,7 @@ def _verify(system, seed, max_attempts, engine, pair_budget) -> TheoremReport:
         equality_attained=equality,
         m_n_minus_1_law=m_n_minus_1_law,
         semiregular=semireg,
-        engine=engine,
+        engine="buchberger",
     )
 
 

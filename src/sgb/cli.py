@@ -41,7 +41,7 @@ def _load_doc(path: str) -> sgbio.SystemDoc:
 _FLAGS = {
     "seed": dict(type=int, default=0, help="master random seed"),
     "omega": dict(type=float, default=2.807, help="matrix multiplication exponent in [2, 3)"),
-    "engine": dict(choices=["macaulay", "buchberger"], default="buchberger", help="basis engine"),
+    "engine": dict(choices=["macaulay", "buchberger"], default="macaulay", help="basis engine"),
     "cap": dict(type=int, default=None, help="degree cap for the Macaulay engine"),
     "attempts": dict(type=int, default=64, help="linear-form search budget"),
     "trials": dict(type=int, default=10, help="experiment trial count"),
@@ -50,11 +50,10 @@ _FLAGS = {
 }
 
 
-def _add_flags(parser: argparse.ArgumentParser, *names, **defaults):
+def _add_flags(parser: argparse.ArgumentParser, *names):
     """Attach the named flags; any other flag is a usage error."""
     for name in names:
         parser.add_argument(f"--{name}", **_FLAGS[name])
-    parser.set_defaults(**defaults)
 
 
 def _cmd_gb(args) -> int:
@@ -136,7 +135,6 @@ def _cmd_verify(args) -> int:
         doc.system,
         seed=args.seed,
         max_attempts=args.attempts,
-        engine=args.engine,
     )
     sigma = ";".join(",".join(str(v) for v in row) for row in report.sigma.matrix)
     _print_kv(
@@ -196,7 +194,6 @@ def _cmd_experiment(args) -> int:
         trials=args.trials,
         seed=args.seed,
         construction=args.construction,
-        engine=args.engine,
         max_attempts=args.attempts,
         timings=args.timings,
     )
@@ -220,7 +217,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_gb = sub.add_parser("gb", help="reduced Groebner basis of a system file")
     p_gb.add_argument("file")
-    _add_flags(p_gb, "engine", "cap", "out", engine="macaulay")
+    _add_flags(p_gb, "engine", "cap", "out")
     p_gb.set_defaults(func=_cmd_gb)
 
     p_an = sub.add_parser("analyze", help="exact Hilbert data and semi-regularity certificates")
@@ -236,7 +233,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_vf = sub.add_parser("verify", help="run the degree-bound verifier on a system file")
     p_vf.add_argument("file")
-    _add_flags(p_vf, "seed", "attempts", "engine")
+    _add_flags(p_vf, "seed", "attempts")
     p_vf.set_defaults(func=_cmd_verify)
 
     p_hg = sub.add_parser("homogenize", help="homogenize a system file by an extra variable y")
@@ -251,7 +248,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_ex.add_argument("-q", type=int, default=31, dest="q", help="field characteristic")
     p_ex.add_argument("--timings", action="store_true",
                       help="record wall-clock per trial (breaks byte-reproducibility)")
-    _add_flags(p_ex, "seed", "engine", "attempts", "trials", "construction", "out")
+    _add_flags(p_ex, "seed", "attempts", "trials", "construction", "out")
     p_ex.set_defaults(func=_cmd_experiment)
 
     return parser

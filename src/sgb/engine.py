@@ -137,8 +137,8 @@ def rref_naive(a: np.ndarray, p: int) -> RrefResult:
 def rref_block(a: np.ndarray, p: int) -> RrefResult:
     """RREF via repeated elimination of 2l-row batches (l = column count).
 
-    Each pass removes 2l rows, squares them up with l zero columns, reduces,
-    and feeds the surviving nonzero rows back; at most ceil(k/l) passes.
+    Each pass reduces the first 2l rows of the pool and feeds the surviving
+    nonzero rows back; at most ceil(k/l) passes.
     The result is bitwise identical to :func:`rref_naive`.
     """
     work = np.asarray(a, dtype=np.int64) % p
@@ -147,11 +147,9 @@ def rref_block(a: np.ndarray, p: int) -> RrefResult:
         return rref_naive(work, p)
     pool = work
     while pool.shape[0] > 2 * ell:
-        batch, rest = pool[: 2 * ell], pool[2 * ell:]
-        square = np.hstack([batch, np.zeros((2 * ell, ell), dtype=np.int64)])
-        _rref_inplace(square, p)
-        reduced = square[:, :ell]
-        survivors = reduced[np.any(reduced != 0, axis=1)]
+        batch, rest = pool[: 2 * ell].copy(), pool[2 * ell:]
+        _rref_inplace(batch, p)
+        survivors = batch[np.any(batch != 0, axis=1)]
         pool = np.vstack([rest, survivors]) if survivors.size else rest
     final = rref_naive(pool, p)
     out = np.zeros((k, ell), dtype=np.int64)
@@ -360,10 +358,9 @@ def gb_up_to(system: PolySystem, cap: int) -> GroebnerBasis:
             }
             collected.append(Polynomial(fld, system.n, coeffs))
             collected_lms.append(lm)
-    # RREF rows are already tail-reduced; one inter-reduction pass keeps the
-    # output canonical regardless
-    reduced = _interreduce(_minimalize_basis(collected)) if collected else []
-    return GroebnerBasis(_sorted_basis(reduced), degree_cap=cap)
+    # RREF rows are monic and their tails sit on non-pivot columns, which are
+    # standard monomials, so the collected rows are already reduced
+    return GroebnerBasis(_sorted_basis(collected), degree_cap=cap)
 
 
 def leading_monomial_ideal(basis: GroebnerBasis):

@@ -281,20 +281,19 @@ class ExperimentRecord:
 
 
 def _trial_record(args) -> ExperimentRecord:
-    (trial, n, m, degrees, q, master_seed, construction, engine, max_attempts,
-     timings, pair_budget) = args
+    (trial, n, m, degrees, q, master_seed, construction, max_attempts, timings,
+     pair_budget) = args
     seed = child_seed(master_seed, trial)
     fld = PrimeField(q)
     sampler = sample_Z_system if construction == "Z" else sample_system
     system = sampler(n, m, degrees, fld, seed)
     start = time.monotonic()
-    record = ExperimentRecord(trial, seed, "ok", n, m, tuple(degrees), q)
+    record = ExperimentRecord(trial, seed, "ok", n, m, tuple(degrees), q, engine="buchberger")
     try:
         report = verify_main_theorem(
             system,
             seed=seed,
             max_attempts=max_attempts,
-            engine=engine,
             pair_budget=pair_budget,
         )
         record.r = report.krull_dim
@@ -309,10 +308,8 @@ def _trial_record(args) -> ExperimentRecord:
         record.ineq_maxGB = report.ineq_max_gb
         record.ineq_Dnm = report.ineq_D_nm
         record.equality_attained = report.equality_attained
-        record.engine = report.engine
     except SgbError as e:
         record.status = type(e).__name__
-        record.engine = engine
     if timings:
         record.elapsed_ms = int((time.monotonic() - start) * 1000)
     return record
@@ -340,7 +337,6 @@ def run_experiment(
     trials: int,
     seed: int,
     construction: str = "generic",
-    engine: str = "buchberger",
     max_attempts: int = 64,
     timings: bool = False,
     pair_budget: int | None = 200_000,
@@ -348,17 +344,17 @@ def run_experiment(
     """One record per trial, in trial order and deterministic for a fixed
     seed (timings excluded, hence off by default).
 
-    Trials whose Buchberger run exhausts ``pair_budget`` fall back to the
-    capped Macaulay engine and are marked engine="capped"; the budget counts
-    S-pair reductions, so the fallback itself is seed-deterministic.
+    A trial whose basis computations exhaust ``pair_budget`` gets
+    ``status=BudgetExhausted``; the budget counts S-pair reductions, so that
+    outcome is seed-deterministic too.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
     if construction not in ("generic", "Z"):
         raise ValueError(f"unknown construction {construction!r}")
     jobs = [
-        (t, n, m, tuple(degrees), q, seed, construction, engine, max_attempts,
-         timings, pair_budget)
+        (t, n, m, tuple(degrees), q, seed, construction, max_attempts, timings,
+         pair_budget)
         for t in range(trials)
     ]
     workers = worker_count(trials)

@@ -22,12 +22,15 @@ from sgb import (
     froberg_series,
     is_regular_sequence,
     minimalize,
+    run_experiment,
     sample_system,
     sample_Z_system,
+    summarize,
     verify_main_theorem,
 )
 from sgb.analysis import child_seed, normalized_form
 from sgb.errors import (
+    BudgetExhausted,
     DegreeTooSmall,
     DimensionTooHigh,
     NotLinear,
@@ -227,13 +230,15 @@ class TestPositionChecks:
         from sgb import drl_compare, monomials_of_degree
 
         rng = random.Random(4)
-        for _ in range(100):
-            n = rng.randint(2, 3)
+        shared_degree = 0
+        for _ in range(300):
+            n = rng.randint(2, 4)
             gens = [
                 rng.choice(monomials_of_degree(n, rng.randint(1, 3)))
-                for _ in range(rng.randint(1, 4))
+                for _ in range(rng.randint(1, 8))
             ]
             J = minimalize(gens, n)
+            shared_degree += len({sum(g) for g in J.gens}) < len(J.gens)
             expected = all(
                 J.contains(t)
                 for g in J.gens
@@ -241,6 +246,8 @@ class TestPositionChecks:
                 if drl_compare(t, g) == 1
             )
             assert check_weakly_revlex(J) == expected
+        # ideals with several minimal generators of one degree must be covered
+        assert shared_degree >= 100
 
 
 class TestSigma:
@@ -396,14 +403,14 @@ class TestVerifyMainTheorem:
         with pytest.raises(NotHomogeneous):
             verify_main_theorem(system, seed=0)
 
-    def test_budget_fallback_marks_capped(self, f31):
+    def test_budget_exhaustion_is_a_row_status(self, f31):
+        # no capped basis stands in for an unfinished one
         system = sample_system(3, 4, (2, 2, 2, 2), f31, seed=3)
-        report = verify_main_theorem(system, seed=3, pair_budget=1)
-        assert report.engine == "capped" and not report.hypotheses_verified
-        # same trial unconstrained stays on the oracle and agrees on the degree
-        full = verify_main_theorem(system, seed=3)
-        assert full.engine == "buchberger"
-        assert full.max_gb_deg_sigma == report.max_gb_deg_sigma
+        with pytest.raises(BudgetExhausted):
+            verify_main_theorem(system, seed=3, pair_budget=1)
+        records = run_experiment(3, 4, (2, 2, 2, 2), 31, trials=4, seed=3, pair_budget=1)
+        assert [r.status for r in records] == ["BudgetExhausted"] * 4
+        assert " ok=0 " in summarize(records)
 
 
 class TestSamplers:

@@ -226,6 +226,8 @@ class TestCliCommands:
             ["homogenize", "SYS", "--omega", "2.5"],
             ["bound", "-n", "2", "-m", "3", "-d", "2,2,2", "--trials", "5"],
             ["verify", "SYS", "--engine", "capped"],
+            ["verify", "SYS", "--engine", "macaulay"],
+            ["experiment", "-n", "2", "-m", "3", "-d", "2,2,2", "--engine", "buchberger"],
         ],
     )
     def test_flags_a_command_does_not_read_are_usage_errors(self, tmp_path, argv):
