@@ -1,12 +1,17 @@
 """Macaulay matrices, exact RREF over F_p (naive and block variants),
 degree-capped Groebner extraction, and a Buchberger oracle.
 
-Matrices are dense int64 numpy arrays with entries in [0, p); products of
-two residues stay below 2^62, so one reduction per elimination step is exact.
+Matrices are dense int64 numpy arrays with entries in [0, p) on input and
+output.  Elimination delays the reduction mod p: pivot columns and pivot rows
+are reduced before use, so every update subtracts a product of two residues,
+at most (p - 1)^2 < 2^62 for p < 2^31.  Updated entries stay unreduced while
+a tracked bound on their absolute value, grown by (p - 1)^2 per update, stays
+within 2^63 - 1; one sweep mod p resets it when the next update could pass.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,10 +31,15 @@ from .errors import (
     DegreeTooSmall,
     EmptyBasis,
     InvalidDegree,
+    MatrixTooLarge,
     NotHomogeneous,
     ZeroPolynomial,
 )
 from .hilbert import minimalize
+
+# Largest Macaulay matrix, or total over a gb_up_to degree loop, that the
+# engine builds: 2^27 int64 cells are 1 GiB.
+MAX_MACAULAY_CELLS = 2**27
 
 # ---------------------------------------------------------------------------
 # Macaulay matrices
@@ -59,6 +69,21 @@ class MacaulayMatrix:
         return "\n".join(lines) + "\n"
 
 
+def _macaulay_cells(system: PolySystem, d: int) -> int:
+    """rows * cols of M_d, counted without building it."""
+    n = system.n
+    rows = sum(math.comb(n - 1 + d - dj, d - dj) for dj in system.degrees if dj <= d)
+    return rows * math.comb(n - 1 + d, d)
+
+
+def _check_cells(cells: int, what: str) -> None:
+    if cells > MAX_MACAULAY_CELLS:
+        raise MatrixTooLarge(
+            f"{what} needs up to {cells} Macaulay matrix cells, over the limit of "
+            f"{MAX_MACAULAY_CELLS}"
+        )
+
+
 def build_macaulay(system: PolySystem, d: int) -> MacaulayMatrix:
     """Assemble M_d for a homogeneous system; one row per pair
     (degree d - d_j multiplier, generator j) with d_j <= d."""
@@ -71,27 +96,33 @@ def build_macaulay(system: PolySystem, d: int) -> MacaulayMatrix:
         raise InvalidDegree("generators must have degree >= 1")
     if d < min(degrees):
         raise DegreeTooSmall(f"degree {d} below the least generator degree {min(degrees)}")
+    _check_cells(_macaulay_cells(system, d), f"M_{d}")
 
     columns = monomials_of_degree(system.n, d)
     col_index = {m: i for i, m in enumerate(columns)}
     labels = []
-    rows = []
+    cells = []
+    values = []
     for j, f in enumerate(system.polys):
         if degrees[j] > d:
             continue
+        terms = f.coeffs.items()
         for mult in monomials_of_degree(system.n, d - degrees[j]):
-            row = np.zeros(len(columns), dtype=np.int64)
-            for m, c in f.coeffs.items():
-                row[col_index[mono_mul(mult, m)]] = c
+            base = len(labels) * len(columns)
+            for m, c in terms:
+                cells.append(base + col_index[mono_mul(mult, m)])
+                values.append(c)
             labels.append((mult, j))
-            rows.append(row)
-    matrix = np.vstack(rows) if rows else np.zeros((0, len(columns)), dtype=np.int64)
+    matrix = np.zeros((len(labels), len(columns)), dtype=np.int64)
+    matrix.flat[cells] = values
     return MacaulayMatrix(d, system.field, columns, tuple(labels), matrix)
 
 
 # ---------------------------------------------------------------------------
 # RREF over F_p
 # ---------------------------------------------------------------------------
+
+_INT64_MAX = 2**63 - 1
 
 
 @dataclass
@@ -102,34 +133,49 @@ class RrefResult:
 
 
 def _rref_inplace(a: np.ndarray, p: int):
+    """Gauss-Jordan elimination of an int64 matrix with entries in [0, p);
+    leaves the canonical RREF in ``a`` and returns the pivot columns."""
     rows, cols = a.shape
+    step = (p - 1) ** 2  # largest product of a multiplier and a residue
+    bound = p - 1  # every entry of a[:, c:] satisfies |entry| <= bound
     pivots = []
     r = 0
     for c in range(cols):
         if r == rows:
             break
-        nz = np.nonzero(a[r:, c])[0]
+        a[:, c] %= p
+        nz = np.flatnonzero(a[r:, c])
         if nz.size == 0:
             continue
         i = r + int(nz[0])
         if i != r:
-            a[[r, i]] = a[[i, r]]
-        inv = pow(int(a[r, c]), -1, p)
-        a[r] = a[r] * inv % p
-        col = a[:, c].copy()
-        col[r] = 0
-        hit = np.nonzero(col)[0]
+            # rows r and below are zero left of column c
+            a[[r, i], c:] = a[[i, r], c:]
+        a[r, c:] %= p
+        a[r, c:] = a[r, c:] * pow(int(a[r, c]), -1, p) % p
+        hit = np.flatnonzero(a[:, c])
+        hit = hit[hit != r]
         if hit.size:
-            a[hit] = (a[hit] - np.outer(col[hit], a[r])) % p
+            if bound > _INT64_MAX - step:
+                a[:, c:] %= p
+                bound = p - 1
+            a[hit, c:] -= np.outer(a[hit, c], a[r, c:])
+            bound += step
         pivots.append(c)
         r += 1
+    a %= p
     return pivots
 
 
 def rref_naive(a: np.ndarray, p: int) -> RrefResult:
-    """Canonical reduced row echelon form by plain Gaussian elimination."""
+    """Canonical reduced row echelon form by Gauss-Jordan elimination over
+    F_p, for primes p < 2^31.
+
+    Updates are left unreduced until the next one could pass 2^63 - 1; the
+    pivot column and the pivot row are reduced before they are used, so the
+    pivots are those of the exact elimination.
+    """
     work = np.asarray(a, dtype=np.int64) % p
-    work = work.copy()
     pivots = _rref_inplace(work, p)
     return RrefResult(work, tuple(pivots), len(pivots))
 
@@ -338,6 +384,11 @@ def gb_up_to(system: PolySystem, cap: int) -> GroebnerBasis:
     degrees = system.degrees
     if cap < max(degrees):
         raise DegreeTooSmall(f"cap {cap} below the largest generator degree {max(degrees)}")
+    # the matrices grow with d, so the one at the cap bounds every other
+    _check_cells(
+        (cap - min(degrees) + 1) * _macaulay_cells(system, cap),
+        f"the degree loop M_{min(degrees)}..M_{cap}",
+    )
 
     fld = system.field
     collected = []
@@ -353,9 +404,7 @@ def gb_up_to(system: PolySystem, cap: int) -> GroebnerBasis:
             if any(mono_divides(g, lm) for g in collected_lms):
                 continue
             row = res.matrix[row_idx]
-            coeffs = {
-                mac.columns[i]: int(v) for i, v in enumerate(row) if v
-            }
+            coeffs = {mac.columns[i]: int(row[i]) for i in np.flatnonzero(row).tolist()}
             collected.append(Polynomial(fld, system.n, coeffs))
             collected_lms.append(lm)
     # RREF rows are monic and their tails sit on non-pivot columns, which are

@@ -69,6 +69,10 @@ class BudgetExhausted(SgbError):
     """A deterministic work budget ran out before the computation finished."""
 
 
+class MatrixTooLarge(SgbError):
+    """A Macaulay matrix would exceed the engine's size limit."""
+
+
 class DimensionTooHigh(SgbError):
     """Quotient ring has Krull dimension two or more."""
 

@@ -2,10 +2,12 @@
 and homogenization."""
 
 import random
+import types
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import sgb
 from sgb import (
     LinearChange,
     Polynomial,
@@ -279,3 +281,12 @@ class TestHomogenize:
             assert h.is_homogeneous() and h.degree() == f.degree()
             assert dehomogenize(h, 1) == f
             assert dehomogenize(h, 0) == top_part(f)
+
+
+class TestPackage:
+    def test_public_names_resolve(self):
+        assert len(set(sgb.__all__)) == len(sgb.__all__)
+        for name in sgb.__all__:
+            assert hasattr(sgb, name), name
+        modules = {n for n in sgb.__all__ if isinstance(getattr(sgb, n), types.ModuleType)}
+        assert modules == {"errors"}

@@ -6,6 +6,7 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sgb import (
     PolySystem,
@@ -28,6 +29,7 @@ from sgb import (
 from sgb.errors import (
     DegreeTooSmall,
     EmptyBasis,
+    MatrixTooLarge,
     NotHomogeneous,
     ZeroPolynomial,
 )
@@ -43,6 +45,51 @@ def fixture_f1_f2(fld):
             Polynomial(fld, 2, {(1, 1): 1}),  # x1*x2
         ),
     )
+
+
+def rref_oracle(a, p):
+    """Gauss-Jordan on lists of Python ints, reducing every entry at every
+    step: the reference for both numpy kernels."""
+    rows = [[x % p for x in row] for row in a.tolist()]
+    cols = a.shape[1]
+    pivots = []
+    for c in range(cols):
+        r = len(pivots)
+        i = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if i is None:
+            continue
+        rows[r], rows[i] = rows[i], rows[r]
+        inv = pow(rows[r][c], -1, p)
+        rows[r] = [x * inv % p for x in rows[r]]
+        for h, row in enumerate(rows):
+            if h != r and row[c]:
+                rows[h] = [(x - row[c] * y) % p for x, y in zip(row, rows[r])]
+        pivots.append(c)
+    return np.array(rows, dtype=np.int64).reshape(a.shape), tuple(pivots)
+
+
+KERNEL_PRIMES = (2, 3, 65521, 67108859, 2**31 - 1)
+
+
+@st.composite
+def int_matrices(draw):
+    p = draw(st.sampled_from(KERNEL_PRIMES))
+    rows = draw(st.integers(0, 12))
+    cols = draw(st.integers(0, 6))
+    # small entries give rank-deficient matrices, wide ones negative and >= p
+    entry = draw(st.sampled_from([st.integers(0, 2), st.integers(-3 * p, 3 * p)]))
+    cells = draw(st.lists(entry, min_size=rows * cols, max_size=rows * cols))
+    return np.array(cells, dtype=np.int64).reshape(rows, cols), p
+
+
+def assert_matches_oracle(a, p):
+    expected, pivots = rref_oracle(a, p)
+    naive, block = rref_naive(a, p), rref_block(a, p)
+    assert naive.matrix.dtype == np.int64 and naive.matrix.shape == a.shape
+    assert np.array_equal(naive.matrix, expected)
+    assert naive.pivots == pivots and naive.rank == len(pivots)
+    assert np.array_equal(block.matrix, naive.matrix)
+    assert block.pivots == naive.pivots and block.rank == naive.rank
 
 
 class TestBuildMacaulay:
@@ -106,6 +153,18 @@ class TestBuildMacaulay:
         with pytest.raises(DegreeTooSmall):
             build_macaulay(fixture_f1_f2(f7), 1)
 
+    def test_size_limit(self, f7):
+        system = PolySystem(f7, 3, (Polynomial(f7, 3, {(2, 0, 0): 1}),))
+        with pytest.raises(MatrixTooLarge):
+            build_macaulay(system, 10**8)
+        with pytest.raises(MatrixTooLarge):
+            gb_up_to(system, 10**8)
+        # M_cap alone (9,999 x 10,001) is under the limit; the 9,999 matrices
+        # of the degree loop together are not
+        plane = PolySystem(f7, 2, (Polynomial(f7, 2, {(2, 0): 1}),))
+        with pytest.raises(MatrixTooLarge):
+            gb_up_to(plane, 10**4)
+
     def test_dump_golden(self, f7):
         mac = build_macaulay(fixture_f1_f2(f7), 3)
         assert mac.dump() == "3 4 4 7\n1 0 1 0\n0 1 0 1\n0 1 0 0\n0 0 1 0\n"
@@ -163,6 +222,36 @@ class TestRref:
                 naive, block = rref_naive(a, 31), rref_block(a, 31)
                 assert np.array_equal(naive.matrix, block.matrix)
                 assert naive.pivots == block.pivots
+
+    @given(int_matrices())
+    @settings(max_examples=300, deadline=None)
+    def test_kernels_match_oracle(self, case):
+        assert_matches_oracle(*case)
+
+    @pytest.mark.parametrize("p", KERNEL_PRIMES)
+    @pytest.mark.parametrize(
+        "shape", [(0, 4), (4, 0), (0, 0), (5, 3), (30, 4), (17, 3)]
+    )
+    def test_kernels_match_oracle_edge_shapes(self, p, shape):
+        rng = np.random.default_rng(sum(shape))
+        assert_matches_oracle(np.zeros(shape, dtype=np.int64), p)
+        # entries negative and >= p; the last two shapes are tall (rows > 2 cols)
+        a = rng.integers(-2 * p, 2 * p, size=shape, dtype=np.int64)
+        assert_matches_oracle(a, p)
+        if shape[0] and shape[1]:
+            a[:, -1] = a[:, 0]
+            a[-1] = a[0] + a[1 % shape[0]]
+            assert_matches_oracle(a, p)
+
+    def test_largest_prime_sweeps_unreduced_entries(self):
+        # at p = 2^31 - 1 each update subtracts up to about 2^62, and the four
+        # non-pivot columns of a 12 x 16 matrix are hit by all twelve pivots:
+        # without the sweeps mod p their entries would pass 2^63 - 1
+        p = 2**31 - 1
+        for seed in range(3):
+            a = np.random.default_rng(seed).integers(0, p, size=(12, 16), dtype=np.int64)
+            assert rref_naive(a, p).rank == 12
+            assert_matches_oracle(a, p)
 
     def test_stacked_copy(self):
         rng = np.random.default_rng(4)

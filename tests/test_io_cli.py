@@ -28,6 +28,10 @@ from conftest import random_polynomial, run_cli
 
 
 FIXTURE = '{"field":{"char":7},"vars":["x1","x2"],"polys":["x1^2 + x2^2","x1*x2"]}'
+HUGE_DEGREES = (
+    '{"field":{"char":31},"vars":["x1","x2","x3"],'
+    '"polys":["x1^100000000 + x2^100000000","x3^2"]}'
+)
 
 
 class TestPolynomialGrammar:
@@ -216,6 +220,13 @@ class TestCliCommands:
         assert code == 1 and "error:" in err
         # help exits 0
         assert run_cli(["--help"])[0] == 0
+
+    @pytest.mark.parametrize("cap", [[], ["--cap", "3"], ["--cap", "100000000"]])
+    def test_gb_refuses_oversized_matrices(self, tmp_path, cap):
+        path = tmp_path / "huge.json"
+        path.write_text(HUGE_DEGREES)
+        code, out, err = run_cli(["gb", str(path)] + cap)
+        assert code == 1 and out == "" and "MatrixTooLarge" in err
 
     @pytest.mark.parametrize(
         "argv",
