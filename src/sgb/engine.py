@@ -37,9 +37,12 @@ from .errors import (
 )
 from .hilbert import minimalize
 
-# Largest Macaulay matrix, or total over a gb_up_to degree loop, that the
-# engine builds: 2^27 int64 cells are 1 GiB.
+# Largest Macaulay matrix the engine builds (2^27 int64 cells are 1 GiB), and
+# the most cells a gb_up_to degree loop builds in all.
 MAX_MACAULAY_CELLS = 2**27
+# Most degrees a gb_up_to loop walks: each costs a build and an RREF however
+# small its matrix is (in one variable every matrix has one column).
+MAX_LOOP_DEGREES = 2**10
 
 # ---------------------------------------------------------------------------
 # Macaulay matrices
@@ -79,9 +82,24 @@ def _macaulay_cells(system: PolySystem, d: int) -> int:
 def _check_cells(cells: int, what: str) -> None:
     if cells > MAX_MACAULAY_CELLS:
         raise MatrixTooLarge(
-            f"{what} needs up to {cells} Macaulay matrix cells, over the limit of "
-            f"{MAX_MACAULAY_CELLS}"
+            f"{what} needs at least {cells} Macaulay matrix cells, over the limit "
+            f"of {MAX_MACAULAY_CELLS}"
         )
+
+
+def _check_degree_loop(system: PolySystem, lo: int, cap: int) -> None:
+    """Refuse the loop over M_lo..M_cap if it has too many degrees or builds
+    too many cells in all.  One matrix is alive at a time and M_cap is the
+    largest, so the total also bounds the memory."""
+    what = f"the degree loop M_{lo}..M_{cap}"
+    if cap - lo + 1 > MAX_LOOP_DEGREES:
+        raise MatrixTooLarge(
+            f"{what} has {cap - lo + 1} degrees, over the limit of {MAX_LOOP_DEGREES}"
+        )
+    total = 0
+    for d in range(cap, lo - 1, -1):  # largest first, to stop early
+        total += _macaulay_cells(system, d)
+        _check_cells(total, what)
 
 
 def build_macaulay(system: PolySystem, d: int) -> MacaulayMatrix:
@@ -384,11 +402,7 @@ def gb_up_to(system: PolySystem, cap: int) -> GroebnerBasis:
     degrees = system.degrees
     if cap < max(degrees):
         raise DegreeTooSmall(f"cap {cap} below the largest generator degree {max(degrees)}")
-    # the matrices grow with d, so the one at the cap bounds every other
-    _check_cells(
-        (cap - min(degrees) + 1) * _macaulay_cells(system, cap),
-        f"the degree loop M_{min(degrees)}..M_{cap}",
-    )
+    _check_degree_loop(system, min(degrees), cap)
 
     fld = system.field
     collected = []

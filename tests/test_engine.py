@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 from sgb import (
     PolySystem,
     Polynomial,
+    PrimeField,
     buchberger,
     build_macaulay,
     gb_up_to,
@@ -26,6 +27,7 @@ from sgb import (
     rref_naive,
     sample_system,
 )
+from sgb.engine import MAX_MACAULAY_CELLS, _check_degree_loop, _macaulay_cells
 from sgb.errors import (
     DegreeTooSmall,
     EmptyBasis,
@@ -159,11 +161,25 @@ class TestBuildMacaulay:
             build_macaulay(system, 10**8)
         with pytest.raises(MatrixTooLarge):
             gb_up_to(system, 10**8)
-        # M_cap alone (9,999 x 10,001) is under the limit; the 9,999 matrices
-        # of the degree loop together are not
+        # one variable: every matrix has one cell, but the loop is too long
+        line = PolySystem(f7, 1, (Polynomial(f7, 1, {(1,): 1}),))
+        with pytest.raises(MatrixTooLarge, match="degrees"):
+            gb_up_to(line, 10**8)
+        # M_1000 alone (999 x 1,001) is under the limit and the loop has
+        # 999 degrees; its matrices together are over it
         plane = PolySystem(f7, 2, (Polynomial(f7, 2, {(2, 0): 1}),))
-        with pytest.raises(MatrixTooLarge):
-            gb_up_to(plane, 10**4)
+        assert _macaulay_cells(plane, 1000) < MAX_MACAULAY_CELLS
+        with pytest.raises(MatrixTooLarge, match="cells"):
+            gb_up_to(plane, 1000)
+
+    def test_size_limit_admits_dense_7_8_at_lazard_cap(self):
+        # 8 quadrics in 7 variables at cap 8: M_8 is 7,392 x 3,003 and the
+        # loop M_2..M_8 has about 30.5 M cells; checked without building
+        f31 = PrimeField(31)
+        quad = Polynomial(f31, 7, {m: 1 for m in monomials_of_degree(7, 2)})
+        system = PolySystem(f31, 7, (quad,) * 8)
+        assert _macaulay_cells(system, 8) == 7392 * 3003
+        _check_degree_loop(system, 2, 8)
 
     def test_dump_golden(self, f7):
         mac = build_macaulay(fixture_f1_f2(f7), 3)
