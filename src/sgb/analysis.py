@@ -28,6 +28,7 @@ from .engine import GroebnerBasis, buchberger, gb_up_to, leading_monomial_ideal,
 from .errors import (
     DegreeTooSmall,
     DimensionTooHigh,
+    InvariantViolation,
     NotHomogeneous,
     NotLinear,
     SearchExhausted,
@@ -402,7 +403,7 @@ def verify_main_theorem(
         _, sigma_xn_profile = exact_hilbert_of_ideal(sigma_system.extended(xn), pair_budget)
     artinian_after_sigma = sigma_xn_profile.krull_dim == 0
     if artinian_after_sigma and sigma_xn_profile.d_reg != d_reg_ell:
-        raise AssertionError(
+        raise InvariantViolation(
             "d_reg(<I^sigma, x_n>) must match d_reg(<I, l>) "
             f"({sigma_xn_profile.d_reg} vs {d_reg_ell})"
         )

@@ -7,10 +7,17 @@ are reduced before use, so every update subtracts a product of two residues,
 at most (p - 1)^2 < 2^62 for p < 2^31.  Updated entries stay unreduced while
 a tracked bound on their absolute value, grown by (p - 1)^2 per update, stays
 within 2^63 - 1; one sweep mod p resets it when the next update could pass.
+
+A Buchberger run reduces against one append-only reducer set that caches,
+per monomial, the first reducer in list order whose leading monomial divides
+it (a miss records how many reducers were checked; only later ones are tried
+again), and each reducer tail times each shift.  Remainders are therefore
+those of plain division, whatever the caches hold.
 """
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass
 
@@ -270,43 +277,120 @@ def max_gb_deg(basis: GroebnerBasis) -> int:
     return max(g.degree() for g in basis.elements)
 
 
+class _Reducers:
+    """Append-only reducers with cached monomial work.  ``divisor`` maps a
+    monomial to the index of its first dividing reducer, or to ``~k`` for a
+    miss after checking ``k`` reducers; ``shifted`` maps ``(index, shift)``
+    to that tail times ``x^shift`` as ``(heap entry, coefficient)`` pairs;
+    ``entries`` holds one heap entry per monomial, shared by all tails."""
+
+    __slots__ = ("lms", "lc_invs", "tails", "divisor", "shifted", "entries")
+
+    def __init__(self, polys=()):
+        self.lms = []
+        self.lc_invs = []
+        self.tails = []
+        self.divisor = {}
+        self.shifted = {}
+        self.entries = {}
+        for g in polys:
+            self.append(g)
+
+    def append(self, g: Polynomial) -> None:
+        self.lms.append(g.leading_monomial())
+        self.lc_invs.append(g.field.inv(g.leading_coeff()))
+        self.tails.append(g.terms()[1:])
+
+    def find(self, m):
+        """Index of the first reducer whose leading monomial divides ``m``,
+        or None."""
+        hit = self.divisor.get(m, -1)
+        if hit >= 0:
+            return hit
+        lms = self.lms
+        for i in range(~hit, len(lms)):
+            if all(a <= b for a, b in zip(lms[i], m)):
+                self.divisor[m] = i
+                return i
+        self.divisor[m] = ~len(lms)
+        return None
+
+    def shifted_tail(self, i: int, shift):
+        """Tail of reducer ``i`` times ``x^shift``, each term as
+        ``((-deg, reversed monomial, monomial), coefficient)``."""
+        key = (i, shift)
+        tail = self.shifted.get(key)
+        if tail is None:
+            tail = []
+            for gm, gc in self.tails[i]:
+                m = tuple(a + b for a, b in zip(gm, shift))
+                entry = self.entries.get(m)
+                if entry is None:
+                    entry = self.entries[m] = (-sum(m), m[::-1], m)
+                tail.append((entry, gc))
+            self.shifted[key] = tail
+        return tail
+
+
 def normal_form(f: Polynomial, reducers) -> Polynomial:
-    """Remainder of ``f`` on division by ``reducers`` (full tail reduction)."""
+    """Remainder of ``f`` on division by ``reducers`` (full tail reduction).
+
+    ``reducers`` is a sequence of polynomials or a run's :class:`_Reducers`,
+    whose caches are reused.  Terms leave a heap in descending DRL order, and
+    each is reduced by the first reducer in list order whose leading monomial
+    divides it.  Reducers are append-only, so a cached index stays the first
+    divisor and a cached miss after k reducers is completed by testing the
+    later ones; the remainder does not depend on the caches.
+    """
+    if not isinstance(reducers, _Reducers):
+        reducers = _Reducers(reducers)
     fld = f.field
     p = fld.p
-    lead = [(g.leading_monomial(), fld.inv(g.leading_coeff()), g) for g in reducers]
+    lms, lc_invs = reducers.lms, reducers.lc_invs
+    # work values are reduced mod p only when their term is popped; a term
+    # enters the heap once, as every term added is below the popped one
     work = dict(f.coeffs)
+    heap = [(-sum(m), m[::-1], m) for m in work]
+    heapq.heapify(heap)
     remainder = {}
-    while work:
-        m = max(work, key=drl_key)
-        c = work.pop(m)
-        for lm, lc_inv, g in lead:
-            if mono_divides(lm, m):
-                shift = mono_div(m, lm)
-                scale = c * lc_inv % p
-                for gm, gc in g.coeffs.items():
-                    key = mono_mul(gm, shift)
-                    if key == m:
-                        continue
-                    v = (work.get(key, 0) - scale * gc) % p
-                    if v:
-                        work[key] = v
-                    else:
-                        work.pop(key, None)
-                break
-        else:
+    while heap:
+        m = heapq.heappop(heap)[2]
+        c = work.pop(m) % p
+        if not c:
+            continue
+        i = reducers.find(m)
+        if i is None:
             remainder[m] = c
+            continue
+        scale = c * lc_invs[i] % p
+        shift = tuple(a - b for a, b in zip(m, lms[i]))
+        for entry, gc in reducers.shifted_tail(i, shift):
+            key = entry[2]
+            old = work.get(key)
+            if old is None:
+                work[key] = -scale * gc
+                heapq.heappush(heap, entry)
+            else:
+                work[key] = old - scale * gc
     return Polynomial(fld, f.n, remainder)
 
 
 def _interreduce(elements) -> list:
-    """Reduce every element modulo the others; input leading monomials must
-    already be pairwise non-dividing."""
+    """The reduced basis from a minimal Groebner basis ``elements``.
+
+    A term met while reducing g lies below LM(g), so only elements with a
+    smaller leading monomial can divide it, and the tail of g reduces to its
+    unique normal form modulo the ideal.  So each element, in ascending DRL
+    order of leading monomial, is reduced by the ones already reduced.
+    """
+    if len(elements) == 1:  # a lone element has nothing to be reduced by
+        return [elements[0].monic()]
+    done = _Reducers()
     out = []
-    for i, g in enumerate(elements):
-        others = elements[:i] + elements[i + 1:]
-        r = normal_form(g, others) if others else g
-        out.append(r.monic())
+    for g in sorted(elements, key=lambda g: drl_key(g.leading_monomial())):
+        r = normal_form(g, done).monic()
+        done.append(r)
+        out.append(r)
     return out
 
 
@@ -318,36 +402,48 @@ def _minimalize_basis(elements) -> list:
     return [by_lm[lm] for lm in minimalize(by_lm, elements[0].n)]
 
 
-def _spoly(f: Polynomial, g: Polynomial) -> Polynomial:
-    lmf, lmg = f.leading_monomial(), g.leading_monomial()
-    lcm = mono_lcm(lmf, lmg)
-    return f.term_mul(mono_div(lcm, lmf)) - g.term_mul(mono_div(lcm, lmg))
+def _spoly(reducers: _Reducers, i: int, j: int, lcm, fld, n: int) -> Polynomial:
+    """S-polynomial of reducers i and j, where ``lcm`` is the lcm of their
+    leading monomials, built from their cached shifted tails."""
+    lms, lc_invs = reducers.lms, reducers.lc_invs
+    out = {}
+    for entry, c in reducers.shifted_tail(i, mono_div(lcm, lms[i])):
+        out[entry[2]] = c * lc_invs[i]
+    for entry, c in reducers.shifted_tail(j, mono_div(lcm, lms[j])):
+        m = entry[2]
+        out[m] = out.get(m, 0) - c * lc_invs[j]
+    return Polynomial(fld, n, out)
 
 
-def _update_pairs(lmG, pairs, t):
-    """Gebauer-Moeller pruning when generator index t is appended."""
+def _update_pairs(lmG, pairs, lcms, t):
+    """Gebauer-Moeller pruning when generator index t is appended; ``lcms``
+    maps every pair ever created to ``(drl_key(lcm), lcm)`` and gains the new
+    pairs."""
     lmf = lmG[t]
+    with_new = [mono_lcm(lm, lmf) for lm in lmG[:t]]
     kept = set()
     for i, j in pairs:
-        lcm_ij = mono_lcm(lmG[i], lmG[j])
+        lcm_ij = lcms[i, j][1]
         if (
             not mono_divides(lmf, lcm_ij)
-            or lcm_ij == mono_lcm(lmG[i], lmf)
-            or lcm_ij == mono_lcm(lmG[j], lmf)
+            or lcm_ij == with_new[i]
+            or lcm_ij == with_new[j]
         ):
             kept.add((i, j))
     by_lcm = {}
     for i in range(t):
-        by_lcm.setdefault(mono_lcm(lmG[i], lmf), []).append(i)
+        by_lcm.setdefault(with_new[i], []).append(i)
     minimal = []
     for lcm in sorted(by_lcm, key=drl_key):
         if not any(mono_divides(seen, lcm) for seen in minimal):
             minimal.append(lcm)
     for lcm in minimal:
         # product criterion: coprime leading monomials reduce to zero
-        if any(mono_lcm(lmG[i], lmf) == mono_mul(lmG[i], lmf) for i in by_lcm[lcm]):
+        if any(lcm == mono_mul(lmG[i], lmf) for i in by_lcm[lcm]):
             continue
-        kept.add((min(by_lcm[lcm]), t))
+        pair = (min(by_lcm[lcm]), t)
+        kept.add(pair)
+        lcms[pair] = (drl_key(lcm), lcm)
     return kept
 
 
@@ -357,7 +453,8 @@ def buchberger(system: PolySystem, pair_budget: int | None = None) -> GroebnerBa
 
     ``pair_budget`` caps the number of processed S-pairs; exceeding it raises
     BudgetExhausted.  Counting pairs instead of wall time keeps seeded runs
-    reproducible across machines.
+    reproducible across machines.  All S-polynomials are reduced by one
+    :class:`_Reducers` that grows with the basis.
     """
     if not system.polys:
         raise EmptyBasis("cannot compute a basis for an empty system")
@@ -365,12 +462,13 @@ def buchberger(system: PolySystem, pair_budget: int | None = None) -> GroebnerBa
         raise ZeroPolynomial("system contains the zero polynomial")
 
     G = []
-    lmG = []
+    reducers = _Reducers()
     pairs = set()
+    lcms = {}  # pair -> (drl_key(lcm), lcm), filled when the pair is created
     for f in system.polys:
         G.append(f.monic())
-        lmG.append(f.leading_monomial())
-        pairs = _update_pairs(lmG, pairs, len(G) - 1)
+        reducers.append(G[-1])
+        pairs = _update_pairs(reducers.lms, pairs, lcms, len(G) - 1)
 
     processed = 0
     while pairs:
@@ -379,13 +477,14 @@ def buchberger(system: PolySystem, pair_budget: int | None = None) -> GroebnerBa
                 f"basis incomplete after {processed} S-pair reductions"
             )
         processed += 1
-        i, j = min(pairs, key=lambda ij: drl_key(mono_lcm(lmG[ij[0]], lmG[ij[1]])))
+        i, j = min(pairs, key=lcms.__getitem__)
         pairs.discard((i, j))
-        r = normal_form(_spoly(G[i], G[j]), G)
+        spoly = _spoly(reducers, i, j, lcms[i, j][1], system.field, system.n)
+        r = normal_form(spoly, reducers)
         if not r.is_zero():
             G.append(r.monic())
-            lmG.append(r.leading_monomial())
-            pairs = _update_pairs(lmG, pairs, len(G) - 1)
+            reducers.append(G[-1])
+            pairs = _update_pairs(reducers.lms, pairs, lcms, len(G) - 1)
 
     reduced = _interreduce(_minimalize_basis(G))
     return GroebnerBasis(_sorted_basis(reduced), degree_cap=None)

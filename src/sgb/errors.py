@@ -73,6 +73,10 @@ class MatrixTooLarge(SgbError):
     """A Macaulay matrix would exceed the engine's size limit."""
 
 
+class InvariantViolation(SgbError):
+    """An internal consistency check failed; the computed result is wrong."""
+
+
 class DimensionTooHigh(SgbError):
     """Quotient ring has Krull dimension two or more."""
 

@@ -11,7 +11,7 @@ import itertools
 from dataclasses import dataclass
 
 from .core import Monom, drl_key, mono_divides, monomials_of_degree
-from .errors import DimensionMismatch, UnitIdeal
+from .errors import DimensionMismatch, InvariantViolation, UnitIdeal
 from .series import degree_product, poly_eval, poly_trim
 
 # ---------------------------------------------------------------------------
@@ -213,10 +213,10 @@ def regularity_profile(J: MonomialIdeal) -> HilbertProfile:
     for _ in range(J.n - r):
         nxt = _divide_by_one_minus_z(h)
         if nxt is None:
-            raise AssertionError("(1-z)^(n-r) must divide the numerator exactly")
+            raise InvariantViolation("(1-z)^(n-r) must divide the numerator exactly")
         h = nxt
     if poly_eval(h, 1) == 0:
-        raise AssertionError("h-polynomial must not vanish at 1")
+        raise InvariantViolation("h-polynomial must not vanish at 1")
     deg_h = len(h) - 1
     hilb = deg_h - r + 1
 
@@ -245,7 +245,7 @@ def regularity_profile(J: MonomialIdeal) -> HilbertProfile:
     if r <= 1:
         measured = gen_d_reg if r else d_reg
         if measured != hilb:
-            raise AssertionError(
+            raise InvariantViolation(
                 f"stabilization degree {measured} disagrees with deg(h)-r+1={hilb}"
             )
     return HilbertProfile(

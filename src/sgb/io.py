@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 from .analysis import child_seed, sample_system, sample_Z_system, verify_main_theorem
 from .core import PolySystem, Polynomial, PrimeField, default_var_names, poly_to_string
-from .errors import ParseError, SgbError, UnknownVariable
+from .errors import InvariantViolation, ParseError, SgbError, UnknownVariable
 
 SCHEMA_VERSION = 1
 
@@ -407,9 +407,15 @@ def _rate(part: int, whole: int) -> str:
     return f"{part / whole:.3f}" if whole else "NA"
 
 
+def invariant_violations(records) -> int:
+    """Number of trials whose run failed an internal invariant check."""
+    return sum(1 for r in records if r.status == InvariantViolation.__name__)
+
+
 def summarize(records) -> str:
-    """One-line digest: rates, violations under verified hypotheses, and the
-    histogram of D_nm - max.GB.deg gaps."""
+    """One-line digest: rates, violations under verified hypotheses, rows
+    that failed an internal invariant, and the histogram of D_nm - max.GB.deg
+    gaps."""
     ok = [r for r in records if r.status == "ok"]
     hyp = [r for r in records if r.hypotheses_verified]
     crypto = sum(1 for r in ok if r.cryptographic is True)
@@ -431,6 +437,7 @@ def summarize(records) -> str:
         f" generalized_rate={_rate(gen, gen_applicable)}"
         f" hypothesis_rows={len(hyp)}"
         f" maxGB_violations={maxgb_viol} Dnm_violations={dnm_viol}"
+        f" invariant_violations={invariant_violations(records)}"
         f" equality_attained={eq_true}/{len(eq_rows)}"
         f" gap_hist={gap_hist}"
     )

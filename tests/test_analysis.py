@@ -1,6 +1,7 @@
 """Certification, position checks, the linear-form construction, the theorem
 verifier, samplers, and the module's property suites."""
 
+import dataclasses
 import random
 
 import pytest
@@ -28,11 +29,13 @@ from sgb import (
     summarize,
     verify_main_theorem,
 )
+from sgb import analysis
 from sgb.analysis import child_seed, normalized_form
 from sgb.errors import (
     BudgetExhausted,
     DegreeTooSmall,
     DimensionTooHigh,
+    InvariantViolation,
     NotLinear,
     SearchExhausted,
     UnitIdeal,
@@ -401,6 +404,27 @@ class TestVerifyMainTheorem:
 
         system = PolySystem(f7, 2, (poly(f7, 2, {(1, 0): 1, (0, 0): 1}),))
         with pytest.raises(NotHomogeneous):
+            verify_main_theorem(system, seed=0)
+
+    def test_sigma_xn_cross_check_failure_is_typed(self, f31, monkeypatch):
+        # squarefree quadratics vanish at every coordinate point, so sigma is a
+        # true shear and <I^sigma, x_n> gets its own basis
+        rng = random.Random(0)
+        polys = tuple(
+            Polynomial(f31, 3, {t: rng.randrange(1, 31) for t in ((1, 1, 0), (1, 0, 1), (0, 1, 1))})
+            for _ in range(4)
+        )
+        system = PolySystem(f31, 3, polys)
+        report = verify_main_theorem(system, seed=0)
+        assert not report.sigma.is_identity() and report.artinian_after_sigma
+        real = analysis.exact_hilbert_of_ideal
+
+        def skewed(*args):
+            lm, profile = real(*args)
+            return lm, dataclasses.replace(profile, d_reg=profile.d_reg + 1)
+
+        monkeypatch.setattr(analysis, "exact_hilbert_of_ideal", skewed)
+        with pytest.raises(InvariantViolation, match="must match"):
             verify_main_theorem(system, seed=0)
 
     def test_budget_exhaustion_is_a_row_status(self, f31):

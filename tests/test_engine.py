@@ -1,6 +1,7 @@
 """Macaulay matrices, the two RREF routines, degree-capped extraction against
 the Buchberger oracle, and the rank identity."""
 
+import hashlib
 import math
 import random
 
@@ -14,6 +15,7 @@ from sgb import (
     PrimeField,
     buchberger,
     build_macaulay,
+    drl_key,
     gb_up_to,
     hilbert_function,
     leading_monomial_ideal,
@@ -21,14 +23,17 @@ from sgb import (
     mono_divides,
     mono_lcm,
     mono_div,
+    mono_mul,
     monomials_of_degree,
     normal_form,
     rref_block,
     rref_naive,
     sample_system,
 )
-from sgb.engine import MAX_MACAULAY_CELLS, _check_degree_loop, _macaulay_cells
+from sgb import engine
+from sgb.engine import MAX_MACAULAY_CELLS, _check_degree_loop, _macaulay_cells, _Reducers
 from sgb.errors import (
+    BudgetExhausted,
     DegreeTooSmall,
     EmptyBasis,
     MatrixTooLarge,
@@ -92,6 +97,99 @@ def assert_matches_oracle(a, p):
     assert naive.pivots == pivots and naive.rank == len(pivots)
     assert np.array_equal(block.matrix, naive.matrix)
     assert block.pivots == naive.pivots and block.rank == naive.rank
+
+
+def normal_form_oracle(f: Polynomial, reducers) -> Polynomial:
+    """Remainder of ``f`` on division by ``reducers`` (full tail reduction)."""
+    fld = f.field
+    p = fld.p
+    lead = [(g.leading_monomial(), fld.inv(g.leading_coeff()), g) for g in reducers]
+    work = dict(f.coeffs)
+    remainder = {}
+    while work:
+        m = max(work, key=drl_key)
+        c = work.pop(m)
+        for lm, lc_inv, g in lead:
+            if mono_divides(lm, m):
+                shift = mono_div(m, lm)
+                scale = c * lc_inv % p
+                for gm, gc in g.coeffs.items():
+                    key = mono_mul(gm, shift)
+                    if key == m:
+                        continue
+                    v = (work.get(key, 0) - scale * gc) % p
+                    if v:
+                        work[key] = v
+                    else:
+                        work.pop(key, None)
+                break
+        else:
+            remainder[m] = c
+    return Polynomial(fld, f.n, remainder)
+
+
+@st.composite
+def division_cases(draw):
+    """An inhomogeneous f and reducers with non-monic leading coefficients;
+    leading monomials come from a pool of at most three, so duplicates are
+    common.  Also a split point for appending to a warm reducer set."""
+    p = draw(st.sampled_from((2, 3, 7, 31, 2**31 - 1)))
+    n = draw(st.integers(1, 3))
+    fld = PrimeField(p)
+    monomial = st.tuples(*[st.integers(0, 3)] * n)
+    coeff = st.integers(1, p - 1)
+    f = Polynomial(fld, n, draw(st.dictionaries(monomial, coeff, max_size=8)))
+    pool = draw(st.lists(monomial, min_size=1, max_size=3))
+    reducers = []
+    for _ in range(draw(st.integers(0, 5))):
+        lm = draw(st.sampled_from(pool))
+        tail = draw(st.dictionaries(monomial, coeff, max_size=4))
+        tail = {m: c for m, c in tail.items() if drl_key(m) < drl_key(lm)}
+        reducers.append(Polynomial(fld, n, {**tail, lm: draw(coeff)}))
+    split = draw(st.integers(0, len(reducers)))
+    return f, reducers, split
+
+
+class TestNormalForm:
+    @settings(max_examples=400, deadline=None)
+    @given(division_cases())
+    def test_matches_oracle(self, case):
+        f, reducers, split = case
+        expected = normal_form_oracle(f, reducers)
+        assert normal_form(f, reducers) == expected
+        assert normal_form(f, _Reducers(reducers)) == expected
+        # caches filled on a prefix stay valid after appending the rest
+        warm = _Reducers(reducers[:split])
+        assert normal_form(f, warm) == normal_form_oracle(f, reducers[:split])
+        for g in reducers[split:]:
+            warm.append(g)
+        assert normal_form(f, warm) == expected
+
+    def test_edge_cases(self, f7):
+        x1, x2, x3 = (Polynomial.variable(f7, 3, i) for i in range(3))
+        zero = Polynomial.zero(f7, 3)
+        f = x1 * x1 + x2 * 3
+        assert normal_form(f, []) == f == normal_form_oracle(f, [])
+        assert normal_form(zero, [x1 + x2]).is_zero()
+        assert normal_form(zero, []).is_zero()
+        # duplicate leading monomials: the first reducer in list order wins
+        assert normal_form(x1, [x1 + x2, x1 + x3]) == -x2
+        assert normal_form(x1, [x1 + x3, x1 + x2]) == -x3
+        # non-monic leading coefficient
+        assert normal_form(x1 * x2, [x1 * 2 + x3]) == x2 * x3 * 3
+
+    def test_append_after_cached_miss(self, f31):
+        x1, x2 = (Polynomial.variable(f31, 2, i) for i in range(2))
+        f = x1 * x2 + x2 * x2 * 5
+        reducers = _Reducers([x1 * x1 + x2])
+        assert normal_form(f, reducers) == f
+        assert reducers.divisor[(1, 1)] == ~1  # a miss after checking one reducer
+        g = x2 * 2 + Polynomial.constant(f31, 2, 1)
+        reducers.append(g)  # LM x2 divides the cached miss x1*x2
+        fresh = _Reducers([x1 * x1 + x2, g])
+        assert normal_form(f, reducers) == normal_form(f, fresh)
+        assert normal_form(f, reducers) == normal_form_oracle(f, [x1 * x1 + x2, g])
+        assert reducers.divisor[(1, 1)] == 1
 
 
 class TestBuildMacaulay:
@@ -378,6 +476,24 @@ class TestGroebner:
             buchberger(system, pair_budget=1)
         generous = buchberger(system, pair_budget=10_000)
         assert [str(g) for g in generous] == [str(g) for g in buchberger(system)]
+
+    @pytest.mark.parametrize(
+        "n, m, seed, pairs, growth",
+        [(6, 7, 1, 128, "c3d6a11e214f2066"), (4, 5, 3, 27, "409e73f33e21ea77")],
+    )
+    def test_s_pair_order_is_pinned(self, f31, monkeypatch, n, m, seed, pairs, growth):
+        # the pair count moves when pruning or the selection by degree
+        # changes; the order in which the basis grew also moves when ties
+        # between pairs of one lcm are broken differently
+        grown = []
+        real = engine._minimalize_basis
+        monkeypatch.setattr(engine, "_minimalize_basis", lambda G: grown.append(G) or real(G))
+        system = sample_system(n, m, (2,) * m, f31, seed=seed)
+        buchberger(system, pair_budget=pairs)
+        with pytest.raises(BudgetExhausted):
+            buchberger(system, pair_budget=pairs - 1)
+        text = "\n".join(str(g) for g in grown[0])
+        assert hashlib.sha256(text.encode()).hexdigest()[:16] == growth
 
     def test_rank_identity_and_pivot_monomials(self, f31):
         # dim R_d - rank(M_d) = HF of the leading-monomial ideal, and the

@@ -14,7 +14,8 @@ from sgb import (
     monomials_of_degree,
     regularity_profile,
 )
-from sgb.errors import DimensionMismatch, UnitIdeal
+from sgb import hilbert
+from sgb.errors import DimensionMismatch, InvariantViolation, SgbError, UnitIdeal
 from sgb.series import poly_eval, poly_trim
 
 
@@ -151,6 +152,24 @@ class TestRegularityProfile:
     def test_unit_ideal(self):
         with pytest.raises(UnitIdeal):
             regularity_profile(minimalize([(0, 0, 0)], 3))
+
+    @pytest.mark.parametrize(
+        "name, fake, message",
+        [
+            # r too small: (1-z)^2 does not divide 1 - 2z^2 + z^3
+            ("krull_dim", lambda real: lambda J: 0, "must divide"),
+            # r too large: h keeps the factor 1 - z
+            ("krull_dim", lambda real: lambda J: 2, "must not vanish"),
+            # a wrong h(1) moves the measured stabilization degree
+            ("poly_eval", lambda real: lambda poly, z: real(poly, z) + 1, "stabilization"),
+        ],
+    )
+    def test_invariant_failures_are_typed(self, monkeypatch, name, fake, message):
+        J = minimalize([(2, 0), (1, 1)], 2)
+        monkeypatch.setattr(hilbert, name, fake(getattr(hilbert, name)))
+        with pytest.raises(InvariantViolation, match=message) as err:
+            regularity_profile(J)
+        assert isinstance(err.value, SgbError)
 
     def test_h_poly_divisibility_and_nonvanishing(self):
         rng = random.Random(5)

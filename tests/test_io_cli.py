@@ -22,6 +22,9 @@ from sgb import (
     system_doc,
     write_csv,
 )
+from sgb import hilbert
+from sgb import io as sgbio
+from sgb.analysis import child_seed
 from sgb.io import CSV_COLUMNS, worker_count
 from sgb.errors import BadModulus, ParseError, SgbError, UnknownVariable
 from conftest import random_polynomial, run_cli
@@ -239,6 +242,11 @@ class TestCliCommands:
             ["verify", "SYS", "--engine", "capped"],
             ["verify", "SYS", "--engine", "macaulay"],
             ["experiment", "-n", "2", "-m", "3", "-d", "2,2,2", "--engine", "buchberger"],
+            ["experiment", "-n", "2", "-m", "3", "-d", "2,2,2", "--pair-budget", "0"],
+            ["experiment", "-n", "2", "-m", "3", "-d", "2,2,2", "--pair-budget", "-4"],
+            ["experiment", "-n", "2", "-m", "3", "-d", "2,2,2", "--pair-budget", "1.5"],
+            ["experiment", "-n", "2", "-m", "3", "-d", "2,2,2", "--pair-budget", "lots"],
+            ["verify", "SYS", "--pair-budget", "10"],
         ],
     )
     def test_flags_a_command_does_not_read_are_usage_errors(self, tmp_path, argv):
@@ -331,6 +339,39 @@ class TestExperiment:
         monkeypatch.setenv("SGB_THREADS", "2")
         pooled = run_experiment(3, 3, (2, 2, 2), 31, trials=6, seed=11)
         assert serial == pooled
+
+    def test_pair_budget_flag(self):
+        args = ["experiment", "-n", "3", "-m", "4", "-d", "2,2,2,2", "--trials", "3", "--seed", "3"]
+        code, out, err = run_cli(args + ["--pair-budget", "1"])
+        assert code == 0
+        assert [r.status for r in read_csv(out)] == ["BudgetExhausted"] * 3
+        assert " ok=0 " in err
+        default = run_cli(args)
+        assert default == run_cli(args + ["--pair-budget", "200000"])
+        assert [r.status for r in read_csv(default[1])] == ["ok"] * 3
+
+    def test_invariant_violation_is_a_row_status(self, monkeypatch):
+        # trial 1 runs with a wrong Krull dimension, so its regularity
+        # profile fails; the other trials and the CSV are unaffected
+        monkeypatch.setenv("SGB_THREADS", "1")
+        args = ["experiment", "-n", "3", "-m", "4", "-d", "2,2,2,2", "--trials", "3", "--seed", "5"]
+        clean = run_cli(args)
+        real_verify, real_krull = sgbio.verify_main_theorem, hilbert.krull_dim
+
+        def flaky(system, seed, **kwargs):
+            if seed != child_seed(5, 1):
+                return real_verify(system, seed=seed, **kwargs)
+            with monkeypatch.context() as patch:
+                patch.setattr(hilbert, "krull_dim", lambda J: real_krull(J) + 1)
+                return real_verify(system, seed=seed, **kwargs)
+
+        monkeypatch.setattr(sgbio, "verify_main_theorem", flaky)
+        code, out, err = run_cli(args)
+        assert code == 1 and "error: InvariantViolation: 1 of 3 trials" in err
+        rows = read_csv(out)
+        assert [r.status for r in rows] == ["ok", "InvariantViolation", "ok"]
+        assert rows[0] == read_csv(clean[1])[0] and rows[2] == read_csv(clean[1])[2]
+        assert "invariant_violations=1 " in err and "invariant_violations=0 " in clean[2]
 
     def test_timings_flag_fills_elapsed(self):
         records = run_experiment(
