@@ -39,13 +39,17 @@ res = rref_naive(mac.matrix, 7)
 print("pivot columns:", res.pivots, "-> monomials",
       [mac.columns[c] for c in res.pivots])
 
-# Degree-by-degree reduction extracts the reduced basis up to a cap; with a
-# cap at the true maximal degree it equals the Buchberger oracle exactly.
+# Degree-by-degree reduction finds the basis up to a cap, and Buchberger's
+# loop on the pairs above the cap finishes it; the result equals the
+# Buchberger oracle exactly.
 oracle = buchberger(system)
-capped = gb_up_to(system, max_gb_deg(oracle))
+engine = gb_up_to(system, max_gb_deg(oracle))
 print("\nBuchberger oracle: ", [str(g) for g in oracle])
-print("Macaulay extraction:", [str(g) for g in capped])
-assert [str(g) for g in oracle] == [str(g) for g in capped]
+print("Macaulay extraction:", [str(g) for g in engine])
+assert [str(g) for g in oracle] == [str(g) for g in engine]
+# A cap of 2, below the true maximal degree 3, gives the same basis: the
+# elimination stops at x1^2 + x2^2 and x1*x2, and the loop adds x2^3.
+assert [str(g) for g in gb_up_to(system, 2)] == [str(g) for g in oracle]
 
 # Tall matrices can be reduced in 2l-row batches (l = column count) with the
 # same bit-exact result; this is the elimination scheme behind the

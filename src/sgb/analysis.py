@@ -50,8 +50,9 @@ def groebner_basis(
     cap: int | None = None,
     pair_budget: int | None = None,
 ) -> GroebnerBasis:
-    """Oracle dispatch: complete Buchberger basis, or the Macaulay engine
-    capped at ``cap`` (default: the Lazard bound)."""
+    """Complete reduced basis from the Buchberger oracle, or from the
+    Macaulay engine handing over to Buchberger's loop above ``cap`` (default:
+    the Lazard bound); both give the same basis."""
     if engine == "buchberger":
         return buchberger(system, pair_budget=pair_budget)
     if engine == "macaulay":
@@ -266,8 +267,8 @@ def normalized_form(ell: Polynomial) -> tuple[Polynomial, int]:
 def _search_linear_form(system, seed, max_attempts, pair_budget=None):
     """Candidate loop; assumes the dimension precondition already holds.
 
-    Returns the position change together with the basis and profile of the
-    successful extension <F, l> so callers need not recompute them.
+    Returns the position change together with the profile of the successful
+    extension <F, l> so callers need not recompute it.
     """
     fld, n = system.field, system.n
     rng = random.Random(seed)
@@ -290,7 +291,7 @@ def _search_linear_form(system, seed, max_attempts, pair_budget=None):
         if ext_profile.krull_dim == 0:
             ell, pivot = normalized_form(ell)
             pos = PositionChange(ell, pivot, build_sigma(ell), attempts)
-            return pos, ext_basis, ext_profile
+            return pos, ext_profile
     raise SearchExhausted(
         f"no admissible linear form in {max_attempts} attempts; "
         "the field may have fewer elements than the ideal has projective zeros"
@@ -313,7 +314,7 @@ def find_linear_form(
         raise DimensionTooHigh(
             f"Krull dimension {profile.krull_dim} >= 2: no single form can work"
         )
-    pos, _, _ = _search_linear_form(system, seed, max_attempts)
+    pos, _ = _search_linear_form(system, seed, max_attempts)
     return pos
 
 
@@ -366,11 +367,10 @@ def verify_main_theorem(
 ) -> TheoremReport:
     """Run the whole pipeline on one homogeneous system and fill every flag.
 
-    Every basis is the complete reduced basis from the Buchberger oracle; a
-    degree-capped basis is not certified in Krull dimension one.  When a
-    ``pair_budget`` is given and one basis computation exhausts it, the run
-    raises BudgetExhausted (deterministically, since the budget counts
-    S-pair reductions rather than wall time).
+    Every basis is the complete reduced basis from the Buchberger oracle.
+    When a ``pair_budget`` is given and one basis computation exhausts it,
+    the run raises BudgetExhausted (deterministically, since the budget
+    counts S-pair reductions rather than wall time).
     """
     if not system.homogeneous:
         raise NotHomogeneous("the degree bounds apply to homogeneous ideals")
@@ -384,23 +384,19 @@ def verify_main_theorem(
     semireg = _certification(profile, degrees)
     gen_d_reg = profile.gen_d_reg
 
-    pos, _, ext_profile = _search_linear_form(system, seed, max_attempts, pair_budget)
+    pos, ext_profile = _search_linear_form(system, seed, max_attempts, pair_budget)
     d_reg_ell = ext_profile.d_reg
 
-    xn = Polynomial.variable(system.field, n, n - 1)
-    if pos.sigma.is_identity():
-        sigma_system = system
+    if pos.sigma.is_identity():  # then the normalized l is x_n
         basis_sigma = basis
+        sigma_xn_profile = ext_profile
     else:
         sigma_system = apply_to_system(system, pos.sigma)
         basis_sigma = groebner_basis(sigma_system, pair_budget=pair_budget)
+        xn = Polynomial.variable(system.field, n, n - 1)
+        _, sigma_xn_profile = exact_hilbert_of_ideal(sigma_system.extended(xn), pair_budget)
     lm_sigma = leading_monomial_ideal(basis_sigma)
     gb_deg_sigma = max_gb_deg(basis_sigma)
-
-    if pos.sigma.is_identity() and pos.ell == xn:
-        sigma_xn_profile = ext_profile
-    else:
-        _, sigma_xn_profile = exact_hilbert_of_ideal(sigma_system.extended(xn), pair_budget)
     artinian_after_sigma = sigma_xn_profile.krull_dim == 0
     if artinian_after_sigma and sigma_xn_profile.d_reg != d_reg_ell:
         raise InvariantViolation(

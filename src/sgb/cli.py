@@ -19,19 +19,9 @@ from .errors import SgbError
 from .series import bound_report
 
 
-def _fmt(v) -> str:
-    if v is None:
-        return "NA"
-    if isinstance(v, bool):
-        return "true" if v else "false"
-    if isinstance(v, tuple):
-        return ",".join(str(x) for x in v)
-    return str(v)
-
-
 def _print_kv(stream, **fields):
     for key, value in fields.items():
-        stream.write(f"{key}={_fmt(value)}\n")
+        stream.write(f"{key}={sgbio._fmt(value, ',')}\n")
 
 
 def _load_doc(path: str) -> sgbio.SystemDoc:
@@ -48,7 +38,8 @@ _FLAGS = {
     "seed": dict(type=int, default=0, help="master random seed"),
     "omega": dict(type=float, default=2.807, help="matrix multiplication exponent in [2, 3)"),
     "engine": dict(choices=["macaulay", "buchberger"], default="macaulay", help="basis engine"),
-    "cap": dict(type=int, default=None, help="degree cap for the Macaulay engine"),
+    "cap": dict(type=int, default=None,
+                help="degree where the Macaulay engine hands over to Buchberger's loop"),
     "attempts": dict(type=int, default=64, help="linear-form search budget"),
     "trials": dict(type=int, default=10, help="experiment trial count"),
     "construction": dict(choices=["generic", "Z"], default="generic"),
@@ -67,12 +58,6 @@ def _add_flags(parser: argparse.ArgumentParser, *names):
 def _cmd_gb(args) -> int:
     doc = _load_doc(args.file)
     basis = groebner_basis(doc.system, args.engine, args.cap)
-    if args.cap is None and not basis.complete:
-        print(
-            f"warning: no --cap given; using the Lazard bound {basis.degree_cap} "
-            "(result is degree-capped)",
-            file=sys.stderr,
-        )
     out = sys.stdout if args.out is None else open(args.out, "w", encoding="utf-8")
     try:
         for g in basis:

@@ -1,5 +1,6 @@
-"""Macaulay matrices, exact RREF over F_p (naive and block variants),
-degree-capped Groebner extraction, and a Buchberger oracle.
+"""Macaulay matrices, exact RREF over F_p (naive and block variants), and
+complete reduced Groebner bases two ways: Macaulay elimination up to a degree
+finished by Buchberger's loop (``gb_up_to``), and the Buchberger oracle.
 
 Matrices are dense int64 numpy arrays with entries in [0, p) on input and
 output.  Elimination delays the reduction mod p: pivot columns and pivot rows
@@ -236,20 +237,12 @@ def rref_block(a: np.ndarray, p: int) -> RrefResult:
 
 @dataclass(frozen=True)
 class GroebnerBasis:
-    """Monic basis sorted by (degree, descending DRL leading monomial).
-
-    ``degree_cap`` is None for a complete basis, else the inspection cap; a
-    capped basis may miss elements of higher degree.
-    """
+    """Complete reduced basis: monic elements sorted by (degree, descending
+    DRL leading monomial)."""
 
     elements: tuple
     order: str = "drl"
     reduced: bool = True
-    degree_cap: int | None = None
-
-    @property
-    def complete(self) -> bool:
-        return self.degree_cap is None
 
     def leading_monomials(self) -> tuple:
         return tuple(g.leading_monomial() for g in self.elements)
@@ -271,7 +264,7 @@ def _sorted_basis(elements) -> tuple:
 
 
 def max_gb_deg(basis: GroebnerBasis) -> int:
-    """Maximal total degree in the basis (a lower bound if degree-capped)."""
+    """Maximal total degree in the basis."""
     if not basis.elements:
         raise EmptyBasis("empty basis has no maximal degree")
     return max(g.degree() for g in basis.elements)
@@ -447,28 +440,27 @@ def _update_pairs(lmG, pairs, lcms, t):
     return kept
 
 
-def buchberger(system: PolySystem, pair_budget: int | None = None) -> GroebnerBasis:
-    """Complete reduced DRL Groebner basis (normal pair selection,
-    Gebauer-Moeller pair pruning).
-
-    ``pair_budget`` caps the number of processed S-pairs; exceeding it raises
-    BudgetExhausted.  Counting pairs instead of wall time keeps seeded runs
-    reproducible across machines.  All S-polynomials are reduced by one
+def _complete(polys, above: int | None = None, pair_budget: int | None = None) -> GroebnerBasis:
+    """The reduced basis of the ideal of ``polys`` by Buchberger's loop from
+    ``polys``: normal pair selection, Gebauer-Moeller pair pruning, and one
     :class:`_Reducers` that grows with the basis.
-    """
-    if not system.polys:
-        raise EmptyBasis("cannot compute a basis for an empty system")
-    if any(f.is_zero() for f in system.polys):
-        raise ZeroPolynomial("system contains the zero polynomial")
 
+    When ``above`` is given, ``polys`` must be a Groebner basis up to that
+    degree, so every initial pair whose lcm has degree <= ``above`` reduces
+    to zero and is dropped.  ``pair_budget`` caps the number of processed
+    S-pairs; exceeding it raises BudgetExhausted.
+    """
+    fld, n = polys[0].field, polys[0].n
     G = []
     reducers = _Reducers()
     pairs = set()
     lcms = {}  # pair -> (drl_key(lcm), lcm), filled when the pair is created
-    for f in system.polys:
+    for f in polys:
         G.append(f.monic())
         reducers.append(G[-1])
         pairs = _update_pairs(reducers.lms, pairs, lcms, len(G) - 1)
+    if above is not None:
+        pairs = {pair for pair in pairs if lcms[pair][0][0] > above}
 
     processed = 0
     while pairs:
@@ -479,7 +471,7 @@ def buchberger(system: PolySystem, pair_budget: int | None = None) -> GroebnerBa
         processed += 1
         i, j = min(pairs, key=lcms.__getitem__)
         pairs.discard((i, j))
-        spoly = _spoly(reducers, i, j, lcms[i, j][1], system.field, system.n)
+        spoly = _spoly(reducers, i, j, lcms[i, j][1], fld, n)
         r = normal_form(spoly, reducers)
         if not r.is_zero():
             G.append(r.monic())
@@ -487,15 +479,31 @@ def buchberger(system: PolySystem, pair_budget: int | None = None) -> GroebnerBa
             pairs = _update_pairs(reducers.lms, pairs, lcms, len(G) - 1)
 
     reduced = _interreduce(_minimalize_basis(G))
-    return GroebnerBasis(_sorted_basis(reduced), degree_cap=None)
+    return GroebnerBasis(_sorted_basis(reduced))
+
+
+def buchberger(system: PolySystem, pair_budget: int | None = None) -> GroebnerBasis:
+    """Complete reduced DRL Groebner basis (normal pair selection,
+    Gebauer-Moeller pair pruning).
+
+    ``pair_budget`` caps the number of processed S-pairs; exceeding it raises
+    BudgetExhausted.  Counting pairs instead of wall time keeps seeded runs
+    reproducible across machines.
+    """
+    if not system.polys:
+        raise EmptyBasis("cannot compute a basis for an empty system")
+    if any(f.is_zero() for f in system.polys):
+        raise ZeroPolynomial("system contains the zero polynomial")
+    return _complete(system.polys, pair_budget=pair_budget)
 
 
 def gb_up_to(system: PolySystem, cap: int) -> GroebnerBasis:
-    """Reduced Groebner basis truncated at degree ``cap`` via degree-by-degree
-    Macaulay RREFs; exact and complete whenever cap >= the true maximal
-    basis degree."""
+    """Complete reduced Groebner basis of a homogeneous system: degree-by-
+    degree Macaulay RREFs up to degree ``cap``, then Buchberger's loop on the
+    pairs whose lcm lies above ``cap``.  The cap moves only the degree where
+    elimination hands over; the basis is the same for every cap accepted."""
     if not system.homogeneous:
-        raise NotHomogeneous("degree-capped extraction needs a homogeneous system")
+        raise NotHomogeneous("Macaulay elimination needs a homogeneous system")
     if any(f.is_zero() for f in system.polys):
         raise ZeroPolynomial("system contains the zero polynomial")
     degrees = system.degrees
@@ -520,9 +528,9 @@ def gb_up_to(system: PolySystem, cap: int) -> GroebnerBasis:
             coeffs = {mac.columns[i]: int(row[i]) for i in np.flatnonzero(row).tolist()}
             collected.append(Polynomial(fld, system.n, coeffs))
             collected_lms.append(lm)
-    # RREF rows are monic and their tails sit on non-pivot columns, which are
-    # standard monomials, so the collected rows are already reduced
-    return GroebnerBasis(_sorted_basis(collected), degree_cap=cap)
+    # every leading monomial of degree <= cap in the ideal is divisible by a
+    # collected one, so the rows are a Groebner basis up to degree cap
+    return _complete(collected, above=cap)
 
 
 def leading_monomial_ideal(basis: GroebnerBasis):

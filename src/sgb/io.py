@@ -20,7 +20,7 @@ import os
 import re
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .analysis import child_seed, sample_system, sample_Z_system, verify_main_theorem
 from .core import PolySystem, Polynomial, PrimeField, default_var_names, poly_to_string
@@ -208,29 +208,15 @@ def system_doc(system: PolySystem, names=None, meta=None) -> SystemDoc:
 # experiment records
 # ---------------------------------------------------------------------------
 
-CSV_COLUMNS = (
-    "trial",
-    "seed",
-    "status",
-    "n",
-    "m",
-    "degrees",
-    "q",
-    "r",
-    "d_reg_ell",
-    "gen_d_reg",
-    "max_gb_deg",
-    "D_nm",
-    "lazard",
-    "cryptographic",
-    "generalized",
-    "weakly_revlex",
-    "ineq_maxGB",
-    "ineq_Dnm",
-    "equality_attained",
-    "engine",
-    "elapsed_ms",
-)
+def _fmt(v, sep: str) -> str:
+    """Text form of an output value; tuple items are joined by ``sep``."""
+    if v is None:
+        return "NA"
+    if isinstance(v, bool):
+        return "true" if v else "false"
+    if isinstance(v, tuple):
+        return sep.join(str(x) for x in v)
+    return str(v)
 
 
 @dataclass
@@ -264,20 +250,13 @@ class ExperimentRecord:
             and self.r is not None
             and self.r <= 1
             and self.generalized is True
-            and self.engine != "capped"
         )
 
     def csv_row(self) -> str:
-        def fmt(v):
-            if v is None:
-                return "NA"
-            if isinstance(v, bool):
-                return "true" if v else "false"
-            if isinstance(v, tuple):
-                return ";".join(str(x) for x in v)
-            return str(v)
+        return ",".join(_fmt(getattr(self, col), ";") for col in CSV_COLUMNS)
 
-        return ",".join(fmt(getattr(self, col)) for col in CSV_COLUMNS)
+
+CSV_COLUMNS = tuple(f.name for f in fields(ExperimentRecord))
 
 
 def _trial_record(args) -> ExperimentRecord:

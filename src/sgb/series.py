@@ -159,7 +159,7 @@ def degree_bound_Dnm(n: int, m: int, degrees) -> int:
 
 
 def complexity_estimate(n: int, m: int, D: int, omega: float):
-    """Cost estimates for reducing the degree-capped Macaulay matrix.
+    """Cost estimates for reducing the Macaulay matrix of degree ``D``.
 
     Returns ``(cost_new, cost_classic)`` where ``cost_new`` is
     m * C(n+D-1, D)^omega and ``cost_classic`` carries the extra factor D.

@@ -1,5 +1,5 @@
-"""Macaulay matrices, the two RREF routines, degree-capped extraction against
-the Buchberger oracle, and the rank identity."""
+"""Macaulay matrices, the two RREF routines, the Macaulay engine and the
+Gebauer-Moeller pruning against the Buchberger oracle, and the rank identity."""
 
 import hashlib
 import math
@@ -26,9 +26,11 @@ from sgb import (
     mono_mul,
     monomials_of_degree,
     normal_form,
+    parse_polynomial,
     rref_block,
     rref_naive,
     sample_system,
+    sample_Z_system,
 )
 from sgb import engine
 from sgb.engine import MAX_MACAULAY_CELLS, _check_degree_loop, _macaulay_cells, _Reducers
@@ -52,6 +54,30 @@ def fixture_f1_f2(fld):
             Polynomial(fld, 2, {(1, 1): 1}),  # x1*x2
         ),
     )
+
+
+def z_example():
+    """Krull dimension one over F_2: Lazard bound 4, true maximal basis
+    degree 5."""
+    return sample_Z_system(4, 3, (2, 2, 2), PrimeField(2), seed=2)
+
+
+@pytest.fixture(scope="module")
+def complete_engine_cases():
+    """(system, oracle basis as strings, its maximal degree) for dense and Z
+    systems over F_2, F_3, F_7 and F_31, and for the Z example."""
+    shapes = ((3, 3, (2, 2, 2)), (4, 3, (2, 2, 2)), (4, 4, (1, 2, 2, 3)), (4, 5, (2,) * 5))
+    systems = [z_example()]
+    for q in (2, 3, 7, 31):
+        for sampler in (sample_system, sample_Z_system):
+            for n, m, degrees in shapes:
+                for seed in range(3):
+                    systems.append(sampler(n, m, degrees, PrimeField(q), seed))
+    cases = []
+    for system in systems:
+        oracle = buchberger(system)
+        cases.append((system, [str(g) for g in oracle], max_gb_deg(oracle)))
+    return cases
 
 
 def rref_oracle(a, p):
@@ -430,7 +456,6 @@ class TestGroebner:
     def test_gb_up_to_spec_examples(self, f7):
         basis = gb_up_to(fixture_f1_f2(f7), 3)
         assert [str(g) for g in basis] == ["x1^2 + x2^2", "x1*x2", "x2^3"]
-        assert basis.degree_cap == 3 and not basis.complete
 
         single = gb_up_to(PolySystem(f7, 1, (Polynomial.variable(f7, 1, 0),)), 1)
         assert [str(g) for g in single] == ["x1"]
@@ -454,6 +479,48 @@ class TestGroebner:
             cap = max(max_gb_deg(oracle), max(degrees))
             engine = gb_up_to(system, cap)
             assert [str(g) for g in engine] == [str(g) for g in oracle]
+
+    def test_every_cap_gives_the_oracle_basis(self, complete_engine_cases):
+        for system, oracle, top in complete_engine_cases:
+            for cap in range(max(system.degrees), top + 2):
+                assert [str(g) for g in gb_up_to(system, cap)] == oracle, (system, cap)
+
+    def test_rows_alone_are_the_basis_from_the_true_degree(
+        self, monkeypatch, complete_engine_cases
+    ):
+        # from the true maximal degree on, Buchberger's loop has nothing to
+        # add, so a wrong or missing RREF row cannot hide behind it
+        starts = []
+        real = engine._complete
+        monkeypatch.setattr(
+            engine, "_complete", lambda polys, **kw: starts.append(polys) or real(polys, **kw)
+        )
+        for system, oracle, top in complete_engine_cases:
+            for cap in range(max(top, max(system.degrees)), top + 2):
+                starts.clear()
+                gb_up_to(system, cap)
+                assert sorted(map(str, starts[0])) == sorted(oracle), (system, cap)
+        # below it, the Z example's rows miss the degree-5 element
+        starts.clear()
+        gb_up_to(z_example(), 4)
+        assert len(starts[0]) == 7 and max(g.degree() for g in starts[0]) == 4
+
+    @pytest.mark.parametrize(
+        "polys, pairs",
+        [
+            # only the product criterion drops pairs (3 of them; without it
+            # 5 S-pairs are reduced)
+            (("x1^2 + x2^2", "x1*x2", "x3^2"), 2),
+            # only the chain criterion drops a pair (without it 9 S-pairs)
+            (("x1^2", "x1*x2 + x3^2", "x1*x3 + x2*x3"), 8),
+        ],
+    )
+    def test_gebauer_moeller_pair_counts(self, f7, polys, pairs):
+        names = ("x1", "x2", "x3")
+        system = PolySystem(f7, 3, tuple(parse_polynomial(f, names, f7) for f in polys))
+        buchberger(system, pair_budget=pairs)
+        with pytest.raises(BudgetExhausted):
+            buchberger(system, pair_budget=pairs - 1)
 
     def test_max_gb_deg(self, f7):
         assert max_gb_deg(buchberger(fixture_f1_f2(f7))) == 3

@@ -1,15 +1,20 @@
 """Grammar parsing, system-file round trips, CSV schema, exit codes, and the
 experiment runner's determinism."""
 
+import argparse
 import io
 import json
 import os
 import random
+import re
+from pathlib import Path
 
 import pytest
 
 from sgb import (
     Polynomial,
+    PrimeField,
+    gb_up_to,
     parse_polynomial,
     parse_system,
     parse_system_doc,
@@ -17,6 +22,7 @@ from sgb import (
     read_csv,
     run_experiment,
     sample_system,
+    sample_Z_system,
     serialize_system_doc,
     summarize,
     system_doc,
@@ -25,6 +31,7 @@ from sgb import (
 from sgb import hilbert
 from sgb import io as sgbio
 from sgb.analysis import child_seed
+from sgb.cli import build_parser
 from sgb.io import CSV_COLUMNS, worker_count
 from sgb.errors import BadModulus, ParseError, SgbError, UnknownVariable
 from conftest import random_polynomial, run_cli
@@ -159,11 +166,17 @@ class TestCliCommands:
         assert code_b == code_m == 0
         assert out_b == out_m == "x1^2 + x2^2\nx1*x2\nx2^3\n"
 
-    def test_gb_default_cap_warns(self, tmp_path):
+    def test_gb_default_cap_gives_the_complete_basis(self, tmp_path):
+        # Krull dimension one: the Lazard bound 4 is below the true maximal
+        # basis degree 5, and the elimination alone finds 7 of the 8 elements
         path = tmp_path / "sys.json"
-        path.write_text(FIXTURE)
+        system = sample_Z_system(4, 3, (2, 2, 2), PrimeField(2), seed=2)
+        path.write_text(serialize_system_doc(system_doc(system)))
+        code_b, out_b, err_b = run_cli(["gb", str(path), "--engine", "buchberger"])
         code, out, err = run_cli(["gb", str(path)])
-        assert code == 0 and "warning" in err and "Lazard" in err
+        assert code == code_b == 0 and err == err_b == ""
+        assert out == out_b and len(out.splitlines()) == 8
+        assert max(g.degree() for g in gb_up_to(system, 4)) == 5
 
     def test_bound_fixture(self):
         code, out, _ = run_cli(["bound", "-n", "2", "-m", "3", "-d", "2,2,2"])
@@ -230,6 +243,23 @@ class TestCliCommands:
         path.write_text(HUGE_DEGREES)
         code, out, err = run_cli(["gb", str(path)] + cap)
         assert code == 1 and out == "" and "MatrixTooLarge" in err
+
+    def test_readme_flag_table_matches_the_parser(self):
+        readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+        table = readme.split("| subcommand | flags |\n| --- | --- |\n", 1)[1].split("\n\n", 1)[0]
+        documented = {}
+        for row in table.splitlines():
+            _, command, flags, _ = row.split("|")
+            documented[command.strip().strip("`")] = set(re.findall(r"--[a-z-]+", flags))
+        (subparsers,) = [
+            a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+        ]
+        accepted = {
+            command: {o for a in sub._actions for o in a.option_strings if o.startswith("--")}
+            - {"--help"}
+            for command, sub in subparsers.choices.items()
+        }
+        assert documented == accepted
 
     @pytest.mark.parametrize(
         "argv",
