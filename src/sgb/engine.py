@@ -3,11 +3,17 @@ complete reduced Groebner bases two ways: Macaulay elimination up to a degree
 finished by Buchberger's loop (``gb_up_to``), and the Buchberger oracle.
 
 Matrices are dense int64 numpy arrays with entries in [0, p) on input and
-output.  Elimination delays the reduction mod p: pivot columns and pivot rows
-are reduced before use, so every update subtracts a product of two residues,
-at most (p - 1)^2 < 2^62 for p < 2^31.  Updated entries stay unreduced while
-a tracked bound on their absolute value, grown by (p - 1)^2 per update, stays
-within 2^63 - 1; one sweep mod p resets it when the next update could pass.
+output.  Elimination leaves rows in place and takes as each column's pivot
+row the first free row in input order, so the pivots supplied by the first k
+rows are those of the RREF of those rows; rows are gathered into RREF order
+at the end.  It delays the reduction mod p: pivot columns and pivot rows are
+reduced before use, so every update subtracts a product of two residues, at
+most (p - 1)^2 < 2^62 for p < 2^31.  Each row counts its updates since its
+last sweep mod p and is swept only when the next one could pass 2^63 - 1.
+
+``gb_up_to`` prunes M_d by the F5 criterion: t * f_j is skipped when t is a
+leading monomial of <f_1..f_{j-1}>, read off as a pivot of the lower-degree
+elimination supplied by a row of a generator below j.
 
 A Buchberger run reduces against one append-only reducer set that caches,
 per monomial, the first reducer in list order whose leading monomial divides
@@ -110,9 +116,16 @@ def _check_degree_loop(system: PolySystem, lo: int, cap: int) -> None:
         _check_cells(total, what)
 
 
-def build_macaulay(system: PolySystem, d: int) -> MacaulayMatrix:
-    """Assemble M_d for a homogeneous system; one row per pair
-    (degree d - d_j multiplier, generator j) with d_j <= d."""
+def build_macaulay(system: PolySystem, d: int, owners=None) -> MacaulayMatrix:
+    """Assemble M_d for a homogeneous system; one row per pair (degree
+    d - d_j multiplier t, generator j) with d_j <= d, in generator order.
+
+    ``owners`` maps a degree e < d to {pivot monomial of M_e: generator of its
+    pivot row}; t lies in LM(<f_1..f_{j-1}>) iff its owner is below j, and
+    then row (t, j) is skipped (the F5 criterion).  The rows kept from
+    generators up to j still span <f_1..f_j>_d, so the RREF is unchanged and
+    a regular sequence gives no zero row.
+    """
     if not system.homogeneous:
         raise NotHomogeneous("Macaulay matrices need a homogeneous system")
     degrees = system.degrees
@@ -132,8 +145,11 @@ def build_macaulay(system: PolySystem, d: int) -> MacaulayMatrix:
     for j, f in enumerate(system.polys):
         if degrees[j] > d:
             continue
+        owned = owners.get(d - degrees[j], {}) if owners else {}
         terms = f.coeffs.items()
         for mult in monomials_of_degree(system.n, d - degrees[j]):
+            if owned.get(mult, j) < j:
+                continue
             base = len(labels) * len(columns)
             for m, c in terms:
                 cells.append(base + col_index[mono_mul(mult, m)])
@@ -156,78 +172,87 @@ class RrefResult:
     matrix: np.ndarray  # same shape as the input, zero rows last
     pivots: tuple  # strictly increasing pivot column indices
     rank: int
+    # input row of each pivot: the first row independent of the rows before
+    # it whose remainder modulo them leads there
+    pivot_rows: tuple
 
 
 def _rref_inplace(a: np.ndarray, p: int):
-    """Gauss-Jordan elimination of an int64 matrix with entries in [0, p);
-    leaves the canonical RREF in ``a`` and returns the pivot columns."""
+    """Gauss-Jordan elimination of an int64 matrix with entries in [0, p).
+    Rows stay in place: a column's pivot row is the first free row, in input
+    order, that is nonzero there.  The pivot rows are gathered in pivot order
+    at the end, leaving the canonical RREF in ``a``; returns the pivot columns
+    and the input row of each."""
     rows, cols = a.shape
     step = (p - 1) ** 2  # largest product of a multiplier and a residue
-    bound = p - 1  # every entry of a[:, c:] satisfies |entry| <= bound
-    pivots = []
-    r = 0
+    room = (_INT64_MAX - (p - 1)) // step  # updates a residue can take
+    pending = np.zeros(rows, dtype=np.int64)  # updates since a row's last sweep
+    free = np.ones(rows, dtype=bool)
+    pivots, pivot_rows = [], []
     for c in range(cols):
-        if r == rows:
+        if len(pivots) == rows:
             break
         a[:, c] %= p
-        nz = np.flatnonzero(a[r:, c])
+        nz = np.flatnonzero(free & (a[:, c] != 0))
         if nz.size == 0:
             continue
-        i = r + int(nz[0])
-        if i != r:
-            # rows r and below are zero left of column c
-            a[[r, i], c:] = a[[i, r], c:]
+        r = int(nz[0])
+        free[r] = False
         a[r, c:] %= p
         a[r, c:] = a[r, c:] * pow(int(a[r, c]), -1, p) % p
+        pending[r] = 0
         hit = np.flatnonzero(a[:, c])
         hit = hit[hit != r]
         if hit.size:
-            if bound > _INT64_MAX - step:
-                a[:, c:] %= p
-                bound = p - 1
+            if room < cols:  # else no row fills up: one update per pivot at most
+                full = hit[pending[hit] >= room]
+                a[full, c:] %= p
+                pending[full] = 0
+                pending[hit] += 1
             a[hit, c:] -= np.outer(a[hit, c], a[r, c:])
-            bound += step
         pivots.append(c)
-        r += 1
+        pivot_rows.append(r)
     a %= p
-    return pivots
+    a[:] = a[pivot_rows + np.flatnonzero(free).tolist()]
+    return pivots, pivot_rows
 
 
 def rref_naive(a: np.ndarray, p: int) -> RrefResult:
     """Canonical reduced row echelon form by Gauss-Jordan elimination over
     F_p, for primes p < 2^31.
 
-    Updates are left unreduced until the next one could pass 2^63 - 1; the
-    pivot column and the pivot row are reduced before they are used, so the
-    pivots are those of the exact elimination.
+    Updates are left unreduced until the next one could pass 2^63 - 1, per
+    row; the pivot column and the pivot row are reduced before they are used,
+    so the pivots are those of the exact elimination.
     """
     work = np.asarray(a, dtype=np.int64) % p
-    pivots = _rref_inplace(work, p)
-    return RrefResult(work, tuple(pivots), len(pivots))
+    pivots, pivot_rows = _rref_inplace(work, p)
+    return RrefResult(work, tuple(pivots), len(pivots), tuple(pivot_rows))
 
 
 def rref_block(a: np.ndarray, p: int) -> RrefResult:
     """RREF via repeated elimination of 2l-row batches (l = column count).
 
-    Each pass reduces the first 2l rows of the pool and feeds the surviving
-    nonzero rows back; at most ceil(k/l) passes.
+    Each pass reduces the first 2l rows of the pool and puts the surviving
+    nonzero rows back in front, each labelled with the input row of its
+    pivot; at most ceil(k/l) passes.
     The result is bitwise identical to :func:`rref_naive`.
     """
     work = np.asarray(a, dtype=np.int64) % p
     k, ell = work.shape
     if ell == 0 or k <= 2 * ell:
         return rref_naive(work, p)
-    pool = work
+    pool, labels = work, np.arange(k)
     while pool.shape[0] > 2 * ell:
-        batch, rest = pool[: 2 * ell].copy(), pool[2 * ell:]
-        _rref_inplace(batch, p)
-        survivors = batch[np.any(batch != 0, axis=1)]
-        pool = np.vstack([rest, survivors]) if survivors.size else rest
+        batch = pool[: 2 * ell].copy()
+        _, batch_rows = _rref_inplace(batch, p)
+        pool = np.vstack([batch[: len(batch_rows)], pool[2 * ell:]])
+        labels = np.concatenate([labels[batch_rows], labels[2 * ell:]])
     final = rref_naive(pool, p)
     out = np.zeros((k, ell), dtype=np.int64)
-    nonzero = final.rank
-    out[:nonzero] = final.matrix[:nonzero]
-    return RrefResult(out, final.pivots, final.rank)
+    out[: final.rank] = final.matrix[: final.rank]
+    pivot_rows = tuple(labels[list(final.pivot_rows)].tolist())
+    return RrefResult(out, final.pivots, final.rank, pivot_rows)
 
 
 # ---------------------------------------------------------------------------
@@ -368,20 +393,21 @@ def normal_form(f: Polynomial, reducers) -> Polynomial:
     return Polynomial(fld, f.n, remainder)
 
 
-def _interreduce(elements) -> list:
+def _interreduce(elements, reduced: int = 0) -> list:
     """The reduced basis from a minimal Groebner basis ``elements``.
 
     A term met while reducing g lies below LM(g), so only elements with a
     smaller leading monomial can divide it, and the tail of g reduces to its
     unique normal form modulo the ideal.  So each element, in ascending DRL
-    order of leading monomial, is reduced by the ones already reduced.
+    order of leading monomial, is reduced by the ones already reduced.  The
+    first ``reduced`` elements in that order are taken as already reduced.
     """
     if len(elements) == 1:  # a lone element has nothing to be reduced by
         return [elements[0].monic()]
     done = _Reducers()
     out = []
-    for g in sorted(elements, key=lambda g: drl_key(g.leading_monomial())):
-        r = normal_form(g, done).monic()
+    for k, g in enumerate(sorted(elements, key=lambda g: drl_key(g.leading_monomial()))):
+        r = g if k < reduced else normal_form(g, done).monic()
         done.append(r)
         out.append(r)
     return out
@@ -445,9 +471,11 @@ def _complete(polys, above: int | None = None, pair_budget: int | None = None) -
     ``polys``: normal pair selection, Gebauer-Moeller pair pruning, and one
     :class:`_Reducers` that grows with the basis.
 
-    When ``above`` is given, ``polys`` must be a Groebner basis up to that
-    degree, so every initial pair whose lcm has degree <= ``above`` reduces
-    to zero and is dropped.  ``pair_budget`` caps the number of processed
+    When ``above`` is given, ``polys`` must be the monic reduced Groebner
+    basis up to that degree, so every initial pair whose lcm has degree <=
+    ``above`` reduces to zero and is dropped, and ``polys`` are not reduced
+    again: the loop adds elements of higher degree only, which divide none of
+    their terms.  ``pair_budget`` caps the number of processed
     S-pairs; exceeding it raises BudgetExhausted.
     """
     fld, n = polys[0].field, polys[0].n
@@ -478,7 +506,7 @@ def _complete(polys, above: int | None = None, pair_budget: int | None = None) -
             reducers.append(G[-1])
             pairs = _update_pairs(reducers.lms, pairs, lcms, len(G) - 1)
 
-    reduced = _interreduce(_minimalize_basis(G))
+    reduced = _interreduce(_minimalize_basis(G), len(polys) if above is not None else 0)
     return GroebnerBasis(_sorted_basis(reduced))
 
 
@@ -501,7 +529,11 @@ def gb_up_to(system: PolySystem, cap: int) -> GroebnerBasis:
     """Complete reduced Groebner basis of a homogeneous system: degree-by-
     degree Macaulay RREFs up to degree ``cap``, then Buchberger's loop on the
     pairs whose lcm lies above ``cap``.  The cap moves only the degree where
-    elimination hands over; the basis is the same for every cap accepted."""
+    elimination hands over; the basis is the same for every cap accepted.
+
+    Each M_d is built without the rows the F5 criterion skips; its owners
+    (pivot monomial -> generator of the pivot row) serve the higher degrees.
+    """
     if not system.homogeneous:
         raise NotHomogeneous("Macaulay elimination needs a homogeneous system")
     if any(f.is_zero() for f in system.polys):
@@ -514,12 +546,12 @@ def gb_up_to(system: PolySystem, cap: int) -> GroebnerBasis:
     fld = system.field
     collected = []
     collected_lms = []
-    # TODO: inject already-found basis elements as extra rows at higher
-    # degrees to shrink the matrices; rows are currently pure monomial
-    # multiples of the input generators
+    owners = {}
     for d in range(min(degrees), cap + 1):
-        mac = build_macaulay(system, d)
+        mac = build_macaulay(system, d, owners)
         res = rref_naive(mac.matrix, fld.p)
+        pivot_rows = zip(res.pivots, res.pivot_rows)
+        owners[d] = {mac.columns[c]: mac.row_labels[i][1] for c, i in pivot_rows}
         for row_idx, piv in enumerate(res.pivots):
             lm = mac.columns[piv]
             if any(mono_divides(g, lm) for g in collected_lms):

@@ -1,6 +1,8 @@
-"""Macaulay matrices, the two RREF routines, the Macaulay engine and the
-Gebauer-Moeller pruning against the Buchberger oracle, and the rank identity."""
+"""Macaulay matrices, the two RREF routines, the Macaulay engine and its F5
+row pruning, the Gebauer-Moeller pruning against the Buchberger oracle, and
+the rank identity."""
 
+import contextlib
 import hashlib
 import math
 import random
@@ -18,6 +20,7 @@ from sgb import (
     drl_key,
     gb_up_to,
     hilbert_function,
+    is_regular_sequence,
     leading_monomial_ideal,
     max_gb_deg,
     mono_divides,
@@ -80,9 +83,72 @@ def complete_engine_cases():
     return cases
 
 
+@pytest.fixture(scope="module")
+def f5_cases():
+    """(system, one above its true maximal basis degree) for dense, Z and
+    mixed-degree systems over F_2, F_3, F_7, F_31 and F_{2^31-1}."""
+    shapes = (
+        (3, 3, (2, 2, 2)),
+        (4, 4, (2, 2, 2, 2)),
+        (4, 4, (1, 2, 2, 3)),
+        (4, 3, (3, 2, 2)),
+        (3, 4, (2, 3, 2, 1)),
+        (4, 5, (2,) * 5),
+    )
+    cases = []
+    for q in (2, 3, 7, 31, 2**31 - 1):
+        for sampler in (sample_system, sample_Z_system):
+            for n, m, degrees in shapes:
+                for seed in range(2):
+                    system = sampler(n, m, degrees, PrimeField(q), seed)
+                    cases.append((system, max_gb_deg(buchberger(system)) + 1))
+    return cases
+
+
+@contextlib.contextmanager
+def eliminations(monkeypatch):
+    """Record ``(M_d, its RREF)`` for each degree gb_up_to eliminates, seen
+    through the module globals it calls."""
+    seen = []
+    build, rref = engine.build_macaulay, engine.rref_naive
+
+    def spy_build(*args):
+        seen.append((build(*args), None))
+        return seen[-1][0]
+
+    def spy_rref(a, p):
+        mac, res = seen[-1]
+        assert res is None and a is mac.matrix  # one RREF of the matrix just built
+        seen[-1] = (mac, rref(a, p))
+        return seen[-1][1]
+
+    with monkeypatch.context() as mp:
+        mp.setattr(engine, "build_macaulay", spy_build)
+        mp.setattr(engine, "rref_naive", spy_rref)
+        yield seen
+
+
 def rref_oracle(a, p):
+    """The reference for both numpy kernels: the RREF, its pivots, and the
+    brute-force row rank profile.  Row i supplies a pivot iff it is
+    independent of the rows before it, and that pivot leads its remainder
+    modulo them."""
+    expected, pivots = gauss_jordan(a, p)
+    owner = {}
+    for i, row in enumerate(a.tolist()):
+        prefix, prefix_pivots = gauss_jordan(a[:i], p)
+        rem = [x % p for x in row]
+        for r, c in enumerate(prefix_pivots):
+            rem = [(x - rem[c] * y) % p for x, y in zip(rem, prefix[r].tolist())]
+        if any(rem):
+            owner[next(c for c, x in enumerate(rem) if x)] = i
+    assert sorted(owner) == list(pivots)
+    return expected, pivots, tuple(owner[c] for c in pivots)
+
+
+def gauss_jordan(a, p):
     """Gauss-Jordan on lists of Python ints, reducing every entry at every
-    step: the reference for both numpy kernels."""
+    step."""
     rows = [[x % p for x in row] for row in a.tolist()]
     cols = a.shape[1]
     pivots = []
@@ -116,13 +182,15 @@ def int_matrices(draw):
 
 
 def assert_matches_oracle(a, p):
-    expected, pivots = rref_oracle(a, p)
+    expected, pivots, pivot_rows = rref_oracle(a, p)
     naive, block = rref_naive(a, p), rref_block(a, p)
     assert naive.matrix.dtype == np.int64 and naive.matrix.shape == a.shape
     assert np.array_equal(naive.matrix, expected)
     assert naive.pivots == pivots and naive.rank == len(pivots)
+    assert naive.pivot_rows == pivot_rows
     assert np.array_equal(block.matrix, naive.matrix)
     assert block.pivots == naive.pivots and block.rank == naive.rank
+    assert block.pivot_rows == pivot_rows
 
 
 def normal_form_oracle(f: Polynomial, reducers) -> Polynomial:
@@ -384,14 +452,18 @@ class TestRref:
             assert_matches_oracle(a, p)
 
     def test_largest_prime_sweeps_unreduced_entries(self):
-        # at p = 2^31 - 1 each update subtracts up to about 2^62, and the four
-        # non-pivot columns of a 12 x 16 matrix are hit by all twelve pivots:
-        # without the sweeps mod p their entries would pass 2^63 - 1
+        # at p = 2^31 - 1 each update subtracts up to about 2^62, and the
+        # non-pivot columns of a 12 x 16 or 24 x 32 matrix are hit by every
+        # pivot: without the sweeps mod p their entries would pass 2^63 - 1.
+        # An entry can take two updates between sweeps; letting it take three
+        # overflows in every 24 x 32 case.
         p = 2**31 - 1
-        for seed in range(3):
-            a = np.random.default_rng(seed).integers(0, p, size=(12, 16), dtype=np.int64)
-            assert rref_naive(a, p).rank == 12
-            assert_matches_oracle(a, p)
+        for rows, cols in ((12, 16), (24, 32)):
+            for seed in range(3):
+                rng = np.random.default_rng(seed)
+                a = rng.integers(0, p, size=(rows, cols), dtype=np.int64)
+                assert rref_naive(a, p).rank == rows
+                assert_matches_oracle(a, p)
 
     def test_stacked_copy(self):
         rng = np.random.default_rng(4)
@@ -505,6 +577,20 @@ class TestGroebner:
         gb_up_to(z_example(), 4)
         assert len(starts[0]) == 7 and max(g.degree() for g in starts[0]) == 4
 
+    def test_rows_are_not_reduced_again(self, monkeypatch, complete_engine_cases):
+        # the RREF rows are already the reduced basis up to the cap; from the
+        # true maximal degree on the loop adds nothing, so each normal form
+        # is that of an S-pair and reduces to zero
+        remainders = []
+        real = engine.normal_form
+        monkeypatch.setattr(
+            engine, "normal_form", lambda f, g: remainders.append(real(f, g)) or remainders[-1]
+        )
+        for system, oracle, top in complete_engine_cases:
+            for cap in range(max(top, max(system.degrees)), top + 2):
+                gb_up_to(system, cap)
+        assert remainders and all(r.is_zero() for r in remainders)
+
     @pytest.mark.parametrize(
         "polys, pairs",
         [
@@ -581,3 +667,52 @@ class TestGroebner:
                 pivot_monoms = {mac.columns[c] for c in res.pivots}
                 ideal_part = {t for t in monoms if lm_ideal.contains(t)}
                 assert pivot_monoms == ideal_part
+
+
+class TestF5Pruning:
+    def test_each_degree_is_built_and_eliminated_once(self, monkeypatch, f7):
+        # bench/tracing.py counts the matrices and ranks by wrapping these two
+        # module globals, so gb_up_to must reach them by name, once per degree
+        system = sample_system(3, 3, (1, 2, 3), f7, seed=0)
+        with eliminations(monkeypatch) as seen:
+            gb_up_to(system, 5)
+        assert [mac.degree for mac, _ in seen] == [1, 2, 3, 4, 5]
+        assert all(res is not None for _, res in seen)
+
+    def test_pruned_matrices_give_the_full_rref(self, monkeypatch, f5_cases):
+        pruned = 0
+        for system, cap in f5_cases:
+            with eliminations(monkeypatch) as seen:
+                gb_up_to(system, cap)
+            for mac, res in seen:
+                full_mac = build_macaulay(system, mac.degree)
+                full = rref_naive(full_mac.matrix, system.field.p)
+                assert res.pivots == full.pivots, (system, mac.degree)
+                assert np.array_equal(res.matrix[: res.rank], full.matrix[: full.rank])
+                # rows are dropped, never added or moved
+                kept = set(mac.row_labels)
+                assert mac.row_labels == tuple(x for x in full_mac.row_labels if x in kept)
+                pruned += len(full_mac.row_labels) - len(kept)
+        assert pruned > 1000
+
+    def test_regular_sequences_have_no_zero_rows(self, monkeypatch, f5_cases):
+        # F5's theorem: on a regular sequence no kept row reduces to zero
+        regular = [case for case in f5_cases if is_regular_sequence(case[0])]
+        assert len(regular) >= 30
+        for system, cap in regular:
+            with eliminations(monkeypatch) as seen:
+                gb_up_to(system, cap)
+            for mac, res in seen:
+                assert res.rank == mac.matrix.shape[0], (system, mac.degree)
+
+    def test_skipped_row_of_the_two_variable_example(self, f7):
+        # M_2 of x1^2 + x2^2, x1*x2: x1^2 leads a row of f1, so x1^2 * f2 is
+        # in the span of the other rows of M_4 and is skipped
+        system = fixture_f1_f2(f7)
+        m2 = build_macaulay(system, 2)
+        res = rref_naive(m2.matrix, 7)
+        assert res.pivot_rows == (0, 1)
+        owned = zip(res.pivots, res.pivot_rows)
+        owners = {2: {m2.columns[c]: m2.row_labels[i][1] for c, i in owned}}
+        full, pruned = build_macaulay(system, 4), build_macaulay(system, 4, owners)
+        assert set(full.row_labels) - set(pruned.row_labels) == {((2, 0), 1)}
