@@ -8,8 +8,8 @@ row the first free row in input order, so the pivots supplied by the first k
 rows are those of the RREF of those rows; rows are gathered into RREF order
 at the end.  It delays the reduction mod p: pivot columns and pivot rows are
 reduced before use, so every update subtracts a product of two residues, at
-most (p - 1)^2 < 2^62 for p < 2^31.  Each row counts its updates since its
-last sweep mod p and is swept only when the next one could pass 2^63 - 1.
+most (p - 1)^2 < 2^62 for p < 2^31, and the trailing block is swept mod p
+only when the next update could pass 2^63 - 1.
 
 ``gb_up_to`` prunes M_d by the F5 criterion: t * f_j is skipped when t is a
 leading monomial of <f_1..f_{j-1}>, read off as a pivot of the lower-degree
@@ -103,8 +103,9 @@ def _check_cells(cells: int, what: str) -> None:
 
 def _check_degree_loop(system: PolySystem, lo: int, cap: int) -> None:
     """Refuse the loop over M_lo..M_cap if it has too many degrees or builds
-    too many cells in all.  One matrix is alive at a time and M_cap is the
-    largest, so the total also bounds the memory."""
+    too many cells in all.  Only one degree is alive at a time (M_d, its
+    RREF copy and the gathered pivot rows, none larger than M_cap), so the
+    total also bounds the memory, up to a factor of three."""
     what = f"the degree loop M_{lo}..M_{cap}"
     if cap - lo + 1 > MAX_LOOP_DEGREES:
         raise MatrixTooLarge(
@@ -185,8 +186,7 @@ def _rref_inplace(a: np.ndarray, p: int):
     and the input row of each."""
     rows, cols = a.shape
     step = (p - 1) ** 2  # largest product of a multiplier and a residue
-    room = (_INT64_MAX - (p - 1)) // step  # updates a residue can take
-    pending = np.zeros(rows, dtype=np.int64)  # updates since a row's last sweep
+    bound = p - 1  # every entry of a[:, c:] satisfies |entry| <= bound
     free = np.ones(rows, dtype=bool)
     pivots, pivot_rows = [], []
     for c in range(cols):
@@ -200,20 +200,22 @@ def _rref_inplace(a: np.ndarray, p: int):
         free[r] = False
         a[r, c:] %= p
         a[r, c:] = a[r, c:] * pow(int(a[r, c]), -1, p) % p
-        pending[r] = 0
         hit = np.flatnonzero(a[:, c])
         hit = hit[hit != r]
         if hit.size:
-            if room < cols:  # else no row fills up: one update per pivot at most
-                full = hit[pending[hit] >= room]
-                a[full, c:] %= p
-                pending[full] = 0
-                pending[hit] += 1
+            if bound > _INT64_MAX - step:
+                a[:, c:] %= p
+                bound = p - 1
             a[hit, c:] -= np.outer(a[hit, c], a[r, c:])
+            bound += step
         pivots.append(c)
         pivot_rows.append(r)
-    a %= p
-    a[:] = a[pivot_rows + np.flatnonzero(free).tolist()]
+    # every free row is zero by now: each column either has no nonzero free
+    # entry or was cleared by its pivot
+    kept = a[pivot_rows]
+    kept %= p
+    a[: len(kept)] = kept
+    a[len(kept):] = 0
     return pivots, pivot_rows
 
 
@@ -221,9 +223,9 @@ def rref_naive(a: np.ndarray, p: int) -> RrefResult:
     """Canonical reduced row echelon form by Gauss-Jordan elimination over
     F_p, for primes p < 2^31.
 
-    Updates are left unreduced until the next one could pass 2^63 - 1, per
-    row; the pivot column and the pivot row are reduced before they are used,
-    so the pivots are those of the exact elimination.
+    Updates are left unreduced until the next one could pass 2^63 - 1; the
+    pivot column and the pivot row are reduced before they are used, so the
+    pivots are those of the exact elimination.
     """
     work = np.asarray(a, dtype=np.int64) % p
     pivots, pivot_rows = _rref_inplace(work, p)
