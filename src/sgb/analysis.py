@@ -48,13 +48,12 @@ def groebner_basis(
     system: PolySystem,
     engine: str = "buchberger",
     cap: int | None = None,
-    pair_budget: int | None = None,
 ) -> GroebnerBasis:
     """Complete reduced basis from the Buchberger oracle, or from the
     Macaulay engine handing over to Buchberger's loop above ``cap`` (default:
     the Lazard bound); both give the same basis."""
     if engine == "buchberger":
-        return buchberger(system, pair_budget=pair_budget)
+        return buchberger(system)
     if engine == "macaulay":
         if cap is None:
             cap = lazard_bound(system.n, system.m, system.degrees)
@@ -70,14 +69,12 @@ def _hilbert_of_basis(basis: GroebnerBasis) -> tuple[MonomialIdeal, HilbertProfi
     return lm, regularity_profile(lm)
 
 
-def exact_hilbert_of_ideal(
-    system: PolySystem, pair_budget: int | None = None
-) -> tuple[MonomialIdeal, HilbertProfile]:
+def exact_hilbert_of_ideal(system: PolySystem) -> tuple[MonomialIdeal, HilbertProfile]:
     """Leading-monomial ideal of the complete reduced basis plus its exact
     profile."""
     if not system.homogeneous:
         raise NotHomogeneous("exact Hilbert data needs a homogeneous system")
-    return _hilbert_of_basis(groebner_basis(system, pair_budget=pair_budget))
+    return _hilbert_of_basis(groebner_basis(system))
 
 
 # ---------------------------------------------------------------------------
@@ -264,7 +261,7 @@ def normalized_form(ell: Polynomial) -> tuple[Polynomial, int]:
     return ell.scale(ell.field.inv(coeffs[pivot])), pivot
 
 
-def _search_linear_form(system, seed, max_attempts, pair_budget=None):
+def _search_linear_form(system, seed, max_attempts):
     """Candidate loop; assumes the dimension precondition already holds.
 
     Returns the position change together with the profile of the successful
@@ -286,7 +283,7 @@ def _search_linear_form(system, seed, max_attempts, pair_budget=None):
         if attempts >= max_attempts:
             break
         attempts += 1
-        ext_basis = groebner_basis(system.extended(ell), pair_budget=pair_budget)
+        ext_basis = groebner_basis(system.extended(ell))
         _, ext_profile = _hilbert_of_basis(ext_basis)
         if ext_profile.krull_dim == 0:
             ell, pivot = normalized_form(ell)
@@ -363,28 +360,26 @@ def verify_main_theorem(
     system: PolySystem,
     seed: int = 0,
     max_attempts: int = 64,
-    pair_budget: int | None = None,
 ) -> TheoremReport:
     """Run the whole pipeline on one homogeneous system and fill every flag.
 
     Every basis is the complete reduced basis from the Buchberger oracle.
-    When a ``pair_budget`` is given and one basis computation exhausts it,
-    the run raises BudgetExhausted (deterministically, since the budget
-    counts S-pair reductions rather than wall time).
+    A basis that needs more than ``engine.MAX_S_PAIRS`` S-pair reductions
+    raises BudgetExhausted, at the same pair for a fixed input.
     """
     if not system.homogeneous:
         raise NotHomogeneous("the degree bounds apply to homogeneous ideals")
     n, m = system.n, system.m
     degrees = system.degrees
 
-    basis = groebner_basis(system, pair_budget=pair_budget)
+    basis = groebner_basis(system)
     _, profile = _hilbert_of_basis(basis)
     if profile.krull_dim >= 2:
         raise DimensionTooHigh(f"Krull dimension {profile.krull_dim} >= 2")
     semireg = _certification(profile, degrees)
     gen_d_reg = profile.gen_d_reg
 
-    pos, ext_profile = _search_linear_form(system, seed, max_attempts, pair_budget)
+    pos, ext_profile = _search_linear_form(system, seed, max_attempts)
     d_reg_ell = ext_profile.d_reg
 
     if pos.sigma.is_identity():  # then the normalized l is x_n
@@ -392,9 +387,9 @@ def verify_main_theorem(
         sigma_xn_profile = ext_profile
     else:
         sigma_system = apply_to_system(system, pos.sigma)
-        basis_sigma = groebner_basis(sigma_system, pair_budget=pair_budget)
+        basis_sigma = groebner_basis(sigma_system)
         xn = Polynomial.variable(system.field, n, n - 1)
-        _, sigma_xn_profile = exact_hilbert_of_ideal(sigma_system.extended(xn), pair_budget)
+        _, sigma_xn_profile = exact_hilbert_of_ideal(sigma_system.extended(xn))
     lm_sigma = leading_monomial_ideal(basis_sigma)
     gb_deg_sigma = max_gb_deg(basis_sigma)
     artinian_after_sigma = sigma_xn_profile.krull_dim == 0

@@ -28,12 +28,6 @@ def _load_doc(path: str) -> sgbio.SystemDoc:
     return sgbio.parse_system_doc(Path(path).read_text(encoding="utf-8"))
 
 
-def _positive_int(text: str) -> int:
-    if not text.isdecimal() or int(text) < 1:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
-    return int(text)
-
-
 _FLAGS = {
     "seed": dict(type=int, default=0, help="master random seed"),
     "omega": dict(type=float, default=2.807, help="matrix multiplication exponent in [2, 3)"),
@@ -44,8 +38,6 @@ _FLAGS = {
     "trials": dict(type=int, default=10, help="experiment trial count"),
     "construction": dict(choices=["generic", "Z"], default="generic"),
     "out": dict(type=str, default=None, help="output file path"),
-    "pair-budget": dict(type=_positive_int, default=200_000,
-                        help="most S-pair reductions per basis computation"),
 }
 
 
@@ -189,7 +181,6 @@ def _cmd_experiment(args) -> int:
         construction=args.construction,
         max_attempts=args.attempts,
         timings=args.timings,
-        pair_budget=args.pair_budget,
     )
     summary = sgbio.summarize(records)
     if args.out:
@@ -250,7 +241,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_ex.add_argument("-q", type=int, default=31, dest="q", help="field characteristic")
     p_ex.add_argument("--timings", action="store_true",
                       help="record wall-clock per trial (breaks byte-reproducibility)")
-    _add_flags(p_ex, "seed", "attempts", "trials", "construction", "out", "pair-budget")
+    _add_flags(p_ex, "seed", "attempts", "trials", "construction", "out")
     p_ex.set_defaults(func=_cmd_experiment)
 
     return parser

@@ -57,6 +57,9 @@ MAX_MACAULAY_CELLS = 2**27
 # Most degrees a gb_up_to loop walks: each costs a build and an RREF however
 # small its matrix is (in one variable every matrix has one column).
 MAX_LOOP_DEGREES = 2**10
+# Most S-pair reductions one Buchberger loop makes, on every route: a count,
+# not a time, so a seeded run stops at the same pair on every machine.
+MAX_S_PAIRS = 200_000
 
 # ---------------------------------------------------------------------------
 # Macaulay matrices
@@ -268,8 +271,6 @@ class GroebnerBasis:
     DRL leading monomial)."""
 
     elements: tuple
-    order: str = "drl"
-    reduced: bool = True
 
     def leading_monomials(self) -> tuple:
         return tuple(g.leading_monomial() for g in self.elements)
@@ -468,7 +469,7 @@ def _update_pairs(lmG, pairs, lcms, t):
     return kept
 
 
-def _complete(polys, above: int | None = None, pair_budget: int | None = None) -> GroebnerBasis:
+def _complete(polys, above: int | None = None) -> GroebnerBasis:
     """The reduced basis of the ideal of ``polys`` by Buchberger's loop from
     ``polys``: normal pair selection, Gebauer-Moeller pair pruning, and one
     :class:`_Reducers` that grows with the basis.
@@ -477,8 +478,8 @@ def _complete(polys, above: int | None = None, pair_budget: int | None = None) -
     basis up to that degree, so every initial pair whose lcm has degree <=
     ``above`` reduces to zero and is dropped, and ``polys`` are not reduced
     again: the loop adds elements of higher degree only, which divide none of
-    their terms.  ``pair_budget`` caps the number of processed
-    S-pairs; exceeding it raises BudgetExhausted.
+    their terms.  A loop that would reduce more than ``MAX_S_PAIRS`` S-pairs
+    raises BudgetExhausted.
     """
     fld, n = polys[0].field, polys[0].n
     G = []
@@ -494,7 +495,7 @@ def _complete(polys, above: int | None = None, pair_budget: int | None = None) -
 
     processed = 0
     while pairs:
-        if pair_budget is not None and processed >= pair_budget:
+        if processed >= MAX_S_PAIRS:
             raise BudgetExhausted(
                 f"basis incomplete after {processed} S-pair reductions"
             )
@@ -512,19 +513,16 @@ def _complete(polys, above: int | None = None, pair_budget: int | None = None) -
     return GroebnerBasis(_sorted_basis(reduced))
 
 
-def buchberger(system: PolySystem, pair_budget: int | None = None) -> GroebnerBasis:
+def buchberger(system: PolySystem) -> GroebnerBasis:
     """Complete reduced DRL Groebner basis (normal pair selection,
-    Gebauer-Moeller pair pruning).
-
-    ``pair_budget`` caps the number of processed S-pairs; exceeding it raises
-    BudgetExhausted.  Counting pairs instead of wall time keeps seeded runs
-    reproducible across machines.
+    Gebauer-Moeller pair pruning); raises BudgetExhausted after
+    ``MAX_S_PAIRS`` S-pair reductions.
     """
     if not system.polys:
         raise EmptyBasis("cannot compute a basis for an empty system")
     if any(f.is_zero() for f in system.polys):
         raise ZeroPolynomial("system contains the zero polynomial")
-    return _complete(system.polys, pair_budget=pair_budget)
+    return _complete(system.polys)
 
 
 def gb_up_to(system: PolySystem, cap: int) -> GroebnerBasis:

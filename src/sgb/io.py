@@ -260,8 +260,7 @@ CSV_COLUMNS = tuple(f.name for f in fields(ExperimentRecord))
 
 
 def _trial_record(args) -> ExperimentRecord:
-    (trial, n, m, degrees, q, master_seed, construction, max_attempts, timings,
-     pair_budget) = args
+    trial, n, m, degrees, q, master_seed, construction, max_attempts, timings = args
     seed = child_seed(master_seed, trial)
     fld = PrimeField(q)
     sampler = sample_Z_system if construction == "Z" else sample_system
@@ -269,12 +268,7 @@ def _trial_record(args) -> ExperimentRecord:
     start = time.monotonic()
     record = ExperimentRecord(trial, seed, "ok", n, m, tuple(degrees), q, engine="buchberger")
     try:
-        report = verify_main_theorem(
-            system,
-            seed=seed,
-            max_attempts=max_attempts,
-            pair_budget=pair_budget,
-        )
+        report = verify_main_theorem(system, seed=seed, max_attempts=max_attempts)
         record.r = report.krull_dim
         record.d_reg_ell = report.d_reg_ell
         record.gen_d_reg = report.gen_d_reg
@@ -318,22 +312,20 @@ def run_experiment(
     construction: str = "generic",
     max_attempts: int = 64,
     timings: bool = False,
-    pair_budget: int | None = 200_000,
 ) -> list:
     """One record per trial, in trial order and deterministic for a fixed
     seed (timings excluded, hence off by default).
 
-    A trial whose basis computations exhaust ``pair_budget`` gets
-    ``status=BudgetExhausted``; the budget counts S-pair reductions, so that
-    outcome is seed-deterministic too.
+    A trial with a basis that needs more than ``engine.MAX_S_PAIRS`` S-pair
+    reductions gets ``status=BudgetExhausted``; the limit counts reductions,
+    so that outcome is seed-deterministic too.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
     if construction not in ("generic", "Z"):
         raise ValueError(f"unknown construction {construction!r}")
     jobs = [
-        (t, n, m, tuple(degrees), q, seed, construction, max_attempts, timings,
-         pair_budget)
+        (t, n, m, tuple(degrees), q, seed, construction, max_attempts, timings)
         for t in range(trials)
     ]
     workers = worker_count(trials)

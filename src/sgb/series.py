@@ -122,8 +122,11 @@ def truncated_froberg_polynomial(n: int, degrees) -> list:
 
     Starts at sum(d_j - 1) + 2 and doubles on CapExhausted; for m >= n the
     truncation degree never exceeds the all-degrees Macaulay value, so this
-    terminates.
+    terminates.  For m < n every coefficient is positive, and it raises
+    UndefinedBound.
     """
+    if len(degrees) < n:
+        raise UndefinedBound(f"every coefficient is positive for m={len(degrees)} < n={n}")
     cap = max(2, sum(d - 1 for d in degrees) + 2)
     while True:
         try:

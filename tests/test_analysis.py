@@ -29,7 +29,7 @@ from sgb import (
     summarize,
     verify_main_theorem,
 )
-from sgb import analysis
+from sgb import analysis, engine
 from sgb.analysis import child_seed, normalized_form
 from sgb.errors import (
     BudgetExhausted,
@@ -427,12 +427,14 @@ class TestVerifyMainTheorem:
         with pytest.raises(InvariantViolation, match="must match"):
             verify_main_theorem(system, seed=0)
 
-    def test_budget_exhaustion_is_a_row_status(self, f31):
+    def test_budget_exhaustion_is_a_row_status(self, f31, monkeypatch):
         # no capped basis stands in for an unfinished one
         system = sample_system(3, 4, (2, 2, 2, 2), f31, seed=3)
+        monkeypatch.setenv("SGB_THREADS", "1")  # workers see the patched limit
+        monkeypatch.setattr(engine, "MAX_S_PAIRS", 1)
         with pytest.raises(BudgetExhausted):
-            verify_main_theorem(system, seed=3, pair_budget=1)
-        records = run_experiment(3, 4, (2, 2, 2, 2), 31, trials=4, seed=3, pair_budget=1)
+            verify_main_theorem(system, seed=3)
+        records = run_experiment(3, 4, (2, 2, 2, 2), 31, trials=4, seed=3)
         assert [r.status for r in records] == ["BudgetExhausted"] * 4
         assert " ok=0 " in summarize(records)
 

@@ -2,12 +2,14 @@
 and homogenization."""
 
 import random
+import time
 import types
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import sgb
+from sgb import core
 from sgb import (
     LinearChange,
     Polynomial,
@@ -25,6 +27,7 @@ from sgb import (
 from sgb.errors import (
     BadModulus,
     DimensionMismatch,
+    MatrixTooLarge,
     ZeroInverse,
     ZeroPolynomial,
 )
@@ -141,6 +144,23 @@ class TestMonomialsOfDegree:
                     first, last = [0] * n, [0] * n
                     first[0] = last[-1] = d
                     assert ms[0] == tuple(first) and ms[-1] == tuple(last)
+
+    def test_size_limit(self, monkeypatch):
+        # counted before any monomial is listed
+        with pytest.raises(MatrixTooLarge):
+            monomials_of_degree(4, 5000)
+        monkeypatch.setattr(core, "MAX_MONOMIALS", binom(9, 3))
+        listing = monomials_of_degree.__wrapped__  # a cache hit skips the check
+        assert len(listing(7, 3)) == binom(9, 3)
+        with pytest.raises(MatrixTooLarge):
+            listing(7, 4)
+
+    def test_high_degree_in_few_variables(self):
+        # each monomial costs O(n), not O(d)
+        start = time.monotonic()
+        ms = monomials_of_degree(2, 20000)
+        assert time.monotonic() - start < 1
+        assert len(ms) == 20001 and ms[0] == (20000, 0) and ms[-1] == (0, 20000)
 
 
 # ---------------------------------------------------------------------------

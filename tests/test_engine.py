@@ -601,12 +601,14 @@ class TestGroebner:
             (("x1^2", "x1*x2 + x3^2", "x1*x3 + x2*x3"), 8),
         ],
     )
-    def test_gebauer_moeller_pair_counts(self, f7, polys, pairs):
+    def test_gebauer_moeller_pair_counts(self, f7, monkeypatch, polys, pairs):
         names = ("x1", "x2", "x3")
         system = PolySystem(f7, 3, tuple(parse_polynomial(f, names, f7) for f in polys))
-        buchberger(system, pair_budget=pairs)
+        monkeypatch.setattr(engine, "MAX_S_PAIRS", pairs)
+        buchberger(system)
+        monkeypatch.setattr(engine, "MAX_S_PAIRS", pairs - 1)
         with pytest.raises(BudgetExhausted):
-            buchberger(system, pair_budget=pairs - 1)
+            buchberger(system)
 
     def test_max_gb_deg(self, f7):
         assert max_gb_deg(buchberger(fixture_f1_f2(f7))) == 3
@@ -621,14 +623,14 @@ class TestGroebner:
         with pytest.raises(DegreeTooSmall):
             gb_up_to(fixture_f1_f2(f7), 1)
 
-    def test_pair_budget(self, f31):
-        from sgb.errors import BudgetExhausted
-
+    def test_pair_budget(self, f31, monkeypatch):
         system = sample_system(3, 4, (2, 2, 2, 2), f31, seed=3)
+        default = buchberger(system)
+        monkeypatch.setattr(engine, "MAX_S_PAIRS", 1)
         with pytest.raises(BudgetExhausted):
-            buchberger(system, pair_budget=1)
-        generous = buchberger(system, pair_budget=10_000)
-        assert [str(g) for g in generous] == [str(g) for g in buchberger(system)]
+            buchberger(system)
+        monkeypatch.setattr(engine, "MAX_S_PAIRS", 10_000)
+        assert [str(g) for g in buchberger(system)] == [str(g) for g in default]
 
     @pytest.mark.parametrize(
         "n, m, seed, pairs, growth",
@@ -642,9 +644,11 @@ class TestGroebner:
         real = engine._minimalize_basis
         monkeypatch.setattr(engine, "_minimalize_basis", lambda G: grown.append(G) or real(G))
         system = sample_system(n, m, (2,) * m, f31, seed=seed)
-        buchberger(system, pair_budget=pairs)
+        monkeypatch.setattr(engine, "MAX_S_PAIRS", pairs)
+        buchberger(system)
+        monkeypatch.setattr(engine, "MAX_S_PAIRS", pairs - 1)
         with pytest.raises(BudgetExhausted):
-            buchberger(system, pair_budget=pairs - 1)
+            buchberger(system)
         text = "\n".join(str(g) for g in grown[0])
         assert hashlib.sha256(text.encode()).hexdigest()[:16] == growth
 

@@ -7,6 +7,7 @@ import json
 import os
 import random
 import re
+import time
 from pathlib import Path
 
 import pytest
@@ -28,7 +29,7 @@ from sgb import (
     system_doc,
     write_csv,
 )
-from sgb import hilbert
+from sgb import engine, hilbert
 from sgb import io as sgbio
 from sgb.analysis import child_seed
 from sgb.cli import build_parser
@@ -41,6 +42,20 @@ FIXTURE = '{"field":{"char":7},"vars":["x1","x2"],"polys":["x1^2 + x2^2","x1*x2"
 HUGE_DEGREES = (
     '{"field":{"char":31},"vars":["x1","x2","x3"],'
     '"polys":["x1^100000000 + x2^100000000","x3^2"]}'
+)
+# `sgb experiment -n 3 -m 4 -d 2,2,2,2 --trials 3 --seed 3`: no basis of these
+# trials comes near the S-pair limit
+PAIR_LIMIT_CSV = (
+    ",".join(CSV_COLUMNS) + "\n"
+    "0,6532028347405268032,ok,3,4,2;2;2;2,31,0,2,3,3,3,4,true,true,true,true,true,true,buchberger,NA\n"
+    "1,6532028347405268033,ok,3,4,2;2;2;2,31,0,2,3,3,3,4,true,true,true,true,true,true,buchberger,NA\n"
+    "2,6532028347405268034,ok,3,4,2;2;2;2,31,0,2,3,3,3,4,true,true,true,true,true,true,buchberger,NA\n"
+)
+# its basis is its generators, but listing the degree-5000 monomials takes
+# C(5003, 3) ~ 2.1e10 tuples
+HIGH_DEGREE = (
+    '{"field":{"char":31},"vars":["x1","x2","x3","x4"],'
+    '"polys":["x1^2","x2^2","x3^2","x4^5000"]}'
 )
 
 
@@ -244,6 +259,33 @@ class TestCliCommands:
         code, out, err = run_cli(["gb", str(path)] + cap)
         assert code == 1 and out == "" and "MatrixTooLarge" in err
 
+    def test_analyze_refuses_oversized_monomial_lists(self, tmp_path):
+        path = tmp_path / "high.json"
+        path.write_text(HIGH_DEGREE)
+        start = time.monotonic()
+        code, out, err = run_cli(["analyze", str(path)])
+        assert code == 1 and out == "" and "error: MatrixTooLarge" in err
+        assert time.monotonic() - start < 1
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["gb", "SYS", "--engine", "buchberger"],
+            # the rows up to degree 2 leave two S-pairs to the completion
+            ["gb", "SYS", "--engine", "macaulay", "--cap", "2"],
+            ["analyze", "SYS"],
+            ["verify", "SYS"],
+        ],
+    )
+    def test_every_basis_route_stops_at_the_pair_limit(self, tmp_path, monkeypatch, argv):
+        path = tmp_path / "sys.json"
+        path.write_text(FIXTURE)
+        argv = [str(path) if a == "SYS" else a for a in argv]
+        assert run_cli(argv)[0] == 0
+        monkeypatch.setattr(engine, "MAX_S_PAIRS", 1)
+        code, out, err = run_cli(argv)
+        assert code == 1 and out == "" and "error: BudgetExhausted" in err
+
     def test_readme_flag_table_matches_the_parser(self):
         readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
         table = readme.split("| subcommand | flags |\n| --- | --- |\n", 1)[1].split("\n\n", 1)[0]
@@ -370,15 +412,16 @@ class TestExperiment:
         pooled = run_experiment(3, 3, (2, 2, 2), 31, trials=6, seed=11)
         assert serial == pooled
 
-    def test_pair_budget_flag(self):
+    def test_pair_limit(self, monkeypatch):
         args = ["experiment", "-n", "3", "-m", "4", "-d", "2,2,2,2", "--trials", "3", "--seed", "3"]
-        code, out, err = run_cli(args + ["--pair-budget", "1"])
+        code, out, err = run_cli(args)
+        assert code == 0 and out == PAIR_LIMIT_CSV and " ok=3 " in err
+        monkeypatch.setenv("SGB_THREADS", "1")  # workers see the patched limit
+        monkeypatch.setattr(engine, "MAX_S_PAIRS", 1)
+        code, out, err = run_cli(args)
         assert code == 0
         assert [r.status for r in read_csv(out)] == ["BudgetExhausted"] * 3
         assert " ok=0 " in err
-        default = run_cli(args)
-        assert default == run_cli(args + ["--pair-budget", "200000"])
-        assert [r.status for r in read_csv(default[1])] == ["ok"] * 3
 
     def test_invariant_violation_is_a_row_status(self, monkeypatch):
         # trial 1 runs with a wrong Krull dimension, so its regularity

@@ -103,6 +103,13 @@ class TestPositiveTruncate:
                     expected = nxt
                 assert prefix == expected
 
+    @pytest.mark.parametrize("n, degrees", [(3, [2]), (2, []), (4, [2, 3, 1])])
+    def test_fewer_forms_than_variables_is_undefined(self, n, degrees):
+        # prod(1 + ... + z^(d_j - 1)) / (1 - z)^(n - m) has no nonpositive
+        # coefficient, so no cap ends the retry loop
+        with pytest.raises(UndefinedBound):
+            truncated_froberg_polynomial(n, degrees)
+
 
 class TestBounds:
     def test_Dnm_spec_examples(self):
