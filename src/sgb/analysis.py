@@ -50,15 +50,15 @@ def groebner_basis(
     cap: int | None = None,
 ) -> GroebnerBasis:
     """Complete reduced basis from the Buchberger oracle, or from the
-    Macaulay engine handing over to Buchberger's loop above ``cap`` (default:
-    the Lazard bound); both give the same basis."""
+    Macaulay engine handing over to Buchberger's loop above ``cap``; both
+    give the same basis, for every cap.  The cap defaults to, and is raised
+    to, the largest generator degree: a higher cap only builds more
+    matrices."""
     if engine == "buchberger":
         return buchberger(system)
     if engine == "macaulay":
-        if cap is None:
-            cap = lazard_bound(system.n, system.m, system.degrees)
-        cap = max(cap, max(system.degrees))
-        return gb_up_to(system, cap)
+        top = max(system.degrees)
+        return gb_up_to(system, top if cap is None else max(cap, top))
     raise ValueError(f"unknown engine {engine!r}")
 
 

@@ -33,7 +33,8 @@ _FLAGS = {
     "omega": dict(type=float, default=2.807, help="matrix multiplication exponent in [2, 3)"),
     "engine": dict(choices=["macaulay", "buchberger"], default="macaulay", help="basis engine"),
     "cap": dict(type=int, default=None,
-                help="degree where the Macaulay engine hands over to Buchberger's loop"),
+                help="degree where the Macaulay engine hands over to Buchberger's loop "
+                     "(default: the largest generator degree)"),
     "attempts": dict(type=int, default=64, help="linear-form search budget"),
     "trials": dict(type=int, default=10, help="experiment trial count"),
     "construction": dict(choices=["generic", "Z"], default="generic"),

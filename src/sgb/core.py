@@ -2,7 +2,8 @@
 lexicographic order, multivariate polynomials, and linear coordinate changes.
 
 Monomials are plain tuples of non-negative exponents ``(e_1, ..., e_n)`` for
-the variables ``x_1 > ... > x_n``.  Field elements are plain ints in
+the variables ``x_1 > ... > x_n``; the private :class:`_Packing` turns them
+into single ints for the engine's hot loops.  Field elements are plain ints in
 ``[0, p)``; a :class:`PrimeField` supplies the arithmetic.  All values are
 immutable after construction and safe to share across threads.
 """
@@ -16,6 +17,7 @@ from dataclasses import dataclass, field as _dc_field
 
 from .errors import (
     BadModulus,
+    DegreeTooLarge,
     DimensionMismatch,
     MatrixTooLarge,
     ZeroInverse,
@@ -391,6 +393,80 @@ def poly_to_string(f: Polynomial, names=None) -> str:
         else:
             parts.append(f"{c}*" + monom_to_string(m, names))
     return " + ".join(parts)
+
+
+# ---------------------------------------------------------------------------
+# packed monomials
+# ---------------------------------------------------------------------------
+
+# Bits per exponent field of a packed monomial.  The top bit of each field is
+# a guard, so a packed monomial's degree (and so each exponent) must stay
+# below 2^(_PACK_BITS - 1).
+_PACK_BITS = 32
+
+
+class _Packing:
+    """Monomials in ``n`` variables packed into one int each,
+    ``key(m) = sum_i m_i 2^(w i) - deg(m) 2^(w n)`` with w = ``_PACK_BITS``.
+
+    A smaller key is a DRL-larger monomial: the degree term decides first,
+    then the exponent of x_n, then that of x_(n-1), and so on.  A product is a
+    sum of keys.  With G the guard bits of the exponent fields, ``a | b`` iff
+    ``((b | G) - a) & G == G``: each field of ``b | G`` is b_i + 2^(w-1), and
+    subtracting a_i clears its guard exactly when a_i > b_i, with no borrow
+    between fields.  Packed polynomials are dicts {key: coefficient} whose
+    keys ascend, so the leading term comes first.
+    """
+
+    __slots__ = ("n", "bits", "shifts", "unit", "mask", "guard", "limit")
+
+    def __init__(self, n: int):
+        w = _PACK_BITS
+        self.n = n
+        self.bits = w
+        self.shifts = tuple(w * i for i in range(n))
+        self.unit = 1 << (w * n)  # key of degree one, exponents aside
+        self.mask = self.unit - 1
+        self.guard = sum(1 << (s + w - 1) for s in self.shifts)
+        self.limit = 1 << (w - 1)
+
+    def degree(self, k: int) -> int:
+        return -(k >> (self.bits * self.n))
+
+    def check(self, d: int) -> None:
+        """Refuse a degree that does not fit the fields."""
+        if d >= self.limit:
+            raise DegreeTooLarge(
+                f"a monomial of degree {d}; packed monomials hold degrees below {self.limit}"
+            )
+
+    def pack(self, m: Monom) -> int:
+        d = sum(m)
+        self.check(d)
+        return sum(e << s for e, s in zip(m, self.shifts)) - d * self.unit
+
+    def unpack(self, k: int) -> Monom:
+        r = k & self.mask
+        field = (1 << self.bits) - 1
+        return tuple((r >> s) & field for s in self.shifts)
+
+    def divides(self, a: int, b: int) -> bool:
+        return ((b | self.guard) - a) & self.guard == self.guard
+
+    def lcm(self, a: int, b: int) -> int:
+        """lcm of two packed monomials: ``b`` times the fieldwise excess
+        max(a_i - b_i, 0).  Its degree is exact whatever its size, as the
+        excess has degree at most deg(a)."""
+        diff = ((a | self.guard) - b) & self.mask  # fields a_i - b_i + 2^(w-1)
+        ahead = diff & self.guard  # guards of the fields where a_i >= b_i
+        excess = diff & (ahead - (ahead >> (self.bits - 1)))
+        return b + excess - excess % ((1 << self.bits) - 1) * self.unit
+
+    def terms(self, f: Polynomial) -> dict:
+        return {self.pack(m): c for m, c in f.terms()}
+
+    def polynomial(self, terms: dict, fld: PrimeField) -> Polynomial:
+        return Polynomial(fld, self.n, {self.unpack(k): c for k, c in terms.items()})
 
 
 # ---------------------------------------------------------------------------

@@ -15,11 +15,19 @@ only when the next update could pass 2^63 - 1.
 leading monomial of <f_1..f_{j-1}>, read off as a pivot of the lower-degree
 elimination supplied by a row of a generator below j.
 
-A Buchberger run reduces against one append-only reducer set that caches,
-per monomial, the first reducer in list order whose leading monomial divides
-it (a miss records how many reducers were checked; only later ones are tried
-again), and each reducer tail times each shift.  Remainders are therefore
-those of plain division, whatever the caches hold.
+Buchberger's loop (``_complete``, which ``buchberger`` and ``gb_up_to``
+share) runs on packed monomials (``core._Packing``): each monomial is one
+int, key(m) = sum_i m_i 2^(32 i) - deg(m) 2^(32 n).  A smaller key is a
+DRL-larger monomial, so the term heap holds plain ints, and a product is a
+sum of keys, so a shifted tail is its keys plus one shift.  Divisibility
+uses the guard bit at the top of each 32-bit field: a | b iff
+((b | G) - a) & G == G.  An input term or a selected pair's lcm of degree
+2^31 or more raises DegreeTooLarge rather than wrap.  The loop reduces
+against one append-only reducer set that caches, per monomial, the first
+reducer in list order whose leading monomial divides it (a miss records how
+many reducers were checked; only later ones are tried again), so remainders
+are those of plain division, whatever the cache holds.  ``normal_form``
+takes and returns Polynomials; the loop calls the packed ``_reduce``.
 """
 
 from __future__ import annotations
@@ -33,10 +41,9 @@ import numpy as np
 from .core import (
     PolySystem,
     Polynomial,
+    _Packing,
     drl_key,
-    mono_div,
     mono_divides,
-    mono_lcm,
     mono_mul,
     monomials_of_degree,
 )
@@ -299,155 +306,172 @@ def max_gb_deg(basis: GroebnerBasis) -> int:
 
 
 class _Reducers:
-    """Append-only reducers with cached monomial work.  ``divisor`` maps a
-    monomial to the index of its first dividing reducer, or to ``~k`` for a
-    miss after checking ``k`` reducers; ``shifted`` maps ``(index, shift)``
-    to that tail times ``x^shift`` as ``(heap entry, coefficient)`` pairs;
-    ``entries`` holds one heap entry per monomial, shared by all tails."""
+    """Append-only packed reducers of one run: leading keys, inverses of the
+    leading coefficients, and tails as ``(key, coefficient)`` lists.
+    ``divisor`` maps a key to the index of its first dividing reducer, or to
+    ``~k`` for a miss after checking ``k`` reducers.  Without ``pack``, the
+    packing is made for the first polynomial appended or reduced."""
 
-    __slots__ = ("lms", "lc_invs", "tails", "divisor", "shifted", "entries")
+    __slots__ = ("pack", "lms", "lc_invs", "tails", "divisor")
 
-    def __init__(self, polys=()):
+    def __init__(self, polys=(), pack=None):
+        self.pack = pack
         self.lms = []
         self.lc_invs = []
         self.tails = []
         self.divisor = {}
-        self.shifted = {}
-        self.entries = {}
         for g in polys:
             self.append(g)
 
     def append(self, g: Polynomial) -> None:
-        self.lms.append(g.leading_monomial())
-        self.lc_invs.append(g.field.inv(g.leading_coeff()))
-        self.tails.append(g.terms()[1:])
+        if self.pack is None:
+            self.pack = _Packing(g.n)
+        self.add(self.pack.terms(g), g.field.inv(g.leading_coeff()))
 
-    def find(self, m):
-        """Index of the first reducer whose leading monomial divides ``m``,
-        or None."""
+    def add(self, terms: dict, lc_inv: int = 1) -> None:
+        """Append a packed polynomial (keys ascending) with the inverse of its
+        leading coefficient."""
+        items = iter(terms.items())
+        self.lms.append(next(items)[0])
+        self.lc_invs.append(lc_inv)
+        self.tails.append(list(items))
+
+    def find(self, m: int) -> int:
+        """Index of the first reducer whose leading monomial divides the
+        packed monomial ``m``, or -1."""
         hit = self.divisor.get(m, -1)
         if hit >= 0:
             return hit
+        guard = self.pack.guard
+        top = m | guard
         lms = self.lms
         for i in range(~hit, len(lms)):
-            if all(a <= b for a, b in zip(lms[i], m)):
+            if (top - lms[i]) & guard == guard:  # _Packing.divides, inlined
                 self.divisor[m] = i
                 return i
         self.divisor[m] = ~len(lms)
-        return None
+        return -1
 
-    def shifted_tail(self, i: int, shift):
-        """Tail of reducer ``i`` times ``x^shift``, each term as
-        ``((-deg, reversed monomial, monomial), coefficient)``."""
-        key = (i, shift)
-        tail = self.shifted.get(key)
-        if tail is None:
-            tail = []
-            for gm, gc in self.tails[i]:
-                m = tuple(a + b for a, b in zip(gm, shift))
-                entry = self.entries.get(m)
-                if entry is None:
-                    entry = self.entries[m] = (-sum(m), m[::-1], m)
-                tail.append((entry, gc))
-            self.shifted[key] = tail
-        return tail
+
+def _reduce(terms: dict, reducers: _Reducers, p: int) -> dict:
+    """Remainder of the packed polynomial ``terms`` on division by
+    ``reducers``, packed, leading term first.
+
+    Keys leave a heap smallest first, so terms go in descending DRL order,
+    and each is reduced by the first reducer in list order whose leading
+    monomial divides it.  A shifted tail is its keys plus one shift.  Work
+    values are reduced mod p only when their term is popped; a term enters
+    the heap once, as every term added is below the popped one.
+    """
+    lms, lc_invs, tails = reducers.lms, reducers.lc_invs, reducers.tails
+    divisor, find = reducers.divisor, reducers.find
+    heappush, heappop = heapq.heappush, heapq.heappop
+    work = dict(terms)
+    wget = work.get
+    heap = list(work)
+    heapq.heapify(heap)
+    remainder = {}
+    while heap:
+        m = heappop(heap)
+        c = work.pop(m) % p
+        if not c:
+            continue
+        i = divisor.get(m, -1)
+        if i < 0:
+            i = find(m)
+            if i < 0:
+                remainder[m] = c
+                continue
+        scale = -c * lc_invs[i] % p
+        shift = m - lms[i]
+        for k, gc in tails[i]:
+            k += shift
+            old = wget(k)
+            if old is None:
+                work[k] = scale * gc
+                heappush(heap, k)
+            else:
+                work[k] = old + scale * gc
+    return remainder
 
 
 def normal_form(f: Polynomial, reducers) -> Polynomial:
     """Remainder of ``f`` on division by ``reducers`` (full tail reduction).
 
-    ``reducers`` is a sequence of polynomials or a run's :class:`_Reducers`,
-    whose caches are reused.  Terms leave a heap in descending DRL order, and
+    ``reducers`` is a sequence of polynomials or a :class:`_Reducers`, whose
+    divisor cache is reused.  Terms are taken in descending DRL order, and
     each is reduced by the first reducer in list order whose leading monomial
     divides it.  Reducers are append-only, so a cached index stays the first
     divisor and a cached miss after k reducers is completed by testing the
-    later ones; the remainder does not depend on the caches.
+    later ones; the remainder does not depend on the cache.
     """
     if not isinstance(reducers, _Reducers):
         reducers = _Reducers(reducers)
-    fld = f.field
-    p = fld.p
-    lms, lc_invs = reducers.lms, reducers.lc_invs
-    # work values are reduced mod p only when their term is popped; a term
-    # enters the heap once, as every term added is below the popped one
-    work = dict(f.coeffs)
-    heap = [(-sum(m), m[::-1], m) for m in work]
-    heapq.heapify(heap)
-    remainder = {}
-    while heap:
-        m = heapq.heappop(heap)[2]
-        c = work.pop(m) % p
-        if not c:
-            continue
-        i = reducers.find(m)
-        if i is None:
-            remainder[m] = c
-            continue
-        scale = c * lc_invs[i] % p
-        shift = tuple(a - b for a, b in zip(m, lms[i]))
-        for entry, gc in reducers.shifted_tail(i, shift):
-            key = entry[2]
-            old = work.get(key)
-            if old is None:
-                work[key] = -scale * gc
-                heapq.heappush(heap, entry)
-            else:
-                work[key] = old - scale * gc
-    return Polynomial(fld, f.n, remainder)
+    if reducers.pack is None:
+        reducers.pack = _Packing(f.n)
+    pack = reducers.pack
+    return pack.polynomial(_reduce(pack.terms(f), reducers, f.field.p), f.field)
 
 
-def _interreduce(elements, reduced: int = 0) -> list:
-    """The reduced basis from a minimal Groebner basis ``elements``.
+def _monic(terms: dict, p: int) -> dict:
+    inv = pow(next(iter(terms.values())), -1, p)
+    return {k: c * inv % p for k, c in terms.items()}
+
+
+def _interreduce(elements, pack, p: int, reduced: int = 0) -> list:
+    """The reduced basis from a minimal Groebner basis ``elements`` of monic
+    packed polynomials.
 
     A term met while reducing g lies below LM(g), so only elements with a
     smaller leading monomial can divide it, and the tail of g reduces to its
     unique normal form modulo the ideal.  So each element, in ascending DRL
-    order of leading monomial, is reduced by the ones already reduced.  The
+    order of leading monomial (descending leading key), is reduced by the
+    ones already reduced; its leading term stays, so it stays monic.  The
     first ``reduced`` elements in that order are taken as already reduced.
     """
-    if len(elements) == 1:  # a lone element has nothing to be reduced by
-        return [elements[0].monic()]
-    done = _Reducers()
+    done = _Reducers(pack=pack)
     out = []
-    for k, g in enumerate(sorted(elements, key=lambda g: drl_key(g.leading_monomial()))):
-        r = g if k < reduced else normal_form(g, done).monic()
-        done.append(r)
-        out.append(r)
+    for k, g in enumerate(sorted(elements, key=lambda g: next(iter(g)), reverse=True)):
+        if k >= reduced:
+            g = _reduce(g, done, p)
+        done.add(g)
+        out.append(g)
     return out
 
 
 def _minimalize_basis(elements) -> list:
-    """The first element for each minimal leading monomial."""
-    by_lm = {}
-    for g in elements:
-        by_lm.setdefault(g.leading_monomial(), g)
-    return [by_lm[lm] for lm in minimalize(by_lm, elements[0].n)]
+    """Positions of the first element for each minimal leading monomial."""
+    first = {}
+    for k, g in enumerate(elements):
+        first.setdefault(g.leading_monomial(), k)
+    return [first[lm] for lm in minimalize(first, elements[0].n)]
 
 
-def _spoly(reducers: _Reducers, i: int, j: int, lcm, fld, n: int) -> Polynomial:
-    """S-polynomial of reducers i and j, where ``lcm`` is the lcm of their
-    leading monomials, built from their cached shifted tails."""
-    lms, lc_invs = reducers.lms, reducers.lc_invs
-    out = {}
-    for entry, c in reducers.shifted_tail(i, mono_div(lcm, lms[i])):
-        out[entry[2]] = c * lc_invs[i]
-    for entry, c in reducers.shifted_tail(j, mono_div(lcm, lms[j])):
-        m = entry[2]
-        out[m] = out.get(m, 0) - c * lc_invs[j]
-    return Polynomial(fld, n, out)
+def _spoly(reducers: _Reducers, i: int, j: int, lcm: int) -> dict:
+    """S-polynomial of the monic reducers i and j, packed; ``lcm`` is the
+    packed lcm of their leading monomials."""
+    lms, tails = reducers.lms, reducers.tails
+    shift = lcm - lms[i]
+    out = {k + shift: c for k, c in tails[i]}
+    shift = lcm - lms[j]
+    for k, c in tails[j]:
+        k += shift
+        out[k] = out.get(k, 0) - c
+    return out
 
 
-def _update_pairs(lmG, pairs, lcms, t):
+def _update_pairs(pack, lmG, pairs, lcms, t):
     """Gebauer-Moeller pruning when generator index t is appended; ``lcms``
-    maps every pair ever created to ``(drl_key(lcm), lcm)`` and gains the new
-    pairs."""
+    maps every pair ever created to the packed lcm of its leading monomials
+    and gains the new pairs."""
     lmf = lmG[t]
-    with_new = [mono_lcm(lm, lmf) for lm in lmG[:t]]
+    lcm, divides = pack.lcm, pack.divides
+    with_new = [lcm(lm, lmf) for lm in lmG[:t]]
     kept = set()
     for i, j in pairs:
-        lcm_ij = lcms[i, j][1]
+        lcm_ij = lcms[i, j]
         if (
-            not mono_divides(lmf, lcm_ij)
+            not divides(lmf, lcm_ij)
             or lcm_ij == with_new[i]
             or lcm_ij == with_new[j]
         ):
@@ -456,42 +480,46 @@ def _update_pairs(lmG, pairs, lcms, t):
     for i in range(t):
         by_lcm.setdefault(with_new[i], []).append(i)
     minimal = []
-    for lcm in sorted(by_lcm, key=drl_key):
-        if not any(mono_divides(seen, lcm) for seen in minimal):
-            minimal.append(lcm)
-    for lcm in minimal:
+    for m in sorted(by_lcm, reverse=True):  # ascending DRL
+        if not any(divides(seen, m) for seen in minimal):
+            minimal.append(m)
+    for m in minimal:
         # product criterion: coprime leading monomials reduce to zero
-        if any(lcm == mono_mul(lmG[i], lmf) for i in by_lcm[lcm]):
+        if any(m == lmG[i] + lmf for i in by_lcm[m]):
             continue
-        pair = (min(by_lcm[lcm]), t)
+        pair = (min(by_lcm[m]), t)
         kept.add(pair)
-        lcms[pair] = (drl_key(lcm), lcm)
+        lcms[pair] = m
     return kept
 
 
 def _complete(polys, above: int | None = None) -> GroebnerBasis:
     """The reduced basis of the ideal of ``polys`` by Buchberger's loop from
     ``polys``: normal pair selection, Gebauer-Moeller pair pruning, and one
-    :class:`_Reducers` that grows with the basis.
+    :class:`_Reducers` that grows with the basis, all on packed monomials.
 
     When ``above`` is given, ``polys`` must be the monic reduced Groebner
     basis up to that degree, so every initial pair whose lcm has degree <=
     ``above`` reduces to zero and is dropped, and ``polys`` are not reduced
     again: the loop adds elements of higher degree only, which divide none of
     their terms.  A loop that would reduce more than ``MAX_S_PAIRS`` S-pairs
-    raises BudgetExhausted.
+    raises BudgetExhausted.  Every term met in a reduction lies below the
+    pair's lcm, so checking the input terms and each selected lcm against the
+    packed width (DegreeTooLarge) keeps every exponent inside its field.
     """
     fld, n = polys[0].field, polys[0].n
-    G = []
-    reducers = _Reducers()
+    p = fld.p
+    pack = _Packing(n)
+    G = []  # packed, monic
+    reducers = _Reducers(pack=pack)
     pairs = set()
-    lcms = {}  # pair -> (drl_key(lcm), lcm), filled when the pair is created
+    lcms = {}  # pair -> packed lcm, filled when the pair is created
     for f in polys:
-        G.append(f.monic())
-        reducers.append(G[-1])
-        pairs = _update_pairs(reducers.lms, pairs, lcms, len(G) - 1)
+        G.append(pack.terms(f.monic()))
+        reducers.add(G[-1])
+        pairs = _update_pairs(pack, reducers.lms, pairs, lcms, len(G) - 1)
     if above is not None:
-        pairs = {pair for pair in pairs if lcms[pair][0][0] > above}
+        pairs = {pair for pair in pairs if pack.degree(lcms[pair]) > above}
 
     processed = 0
     while pairs:
@@ -500,17 +528,21 @@ def _complete(polys, above: int | None = None) -> GroebnerBasis:
                 f"basis incomplete after {processed} S-pair reductions"
             )
         processed += 1
-        i, j = min(pairs, key=lcms.__getitem__)
+        i, j = max(pairs, key=lcms.__getitem__)  # DRL-least lcm, ties in set order
         pairs.discard((i, j))
-        spoly = _spoly(reducers, i, j, lcms[i, j][1], fld, n)
-        r = normal_form(spoly, reducers)
-        if not r.is_zero():
-            G.append(r.monic())
-            reducers.append(G[-1])
-            pairs = _update_pairs(reducers.lms, pairs, lcms, len(G) - 1)
+        lcm = lcms[i, j]
+        pack.check(pack.degree(lcm))
+        r = _reduce(_spoly(reducers, i, j, lcm), reducers, p)
+        if r:
+            G.append(_monic(r, p))
+            reducers.add(G[-1])
+            pairs = _update_pairs(pack, reducers.lms, pairs, lcms, len(G) - 1)
 
-    reduced = _interreduce(_minimalize_basis(G), len(polys) if above is not None else 0)
-    return GroebnerBasis(_sorted_basis(reduced))
+    minimal = _minimalize_basis([pack.polynomial(g, fld) for g in G])
+    reduced = _interreduce(
+        [G[k] for k in minimal], pack, p, len(polys) if above is not None else 0
+    )
+    return GroebnerBasis(_sorted_basis(pack.polynomial(g, fld) for g in reduced))
 
 
 def buchberger(system: PolySystem) -> GroebnerBasis:

@@ -73,6 +73,10 @@ class MatrixTooLarge(SgbError):
     """A Macaulay matrix would exceed the engine's size limit."""
 
 
+class DegreeTooLarge(SgbError):
+    """A monomial's degree does not fit the engine's packed exponents."""
+
+
 class InvariantViolation(SgbError):
     """An internal consistency check failed; the computed result is wrong."""
 

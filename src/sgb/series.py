@@ -11,6 +11,10 @@ from dataclasses import dataclass
 
 from .errors import CapExhausted, InvalidDegree, OmegaOutOfRange, UndefinedBound
 
+# Longest truncated series built: 2^16 coefficients, each a binomial of up to
+# a few hundred digits for the variable counts sgb handles.
+MAX_SERIES_CAP = 2**16
+
 # ---------------------------------------------------------------------------
 # dense integer polynomials (lists of coefficients, index = exponent)
 # ---------------------------------------------------------------------------
@@ -123,12 +127,17 @@ def truncated_froberg_polynomial(n: int, degrees) -> list:
     Starts at sum(d_j - 1) + 2 and doubles on CapExhausted; for m >= n the
     truncation degree never exceeds the all-degrees Macaulay value, so this
     terminates.  For m < n every coefficient is positive, and it raises
-    UndefinedBound.
+    UndefinedBound.  A cap above ``MAX_SERIES_CAP`` is refused with
+    CapExhausted before any series is built.
     """
     if len(degrees) < n:
         raise UndefinedBound(f"every coefficient is positive for m={len(degrees)} < n={n}")
     cap = max(2, sum(d - 1 for d in degrees) + 2)
     while True:
+        if cap > MAX_SERIES_CAP:
+            raise CapExhausted(
+                f"the series would need {cap} coefficients, over the limit of {MAX_SERIES_CAP}"
+            )
         try:
             return positive_truncate(froberg_series(n, degrees, cap))
         except CapExhausted:
@@ -147,15 +156,17 @@ def lazard_bound(n: int, m: int, degrees) -> int:
 
 
 def degree_bound_Dnm(n: int, m: int, degrees) -> int:
-    """Solving-degree bound: truncation degree + 1 for m >= n, and the full
-    degree sum bound for m = n - 1; undefined below that."""
+    """Solving-degree bound: truncation degree + 1 for m > n, and the full
+    degree sum bound sum(d_j - 1) + 1 for m = n and m = n - 1 (for m = n the
+    series is the polynomial prod(1 + ... + z^(d_j - 1)), whose coefficients
+    are positive up to its degree); undefined below that."""
     if len(degrees) != m:
         raise InvalidDegree(f"expected {m} degrees, got {len(degrees)}")
     if any(d < 1 for d in degrees):
         raise InvalidDegree("degrees must be >= 1")
     if m < n - 1:
         raise UndefinedBound(f"bound undefined for m={m} < n-1={n - 1}")
-    if m == n - 1:
+    if m <= n:
         return sum(d - 1 for d in degrees) + 1
     prefix = truncated_froberg_polynomial(n, degrees)
     return (len(prefix) - 1) + 1

@@ -35,10 +35,12 @@ from sgb import (
     sample_system,
     sample_Z_system,
 )
-from sgb import engine
+from sgb import core, engine
+from sgb.core import _Packing
 from sgb.engine import MAX_MACAULAY_CELLS, _check_degree_loop, _macaulay_cells, _Reducers
 from sgb.errors import (
     BudgetExhausted,
+    DegreeTooLarge,
     DegreeTooSmall,
     EmptyBasis,
     MatrixTooLarge,
@@ -277,13 +279,103 @@ class TestNormalForm:
         f = x1 * x2 + x2 * x2 * 5
         reducers = _Reducers([x1 * x1 + x2])
         assert normal_form(f, reducers) == f
-        assert reducers.divisor[(1, 1)] == ~1  # a miss after checking one reducer
+        x1x2 = reducers.pack.pack((1, 1))  # the divisor cache is keyed by packed monomial
+        assert reducers.divisor[x1x2] == ~1  # a miss after checking one reducer
         g = x2 * 2 + Polynomial.constant(f31, 2, 1)
         reducers.append(g)  # LM x2 divides the cached miss x1*x2
         fresh = _Reducers([x1 * x1 + x2, g])
         assert normal_form(f, reducers) == normal_form(f, fresh)
         assert normal_form(f, reducers) == normal_form_oracle(f, [x1 * x1 + x2, g])
-        assert reducers.divisor[(1, 1)] == 1
+        assert reducers.divisor[x1x2] == 1
+
+
+def packing(n, bits):
+    """A packing of ``n`` variables made at another field width."""
+    saved = core._PACK_BITS
+    core._PACK_BITS = bits
+    try:
+        return _Packing(n)
+    finally:
+        core._PACK_BITS = saved
+
+
+@st.composite
+def packed_cases(draw):
+    """A field width, and two monomials whose degrees fit it: small
+    exponents, or one exponent as large as the degree limit allows; the
+    second is often a multiple of the first."""
+    bits = draw(st.sampled_from((core._PACK_BITS, 8, 4)))
+    n = draw(st.integers(1, 4))
+    limit = 1 << (bits - 1)
+
+    def monomial():
+        m = draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
+        if draw(st.booleans()):
+            i = draw(st.integers(0, n - 1))
+            m[i] = 0
+            m[i] = limit - 1 - sum(m) - draw(st.integers(0, 2))
+        return tuple(m)
+
+    a, b = monomial(), monomial()
+    if draw(st.booleans()) and sum(a) + sum(b) < limit:
+        b = mono_mul(a, b)
+    return bits, a, b
+
+
+class TestPackedMonomials:
+    @settings(max_examples=400, deadline=None)
+    @given(packed_cases())
+    def test_matches_tuple_monomials(self, case):
+        bits, a, b = case
+        pack = packing(len(a), bits)
+        ka, kb = pack.pack(a), pack.pack(b)
+        assert pack.unpack(ka) == a and pack.degree(ka) == sum(a)
+        # a smaller key is a DRL-larger monomial
+        assert (ka < kb) == (drl_key(a) > drl_key(b))
+        assert (ka == kb) == (a == b)
+        assert pack.divides(ka, kb) == mono_divides(a, b)
+        lcm = pack.lcm(ka, kb)  # exact even when its degree does not fit
+        assert pack.unpack(lcm) == mono_lcm(a, b)
+        assert pack.degree(lcm) == sum(mono_lcm(a, b))
+        if sum(a) + sum(b) < 1 << (bits - 1):
+            assert ka + kb == pack.pack(mono_mul(a, b))
+        if mono_divides(a, b):
+            assert kb - ka == pack.pack(mono_div(b, a))
+
+    def test_zero_and_largest_exponents(self):
+        pack = _Packing(3)
+        top = pack.limit - 1
+        for m in [(0, 0, 0), (top, 0, 0), (0, 0, top), (1, top - 2, 1)]:
+            assert pack.unpack(pack.pack(m)) == m
+        assert pack.pack((0, 0, 0)) == 0
+        assert pack.divides(pack.pack((0, 0, 0)), pack.pack((0, top, 0)))
+        assert not pack.divides(pack.pack((0, top, 0)), pack.pack((1, top - 1, 0)))
+        assert pack.lcm(pack.pack((top, 0, 0)), pack.pack((0, 0, top))) == (
+            pack.pack((top, 0, 0)) + pack.pack((0, 0, top))
+        )
+
+    def test_over_wide_input_is_refused(self, f31):
+        limit = _Packing(2).limit
+        for m in [(limit, 0), (limit // 2, limit // 2)]:
+            system = PolySystem(f31, 2, (Polynomial(f31, 2, {m: 1, (1, 0): 1}),))
+            with pytest.raises(DegreeTooLarge):
+                buchberger(system)
+            with pytest.raises(DegreeTooLarge):
+                normal_form(system.polys[0], [])
+        fits = PolySystem(f31, 2, (Polynomial(f31, 2, {(limit - 1, 0): 1}),))
+        assert buchberger(fits).elements == fits.polys
+
+    def test_lcm_over_the_width_is_refused_mid_run(self, f31, monkeypatch):
+        # inputs of degree 6; the only pair has lcm x1^5*x2^5 of degree 10
+        names = ("x1", "x2", "x3")
+        polys = ("x1^5*x2 + x3^6", "x1*x2^5 + x3^6")
+        system = PolySystem(f31, 3, tuple(parse_polynomial(f, names, f31) for f in polys))
+        assert len(buchberger(system)) > 2
+        monkeypatch.setattr(core, "_PACK_BITS", 4)  # degrees below 8
+        with pytest.raises(DegreeTooLarge):
+            buchberger(system)
+        with pytest.raises(DegreeTooLarge):
+            gb_up_to(system, 6)
 
 
 class TestBuildMacaulay:
@@ -495,14 +587,18 @@ class TestGroebner:
             buchberger(PolySystem(f7, 2, ()))
 
     def test_buchberger_criterion_on_random_systems(self, f31):
-        # every S-polynomial of the output reduces to zero
+        # every input generator and every S-polynomial of the output reduces
+        # to zero, by the tuple-monomial oracle division
         rng = random.Random(5)
         for k in range(25):
             n = rng.randint(2, 3)
             m = rng.randint(2, 4)
             degrees = tuple(rng.randint(1, 3) for _ in range(m))
-            basis = buchberger(sample_system(n, m, degrees, f31, seed=k))
+            system = sample_system(n, m, degrees, f31, seed=k)
+            basis = buchberger(system)
             elems = list(basis.elements)
+            for f in system.polys:
+                assert normal_form_oracle(f, elems).is_zero()
             for i in range(len(elems)):
                 for j in range(i + 1, len(elems)):
                     lcm = mono_lcm(
@@ -511,7 +607,14 @@ class TestGroebner:
                     s = elems[i].term_mul(
                         mono_div(lcm, elems[i].leading_monomial())
                     ) - elems[j].term_mul(mono_div(lcm, elems[j].leading_monomial()))
-                    assert normal_form(s, elems).is_zero()
+                    assert normal_form_oracle(s, elems).is_zero()
+
+    def test_huge_exponents_give_the_same_basis(self, f31):
+        names = ("x1", "x2")
+        polys = ("x1^60000 + x2^60000", "x1*x2")
+        system = PolySystem(f31, 2, tuple(parse_polynomial(f, names, f31) for f in polys))
+        expected = ["x1*x2", "x1^60000 + x2^60000", "x2^60001"]
+        assert [str(g) for g in buchberger(system)] == expected
 
     def test_reducedness(self, f31):
         rng = random.Random(6)
@@ -579,17 +682,17 @@ class TestGroebner:
 
     def test_rows_are_not_reduced_again(self, monkeypatch, complete_engine_cases):
         # the RREF rows are already the reduced basis up to the cap; from the
-        # true maximal degree on the loop adds nothing, so each normal form
-        # is that of an S-pair and reduces to zero
+        # true maximal degree on the loop adds nothing, so each reduction is
+        # that of an S-pair and leaves zero (an empty packed remainder)
         remainders = []
-        real = engine.normal_form
+        real = engine._reduce
         monkeypatch.setattr(
-            engine, "normal_form", lambda f, g: remainders.append(real(f, g)) or remainders[-1]
+            engine, "_reduce", lambda f, g, p: remainders.append(real(f, g, p)) or remainders[-1]
         )
         for system, oracle, top in complete_engine_cases:
             for cap in range(max(top, max(system.degrees)), top + 2):
                 gb_up_to(system, cap)
-        assert remainders and all(r.is_zero() for r in remainders)
+        assert remainders and all(not r for r in remainders)
 
     @pytest.mark.parametrize(
         "polys, pairs",

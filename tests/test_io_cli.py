@@ -182,8 +182,9 @@ class TestCliCommands:
         assert out_b == out_m == "x1^2 + x2^2\nx1*x2\nx2^3\n"
 
     def test_gb_default_cap_gives_the_complete_basis(self, tmp_path):
-        # Krull dimension one: the Lazard bound 4 is below the true maximal
-        # basis degree 5, and the elimination alone finds 7 of the 8 elements
+        # Krull dimension one: the default cap 2 (the largest generator
+        # degree) and the Lazard bound 4 are both below the true maximal
+        # basis degree 5, so Buchberger's loop must supply the rest
         path = tmp_path / "sys.json"
         system = sample_Z_system(4, 3, (2, 2, 2), PrimeField(2), seed=2)
         path.write_text(serialize_system_doc(system_doc(system)))
@@ -192,6 +193,26 @@ class TestCliCommands:
         assert code == code_b == 0 and err == err_b == ""
         assert out == out_b and len(out.splitlines()) == 8
         assert max(g.degree() for g in gb_up_to(system, 4)) == 5
+
+    def test_gb_default_cap_is_the_largest_generator_degree(self, tmp_path):
+        # the basis is the generators; at the Lazard cap 118 the degree loop
+        # M_40..M_118 would need 1.3e9 cells and be refused (MatrixTooLarge)
+        path = tmp_path / "powers.json"
+        path.write_text(
+            '{"field":{"char":31},"vars":["x1","x2","x3"],"polys":["x1^40","x2^40","x3^40"]}'
+        )
+        code, out, err = run_cli(["gb", str(path)])
+        assert code == 0 and err == ""
+        assert out == "x1^40\nx2^40\nx3^40\n"
+
+    def test_bound_with_huge_degrees(self):
+        # m = n is a closed form; m > n refuses the series cap up front
+        start = time.monotonic()
+        code, out, _ = run_cli(["bound", "-n", "3", "-m", "3", "-d", "1000000,1000000,1000000"])
+        assert code == 0 and "D_nm=2999998" in out
+        code, out, err = run_cli(["bound", "-n", "2", "-m", "3", "-d", "1000000,1000000,1000000"])
+        assert code == 1 and out == "" and "CapExhausted" in err
+        assert time.monotonic() - start < 1
 
     def test_bound_fixture(self):
         code, out, _ = run_cli(["bound", "-n", "2", "-m", "3", "-d", "2,2,2"])

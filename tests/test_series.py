@@ -4,6 +4,7 @@ and the degree/cost bounds."""
 import itertools
 import math
 import random
+import time
 
 import pytest
 
@@ -16,12 +17,14 @@ from sgb import (
     positive_truncate,
     truncated_froberg_polynomial,
 )
+from sgb import series as series_module
 from sgb.errors import (
     CapExhausted,
     InvalidDegree,
     OmegaOutOfRange,
     UndefinedBound,
 )
+from sgb.series import MAX_SERIES_CAP
 
 
 def series_oracle(n, degrees, cap):
@@ -130,6 +133,31 @@ class TestBounds:
                 assert degree_bound_Dnm(n, n, list(degrees)) == lazard_bound(
                     n, n, list(degrees)
                 )
+
+    def test_Dnm_square_closed_form_equals_the_series_route(self):
+        for n in range(1, 6):
+            for degrees in itertools.product(range(1, 5), repeat=n):
+                series = len(truncated_froberg_polynomial(n, list(degrees)))
+                assert degree_bound_Dnm(n, n, list(degrees)) == series, degrees
+
+    def test_Dnm_square_case_with_huge_degrees_is_immediate(self):
+        start = time.monotonic()
+        assert degree_bound_Dnm(3, 3, [10**6] * 3) == 3 * (10**6 - 1) + 1
+        assert time.monotonic() - start < 1
+
+    def test_overdetermined_series_cap_is_refused_before_building(self, monkeypatch):
+        # cap 3 * (10^6 - 1) + 2 is over the limit; no series may be built
+        monkeypatch.setattr(series_module, "froberg_series", None)
+        start = time.monotonic()
+        with pytest.raises(CapExhausted):
+            truncated_froberg_polynomial(2, [10**6] * 3)
+        with pytest.raises(CapExhausted):
+            degree_bound_Dnm(2, 3, [10**6] * 3)
+        assert time.monotonic() - start < 1
+        # the largest cap accepted is the limit itself
+        monkeypatch.undo()
+        degrees = [MAX_SERIES_CAP // 2 - 1, MAX_SERIES_CAP // 2, 2]
+        assert degree_bound_Dnm(2, 3, degrees) <= lazard_bound(2, 3, degrees)
 
     def test_Dnm_never_exceeds_lazard_for_overdetermined(self):
         rng = random.Random(2)
