@@ -3,7 +3,8 @@ lexicographic order, multivariate polynomials, and linear coordinate changes.
 
 Monomials are plain tuples of non-negative exponents ``(e_1, ..., e_n)`` for
 the variables ``x_1 > ... > x_n``; the private :class:`_Packing` turns them
-into single ints for the engine's hot loops.  Field elements are plain ints in
+into single ints, the engine's only monomial form between its inputs and
+its results.  Field elements are plain ints in
 ``[0, p)``; a :class:`PrimeField` supplies the arithmetic.  All values are
 immutable after construction and safe to share across threads.
 """

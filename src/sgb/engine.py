@@ -15,19 +15,24 @@ only when the next update could pass 2^63 - 1.
 leading monomial of <f_1..f_{j-1}>, read off as a pivot of the lower-degree
 elimination supplied by a row of a generator below j.
 
+Inside the engine every monomial is a packed int (``core._Packing``),
+key(m) = sum_i m_i 2^(32 i) - deg(m) 2^(32 n), from the Macaulay rows to the
+returned basis; tuples appear only at the edges (``Polynomial``, the labels
+and owners of ``MacaulayMatrix``/``build_macaulay``, ``normal_form``).  A
+smaller key is a DRL-larger monomial, so a packed polynomial is a dict whose
+keys ascend from its leading term and the term heap holds plain ints; a
+product is a sum of keys, so a shifted row or tail is its keys plus one
+shift.  Divisibility uses the guard bit at the top of each 32-bit field: a |
+b iff ((b | G) - a) & G == G.  A degree of 2^31 or more raises
+DegreeTooLarge rather than wrap.
+
 Buchberger's loop (``_complete``, which ``buchberger`` and ``gb_up_to``
-share) runs on packed monomials (``core._Packing``): each monomial is one
-int, key(m) = sum_i m_i 2^(32 i) - deg(m) 2^(32 n).  A smaller key is a
-DRL-larger monomial, so the term heap holds plain ints, and a product is a
-sum of keys, so a shifted tail is its keys plus one shift.  Divisibility
-uses the guard bit at the top of each 32-bit field: a | b iff
-((b | G) - a) & G == G.  An input term or a selected pair's lcm of degree
-2^31 or more raises DegreeTooLarge rather than wrap.  The loop reduces
-against one append-only reducer set that caches, per monomial, the first
-reducer in list order whose leading monomial divides it (a miss records how
-many reducers were checked; only later ones are tried again), so remainders
-are those of plain division, whatever the cache holds.  ``normal_form``
-takes and returns Polynomials; the loop calls the packed ``_reduce``.
+share) reduces against one append-only reducer set that caches, per
+monomial, the first reducer in list order whose leading monomial divides it
+(a miss records how many reducers were checked; only later ones are tried
+again), so remainders are those of plain division, whatever the cache
+holds.  It minimalizes and interreduces on packed leading keys and unpacks
+once, when the sorted basis is returned.
 """
 
 from __future__ import annotations
@@ -42,9 +47,6 @@ from .core import (
     PolySystem,
     Polynomial,
     _Packing,
-    drl_key,
-    mono_divides,
-    mono_mul,
     monomials_of_degree,
 )
 from .errors import (
@@ -136,6 +138,10 @@ def build_macaulay(system: PolySystem, d: int, owners=None) -> MacaulayMatrix:
     then row (t, j) is skipped (the F5 criterion).  The rows kept from
     generators up to j still span <f_1..f_j>_d, so the RREF is unchanged and
     a regular sequence gives no zero row.
+
+    Columns are indexed by packed monomial (``core._Packing``) and each
+    generator is packed once, so row (t, j) is the keys of f_j plus the one
+    int key(t).  A degree of 2^31 or more raises DegreeTooLarge.
     """
     if not system.homogeneous:
         raise NotHomogeneous("Macaulay matrices need a homogeneous system")
@@ -148,8 +154,9 @@ def build_macaulay(system: PolySystem, d: int, owners=None) -> MacaulayMatrix:
         raise DegreeTooSmall(f"degree {d} below the least generator degree {min(degrees)}")
     _check_cells(_macaulay_cells(system, d), f"M_{d}")
 
+    pack = _Packing(system.n)
     columns = monomials_of_degree(system.n, d)
-    col_index = {m: i for i, m in enumerate(columns)}
+    col_index = {pack.pack(m): i for i, m in enumerate(columns)}
     labels = []
     cells = []
     values = []
@@ -157,14 +164,15 @@ def build_macaulay(system: PolySystem, d: int, owners=None) -> MacaulayMatrix:
         if degrees[j] > d:
             continue
         owned = owners.get(d - degrees[j], {}) if owners else {}
-        terms = f.coeffs.items()
+        terms = pack.terms(f)
+        coeffs = list(terms.values())
         for mult in monomials_of_degree(system.n, d - degrees[j]):
             if owned.get(mult, j) < j:
                 continue
             base = len(labels) * len(columns)
-            for m, c in terms:
-                cells.append(base + col_index[mono_mul(mult, m)])
-                values.append(c)
+            shift = pack.pack(mult)
+            cells.extend([base + col_index[k + shift] for k in terms])
+            values.extend(coeffs)
             labels.append((mult, j))
     matrix = np.zeros((len(labels), len(columns)), dtype=np.int64)
     matrix.flat[cells] = values
@@ -289,15 +297,6 @@ class GroebnerBasis:
         return len(self.elements)
 
 
-def _sorted_basis(elements) -> tuple:
-    return tuple(
-        sorted(
-            elements,
-            key=lambda g: (g.degree(), tuple(-v for v in drl_key(g.leading_monomial())[1])),
-        )
-    )
-
-
 def max_gb_deg(basis: GroebnerBasis) -> int:
     """Maximal total degree in the basis."""
     if not basis.elements:
@@ -418,35 +417,6 @@ def _monic(terms: dict, p: int) -> dict:
     return {k: c * inv % p for k, c in terms.items()}
 
 
-def _interreduce(elements, pack, p: int, reduced: int = 0) -> list:
-    """The reduced basis from a minimal Groebner basis ``elements`` of monic
-    packed polynomials.
-
-    A term met while reducing g lies below LM(g), so only elements with a
-    smaller leading monomial can divide it, and the tail of g reduces to its
-    unique normal form modulo the ideal.  So each element, in ascending DRL
-    order of leading monomial (descending leading key), is reduced by the
-    ones already reduced; its leading term stays, so it stays monic.  The
-    first ``reduced`` elements in that order are taken as already reduced.
-    """
-    done = _Reducers(pack=pack)
-    out = []
-    for k, g in enumerate(sorted(elements, key=lambda g: next(iter(g)), reverse=True)):
-        if k >= reduced:
-            g = _reduce(g, done, p)
-        done.add(g)
-        out.append(g)
-    return out
-
-
-def _minimalize_basis(elements) -> list:
-    """Positions of the first element for each minimal leading monomial."""
-    first = {}
-    for k, g in enumerate(elements):
-        first.setdefault(g.leading_monomial(), k)
-    return [first[lm] for lm in minimalize(first, elements[0].n)]
-
-
 def _spoly(reducers: _Reducers, i: int, j: int, lcm: int) -> dict:
     """S-polynomial of the monic reducers i and j, packed; ``lcm`` is the
     packed lcm of their leading monomials."""
@@ -493,31 +463,56 @@ def _update_pairs(pack, lmG, pairs, lcms, t):
     return kept
 
 
-def _complete(polys, above: int | None = None) -> GroebnerBasis:
-    """The reduced basis of the ideal of ``polys`` by Buchberger's loop from
-    ``polys``: normal pair selection, Gebauer-Moeller pair pruning, and one
-    :class:`_Reducers` that grows with the basis, all on packed monomials.
+def _reduced_basis(G, pack, fld, above: int | None = None) -> GroebnerBasis:
+    """The reduced basis from the Groebner basis ``G`` of monic packed
+    polynomials, listed in the order the loop grew it.
 
-    When ``above`` is given, ``polys`` must be the monic reduced Groebner
-    basis up to that degree, so every initial pair whose lcm has degree <=
-    ``above`` reduces to zero and is dropped, and ``polys`` are not reduced
-    again: the loop adds elements of higher degree only, which divide none of
-    their terms.  A loop that would reduce more than ``MAX_S_PAIRS`` S-pairs
-    raises BudgetExhausted.  Every term met in a reduction lies below the
-    pair's lcm, so checking the input terms and each selected lcm against the
-    packed width (DegreeTooLarge) keeps every exponent inside its field.
+    Elements are taken in descending order of leading key, that is ascending
+    DRL; a proper divisor has a larger key, and the sort is stable.  So an
+    element is kept iff no kept leading monomial divides its own, which keeps
+    the first grown of each minimal leading monomial.  A term met while
+    reducing a kept g lies below LM(g), so only the elements kept before it
+    can divide it: g is reduced by those, its leading term stays, and its tail
+    becomes its unique normal form.  Elements of degree <= ``above`` are
+    Macaulay RREF rows (see ``_complete``) and are reduced already.  The
+    result is sorted by (degree, key) and unpacked once.
     """
-    fld, n = polys[0].field, polys[0].n
+    done = _Reducers(pack=pack)
+    kept = []
+    for g in sorted(G, key=lambda g: next(iter(g)), reverse=True):
+        lm = next(iter(g))
+        if done.find(lm) >= 0:
+            continue
+        if above is None or pack.degree(lm) > above:
+            g = _reduce(g, done, fld.p)
+        done.add(g)
+        kept.append((pack.degree(lm), lm, g))
+    kept.sort(key=lambda e: e[:2])
+    return GroebnerBasis(tuple(pack.polynomial(g, fld) for _, _, g in kept))
+
+
+def _complete(G, pack, fld, above: int | None = None) -> GroebnerBasis:
+    """The reduced basis of the ideal of ``G``, a list of monic packed
+    polynomials, by Buchberger's loop: normal pair selection, Gebauer-Moeller
+    pair pruning, and one :class:`_Reducers` that grows with the basis.
+
+    When ``above`` is given, ``G`` must be the reduced Groebner basis up to
+    that degree, so every initial pair whose lcm has degree <= ``above``
+    reduces to zero and is dropped, and ``G`` is not reduced again: the loop
+    adds elements of higher degree only, which divide none of their terms.  A
+    loop that would reduce more than ``MAX_S_PAIRS`` S-pairs raises
+    BudgetExhausted.  Every term met in a reduction lies below the pair's
+    lcm, so with the input terms packed (DegreeTooLarge beyond the width),
+    checking each selected lcm keeps every exponent inside its field.
+    """
     p = fld.p
-    pack = _Packing(n)
-    G = []  # packed, monic
+    G = list(G)
     reducers = _Reducers(pack=pack)
     pairs = set()
     lcms = {}  # pair -> packed lcm, filled when the pair is created
-    for f in polys:
-        G.append(pack.terms(f.monic()))
-        reducers.add(G[-1])
-        pairs = _update_pairs(pack, reducers.lms, pairs, lcms, len(G) - 1)
+    for t, g in enumerate(G):
+        reducers.add(g)
+        pairs = _update_pairs(pack, reducers.lms, pairs, lcms, t)
     if above is not None:
         pairs = {pair for pair in pairs if pack.degree(lcms[pair]) > above}
 
@@ -537,24 +532,21 @@ def _complete(polys, above: int | None = None) -> GroebnerBasis:
             G.append(_monic(r, p))
             reducers.add(G[-1])
             pairs = _update_pairs(pack, reducers.lms, pairs, lcms, len(G) - 1)
-
-    minimal = _minimalize_basis([pack.polynomial(g, fld) for g in G])
-    reduced = _interreduce(
-        [G[k] for k in minimal], pack, p, len(polys) if above is not None else 0
-    )
-    return GroebnerBasis(_sorted_basis(pack.polynomial(g, fld) for g in reduced))
+    return _reduced_basis(G, pack, fld, above)
 
 
 def buchberger(system: PolySystem) -> GroebnerBasis:
     """Complete reduced DRL Groebner basis (normal pair selection,
     Gebauer-Moeller pair pruning); raises BudgetExhausted after
-    ``MAX_S_PAIRS`` S-pair reductions.
+    ``MAX_S_PAIRS`` S-pair reductions.  The input is packed once; a term of
+    degree 2^31 or more raises DegreeTooLarge.
     """
     if not system.polys:
         raise EmptyBasis("cannot compute a basis for an empty system")
     if any(f.is_zero() for f in system.polys):
         raise ZeroPolynomial("system contains the zero polynomial")
-    return _complete(system.polys)
+    fld, pack = system.field, _Packing(system.n)
+    return _complete([_monic(pack.terms(f), fld.p) for f in system.polys], pack, fld)
 
 
 def gb_up_to(system: PolySystem, cap: int) -> GroebnerBasis:
@@ -565,6 +557,9 @@ def gb_up_to(system: PolySystem, cap: int) -> GroebnerBasis:
 
     Each M_d is built without the rows the F5 criterion skips; its owners
     (pivot monomial -> generator of the pivot row) serve the higher degrees.
+    Each RREF row whose leading monomial no earlier row's divides is kept as
+    a packed polynomial: the columns are DRL-descending, so their keys ascend
+    and the pivot, a 1, comes first.
     """
     if not system.homogeneous:
         raise NotHomogeneous("Macaulay elimination needs a homogeneous system")
@@ -576,6 +571,8 @@ def gb_up_to(system: PolySystem, cap: int) -> GroebnerBasis:
     _check_degree_loop(system, min(degrees), cap)
 
     fld = system.field
+    pack = _Packing(system.n)
+    divides = pack.divides
     collected = []
     collected_lms = []
     owners = {}
@@ -584,17 +581,17 @@ def gb_up_to(system: PolySystem, cap: int) -> GroebnerBasis:
         res = rref_naive(mac.matrix, fld.p)
         pivot_rows = zip(res.pivots, res.pivot_rows)
         owners[d] = {mac.columns[c]: mac.row_labels[i][1] for c, i in pivot_rows}
+        keys = [pack.pack(m) for m in mac.columns]
         for row_idx, piv in enumerate(res.pivots):
-            lm = mac.columns[piv]
-            if any(mono_divides(g, lm) for g in collected_lms):
+            lm = keys[piv]
+            if any(divides(g, lm) for g in collected_lms):
                 continue
             row = res.matrix[row_idx]
-            coeffs = {mac.columns[i]: int(row[i]) for i in np.flatnonzero(row).tolist()}
-            collected.append(Polynomial(fld, system.n, coeffs))
+            collected.append({keys[i]: int(row[i]) for i in np.flatnonzero(row).tolist()})
             collected_lms.append(lm)
     # every leading monomial of degree <= cap in the ideal is divisible by a
     # collected one, so the rows are a Groebner basis up to degree cap
-    return _complete(collected, above=cap)
+    return _complete(collected, pack, fld, above=cap)
 
 
 def leading_monomial_ideal(basis: GroebnerBasis):

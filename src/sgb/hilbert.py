@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 from .core import Monom, drl_key, mono_divides, monomials_of_degree
 from .errors import DimensionMismatch, InvariantViolation, UnitIdeal
-from .series import degree_product, poly_eval, poly_trim
+from .series import degree_product, divide_by_one_minus_z, poly_eval, poly_trim
 
 # ---------------------------------------------------------------------------
 # monomial ideals
@@ -149,16 +149,7 @@ def hilbert_function(J: MonomialIdeal, d: int) -> int:
 
 def expand_hilbert_series(numerator, n: int, upto: int) -> list:
     """Hilbert function values HF(0..upto) from the numerator, exactly."""
-    acc = [0] * (upto + 1)
-    for i, c in enumerate(numerator[: upto + 1]):
-        acc[i] = c
-    # repeated prefix sums realize division by (1-z)^n
-    for _ in range(n):
-        run = 0
-        for i in range(upto + 1):
-            run += acc[i]
-            acc[i] = run
-    return acc
+    return divide_by_one_minus_z(numerator, n, upto + 1)
 
 
 # ---------------------------------------------------------------------------

@@ -162,6 +162,8 @@ def parse_system_doc(text: str) -> SystemDoc:
     except (KeyError, TypeError):
         raise ParseError("expected keys field.char, vars, polys") from None
     meta = raw.get("meta", {})
+    if not isinstance(meta, dict):
+        raise ParseError("meta must be an object")
 
     fld = PrimeField(char)  # BadModulus on a composite
     if not isinstance(names, list) or not names:

@@ -6,6 +6,7 @@ bits quickly, so nothing here ever rounds.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -31,11 +32,11 @@ def poly_mul(a, b) -> list:
     if not a or not b:
         return []
     out = [0] * (len(a) + len(b) - 1)
+    b_terms = [(j, y) for j, y in enumerate(b) if y]
     for i, x in enumerate(a):
         if x:
-            for j, y in enumerate(b):
-                if y:
-                    out[i + j] += x * y
+            for j, y in b_terms:
+                out[i + j] += x * y
     return poly_trim(out)
 
 
@@ -85,26 +86,21 @@ class TruncSeries:
     def __getitem__(self, k: int) -> int:
         return self.coeffs[k]
 
-    def mul_poly(self, poly) -> "TruncSeries":
-        out = [0] * self.cap
-        for i, x in enumerate(poly):
-            if x:
-                for j in range(self.cap - i):
-                    out[i + j] += x * self.coeffs[j]
-        return TruncSeries(tuple(out))
 
 
-def geometric_inverse_power(n: int, cap: int) -> TruncSeries:
-    """Expansion of (1 - z)^(-n): coefficient at k is C(n - 1 + k, k)."""
-    if n < 1 or cap < 1:
-        raise InvalidDegree(f"need n >= 1 and cap >= 1, got n={n}, cap={cap}")
-    return TruncSeries(tuple(math.comb(n - 1 + k, k) for k in range(cap)))
+def divide_by_one_minus_z(numerator, n: int, cap: int) -> list:
+    """Coefficients of numerator / (1 - z)^n mod z^cap, by n prefix sums."""
+    out = list(numerator[:cap]) + [0] * max(0, cap - len(numerator))
+    for _ in range(n):
+        out = list(itertools.accumulate(out))
+    return out
 
 
 def froberg_series(n: int, degrees, cap: int) -> TruncSeries:
     """Coefficients of prod_j (1 - z^(d_j)) / (1 - z)^n mod z^cap."""
-    numerator = degree_product(degrees)
-    return geometric_inverse_power(n, cap).mul_poly(numerator)
+    if n < 1 or cap < 1:
+        raise InvalidDegree(f"need n >= 1 and cap >= 1, got n={n}, cap={cap}")
+    return TruncSeries(tuple(divide_by_one_minus_z(degree_product(degrees), n, cap)))
 
 
 def positive_truncate(s: TruncSeries) -> list:

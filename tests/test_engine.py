@@ -654,6 +654,14 @@ class TestGroebner:
             cap = max(max_gb_deg(oracle), max(degrees))
             engine = gb_up_to(system, cap)
             assert [str(g) for g in engine] == [str(g) for g in oracle]
+            # both routes share one sort, so pin the order against drl_key:
+            # by degree, then DRL-descending leading monomial
+            for basis in (oracle, engine):
+                order = [(g.degree(), drl_key(g.leading_monomial())) for g in basis]
+                assert all(
+                    a[0] < b[0] or (a[0] == b[0] and a[1] > b[1])
+                    for a, b in zip(order, order[1:])
+                )
 
     def test_every_cap_gives_the_oracle_basis(self, complete_engine_cases):
         for system, oracle, top in complete_engine_cases:
@@ -665,11 +673,15 @@ class TestGroebner:
     ):
         # from the true maximal degree on, Buchberger's loop has nothing to
         # add, so a wrong or missing RREF row cannot hide behind it
+        # (_complete takes monic packed polynomials with their packing)
         starts = []
         real = engine._complete
-        monkeypatch.setattr(
-            engine, "_complete", lambda polys, **kw: starts.append(polys) or real(polys, **kw)
-        )
+
+        def spy(G, pack, fld, **kw):
+            starts.append([pack.polynomial(g, fld) for g in G])
+            return real(G, pack, fld, **kw)
+
+        monkeypatch.setattr(engine, "_complete", spy)
         for system, oracle, top in complete_engine_cases:
             for cap in range(max(top, max(system.degrees)), top + 2):
                 starts.clear()
@@ -744,8 +756,13 @@ class TestGroebner:
         # changes; the order in which the basis grew also moves when ties
         # between pairs of one lcm are broken differently
         grown = []
-        real = engine._minimalize_basis
-        monkeypatch.setattr(engine, "_minimalize_basis", lambda G: grown.append(G) or real(G))
+        real = engine._reduced_basis
+
+        def spy(G, pack, fld, above=None):
+            grown.append([pack.polynomial(g, fld) for g in G])
+            return real(G, pack, fld, above)
+
+        monkeypatch.setattr(engine, "_reduced_basis", spy)
         system = sample_system(n, m, (2,) * m, f31, seed=seed)
         monkeypatch.setattr(engine, "MAX_S_PAIRS", pairs)
         buchberger(system)

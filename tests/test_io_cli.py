@@ -273,6 +273,14 @@ class TestCliCommands:
         # help exits 0
         assert run_cli(["--help"])[0] == 0
 
+    @pytest.mark.parametrize("meta", ["5", "[1]", "null", '"ab"'])
+    def test_meta_that_is_not_an_object_is_a_parse_error(self, tmp_path, meta):
+        path = tmp_path / "sys.json"
+        path.write_text('{"field":{"char":7},"vars":["x1"],"polys":["x1"],"meta":%s}' % meta)
+        for command in ("gb", "analyze", "verify", "homogenize"):
+            code, out, err = run_cli([command, str(path)])
+            assert code == 1 and out == "" and "error: ParseError" in err, command
+
     @pytest.mark.parametrize("cap", [[], ["--cap", "3"], ["--cap", "100000000"]])
     def test_gb_refuses_oversized_matrices(self, tmp_path, cap):
         path = tmp_path / "huge.json"

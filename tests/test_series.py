@@ -158,6 +158,11 @@ class TestBounds:
         monkeypatch.undo()
         degrees = [MAX_SERIES_CAP // 2 - 1, MAX_SERIES_CAP // 2, 2]
         assert degree_bound_Dnm(2, 3, degrees) <= lazard_bound(2, 3, degrees)
+        # a long series with many numerator terms costs n prefix sums, not
+        # cap times the terms (cap 64,106 here)
+        start = time.monotonic()
+        assert degree_bound_Dnm(15, 16, list(range(4000, 4016))) == 32053
+        assert time.monotonic() - start < 2
 
     def test_Dnm_never_exceeds_lazard_for_overdetermined(self):
         rng = random.Random(2)
