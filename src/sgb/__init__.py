@@ -35,7 +35,6 @@ from .engine import (
     gb_up_to,
     leading_monomial_ideal,
     max_gb_deg,
-    normal_form,
     rref_block,
     rref_naive,
 )

@@ -21,7 +21,6 @@ from .core import (
     Polynomial,
     apply_to_system,
     monomials_of_degree,
-    drl_key,
     mono_deg,
 )
 from .engine import GroebnerBasis, buchberger, gb_up_to, leading_monomial_ideal, max_gb_deg
@@ -36,7 +35,7 @@ from .errors import (
     UnitIdeal,
     ZeroForm,
 )
-from .hilbert import HilbertProfile, MonomialIdeal, regularity_profile
+from .hilbert import HilbertProfile, MonomialIdeal, minimalize, regularity_profile
 from .series import degree_bound_Dnm, degree_product, lazard_bound, poly_sub
 
 # ---------------------------------------------------------------------------
@@ -75,6 +74,17 @@ def exact_hilbert_of_ideal(system: PolySystem) -> tuple[MonomialIdeal, HilbertPr
     if not system.homogeneous:
         raise NotHomogeneous("exact Hilbert data needs a homogeneous system")
     return _hilbert_of_basis(groebner_basis(system))
+
+
+def _profile_with_xn(lm: MonomialIdeal) -> HilbertProfile:
+    """Profile of <J, x_n> from ``lm`` = LM(J), with no basis of <J, x_n>.
+
+    For a homogeneous J under DRL with x_n last, in(J + <x_n>) = in(J) +
+    <x_n> (Bayer-Stillman 1987, "A criterion for detecting m-regularity",
+    Lemma 2.2).
+    """
+    xn = (0,) * (lm.n - 1) + (1,)
+    return regularity_profile(minimalize(lm.gens + (xn,), lm.n))
 
 
 # ---------------------------------------------------------------------------
@@ -187,19 +197,15 @@ def check_weakly_revlex(lm: MonomialIdeal) -> bool:
     lies in the ideal.
 
     The monomials preceding a generator include those preceding every larger
-    generator of its degree, so each degree is walked once, from its
-    DRL-smallest generator.
+    generator of its degree, so each degree is checked once, at its
+    DRL-smallest generator: the last of its degree in the DRL-descending
+    ``gens``, whose predecessors are a prefix of ``monomials_of_degree``.
     """
-    smallest = {}
-    for g in sorted(lm.gens, key=drl_key, reverse=True):
-        smallest[mono_deg(g)] = g
-    for g in smallest.values():
-        kg = drl_key(g)
-        for t in monomials_of_degree(lm.n, mono_deg(g)):
-            if drl_key(t) <= kg:
-                break
-            if not lm.contains(t):
-                return False
+    smallest = {mono_deg(g): g for g in lm.gens}
+    for d, g in smallest.items():
+        monoms = monomials_of_degree(lm.n, d)
+        if not all(lm.contains(t) for t in monoms[: monoms.index(g)]):
+            return False
     return True
 
 
@@ -261,11 +267,15 @@ def normalized_form(ell: Polynomial) -> tuple[Polynomial, int]:
     return ell.scale(ell.field.inv(coeffs[pivot])), pivot
 
 
-def _search_linear_form(system, seed, max_attempts):
+def _search_linear_form(system, lm, seed, max_attempts):
     """Candidate loop; assumes the dimension precondition already holds.
 
     Returns the position change together with the profile of the successful
-    extension <F, l> so callers need not recompute it.
+    extension <F, l> so callers need not recompute it.  The first candidate,
+    l = x_n, is read from ``lm`` = LM(I) with no basis of <I, x_n>: I is
+    homogeneous and the order is DRL with x_n last, so in(I + <x_n>) = in(I)
+    + <x_n> (Bayer-Stillman 1987, Lemma 2.2).  Every later candidate gets the
+    basis of its extension.
     """
     fld, n = system.field, system.n
     rng = random.Random(seed)
@@ -283,8 +293,10 @@ def _search_linear_form(system, seed, max_attempts):
         if attempts >= max_attempts:
             break
         attempts += 1
-        ext_basis = groebner_basis(system.extended(ell))
-        _, ext_profile = _hilbert_of_basis(ext_basis)
+        if attempts == 1:  # l = x_n
+            ext_profile = _profile_with_xn(lm)
+        else:
+            _, ext_profile = _hilbert_of_basis(groebner_basis(system.extended(ell)))
         if ext_profile.krull_dim == 0:
             ell, pivot = normalized_form(ell)
             pos = PositionChange(ell, pivot, build_sigma(ell), attempts)
@@ -306,12 +318,12 @@ def find_linear_form(
     SearchExhausted when the budget runs out (the field may be too small)
     and DimensionTooHigh when R/I itself has dimension >= 2.
     """
-    _, profile = exact_hilbert_of_ideal(system)
+    lm, profile = exact_hilbert_of_ideal(system)
     if profile.krull_dim >= 2:
         raise DimensionTooHigh(
             f"Krull dimension {profile.krull_dim} >= 2: no single form can work"
         )
-    pos, _ = _search_linear_form(system, seed, max_attempts)
+    pos, _ = _search_linear_form(system, lm, seed, max_attempts)
     return pos
 
 
@@ -366,6 +378,13 @@ def verify_main_theorem(
     Every basis is the complete reduced basis from the Buchberger oracle.
     A basis that needs more than ``engine.MAX_S_PAIRS`` S-pair reductions
     raises BudgetExhausted, at the same pair for a fixed input.
+
+    No basis of <J, x_n> is computed, for J = I or J = I^sigma: the system is
+    homogeneous and the order is DRL with x_n last, so in(J + <x_n>) = in(J)
+    + <x_n> (Bayer-Stillman 1987, Lemma 2.2) and its Hilbert data is read
+    from LM(J).  So a run with sigma the identity computes the one basis of
+    I; otherwise it computes ``attempts_used + 1``: those of I, of <I, l> for
+    each candidate l after x_n, and of I^sigma.
     """
     if not system.homogeneous:
         raise NotHomogeneous("the degree bounds apply to homogeneous ideals")
@@ -373,24 +392,21 @@ def verify_main_theorem(
     degrees = system.degrees
 
     basis = groebner_basis(system)
-    _, profile = _hilbert_of_basis(basis)
+    lm, profile = _hilbert_of_basis(basis)
     if profile.krull_dim >= 2:
         raise DimensionTooHigh(f"Krull dimension {profile.krull_dim} >= 2")
     semireg = _certification(profile, degrees)
     gen_d_reg = profile.gen_d_reg
 
-    pos, ext_profile = _search_linear_form(system, seed, max_attempts)
+    pos, ext_profile = _search_linear_form(system, lm, seed, max_attempts)
     d_reg_ell = ext_profile.d_reg
 
     if pos.sigma.is_identity():  # then the normalized l is x_n
-        basis_sigma = basis
-        sigma_xn_profile = ext_profile
+        basis_sigma, lm_sigma, sigma_xn_profile = basis, lm, ext_profile
     else:
-        sigma_system = apply_to_system(system, pos.sigma)
-        basis_sigma = groebner_basis(sigma_system)
-        xn = Polynomial.variable(system.field, n, n - 1)
-        _, sigma_xn_profile = exact_hilbert_of_ideal(sigma_system.extended(xn))
-    lm_sigma = leading_monomial_ideal(basis_sigma)
+        basis_sigma = groebner_basis(apply_to_system(system, pos.sigma))
+        lm_sigma = leading_monomial_ideal(basis_sigma)
+        sigma_xn_profile = _profile_with_xn(lm_sigma)
     gb_deg_sigma = max_gb_deg(basis_sigma)
     artinian_after_sigma = sigma_xn_profile.krull_dim == 0
     if artinian_after_sigma and sigma_xn_profile.d_reg != d_reg_ell:

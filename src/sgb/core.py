@@ -151,6 +151,8 @@ def monomials_of_degree(n: int, d: int) -> tuple:
             f"{count} monomials of degree {d} in {n} variables, over the limit of "
             f"{MAX_MONOMIALS}"
         )
+    if n == 1:  # combinations() would first copy range(d) into a tuple
+        return ((d,),)
     # stars and bars: e_i is the gap before bar i among n - 1 bars in
     # n - 1 + d slots, so each monomial costs O(n) whatever its degree
     monoms = []

@@ -17,14 +17,13 @@ elimination supplied by a row of a generator below j.
 
 Inside the engine every monomial is a packed int (``core._Packing``),
 key(m) = sum_i m_i 2^(32 i) - deg(m) 2^(32 n), from the Macaulay rows to the
-returned basis; tuples appear only at the edges (``Polynomial``, the labels
-and owners of ``MacaulayMatrix``/``build_macaulay``, ``normal_form``).  A
-smaller key is a DRL-larger monomial, so a packed polynomial is a dict whose
-keys ascend from its leading term and the term heap holds plain ints; a
-product is a sum of keys, so a shifted row or tail is its keys plus one
-shift.  Divisibility uses the guard bit at the top of each 32-bit field: a |
-b iff ((b | G) - a) & G == G.  A degree of 2^31 or more raises
-DegreeTooLarge rather than wrap.
+returned basis; tuples appear only at the edges (``Polynomial``, and the
+labels and owners of ``MacaulayMatrix``/``build_macaulay``).  A smaller key
+is a DRL-larger monomial, so a packed polynomial is a dict whose keys ascend
+from its leading term and the term heap holds plain ints; a product is a sum
+of keys, so a shifted row or tail is its keys plus one shift.  Divisibility
+uses the guard bit at the top of each 32-bit field: a | b iff ((b | G) - a)
+& G == G.  A degree of 2^31 or more raises DegreeTooLarge rather than wrap.
 
 Buchberger's loop (``_complete``, which ``buchberger`` and ``gb_up_to``
 share) reduces against one append-only reducer set that caches, per
@@ -45,7 +44,6 @@ import numpy as np
 
 from .core import (
     PolySystem,
-    Polynomial,
     _Packing,
     monomials_of_degree,
 )
@@ -308,24 +306,16 @@ class _Reducers:
     """Append-only packed reducers of one run: leading keys, inverses of the
     leading coefficients, and tails as ``(key, coefficient)`` lists.
     ``divisor`` maps a key to the index of its first dividing reducer, or to
-    ``~k`` for a miss after checking ``k`` reducers.  Without ``pack``, the
-    packing is made for the first polynomial appended or reduced."""
+    ``~k`` for a miss after checking ``k`` reducers."""
 
     __slots__ = ("pack", "lms", "lc_invs", "tails", "divisor")
 
-    def __init__(self, polys=(), pack=None):
+    def __init__(self, pack):
         self.pack = pack
         self.lms = []
         self.lc_invs = []
         self.tails = []
         self.divisor = {}
-        for g in polys:
-            self.append(g)
-
-    def append(self, g: Polynomial) -> None:
-        if self.pack is None:
-            self.pack = _Packing(g.n)
-        self.add(self.pack.terms(g), g.field.inv(g.leading_coeff()))
 
     def add(self, terms: dict, lc_inv: int = 1) -> None:
         """Append a packed polynomial (keys ascending) with the inverse of its
@@ -394,24 +384,6 @@ def _reduce(terms: dict, reducers: _Reducers, p: int) -> dict:
     return remainder
 
 
-def normal_form(f: Polynomial, reducers) -> Polynomial:
-    """Remainder of ``f`` on division by ``reducers`` (full tail reduction).
-
-    ``reducers`` is a sequence of polynomials or a :class:`_Reducers`, whose
-    divisor cache is reused.  Terms are taken in descending DRL order, and
-    each is reduced by the first reducer in list order whose leading monomial
-    divides it.  Reducers are append-only, so a cached index stays the first
-    divisor and a cached miss after k reducers is completed by testing the
-    later ones; the remainder does not depend on the cache.
-    """
-    if not isinstance(reducers, _Reducers):
-        reducers = _Reducers(reducers)
-    if reducers.pack is None:
-        reducers.pack = _Packing(f.n)
-    pack = reducers.pack
-    return pack.polynomial(_reduce(pack.terms(f), reducers, f.field.p), f.field)
-
-
 def _monic(terms: dict, p: int) -> dict:
     inv = pow(next(iter(terms.values())), -1, p)
     return {k: c * inv % p for k, c in terms.items()}
@@ -477,7 +449,7 @@ def _reduced_basis(G, pack, fld, above: int | None = None) -> GroebnerBasis:
     Macaulay RREF rows (see ``_complete``) and are reduced already.  The
     result is sorted by (degree, key) and unpacked once.
     """
-    done = _Reducers(pack=pack)
+    done = _Reducers(pack)
     kept = []
     for g in sorted(G, key=lambda g: next(iter(g)), reverse=True):
         lm = next(iter(g))
@@ -507,7 +479,7 @@ def _complete(G, pack, fld, above: int | None = None) -> GroebnerBasis:
     """
     p = fld.p
     G = list(G)
-    reducers = _Reducers(pack=pack)
+    reducers = _Reducers(pack)
     pairs = set()
     lcms = {}  # pair -> packed lcm, filled when the pair is created
     for t, g in enumerate(G):

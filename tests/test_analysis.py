@@ -5,10 +5,12 @@ import dataclasses
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sgb import (
     PolySystem,
     Polynomial,
+    PrimeField,
     apply_linear_change,
     apply_to_system,
     build_sigma,
@@ -21,8 +23,11 @@ from sgb import (
     find_linear_form,
     first_defect_degree,
     froberg_series,
+    buchberger,
     is_regular_sequence,
+    leading_monomial_ideal,
     minimalize,
+    regularity_profile,
     run_experiment,
     sample_system,
     sample_Z_system,
@@ -326,6 +331,48 @@ class TestFindLinearForm:
             find_linear_form(system, seed=0, max_attempts=16)
 
 
+def coordinate_zeros_system(fld):
+    """Squarefree quadratics in three variables: they vanish at every
+    coordinate point, so no variable is an admissible form and sigma is a
+    true shear."""
+    rng = random.Random(0)
+    polys = tuple(
+        Polynomial(fld, 3, {t: rng.randrange(1, fld.p) for t in ((1, 1, 0), (1, 0, 1), (0, 1, 1))})
+        for _ in range(4)
+    )
+    return PolySystem(fld, 3, polys)
+
+
+@st.composite
+def extension_cases(draw):
+    """A dense or Z system over F_2, F_3 or F_31, of any dimension, and a
+    random shear sending a form with last coefficient 1 to x_n."""
+    fld = PrimeField(draw(st.sampled_from((2, 3, 31))))
+    n = draw(st.integers(2, 4))
+    m = draw(st.integers(1, n + 1))
+    degrees = tuple(draw(st.lists(st.integers(1, 3), min_size=m, max_size=m)))
+    sampler = draw(st.sampled_from((sample_system, sample_Z_system)))
+    system = sampler(n, m, degrees, fld, seed=draw(st.integers(0, 2**32)))
+    vec = draw(st.lists(st.integers(0, fld.p - 1), min_size=n - 1, max_size=n - 1))
+    return system, build_sigma(Polynomial.linear_form(fld, vec + [1]))
+
+
+class TestExtensionFromLeadingMonomials:
+    @settings(max_examples=150, deadline=None)
+    @given(extension_cases())
+    def test_matches_the_basis_of_the_extension(self, case):
+        # in(J + <x_n>) = in(J) + <x_n> for homogeneous J under DRL
+        # (Bayer-Stillman), for J = I and J = I^sigma
+        system, sigma = case
+        n = system.n
+        xn = Polynomial.variable(system.field, n, n - 1)
+        for J in (system, apply_to_system(system, sigma)):
+            lm = leading_monomial_ideal(buchberger(J))
+            expected = leading_monomial_ideal(buchberger(J.extended(xn)))
+            assert minimalize(lm.gens + (xn.leading_monomial(),), n) == expected
+            assert analysis._profile_with_xn(lm) == regularity_profile(expected)
+
+
 class TestVerifyMainTheorem:
     def test_worked_fixture(self, f7):
         report = verify_main_theorem(spec_fixture_system(f7), seed=1)
@@ -407,25 +454,49 @@ class TestVerifyMainTheorem:
             verify_main_theorem(system, seed=0)
 
     def test_sigma_xn_cross_check_failure_is_typed(self, f31, monkeypatch):
-        # squarefree quadratics vanish at every coordinate point, so sigma is a
-        # true shear and <I^sigma, x_n> gets its own basis
-        rng = random.Random(0)
-        polys = tuple(
-            Polynomial(f31, 3, {t: rng.randrange(1, 31) for t in ((1, 1, 0), (1, 0, 1), (0, 1, 1))})
-            for _ in range(4)
-        )
-        system = PolySystem(f31, 3, polys)
+        # sigma is a true shear, so <I^sigma, x_n> is read from LM(I^sigma)
+        # and checked against the basis of <I, l>; the rejected x_n has no
+        # d_reg and is left as it is
+        system = coordinate_zeros_system(f31)
         report = verify_main_theorem(system, seed=0)
         assert not report.sigma.is_identity() and report.artinian_after_sigma
-        real = analysis.exact_hilbert_of_ideal
+        real = analysis._profile_with_xn
 
-        def skewed(*args):
-            lm, profile = real(*args)
-            return lm, dataclasses.replace(profile, d_reg=profile.d_reg + 1)
+        def skewed(lm):
+            profile = real(lm)
+            if profile.d_reg is None:
+                return profile
+            return dataclasses.replace(profile, d_reg=profile.d_reg + 1)
 
-        monkeypatch.setattr(analysis, "exact_hilbert_of_ideal", skewed)
+        monkeypatch.setattr(analysis, "_profile_with_xn", skewed)
         with pytest.raises(InvariantViolation, match="must match"):
             verify_main_theorem(system, seed=0)
+
+    def test_bases_per_run(self, f31, monkeypatch):
+        # no basis of <I, x_n> or <I^sigma, x_n>: one basis when sigma is the
+        # identity, otherwise I, I^sigma and <I, l> for each l after x_n
+        bases = []
+        real = analysis.groebner_basis
+
+        def spy(system, *args, **kwargs):
+            bases.append(system)
+            return real(system, *args, **kwargs)
+
+        monkeypatch.setattr(analysis, "groebner_basis", spy)
+        systems = [coordinate_zeros_system(f31)] + [
+            sampler(3, m, (2,) * m, f31, seed=k)
+            for sampler in (sample_system, sample_Z_system)
+            for m in (2, 3, 4)
+            for k in range(3)
+        ]
+        seen = set()
+        for system in systems:
+            bases.clear()
+            report = verify_main_theorem(system, seed=0)
+            identity = report.sigma.is_identity()
+            assert len(bases) == (1 if identity else report.attempts_used + 1)
+            seen.add(identity)
+        assert seen == {True, False}
 
     def test_budget_exhaustion_is_a_row_status(self, f31, monkeypatch):
         # no capped basis stands in for an unfinished one

@@ -28,7 +28,6 @@ from sgb import (
     mono_div,
     mono_mul,
     monomials_of_degree,
-    normal_form,
     parse_polynomial,
     rref_block,
     rref_naive,
@@ -37,7 +36,7 @@ from sgb import (
 )
 from sgb import core, engine
 from sgb.core import _Packing
-from sgb.engine import MAX_MACAULAY_CELLS, _check_degree_loop, _macaulay_cells, _Reducers
+from sgb.engine import MAX_MACAULAY_CELLS, _check_degree_loop, _macaulay_cells, _reduce, _Reducers
 from sgb.errors import (
     BudgetExhausted,
     DegreeTooLarge,
@@ -246,46 +245,67 @@ def division_cases(draw):
     return f, reducers, split
 
 
+def reducer_set(polys, n):
+    """A fresh ``_Reducers`` of ``n`` variables holding ``polys``."""
+    reducers = _Reducers(_Packing(n))
+    for g in polys:
+        add_reducer(reducers, g)
+    return reducers
+
+
+def add_reducer(reducers, g: Polynomial) -> None:
+    reducers.add(reducers.pack.terms(g), g.field.inv(g.leading_coeff()))
+
+
+def remainder(f: Polynomial, reducers) -> Polynomial:
+    """Remainder of ``f`` by the engine's ``_reduce``, unpacked."""
+    pack = reducers.pack
+    return pack.polynomial(_reduce(pack.terms(f), reducers, f.field.p), f.field)
+
+
 class TestNormalForm:
     @settings(max_examples=400, deadline=None)
     @given(division_cases())
     def test_matches_oracle(self, case):
         f, reducers, split = case
         expected = normal_form_oracle(f, reducers)
-        assert normal_form(f, reducers) == expected
-        assert normal_form(f, _Reducers(reducers)) == expected
+        assert remainder(f, reducer_set(reducers, f.n)) == expected
         # caches filled on a prefix stay valid after appending the rest
-        warm = _Reducers(reducers[:split])
-        assert normal_form(f, warm) == normal_form_oracle(f, reducers[:split])
+        warm = reducer_set(reducers[:split], f.n)
+        assert remainder(f, warm) == normal_form_oracle(f, reducers[:split])
         for g in reducers[split:]:
-            warm.append(g)
-        assert normal_form(f, warm) == expected
+            add_reducer(warm, g)
+        assert remainder(f, warm) == expected
 
     def test_edge_cases(self, f7):
         x1, x2, x3 = (Polynomial.variable(f7, 3, i) for i in range(3))
         zero = Polynomial.zero(f7, 3)
         f = x1 * x1 + x2 * 3
-        assert normal_form(f, []) == f == normal_form_oracle(f, [])
-        assert normal_form(zero, [x1 + x2]).is_zero()
-        assert normal_form(zero, []).is_zero()
+
+        def nf(f, polys):
+            return remainder(f, reducer_set(polys, 3))
+
+        assert nf(f, []) == f == normal_form_oracle(f, [])
+        assert nf(zero, [x1 + x2]).is_zero()
+        assert nf(zero, []).is_zero()
         # duplicate leading monomials: the first reducer in list order wins
-        assert normal_form(x1, [x1 + x2, x1 + x3]) == -x2
-        assert normal_form(x1, [x1 + x3, x1 + x2]) == -x3
+        assert nf(x1, [x1 + x2, x1 + x3]) == -x2
+        assert nf(x1, [x1 + x3, x1 + x2]) == -x3
         # non-monic leading coefficient
-        assert normal_form(x1 * x2, [x1 * 2 + x3]) == x2 * x3 * 3
+        assert nf(x1 * x2, [x1 * 2 + x3]) == x2 * x3 * 3
 
     def test_append_after_cached_miss(self, f31):
         x1, x2 = (Polynomial.variable(f31, 2, i) for i in range(2))
         f = x1 * x2 + x2 * x2 * 5
-        reducers = _Reducers([x1 * x1 + x2])
-        assert normal_form(f, reducers) == f
+        reducers = reducer_set([x1 * x1 + x2], 2)
+        assert remainder(f, reducers) == f
         x1x2 = reducers.pack.pack((1, 1))  # the divisor cache is keyed by packed monomial
         assert reducers.divisor[x1x2] == ~1  # a miss after checking one reducer
         g = x2 * 2 + Polynomial.constant(f31, 2, 1)
-        reducers.append(g)  # LM x2 divides the cached miss x1*x2
-        fresh = _Reducers([x1 * x1 + x2, g])
-        assert normal_form(f, reducers) == normal_form(f, fresh)
-        assert normal_form(f, reducers) == normal_form_oracle(f, [x1 * x1 + x2, g])
+        add_reducer(reducers, g)  # LM x2 divides the cached miss x1*x2
+        fresh = reducer_set([x1 * x1 + x2, g], 2)
+        assert remainder(f, reducers) == remainder(f, fresh)
+        assert remainder(f, reducers) == normal_form_oracle(f, [x1 * x1 + x2, g])
         assert reducers.divisor[x1x2] == 1
 
 
@@ -361,9 +381,18 @@ class TestPackedMonomials:
             with pytest.raises(DegreeTooLarge):
                 buchberger(system)
             with pytest.raises(DegreeTooLarge):
-                normal_form(system.polys[0], [])
+                remainder(system.polys[0], reducer_set([], 2))
         fits = PolySystem(f31, 2, (Polynomial(f31, 2, {(limit - 1, 0): 1}),))
         assert buchberger(fits).elements == fits.polys
+
+    def test_one_variable_power_over_the_width_is_refused(self, f31):
+        # one variable has one monomial of each degree: listing it must not
+        # first copy range(d), which ran out of memory at d = 2^31
+        d = _Packing(1).limit
+        assert monomials_of_degree(1, d) == ((d,),)
+        system = PolySystem(f31, 1, (Polynomial(f31, 1, {(d,): 1}),))
+        with pytest.raises(DegreeTooLarge):
+            gb_up_to(system, d)
 
     def test_lcm_over_the_width_is_refused_mid_run(self, f31, monkeypatch):
         # inputs of degree 6; the only pair has lcm x1^5*x2^5 of degree 10

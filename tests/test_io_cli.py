@@ -288,6 +288,14 @@ class TestCliCommands:
         code, out, err = run_cli(["gb", str(path)] + cap)
         assert code == 1 and out == "" and "MatrixTooLarge" in err
 
+    def test_gb_refuses_a_one_variable_power_over_the_width(self, tmp_path):
+        # the default cap is 2^31: listing its one monomial must not copy
+        # range(2^31) first, which ran out of memory
+        path = tmp_path / "power.json"
+        path.write_text('{"field":{"char":31},"vars":["x1"],"polys":["x1^2147483648"]}')
+        code, out, err = run_cli(["gb", str(path)])
+        assert code == 1 and out == "" and "DegreeTooLarge" in err
+
     def test_analyze_refuses_oversized_monomial_lists(self, tmp_path):
         path = tmp_path / "high.json"
         path.write_text(HIGH_DEGREE)
