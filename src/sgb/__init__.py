@@ -16,7 +16,6 @@ from .core import (
     drl_key,
     homogenize,
     homogenize_system,
-    mono_deg,
     mono_div,
     mono_divides,
     mono_lcm,

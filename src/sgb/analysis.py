@@ -12,6 +12,7 @@ regular-sequence law.  All Hilbert data is exact; nothing is sampled.
 
 from __future__ import annotations
 
+import bisect
 import random
 from dataclasses import dataclass
 
@@ -19,9 +20,10 @@ from .core import (
     LinearChange,
     PolySystem,
     Polynomial,
+    _packed_monomials,
+    _packing,
     apply_to_system,
     monomials_of_degree,
-    mono_deg,
 )
 from .engine import GroebnerBasis, buchberger, gb_up_to, leading_monomial_ideal, max_gb_deg
 from .errors import (
@@ -35,7 +37,7 @@ from .errors import (
     UnitIdeal,
     ZeroForm,
 )
-from .hilbert import HilbertProfile, MonomialIdeal, minimalize, regularity_profile
+from .hilbert import HilbertProfile, MonomialIdeal, regularity_profile
 from .series import degree_bound_Dnm, degree_product, lazard_bound, poly_sub
 
 # ---------------------------------------------------------------------------
@@ -62,9 +64,9 @@ def groebner_basis(
 
 
 def _hilbert_of_basis(basis: GroebnerBasis) -> tuple[MonomialIdeal, HilbertProfile]:
-    if any(g.degree() == 0 for g in basis):
-        raise UnitIdeal("ideal contains a nonzero constant")
     lm = leading_monomial_ideal(basis)
+    if lm.is_unit():
+        raise UnitIdeal("ideal contains a nonzero constant")
     return lm, regularity_profile(lm)
 
 
@@ -83,8 +85,8 @@ def _profile_with_xn(lm: MonomialIdeal) -> HilbertProfile:
     <x_n> (Bayer-Stillman 1987, "A criterion for detecting m-regularity",
     Lemma 2.2).
     """
-    xn = (0,) * (lm.n - 1) + (1,)
-    return regularity_profile(minimalize(lm.gens + (xn,), lm.n))
+    xn = _packing(lm.n).variable(lm.n - 1)
+    return regularity_profile(MonomialIdeal.generated_by(lm.n, lm.keys + (xn,)))
 
 
 # ---------------------------------------------------------------------------
@@ -185,11 +187,11 @@ def is_regular_sequence(system: PolySystem) -> bool:
 
 
 def check_noether_position(lm: MonomialIdeal, r: int) -> bool:
-    """True iff each of x_1 .. x_{n-r} has a pure power among the generators."""
-    for i in range(lm.n - r):
-        if not any(g[i] and mono_deg(g) == g[i] for g in lm.gens):
-            return False
-    return True
+    """True iff each of x_1 .. x_{n-r} has a pure power among the generators:
+    one whose support is the guard bit of that variable alone."""
+    pack = _packing(lm.n)
+    supports = set(map(pack.support, lm.keys))
+    return all(1 << (s + pack.bits - 1) in supports for s in pack.shifts[: lm.n - r])
 
 
 def check_weakly_revlex(lm: MonomialIdeal) -> bool:
@@ -197,15 +199,26 @@ def check_weakly_revlex(lm: MonomialIdeal) -> bool:
     lies in the ideal.
 
     The monomials preceding a generator include those preceding every larger
-    generator of its degree, so each degree is checked once, at its
-    DRL-smallest generator: the last of its degree in the DRL-descending
-    ``gens``, whose predecessors are a prefix of ``monomials_of_degree``.
+    generator of its degree, so each degree d is checked once, at its largest
+    key, against the generators of degree <= d: the keys from -d 2^(32 n) on.
     """
-    smallest = {mono_deg(g): g for g in lm.gens}
+    pack = _packing(lm.n)
+    guard, keys = pack.guard, lm.keys
+    smallest = {pack.degree(g): g for g in keys}
     for d, g in smallest.items():
-        monoms = monomials_of_degree(lm.n, d)
-        if not all(lm.contains(t) for t in monoms[: monoms.index(g)]):
-            return False
+        monoms = _packed_monomials(lm.n, d)
+        below = keys[bisect.bisect_left(keys, -d * pack.unit):]
+        last = below[0]  # neighbouring monomials tend to share a divisor
+        for t in monoms[: bisect.bisect_left(monoms, g)]:
+            top = t | guard
+            if (top - last) & guard == guard:
+                continue
+            for h in below:
+                if (top - h) & guard == guard:
+                    last = h
+                    break
+            else:
+                return False
     return True
 
 

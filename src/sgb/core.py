@@ -92,10 +92,6 @@ class PrimeField:
 # ---------------------------------------------------------------------------
 
 
-def mono_deg(m: Monom) -> int:
-    return sum(m)
-
-
 def mono_mul(a: Monom, b: Monom) -> Monom:
     return tuple(x + y for x, y in zip(a, b))
 
@@ -421,7 +417,7 @@ class _Packing:
     keys ascend, so the leading term comes first.
     """
 
-    __slots__ = ("n", "bits", "shifts", "unit", "mask", "guard", "limit")
+    __slots__ = ("n", "bits", "shifts", "unit", "mask", "guard", "ones", "limit")
 
     def __init__(self, n: int):
         w = _PACK_BITS
@@ -431,6 +427,7 @@ class _Packing:
         self.unit = 1 << (w * n)  # key of degree one, exponents aside
         self.mask = self.unit - 1
         self.guard = sum(1 << (s + w - 1) for s in self.shifts)
+        self.ones = sum(1 << s for s in self.shifts)
         self.limit = 1 << (w - 1)
 
     def degree(self, k: int) -> int:
@@ -448,6 +445,10 @@ class _Packing:
         self.check(d)
         return sum(e << s for e, s in zip(m, self.shifts)) - d * self.unit
 
+    def variable(self, i: int) -> int:
+        """Key of x_(i+1)."""
+        return (1 << self.shifts[i]) - self.unit
+
     def unpack(self, k: int) -> Monom:
         r = k & self.mask
         field = (1 << self.bits) - 1
@@ -455,6 +456,11 @@ class _Packing:
 
     def divides(self, a: int, b: int) -> bool:
         return ((b | self.guard) - a) & self.guard == self.guard
+
+    def support(self, k: int) -> int:
+        """The guard bits of the nonzero exponent fields of ``k``: a field
+        e_i + 2^(w-1) - 1 keeps its guard iff e_i >= 1."""
+        return ((k | self.guard) - self.ones) & self.guard
 
     def lcm(self, a: int, b: int) -> int:
         """lcm of two packed monomials: ``b`` times the fieldwise excess
@@ -470,6 +476,17 @@ class _Packing:
 
     def polynomial(self, terms: dict, fld: PrimeField) -> Polynomial:
         return Polynomial(fld, self.n, {self.unpack(k): c for k, c in terms.items()})
+
+
+@functools.lru_cache(maxsize=None)
+def _packing(n: int) -> _Packing:
+    return _Packing(n)
+
+
+@functools.lru_cache(maxsize=None)
+def _packed_monomials(n: int, d: int) -> tuple:
+    """Keys of ``monomials_of_degree(n, d)``, ascending."""
+    return tuple(map(_packing(n).pack, monomials_of_degree(n, d)))
 
 
 # ---------------------------------------------------------------------------

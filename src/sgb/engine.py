@@ -17,13 +17,14 @@ elimination supplied by a row of a generator below j.
 
 Inside the engine every monomial is a packed int (``core._Packing``),
 key(m) = sum_i m_i 2^(32 i) - deg(m) 2^(32 n), from the Macaulay rows to the
-returned basis; tuples appear only at the edges (``Polynomial``, and the
-labels and owners of ``MacaulayMatrix``/``build_macaulay``).  A smaller key
-is a DRL-larger monomial, so a packed polynomial is a dict whose keys ascend
-from its leading term and the term heap holds plain ints; a product is a sum
-of keys, so a shifted row or tail is its keys plus one shift.  Divisibility
-uses the guard bit at the top of each 32-bit field: a | b iff ((b | G) - a)
-& G == G.  A degree of 2^31 or more raises DegreeTooLarge rather than wrap.
+returned basis, whose leading keys go on to ``hilbert.MonomialIdeal``;
+tuples appear only at the edges (``Polynomial``, and the labels and owners
+of ``MacaulayMatrix``/``build_macaulay``).  A smaller key is a DRL-larger
+monomial, so a packed polynomial is a dict whose keys ascend from its
+leading term and the term heap holds plain ints; a product is a sum of keys,
+so a shifted row or tail is its keys plus one shift.  Divisibility uses the
+guard bit at the top of each 32-bit field: a | b iff ((b | G) - a) & G ==
+G.  A degree of 2^31 or more raises DegreeTooLarge rather than wrap.
 
 Buchberger's loop (``_complete``, which ``buchberger`` and ``gb_up_to``
 share) reduces against one append-only reducer set that caches, per
@@ -38,7 +39,7 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field as _dc_field
 
 import numpy as np
 
@@ -52,11 +53,12 @@ from .errors import (
     DegreeTooSmall,
     EmptyBasis,
     InvalidDegree,
+    InvariantViolation,
     MatrixTooLarge,
     NotHomogeneous,
     ZeroPolynomial,
 )
-from .hilbert import minimalize
+from .hilbert import MonomialIdeal
 
 # Largest Macaulay matrix the engine builds (2^27 int64 cells are 1 GiB), and
 # the most cells a gb_up_to degree loop builds in all.
@@ -67,6 +69,8 @@ MAX_LOOP_DEGREES = 2**10
 # Most S-pair reductions one Buchberger loop makes, on every route: a count,
 # not a time, so a seeded run stops at the same pair on every machine.
 MAX_S_PAIRS = 200_000
+# Most terms one Buchberger loop's reductions pop, and again its interreduction's.
+MAX_REDUCTION_STEPS = 2_000_000
 
 # ---------------------------------------------------------------------------
 # Macaulay matrices
@@ -281,9 +285,10 @@ def rref_block(a: np.ndarray, p: int) -> RrefResult:
 @dataclass(frozen=True)
 class GroebnerBasis:
     """Complete reduced basis: monic elements sorted by (degree, descending
-    DRL leading monomial)."""
+    DRL leading monomial); ``keys`` are their packed leading keys, ascending."""
 
     elements: tuple
+    keys: tuple = _dc_field(default=(), compare=False, repr=False)
 
     def leading_monomials(self) -> tuple:
         return tuple(g.leading_monomial() for g in self.elements)
@@ -306,9 +311,10 @@ class _Reducers:
     """Append-only packed reducers of one run: leading keys, inverses of the
     leading coefficients, and tails as ``(key, coefficient)`` lists.
     ``divisor`` maps a key to the index of its first dividing reducer, or to
-    ``~k`` for a miss after checking ``k`` reducers."""
+    ``~k`` for a miss after checking ``k`` reducers.  ``steps`` is how many
+    more terms reductions against them may pop."""
 
-    __slots__ = ("pack", "lms", "lc_invs", "tails", "divisor")
+    __slots__ = ("pack", "lms", "lc_invs", "tails", "divisor", "steps")
 
     def __init__(self, pack):
         self.pack = pack
@@ -316,6 +322,7 @@ class _Reducers:
         self.lc_invs = []
         self.tails = []
         self.divisor = {}
+        self.steps = MAX_REDUCTION_STEPS
 
     def add(self, terms: dict, lc_inv: int = 1) -> None:
         """Append a packed polynomial (keys ascending) with the inverse of its
@@ -350,7 +357,8 @@ def _reduce(terms: dict, reducers: _Reducers, p: int) -> dict:
     and each is reduced by the first reducer in list order whose leading
     monomial divides it.  A shifted tail is its keys plus one shift.  Work
     values are reduced mod p only when their term is popped; a term enters
-    the heap once, as every term added is below the popped one.
+    the heap once, as every term added is below the popped one.  Each pop
+    spends one of ``reducers.steps``.
     """
     lms, lc_invs, tails = reducers.lms, reducers.lc_invs, reducers.tails
     divisor, find = reducers.divisor, reducers.find
@@ -360,7 +368,11 @@ def _reduce(terms: dict, reducers: _Reducers, p: int) -> dict:
     heap = list(work)
     heapq.heapify(heap)
     remainder = {}
+    left = reducers.steps
     while heap:
+        if not left:
+            raise BudgetExhausted(f"over {MAX_REDUCTION_STEPS} reduction steps")
+        left -= 1
         m = heappop(heap)
         c = work.pop(m) % p
         if not c:
@@ -381,6 +393,7 @@ def _reduce(terms: dict, reducers: _Reducers, p: int) -> dict:
                 heappush(heap, k)
             else:
                 work[k] = old + scale * gc
+    reducers.steps = left
     return remainder
 
 
@@ -460,7 +473,8 @@ def _reduced_basis(G, pack, fld, above: int | None = None) -> GroebnerBasis:
         done.add(g)
         kept.append((pack.degree(lm), lm, g))
     kept.sort(key=lambda e: e[:2])
-    return GroebnerBasis(tuple(pack.polynomial(g, fld) for _, _, g in kept))
+    elements = tuple(pack.polynomial(g, fld) for _, _, g in kept)
+    return GroebnerBasis(elements, tuple(reversed(done.lms)))
 
 
 def _complete(G, pack, fld, above: int | None = None) -> GroebnerBasis:
@@ -472,10 +486,11 @@ def _complete(G, pack, fld, above: int | None = None) -> GroebnerBasis:
     that degree, so every initial pair whose lcm has degree <= ``above``
     reduces to zero and is dropped, and ``G`` is not reduced again: the loop
     adds elements of higher degree only, which divide none of their terms.  A
-    loop that would reduce more than ``MAX_S_PAIRS`` S-pairs raises
-    BudgetExhausted.  Every term met in a reduction lies below the pair's
-    lcm, so with the input terms packed (DegreeTooLarge beyond the width),
-    checking each selected lcm keeps every exponent inside its field.
+    loop that would reduce more than ``MAX_S_PAIRS`` S-pairs, or pop more
+    than ``MAX_REDUCTION_STEPS`` terms, raises BudgetExhausted.  Every term
+    met in a reduction lies below the pair's lcm, so with the input terms
+    packed (DegreeTooLarge beyond the width), checking each selected lcm
+    keeps every exponent inside its field.
     """
     p = fld.p
     G = list(G)
@@ -510,8 +525,9 @@ def _complete(G, pack, fld, above: int | None = None) -> GroebnerBasis:
 def buchberger(system: PolySystem) -> GroebnerBasis:
     """Complete reduced DRL Groebner basis (normal pair selection,
     Gebauer-Moeller pair pruning); raises BudgetExhausted after
-    ``MAX_S_PAIRS`` S-pair reductions.  The input is packed once; a term of
-    degree 2^31 or more raises DegreeTooLarge.
+    ``MAX_S_PAIRS`` S-pair reductions or ``MAX_REDUCTION_STEPS`` popped
+    terms.  The input is packed once; a term of degree 2^31 or more raises
+    DegreeTooLarge.
     """
     if not system.polys:
         raise EmptyBasis("cannot compute a basis for an empty system")
@@ -566,9 +582,11 @@ def gb_up_to(system: PolySystem, cap: int) -> GroebnerBasis:
     return _complete(collected, pack, fld, above=cap)
 
 
-def leading_monomial_ideal(basis: GroebnerBasis):
-    """Minimal generators of <LM(G)> as a MonomialIdeal."""
+def leading_monomial_ideal(basis: GroebnerBasis) -> MonomialIdeal:
+    """Minimal generators of <LM(G)> as a MonomialIdeal: the packed leading
+    keys of the reduced basis, which no other divides."""
     if not basis.elements:
         raise EmptyBasis("empty basis has no leading-monomial ideal")
-    n = basis.elements[0].n
-    return minimalize(basis.leading_monomials(), n)
+    if len(basis.keys) != len(basis.elements):
+        raise InvariantViolation("a basis must carry the leading key of each element")
+    return MonomialIdeal(basis.elements[0].n, basis.keys)

@@ -3,109 +3,133 @@ Hilbert function, and the regularity measures derived from them.
 
 Everything is driven by the numerator N(z) with HS_{R/J} = N(z)/(1-z)^n;
 the brute-force standard-monomial count is kept as an independent oracle.
+
+Generators are the engine's packed keys (``core._Packing``), key(m) =
+sum_i m_i 2^(32 i) - deg(m) 2^(32 n): a smaller key is a DRL-larger
+monomial, a | b iff ((b | G) - a) & G == G for the guard bits G at the top
+of each field, and the colon of g by m is lcm(g, m) - m.  Tuples appear only
+at the edges: ``minimalize``'s input, ``MonomialIdeal.gens`` and the
+``hilbert_function`` oracle.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
-from .core import Monom, drl_key, mono_divides, monomials_of_degree
-from .errors import DimensionMismatch, InvariantViolation, UnitIdeal
-from .series import degree_product, divide_by_one_minus_z, poly_eval, poly_trim
+from .core import Monom, _packing, monomials_of_degree
+from .errors import DimensionMismatch, InvalidDegree, InvariantViolation, UnitIdeal
+from .series import degree_product, divide_by_one_minus_z, poly_eval, poly_sub, poly_trim
 
 # ---------------------------------------------------------------------------
 # monomial ideals
 # ---------------------------------------------------------------------------
 
 
+def _pack(n: int, m: Monom) -> int:
+    """Key of ``m``, refusing a wrong length, a negative exponent (it would
+    borrow from the next field) and a degree of 2^31 or more."""
+    if len(m) != n:
+        raise DimensionMismatch(f"generator {m} has {len(m)} exponents, expected {n}")
+    if min(m, default=0) < 0:
+        raise InvalidDegree(f"monomial {m} has a negative exponent")
+    return _packing(n).pack(m)
+
+
+def _minimal(keys, guard: int) -> tuple:
+    """The keys no other divides, ascending.  In descending order a proper
+    divisor, a larger key, comes first, so a key stays iff no kept key does."""
+    kept = []
+    for k in sorted(set(keys), reverse=True):
+        top = k | guard
+        for g in kept:
+            if (top - g) & guard == guard:
+                break
+        else:
+            kept.append(k)
+    kept.reverse()
+    return tuple(kept)
+
+
 @dataclass(frozen=True)
 class MonomialIdeal:
-    """Monomial ideal given by its minimal generators, DRL-descending."""
+    """Monomial ideal given by its minimal generators as packed keys, in
+    ascending order, which is DRL-descending."""
 
     n: int
-    gens: tuple
+    keys: tuple
+
+    @staticmethod
+    def generated_by(n: int, keys) -> "MonomialIdeal":
+        """The ideal of the packed monomials ``keys``, minimalized."""
+        return MonomialIdeal(n, _minimal(keys, _packing(n).guard))
+
+    @functools.cached_property
+    def gens(self) -> tuple:
+        """The minimal generators as exponent tuples, DRL-descending."""
+        unpack = _packing(self.n).unpack
+        return tuple(unpack(k) for k in self.keys)
 
     def contains(self, m: Monom) -> bool:
-        return any(mono_divides(g, m) for g in self.gens)
+        guard = _packing(self.n).guard
+        top = _pack(self.n, m) | guard
+        return any((top - g) & guard == guard for g in self.keys)
 
     def is_unit(self) -> bool:
-        return (0,) * self.n in self.gens
+        return 0 in self.keys[-1:]  # the key of 1 is the largest key
 
     def __iter__(self):
         return iter(self.gens)
 
 
 def minimalize(gens, n: int) -> MonomialIdeal:
-    """Drop divisibility-redundant generators and canonically order the rest."""
-    kept = []
-    for m in sorted(set(gens), key=lambda g: (sum(g), drl_key(g))):
-        if len(m) != n:
-            raise DimensionMismatch(f"generator {m} has {len(m)} exponents, expected {n}")
-        if not any(mono_divides(g, m) for g in kept):
-            kept.append(m)
-    kept.sort(key=drl_key, reverse=True)
-    return MonomialIdeal(n, tuple(kept))
+    """Drop divisibility-redundant generators and canonically order the rest;
+    each generator is checked and packed once."""
+    return MonomialIdeal.generated_by(n, [_pack(n, m) for m in gens])
 
 
 # ---------------------------------------------------------------------------
-# Hilbert numerator N(z), via pivot recursion on monomial generators
+# Hilbert numerator N(z), via pivot recursion on packed generators
 # ---------------------------------------------------------------------------
 
 
-def _is_pure_power(m: Monom) -> bool:
-    return sum(1 for e in m if e) == 1
-
-
-def _pure_power_numerator(gens) -> list:
-    """prod (1 - z^deg(g)) over pure powers; [] once a generator is 1."""
-    degrees = [sum(g) for g in gens]
-    return degree_product(degrees) if all(degrees) else []
-
-
-def _shift_add(a, b, s, sign=1):
-    """a + sign * z^s * b."""
-    out = list(a) + [0] * max(0, s + len(b) - len(a))
-    for j, y in enumerate(b):
-        out[s + j] += sign * y
-    return poly_trim(out)
-
-
-def _colon_by(gens, m: Monom):
-    """Generators of (<gens> : m)."""
-    return [tuple(max(e - me, 0) for e, me in zip(g, m)) for g in gens]
-
-
-def _numerator(gens, n, memo) -> list:
-    key = tuple(sorted(gens))
-    hit = memo.get(key)
+def _numerator(keys: tuple, pack, memo) -> list:
+    """N(z) of the ideal of ``keys``, an ascending tuple; [] for the unit
+    ideal, whose one generator 1 reads as a pure power of degree 0."""
+    hit = memo.get(keys)
     if hit is not None:
         return hit
-
-    if any(sum(g) == 0 for g in gens):
-        memo[key] = []
-        return []
-    pure = [g for g in gens if _is_pure_power(g)]
-    mixed = [g for g in gens if not _is_pure_power(g)]
-    if len(mixed) == 0:
-        out = _pure_power_numerator(pure)
+    top, guard, ones = pack.bits * pack.n, pack.guard, pack.ones
+    pure, mixed, counts = [], [], 0
+    for g in keys:
+        support = ((g | guard) - ones) & guard  # pack.support, inlined
+        if support & (support - 1):
+            mixed.append(g)
+            counts += support >> (pack.bits - 1)  # one per variable, packed
+        else:
+            pure.append(-(g >> top))  # a pure power: only its degree counts
+    if not mixed:
+        out = degree_product(pure) if all(pure) else []
     elif len(mixed) == 1:
+        # N(J) = N(pure) - z^deg(m) N(pure : m) for the one mixed generator m
         m = mixed[0]
-        colon = _pure_power_numerator(_colon_by(pure, m))
-        out = _shift_add(_pure_power_numerator(pure), colon, sum(m), -1)
+        colon = [-((pack.lcm(g, m) - m) >> top) for g in keys if g != m]
+        colon = degree_product(colon) if all(colon) else []
+        out = poly_sub(degree_product(pure), [0] * -(m >> top) + colon)
     else:
-        counts = [0] * n
-        for g in mixed:
-            for i, e in enumerate(g):
-                if e:
-                    counts[i] += 1
-        piv = max(range(n), key=lambda i: counts[i])
-        # N(J) = N(J + <x>) + z * N(J : x) for the pivot variable x
-        x = tuple(int(i == piv) for i in range(n))
-        plus = [g for g in gens if g[piv] == 0] + [x]
-        colon = minimalize(_colon_by(gens, x), n).gens
-        out = _shift_add(_numerator(plus, n, memo), _numerator(colon, n, memo), 1)
-    memo[key] = out
+        # N(J) = N(J + <x>) + z N(J : x) for the variable x in the most
+        # mixed generators, the first of those
+        field = (1 << pack.bits) - 1
+        tally = [(counts >> s) & field for s in pack.shifts]
+        piv = tally.index(max(tally))
+        s = pack.shifts[piv]
+        x = pack.variable(piv)
+        plus = tuple(sorted([g for g in keys if not (g >> s) & field] + [x]))
+        colon = _minimal([g - x if (g >> s) & field else g for g in keys], guard)
+        colon = _numerator(colon, pack, memo)
+        out = poly_sub(_numerator(plus, pack, memo), [0] + [-c for c in colon])
+    memo[keys] = out
     return out
 
 
@@ -114,9 +138,7 @@ def hilbert_numerator(J: MonomialIdeal) -> list:
 
     N(0) = 1 for proper J; the unit ideal yields the zero polynomial.
     """
-    if not J.gens:
-        return [1]
-    return _numerator(list(J.gens), J.n, {})
+    return _numerator(J.keys, _packing(J.n), {})
 
 
 # ---------------------------------------------------------------------------
@@ -126,16 +148,15 @@ def hilbert_numerator(J: MonomialIdeal) -> list:
 
 def krull_dim(J: MonomialIdeal) -> int:
     """Krull dimension of R/J: n minus the least number of variables meeting
-    the support of every generator."""
+    the support of every generator, both read as guard bits."""
     if J.is_unit():
         raise UnitIdeal("quotient by the unit ideal has no dimension")
-    supports = [frozenset(i for i, e in enumerate(g) if e) for g in J.gens]
-    if not supports:
-        return J.n
-    for size in range(1, J.n + 1):
-        for cover in itertools.combinations(range(J.n), size):
-            cset = set(cover)
-            if all(s & cset for s in supports):
+    pack = _packing(J.n)
+    supports = set(map(pack.support, J.keys))
+    variables = [1 << (s + pack.bits - 1) for s in pack.shifts]
+    for size in range(J.n + 1):
+        for cover in map(sum, itertools.combinations(variables, size)):
+            if all(s & cover for s in supports):
                 return J.n - size
     raise AssertionError("unreachable: full variable set always covers")
 
@@ -179,19 +200,6 @@ class HilbertProfile:
         return self.krull_dim == 0
 
 
-def _divide_by_one_minus_z(poly):
-    """Exact quotient by (1 - z); returns None if the division is inexact."""
-    out = []
-    run = 0
-    for c in poly:
-        run += c
-        out.append(run)
-    if run != 0:
-        return None
-    out.pop()
-    return poly_trim(out)
-
-
 def regularity_profile(J: MonomialIdeal) -> HilbertProfile:
     """Full exact profile: numerator, dimension, h-polynomial and the three
     regularity measures, with the stabilization degree cross-checked against
@@ -202,49 +210,27 @@ def regularity_profile(J: MonomialIdeal) -> HilbertProfile:
     r = krull_dim(J)
     h = list(numerator)
     for _ in range(J.n - r):
-        nxt = _divide_by_one_minus_z(h)
-        if nxt is None:
+        # the prefix sums of h are h / (1 - z); the last one is h(1)
+        *h, rest = itertools.accumulate(h)
+        if rest:
             raise InvariantViolation("(1-z)^(n-r) must divide the numerator exactly")
-        h = nxt
+        h = poly_trim(h)
     if poly_eval(h, 1) == 0:
         raise InvariantViolation("h-polynomial must not vanish at 1")
-    deg_h = len(h) - 1
-    hilb = deg_h - r + 1
+    hilb = len(h) - r
 
-    d_reg = None
-    gen_d_reg = None
-    hp_constant = None
+    d_reg = gen_d_reg = hp_constant = None
     if r == 0:
         # HF(d) = h_d; first zero value and stabilization coincide
-        stab = deg_h + 1
-        d_reg = gen_d_reg = stab
+        d_reg = gen_d_reg = len(h)
     elif r == 1:
         # HF(d) is the partial sum of h; stabilization is past the last
         # partial sum that still differs from h(1)
-        total = poly_eval(h, 1)
-        partial, run = [], 0
-        for c in h:
-            run += c
-            partial.append(run)
-        stab = 0
-        for i in range(len(partial) - 1, -1, -1):
-            if partial[i] != total:
-                stab = i + 1
-                break
-        gen_d_reg = stab
-        hp_constant = total
-    if r <= 1:
-        measured = gen_d_reg if r else d_reg
-        if measured != hilb:
-            raise InvariantViolation(
-                f"stabilization degree {measured} disagrees with deg(h)-r+1={hilb}"
-            )
-    return HilbertProfile(
-        numerator=tuple(numerator),
-        krull_dim=r,
-        h_poly=tuple(h),
-        hilb=hilb,
-        d_reg=d_reg,
-        gen_d_reg=gen_d_reg,
-        hp_constant=hp_constant,
-    )
+        hp_constant = poly_eval(h, 1)
+        partial = enumerate(itertools.accumulate(h), 1)
+        gen_d_reg = max((i for i, s in partial if s != hp_constant), default=0)
+    if r <= 1 and gen_d_reg != hilb:
+        raise InvariantViolation(
+            f"stabilization degree {gen_d_reg} disagrees with deg(h)-r+1={hilb}"
+        )
+    return HilbertProfile(tuple(numerator), r, tuple(h), hilb, d_reg, gen_d_reg, hp_constant)

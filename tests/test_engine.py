@@ -6,6 +6,7 @@ import contextlib
 import hashlib
 import math
 import random
+import time
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from sgb import (
     is_regular_sequence,
     leading_monomial_ideal,
     max_gb_deg,
+    minimalize,
     mono_divides,
     mono_lcm,
     mono_div,
@@ -42,6 +44,7 @@ from sgb.errors import (
     DegreeTooLarge,
     DegreeTooSmall,
     EmptyBasis,
+    InvariantViolation,
     MatrixTooLarge,
     NotHomogeneous,
     ZeroPolynomial,
@@ -776,6 +779,31 @@ class TestGroebner:
         monkeypatch.setattr(engine, "MAX_S_PAIRS", 10_000)
         assert [str(g) for g in buchberger(system)] == [str(g) for g in default]
 
+    def test_reduction_steps_are_bounded(self, f31):
+        # each step trades one power of x1 for one of x2, so the first
+        # S-polynomial needs about 2^29 reduction steps
+        e = 2**29
+        system = PolySystem(f31, 2, (
+            Polynomial(f31, 2, {(e, 0): 1, (0, e): 3}),
+            Polynomial(f31, 2, {(1, 0): 1, (0, 1): 1}),
+        ))
+        start = time.perf_counter()
+        with pytest.raises(BudgetExhausted, match="reduction"):
+            buchberger(system)
+        assert time.perf_counter() - start < 5
+
+    @pytest.mark.parametrize("n, m, steps", [(3, 4, 44), (4, 5, 246)])
+    def test_reduction_step_count_is_pinned(self, f31, monkeypatch, n, m, steps):
+        # the budget is a count of popped terms, so a run stops at the same
+        # step on every machine
+        system = sample_system(n, m, (2,) * m, f31, seed=3)
+        default = buchberger(system)
+        monkeypatch.setattr(engine, "MAX_REDUCTION_STEPS", steps)
+        assert buchberger(system) == default
+        monkeypatch.setattr(engine, "MAX_REDUCTION_STEPS", steps - 1)
+        with pytest.raises(BudgetExhausted):
+            buchberger(system)
+
     @pytest.mark.parametrize(
         "n, m, seed, pairs, growth",
         [(6, 7, 1, 128, "c3d6a11e214f2066"), (4, 5, 3, 27, "409e73f33e21ea77")],
@@ -869,3 +897,36 @@ class TestF5Pruning:
         owners = {2: {m2.columns[c]: m2.row_labels[i][1] for c, i in owned}}
         full, pruned = build_macaulay(system, 4), build_macaulay(system, 4, owners)
         assert set(full.row_labels) - set(pruned.row_labels) == {((2, 0), 1)}
+
+
+@st.composite
+def basis_cases(draw):
+    """A dense or Z system over F_2, F_3 or F_31, of any dimension."""
+    fld = PrimeField(draw(st.sampled_from((2, 3, 31))))
+    n = draw(st.integers(2, 4))
+    m = draw(st.integers(1, n + 1))
+    degrees = tuple(draw(st.lists(st.integers(1, 3), min_size=m, max_size=m)))
+    sampler = draw(st.sampled_from((sample_system, sample_Z_system)))
+    return sampler(n, m, degrees, fld, seed=draw(st.integers(0, 2**32)))
+
+
+class TestLeadingMonomialIdeal:
+    @settings(max_examples=150, deadline=None)
+    @given(basis_cases())
+    def test_packed_keys_match_the_leading_monomials(self, system):
+        # the ideal is read from the packed leading keys the engine kept,
+        # not from the elements' sorted terms
+        basis = buchberger(system)
+        lm = leading_monomial_ideal(basis)
+        expected = minimalize(basis.leading_monomials(), system.n)
+        assert lm == expected
+        assert lm.gens == expected.gens
+        assert set(lm.gens) == set(basis.leading_monomials())
+
+    def test_basis_without_its_keys_is_refused(self, f7):
+        # a hand-built basis has no packed leading keys to read
+        from sgb import GroebnerBasis
+
+        basis = buchberger(fixture_f1_f2(f7))
+        with pytest.raises(InvariantViolation):
+            leading_monomial_ideal(GroebnerBasis(basis.elements))

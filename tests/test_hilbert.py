@@ -1,9 +1,12 @@
 """Monomial-ideal Hilbert data: numerator recursion against the brute-force
-standard-monomial count, Krull dimension, and the regularity profile."""
+standard-monomial count, Krull dimension, and the regularity profile; the
+packed generators against plain tuple loops."""
 
+import itertools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sgb import (
     expand_hilbert_series,
@@ -14,8 +17,15 @@ from sgb import (
     monomials_of_degree,
     regularity_profile,
 )
-from sgb import hilbert
-from sgb.errors import DimensionMismatch, InvariantViolation, SgbError, UnitIdeal
+from sgb import check_weakly_revlex, drl_compare, hilbert
+from sgb.errors import (
+    DegreeTooLarge,
+    DimensionMismatch,
+    InvalidDegree,
+    InvariantViolation,
+    SgbError,
+    UnitIdeal,
+)
 from sgb.series import poly_eval, poly_trim
 
 
@@ -47,6 +57,18 @@ class TestMinimalize:
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
             minimalize([(1, 0), (1, 0, 0)], 2)
+
+    def test_exponents_that_do_not_pack_are_refused(self):
+        # a negative exponent would borrow from the next field of its key
+        for gens in ([(2**31, 0)], [(2**30, 2**30)], [(0, 2**31 - 1), (1, 2**31 - 1)]):
+            with pytest.raises(DegreeTooLarge):
+                minimalize(gens, 2)
+        with pytest.raises(InvalidDegree) as err:
+            minimalize([(-1, 2)], 2)
+        assert isinstance(err.value, SgbError)
+        with pytest.raises(InvalidDegree):
+            minimalize([(1, 0), (3, -1)], 2)
+        assert minimalize([(2**31 - 1, 0)], 2).gens == ((2**31 - 1, 0),)
 
     def test_same_ideal_membership(self):
         rng = random.Random(0)
@@ -203,3 +225,116 @@ class TestRegularityProfile:
                 assert values[prof.d_reg] == 0
                 if prof.d_reg > 0:
                     assert values[prof.d_reg - 1] > 0
+
+
+# ---------------------------------------------------------------------------
+# the packed layer against plain tuple loops
+# ---------------------------------------------------------------------------
+
+TOP = 2**31 - 1  # largest degree a packed monomial holds
+
+
+def tuple_divides(a, b):
+    return all(x <= y for x, y in zip(a, b))
+
+
+@st.composite
+def monomial_lists(draw, big=False):
+    """n in 1..5 and a list of exponent tuples: small exponents, the unit
+    monomial now and then, and with ``big`` one exponent near 2^31 - 1."""
+    n = draw(st.integers(1, 5))
+    gens = []
+    for _ in range(draw(st.integers(0, 7))):
+        m = draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
+        if draw(st.integers(0, 19)) == 0:
+            m = [0] * n
+        elif big and draw(st.booleans()):
+            i = draw(st.integers(0, n - 1))
+            m[i] = 0
+            m[i] = TOP - sum(m) - draw(st.integers(0, 2))
+        gens.append(tuple(m))
+    return n, gens
+
+
+def tuple_minimal(gens):
+    """Generators that no other divides, one copy each."""
+    distinct = set(gens)
+    return {g for g in distinct if not any(h != g and tuple_divides(h, g) for h in distinct)}
+
+
+def tuple_cover_dim(n, gens):
+    """n minus the least number of variables meeting every generator's
+    support, by trying every subset; None for the unit ideal."""
+    supports = [{i for i, e in enumerate(g) if e} for g in gens]
+    if any(not s for s in supports):
+        return None
+    for size in range(n + 1):
+        for cover in itertools.combinations(range(n), size):
+            if all(s & set(cover) for s in supports):
+                return n - size
+
+
+def tuple_weakly_revlex(n, gens):
+    """Every monomial DRL-above a generator, of its degree, lies in the ideal."""
+    return all(
+        any(tuple_divides(h, t) for h in gens)
+        for g in gens
+        for t in monomials_of_degree(n, sum(g))
+        if drl_compare(t, g) == 1
+    )
+
+
+class TestPackedIdeals:
+    @settings(max_examples=300, deadline=None)
+    @given(monomial_lists(big=True))
+    def test_minimal_generators(self, case):
+        n, gens = case
+        J = minimalize(gens, n)
+        assert set(J.gens) == tuple_minimal(gens)
+        assert len(J.gens) == len(set(J.gens))
+        # DRL-descending, ascending keys
+        assert all(drl_compare(a, b) == 1 for a, b in zip(J.gens, J.gens[1:]))
+        assert list(J.keys) == sorted(J.keys)
+        assert J.is_unit() == ((0,) * n in gens)
+        for m in set(gens) | {(1,) * n, (TOP,) + (0,) * (n - 1)}:
+            assert J.contains(m) == any(tuple_divides(g, m) for g in gens)
+
+    @settings(max_examples=300, deadline=None)
+    @given(monomial_lists(big=True))
+    def test_krull_dim(self, case):
+        n, gens = case
+        J = minimalize(gens, n)
+        expected = tuple_cover_dim(n, J.gens)
+        if expected is None:
+            with pytest.raises(UnitIdeal):
+                krull_dim(J)
+        else:
+            assert krull_dim(J) == expected
+
+    @settings(max_examples=150, deadline=None)
+    @given(monomial_lists())
+    def test_numerator_against_hilbert_function(self, case):
+        n, gens = case
+        J = minimalize(gens, n)
+        top = max((sum(g) for g in gens), default=0) + 3
+        hf = expand_hilbert_series(hilbert_numerator(J), n, top)
+        assert hf == [hilbert_function(J, d) for d in range(top + 1)]
+        assert hf == [brute_force_hf(J, d) for d in range(top + 1)]
+
+    @settings(max_examples=300, deadline=None)
+    @given(monomial_lists())
+    def test_weakly_revlex(self, case):
+        n, gens = case
+        J = minimalize(gens, n)
+        assert check_weakly_revlex(J) == tuple_weakly_revlex(n, J.gens)
+
+    def test_empty_and_unit_ideals(self):
+        for n in range(1, 6):
+            empty, unit = minimalize([], n), minimalize([(0,) * n, (1,) * n], n)
+            assert empty.gens == () and unit.gens == ((0,) * n,)
+            assert hilbert_numerator(empty) == [1] and hilbert_numerator(unit) == []
+            assert krull_dim(empty) == n
+            with pytest.raises(UnitIdeal):
+                krull_dim(unit)
+            assert check_weakly_revlex(empty) and check_weakly_revlex(unit)
+            assert not empty.is_unit() and unit.is_unit()
