@@ -28,6 +28,7 @@ from .core import (
 from .engine import GroebnerBasis, buchberger, gb_up_to, leading_monomial_ideal, max_gb_deg
 from .errors import (
     DegreeTooSmall,
+    DimensionMismatch,
     DimensionTooHigh,
     InvariantViolation,
     NotHomogeneous,
@@ -53,8 +54,8 @@ def groebner_basis(
     """Complete reduced basis from the Buchberger oracle, or from the
     Macaulay engine handing over to Buchberger's loop above ``cap``; both
     give the same basis, for every cap.  The cap defaults to, and is raised
-    to, the largest generator degree: a higher cap only builds more
-    matrices."""
+    to, the largest generator degree; a higher cap builds more matrices, up
+    to the first degree whose monomials are all leading ones."""
     if engine == "buchberger":
         return buchberger(system)
     if engine == "macaulay":
@@ -502,7 +503,7 @@ def sample_system(n: int, m: int, degrees, fld, seed: int) -> PolySystem:
     """Dense random homogeneous system: independently uniform coefficients on
     every degree-d_j monomial; deterministic for a fixed seed."""
     if len(degrees) != m:
-        raise ValueError(f"expected {m} degrees, got {len(degrees)}")
+        raise DimensionMismatch(f"expected {m} degrees, got {len(degrees)}")
     rng = random.Random(seed)
     return PolySystem(
         fld, n, tuple(_random_homogeneous(rng, fld, n, d) for d in degrees)
@@ -514,9 +515,9 @@ def sample_Z_system(n: int, m: int, degrees, fld, seed: int) -> PolySystem:
     polynomial forced to zero, so (0 : ... : 0 : 1) is a projective zero and
     the quotient is never Artinian."""
     if n < 2:
-        raise ValueError("the corner-vanishing construction needs n >= 2")
+        raise DimensionMismatch("the corner-vanishing construction needs n >= 2")
     if len(degrees) != m:
-        raise ValueError(f"expected {m} degrees, got {len(degrees)}")
+        raise DimensionMismatch(f"expected {m} degrees, got {len(degrees)}")
     rng = random.Random(seed)
     polys = []
     for d in degrees:

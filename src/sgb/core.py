@@ -20,6 +20,7 @@ from .errors import (
     BadModulus,
     DegreeTooLarge,
     DimensionMismatch,
+    InvalidDegree,
     MatrixTooLarge,
     ZeroInverse,
     ZeroPolynomial,
@@ -188,6 +189,10 @@ class Polynomial:
             c %= fld.p
             if c:
                 clean[m] = c
+        # one pass over all exponents in C: a min per monomial doubled the cost
+        if min(itertools.chain.from_iterable(coeffs), default=0) < 0:
+            bad = next(m for m in coeffs if min(m) < 0)
+            raise InvalidDegree(f"monomial {bad} has a negative exponent")
         object.__setattr__(self, "field", fld)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "coeffs", clean)

@@ -1,6 +1,7 @@
 """Macaulay matrices, exact RREF over F_p (naive and block variants), and
-complete reduced Groebner bases two ways: Macaulay elimination up to a degree
-finished by Buchberger's loop (``gb_up_to``), and the Buchberger oracle.
+complete reduced Groebner bases two ways: Macaulay elimination up to the first
+degree its leading monomials cover, or else up to a cap and finished by
+Buchberger's loop (``gb_up_to``), and the Buchberger oracle.
 
 Matrices are dense int64 numpy arrays with entries in [0, p) on input and
 output.  Elimination leaves rows in place and takes as each column's pivot
@@ -46,6 +47,7 @@ import numpy as np
 from .core import (
     PolySystem,
     _Packing,
+    _packed_monomials,
     monomials_of_degree,
 )
 from .errors import (
@@ -70,7 +72,7 @@ MAX_LOOP_DEGREES = 2**10
 # not a time, so a seeded run stops at the same pair on every machine.
 MAX_S_PAIRS = 200_000
 # Most terms one Buchberger loop's reductions pop, and again its interreduction's.
-MAX_REDUCTION_STEPS = 2_000_000
+MAX_REDUCTION_STEPS = 1_000_000
 
 # ---------------------------------------------------------------------------
 # Macaulay matrices
@@ -477,7 +479,7 @@ def _reduced_basis(G, pack, fld, above: int | None = None) -> GroebnerBasis:
     return GroebnerBasis(elements, tuple(reversed(done.lms)))
 
 
-def _complete(G, pack, fld, above: int | None = None) -> GroebnerBasis:
+def _complete(G, pack, fld, above: float | None = None) -> GroebnerBasis:
     """The reduced basis of the ideal of ``G``, a list of monic packed
     polynomials, by Buchberger's loop: normal pair selection, Gebauer-Moeller
     pair pruning, and one :class:`_Reducers` that grows with the basis.
@@ -485,13 +487,16 @@ def _complete(G, pack, fld, above: int | None = None) -> GroebnerBasis:
     When ``above`` is given, ``G`` must be the reduced Groebner basis up to
     that degree, so every initial pair whose lcm has degree <= ``above``
     reduces to zero and is dropped, and ``G`` is not reduced again: the loop
-    adds elements of higher degree only, which divide none of their terms.  A
+    adds elements of higher degree only, which divide none of their terms.
+    With ``above`` infinite ``G`` is the reduced basis, and no pair is made.  A
     loop that would reduce more than ``MAX_S_PAIRS`` S-pairs, or pop more
     than ``MAX_REDUCTION_STEPS`` terms, raises BudgetExhausted.  Every term
     met in a reduction lies below the pair's lcm, so with the input terms
     packed (DegreeTooLarge beyond the width), checking each selected lcm
     keeps every exponent inside its field.
     """
+    if above == math.inf:  # G is the reduced basis itself
+        return _reduced_basis(G, pack, fld, above)
     p = fld.p
     G = list(G)
     reducers = _Reducers(pack)
@@ -540,8 +545,11 @@ def buchberger(system: PolySystem) -> GroebnerBasis:
 def gb_up_to(system: PolySystem, cap: int) -> GroebnerBasis:
     """Complete reduced Groebner basis of a homogeneous system: degree-by-
     degree Macaulay RREFs up to degree ``cap``, then Buchberger's loop on the
-    pairs whose lcm lies above ``cap``.  The cap moves only the degree where
-    elimination hands over; the basis is the same for every cap accepted.
+    pairs whose lcm lies above ``cap``.  The loop stops before M_d, with no
+    pairs, at the first d where every degree-d monomial is divisible by a
+    collected leading monomial, as then every monomial above is too.  The cap
+    moves only the degree where elimination hands over; the basis is the same
+    for every cap accepted.
 
     Each M_d is built without the rows the F5 criterion skips; its owners
     (pivot monomial -> generator of the pivot row) serve the higher degrees.
@@ -558,13 +566,20 @@ def gb_up_to(system: PolySystem, cap: int) -> GroebnerBasis:
         raise DegreeTooSmall(f"cap {cap} below the largest generator degree {max(degrees)}")
     _check_degree_loop(system, min(degrees), cap)
 
-    fld = system.field
-    pack = _Packing(system.n)
+    fld, n = system.field, system.n
+    pack = _Packing(n)
     divides = pack.divides
     collected = []
     collected_lms = []
+    powers = 0  # guard bits of the variables with a pure power in collected_lms
     owners = {}
     for d in range(min(degrees), cap + 1):
+        # if every degree-d monomial is a leading one, so is every one above
+        if powers == pack.guard and all(
+            any(divides(g, t) for g in collected_lms)
+            for t in reversed(_packed_monomials(n, d))  # DRL-least first
+        ):
+            return _complete(collected, pack, fld, above=math.inf)
         mac = build_macaulay(system, d, owners)
         res = rref_naive(mac.matrix, fld.p)
         pivot_rows = zip(res.pivots, res.pivot_rows)
@@ -577,6 +592,9 @@ def gb_up_to(system: PolySystem, cap: int) -> GroebnerBasis:
             row = res.matrix[row_idx]
             collected.append({keys[i]: int(row[i]) for i in np.flatnonzero(row).tolist()})
             collected_lms.append(lm)
+            support = pack.support(lm)
+            if not support & (support - 1):
+                powers |= support
     # every leading monomial of degree <= cap in the ideal is divisible by a
     # collected one, so the rows are a Groebner basis up to degree cap
     return _complete(collected, pack, fld, above=cap)

@@ -39,6 +39,7 @@ from sgb.analysis import child_seed, normalized_form
 from sgb.errors import (
     BudgetExhausted,
     DegreeTooSmall,
+    DimensionMismatch,
     DimensionTooHigh,
     InvariantViolation,
     NotLinear,
@@ -545,5 +546,10 @@ class TestSamplers:
         assert len(seeds) == 1000
 
     def test_z_construction_needs_two_variables(self, f7):
-        with pytest.raises(ValueError):
+        with pytest.raises(DimensionMismatch):
             sample_Z_system(1, 2, (2, 2), f7, seed=0)
+
+    @pytest.mark.parametrize("sampler", [sample_system, sample_Z_system])
+    def test_wrong_degree_count_is_typed(self, f7, sampler):
+        with pytest.raises(DimensionMismatch, match="expected 3 degrees"):
+            sampler(3, 3, (2, 2), f7, seed=0)

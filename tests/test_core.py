@@ -27,6 +27,7 @@ from sgb import (
 from sgb.errors import (
     BadModulus,
     DimensionMismatch,
+    InvalidDegree,
     MatrixTooLarge,
     ZeroInverse,
     ZeroPolynomial,
@@ -178,6 +179,15 @@ class TestPolynomial:
     def test_no_zero_coefficients_stored(self, f7):
         f = Polynomial(f7, 2, {(1, 0): 7, (0, 1): 14, (0, 0): 3})
         assert f.coeffs == {(0, 0): 3}
+
+    def test_negative_exponent_is_refused(self, f7):
+        # packed, x1^-1 would borrow from x2: Buchberger once returned
+        # x1^4294967295*x2^2 + x1 for x1^-1*x2^3 + x1
+        with pytest.raises(InvalidDegree, match="negative"):
+            Polynomial(f7, 2, {(-1, 3): 1, (1, 0): 1})
+        with pytest.raises(InvalidDegree):
+            Polynomial(f7, 3, {(0, 0, -2): 0})  # even with a zero coefficient
+        assert Polynomial(f7, 0, {(): 3}).coeffs == {(): 3}
 
     def test_zero_polynomial(self, f7):
         z = Polynomial.zero(f7, 2)

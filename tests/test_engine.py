@@ -22,6 +22,8 @@ from sgb import (
     gb_up_to,
     hilbert_function,
     is_regular_sequence,
+    krull_dim,
+    lazard_bound,
     leading_monomial_ideal,
     max_gb_deg,
     minimalize,
@@ -930,3 +932,91 @@ class TestLeadingMonomialIdeal:
         basis = buchberger(fixture_f1_f2(f7))
         with pytest.raises(InvariantViolation):
             leading_monomial_ideal(GroebnerBasis(basis.elements))
+
+
+def built_degrees(system, cap):
+    """The basis gb_up_to returns at ``cap``, and the degrees of the M_d it
+    builds and eliminates."""
+    with pytest.MonkeyPatch.context() as mp, eliminations(mp) as seen:
+        basis = gb_up_to(system, cap)
+    return basis, [mac.degree for mac, _ in seen]
+
+
+@st.composite
+def exit_cases(draw):
+    """A dense, Z, mixed-degree, sparse or power-led system over F_2, F_3 or
+    F_31, Artinian or not, and a cap from its largest generator degree to
+    the Lazard bound + 2.  Sparse generators (one to three terms), or a pure
+    power of each variable ahead of dense ones, give initial ideals that hold
+    a power of every variable before the last degree, so the cover test, not
+    its pure-power pre-test, decides."""
+    fld = PrimeField(draw(st.sampled_from((2, 3, 31))))
+    n = draw(st.integers(2, 4))
+    m = draw(st.integers(1, n + 2))
+    kind = draw(st.sampled_from(("dense", "Z", "mixed", "sparse", "powers")))
+    if kind in ("mixed", "sparse", "powers"):
+        degrees = tuple(draw(st.lists(st.integers(1, 3), min_size=m, max_size=m)))
+    else:
+        degrees = (draw(st.integers(1, 3)),) * m
+    if kind == "sparse":
+        coeff = st.integers(1, fld.p - 1)
+        polys = tuple(
+            Polynomial(fld, n, draw(st.dictionaries(
+                st.sampled_from(monomials_of_degree(n, d)), coeff, min_size=1, max_size=3
+            )))
+            for d in degrees
+        )
+        system = PolySystem(fld, n, polys)
+    else:
+        sampler = sample_Z_system if kind == "Z" else sample_system
+        system = sampler(n, m, degrees, fld, seed=draw(st.integers(0, 2**32)))
+    if kind == "powers":
+        exps = draw(st.lists(st.integers(2, 3), min_size=n, max_size=n))
+        powers = tuple(
+            Polynomial(fld, n, {tuple(e * (j == i) for j in range(n)): 1}) for i, e in enumerate(exps)
+        )
+        k = draw(st.integers(0, 1))  # with no other generator R/I is Gorenstein
+        system = PolySystem(fld, n, powers + system.polys[:k])
+        m, degrees = n + k, tuple(exps) + degrees[:k]
+    cap = draw(st.integers(max(degrees), lazard_bound(n, m, degrees) + 2))
+    return system, cap
+
+
+class TestCoverExit:
+    @settings(max_examples=120, deadline=None)
+    @given(exit_cases())
+    def test_stops_at_the_first_covered_degree(self, case):
+        # M_d is skipped, with every degree above it, iff every degree-d
+        # monomial is a multiple of a basis element of lower degree: d lies
+        # above the basis and HF(d) = 0, read from the oracle's leading ideal
+        system, cap = case
+        oracle = buchberger(system)
+        basis, built = built_degrees(system, cap)
+        assert basis == oracle and basis.keys == oracle.keys
+        lm = leading_monomial_ideal(oracle)
+        top = max_gb_deg(oracle)
+        stop = next((d for d in range(top + 1, cap + 1) if hilbert_function(lm, d) == 0), cap + 1)
+        assert built == list(range(min(system.degrees), stop))
+        if krull_dim(lm) > 0:  # never covered: every degree up to the cap
+            assert built == list(range(min(system.degrees), cap + 1))
+
+    @pytest.mark.parametrize("n, m, built", [(5, 6, [2, 3, 4]), (6, 7, [2, 3, 4]), (6, 6, [2, 3, 4, 5, 6, 7])])
+    def test_dense_quadrics_at_the_lazard_cap(self, f31, n, m, built):
+        # 5/6 and 6/7 stop after M_4; this 6/6 has a degree-7 basis element
+        # (the regularity), so M_7 is built
+        system = sample_system(n, m, (2,) * m, f31, seed=1)
+        basis, seen = built_degrees(system, lazard_bound(n, m, system.degrees))
+        assert seen == built and max_gb_deg(basis) == built[-1]
+        assert basis == buchberger(system)
+
+    def test_squares_skip_the_last_matrix(self, f31):
+        # x_i^2 in six variables: HF(7) = 0 with a basis of degree 2, so the
+        # Lazard cap's M_7 is never built, and no pair is formed
+        squares = tuple(Polynomial(f31, 6, {tuple(2 * (j == i) for j in range(6)): 1}) for i in range(6))
+        system = PolySystem(f31, 6, squares)
+        basis, seen = built_degrees(system, 7)
+        assert seen == [2, 3, 4, 5, 6] and basis.elements == squares
+
+    def test_z_systems_build_every_degree(self, f31):
+        system = sample_Z_system(4, 5, (2,) * 5, f31, seed=1)
+        assert built_degrees(system, 7)[1] == [2, 3, 4, 5, 6, 7]

@@ -269,7 +269,9 @@ class TestCliCommands:
         code, _, err = run_cli(
             ["experiment", "-n", "1", "-m", "2", "-d", "2,2", "--construction", "Z"]
         )
-        assert code == 1 and "error:" in err
+        assert code == 1 and "error: DimensionMismatch: " in err
+        code, _, err = run_cli(["experiment", "-n", "1", "-m", "1", "-d", "2", "--construction", "Z"])
+        assert code == 1 and "error: DimensionMismatch: " in err
         # help exits 0
         assert run_cli(["--help"])[0] == 0
 
