@@ -1,5 +1,6 @@
-"""Macaulay matrices, their F5 row pruning, exact RREF over F_p, and Groebner
-bases two ways: degree-by-degree linear algebra against the Buchberger oracle.
+"""Macaulay matrices, exact RREF over F_p, how the engine eliminates each
+degree from the rows of the degree below, and Groebner bases two ways:
+degree-by-degree linear algebra against the Buchberger oracle.
 
 Run:  python3 demos/04_macaulay_engine.py
 """
@@ -14,6 +15,8 @@ from sgb import (
     build_macaulay,
     gb_up_to,
     max_gb_deg,
+    mono_mul,
+    monomials_of_degree,
     rref_block,
     rref_naive,
 )
@@ -39,24 +42,40 @@ res = rref_naive(mac.matrix, 7)
 print("pivot columns:", res.pivots, "-> monomials",
       [mac.columns[c] for c in res.pivots])
 
-# The F5 criterion prunes rows that would reduce to zero.  In the RREF of
-# M_2, x1^2 is the pivot of a row of f1, so x1^2 lies in LM(<f1>) and the
-# degree-4 row x1^2 * f2 is in the span of the others: x1^2 * f2 =
-# x1*x2 * f1 - x2^2 * f2.  gb_up_to passes build_macaulay these owners
-# (pivot monomial -> generator of its pivot row) from every lower degree.
+# gb_up_to never builds M_3.  The RREF rows of degree 2 times each variable
+# (and the degree-3 generators, none here) span the same space (Faugere's
+# F4 reuse).  Each product x_k * u of a leading monomial u is a column of P;
+# the first row leading there is its pivot row, and those rows form a unit
+# upper triangular block.  Only the other rows, reduced by the pivot rows
+# (the Schur complement D of the Faugere-Lachartre split), are eliminated,
+# on the columns N outside P.
 m2 = build_macaulay(system, 2)
-res2 = rref_naive(m2.matrix, 7)
-owned = zip(res2.pivots, res2.pivot_rows)
-owners = {2: {m2.columns[c]: m2.row_labels[i][1] for c, i in owned}}
-full, pruned = build_macaulay(system, 4), build_macaulay(system, 4, owners)
-for name, m4 in (("full", full), ("pruned", pruned)):
-    print(f"\ndegree-4 Macaulay matrix, {name}, rank {rref_naive(m4.matrix, 7).rank}:")
-    print("rows", m4.row_labels)
-    print(m4.dump(), end="")
-assert set(full.row_labels) - set(pruned.row_labels) == {((2, 0), 1)}
-assert np.array_equal(
-    rref_naive(full.matrix, 7).matrix[:5], rref_naive(pruned.matrix, 7).matrix
-)
+r2 = rref_naive(m2.matrix, 7)
+columns = {m: i for i, m in enumerate(monomials_of_degree(2, 3))}
+products = []  # (variable, row of RREF(M_2), the shifted row)
+for k, x in enumerate(((1, 0), (0, 1))):
+    for i, row in enumerate(r2.matrix[: r2.rank]):
+        shifted = np.zeros(len(columns), dtype=np.int64)
+        for c in np.flatnonzero(row):
+            shifted[columns[mono_mul(m2.columns[c], x)]] = row[c]
+        products.append((k, i, shifted))
+reuse = np.array([row for _, _, row in products])
+assert np.array_equal(rref_naive(reuse, 7).matrix[: res.rank], res.matrix[: res.rank])
+leads = [int(np.flatnonzero(row)[0]) for row in reuse]
+pivot_rows = {lead: r for r, lead in reversed(list(enumerate(leads)))}
+P = sorted(pivot_rows)
+N = [c for c in range(len(columns)) if c not in pivot_rows]
+print("\nproducts x_k * row, leading columns", leads, "; P =", P, ", N =", N)
+pivot_block = reuse[[pivot_rows[c] for c in P]][:, P + N]  # [A | B]
+A = pivot_block[:, : len(P)]
+assert np.array_equal(np.diag(A), np.ones(len(P))) and not np.tril(A, -1).any()
+X = rref_naive(pivot_block, 7).matrix[:, len(P):]  # [I | A^-1 B]
+rest = [r for r in range(len(products)) if r not in pivot_rows.values()]
+D = (reuse[rest][:, N] - reuse[rest][:, P] @ X) % 7
+# the one repeated product, x2 * (x1^2 + x2^2), reduced by the pivot row
+# x1 * (x1*x2) that leads at x1^2*x2, is x2^3: the new leading monomial
+print("rows outside the pivots:", rest, "-> D =", D.tolist())
+assert D.tolist() == [[1]]
 
 # Degree-by-degree reduction finds the basis up to a cap, and Buchberger's
 # loop on the pairs above the cap finishes it; the result equals the

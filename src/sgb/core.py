@@ -198,6 +198,19 @@ class Polynomial:
         object.__setattr__(self, "coeffs", clean)
         object.__setattr__(self, "_terms", None)
 
+    @classmethod
+    def _of_clean(cls, fld: PrimeField, n: int, coeffs: dict) -> "Polynomial":
+        """A polynomial from a dict built clean, taken as it is: ``n``
+        non-negative exponents per monomial and coefficients in [1, p).  For
+        dicts the program makes from valid polynomials; input goes through
+        the checking constructor."""
+        f = object.__new__(cls)
+        object.__setattr__(f, "field", fld)
+        object.__setattr__(f, "n", n)
+        object.__setattr__(f, "coeffs", coeffs)
+        object.__setattr__(f, "_terms", None)
+        return f
+
     def __setattr__(self, *_):
         raise AttributeError("Polynomial is immutable")
 
@@ -281,11 +294,11 @@ class Polynomial:
                 out[m] = v
             else:
                 out.pop(m, None)
-        return Polynomial(self.field, self.n, out)
+        return Polynomial._of_clean(self.field, self.n, out)
 
     def __neg__(self) -> "Polynomial":
         p = self.field.p
-        return Polynomial(self.field, self.n, {m: p - c for m, c in self.coeffs.items()})
+        return Polynomial._of_clean(self.field, self.n, {m: p - c for m, c in self.coeffs.items()})
 
     def __sub__(self, other: "Polynomial") -> "Polynomial":
         return self + (-other)
@@ -304,7 +317,7 @@ class Polynomial:
                     out[m] = v
                 else:
                     out.pop(m, None)
-        return Polynomial(self.field, self.n, out)
+        return Polynomial._of_clean(self.field, self.n, out)
 
     __rmul__ = __mul__
 
@@ -312,16 +325,22 @@ class Polynomial:
         c %= self.field.p
         if c == 0:
             return Polynomial.zero(self.field, self.n)
-        p = self.field.p
-        return Polynomial(self.field, self.n, {m: v * c % p for m, v in self.coeffs.items()})
+        p = self.field.p  # c and every v are units, so v * c is one too
+        return Polynomial._of_clean(
+            self.field, self.n, {m: v * c % p for m, v in self.coeffs.items()}
+        )
 
     def term_mul(self, m: Monom, c: int = 1) -> "Polynomial":
         """Multiply by the term ``c * x^m``."""
+        if len(m) != self.n:
+            raise DimensionMismatch(f"monomial {m} has {len(m)} exponents, expected {self.n}")
+        if min(m, default=0) < 0:
+            raise InvalidDegree(f"monomial {m} has a negative exponent")
         c %= self.field.p
         if c == 0:
             return Polynomial.zero(self.field, self.n)
         p = self.field.p
-        return Polynomial(
+        return Polynomial._of_clean(
             self.field, self.n, {mono_mul(mm, m): v * c % p for mm, v in self.coeffs.items()}
         )
 
@@ -480,18 +499,30 @@ class _Packing:
         return {self.pack(m): c for m, c in f.terms()}
 
     def polynomial(self, terms: dict, fld: PrimeField) -> Polynomial:
-        return Polynomial(fld, self.n, {self.unpack(k): c for k, c in terms.items()})
+        """The polynomial of packed ``terms``, whose coefficients lie in [1, p)."""
+        return Polynomial._of_clean(fld, self.n, {self.unpack(k): c for k, c in terms.items()})
 
 
-@functools.lru_cache(maxsize=None)
 def _packing(n: int) -> _Packing:
+    """The shared packing of ``n`` variables at the current width."""
+    return _packing_at(n, _PACK_BITS)
+
+
+def _packed_monomials(n: int, d: int) -> tuple:
+    """Keys of ``monomials_of_degree(n, d)`` at the current width, ascending."""
+    return _packed_monomials_at(n, d, _PACK_BITS)
+
+
+# The width keys both caches, so a packing made at one width is never handed
+# out at another.
+@functools.lru_cache(maxsize=None)
+def _packing_at(n: int, bits: int) -> _Packing:
     return _Packing(n)
 
 
 @functools.lru_cache(maxsize=None)
-def _packed_monomials(n: int, d: int) -> tuple:
-    """Keys of ``monomials_of_degree(n, d)``, ascending."""
-    return tuple(map(_packing(n).pack, monomials_of_degree(n, d)))
+def _packed_monomials_at(n: int, d: int, bits: int) -> tuple:
+    return tuple(map(_packing_at(n, bits).pack, monomials_of_degree(n, d)))
 
 
 # ---------------------------------------------------------------------------

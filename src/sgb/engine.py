@@ -1,7 +1,7 @@
 """Macaulay matrices, exact RREF over F_p (naive and block variants), and
-complete reduced Groebner bases two ways: Macaulay elimination up to the first
-degree its leading monomials cover, or else up to a cap and finished by
-Buchberger's loop (``gb_up_to``), and the Buchberger oracle.
+complete reduced Groebner bases two ways: degree-by-degree elimination up to
+the first degree its leading monomials cover, or else up to a cap and
+finished by Buchberger's loop (``gb_up_to``), and the Buchberger oracle.
 
 Matrices are dense int64 numpy arrays with entries in [0, p) on input and
 output.  Elimination leaves rows in place and takes as each column's pivot
@@ -12,16 +12,22 @@ reduced before use, so every update subtracts a product of two residues, at
 most (p - 1)^2 < 2^62 for p < 2^31, and the trailing block is swept mod p
 only when the next update could pass 2^63 - 1.
 
-``gb_up_to`` prunes M_d by the F5 criterion: t * f_j is skipped when t is a
-leading monomial of <f_1..f_{j-1}>, read off as a pivot of the lower-degree
-elimination supplied by a row of a generator below j.
+``gb_up_to`` never builds M_d.  It keeps the RREF of the degree-(d - 1) part
+of the ideal as its leading monomials and their tails over the standard
+monomials, and eliminates degree d from those rows times each variable
+(Faugere's F4 reuse) and the degree-d generators, split as in
+Faugere-Lachartre: the first row leading at each product x_k * u is a pivot,
+those pivots form a unit upper triangular block A over the columns P, and
+only the Schur complement D = C_N - C_P A^-1 B of the other rows goes to
+``rref_naive``.  Every product of residues is reduced mod p before it is
+added, and a matrix product whose sums could pass 2^63 - 1 is split.
 
 Inside the engine every monomial is a packed int (``core._Packing``),
-key(m) = sum_i m_i 2^(32 i) - deg(m) 2^(32 n), from the Macaulay rows to the
-returned basis, whose leading keys go on to ``hilbert.MonomialIdeal``;
-tuples appear only at the edges (``Polynomial``, and the labels and owners
-of ``MacaulayMatrix``/``build_macaulay``).  A smaller key is a DRL-larger
-monomial, so a packed polynomial is a dict whose keys ascend from its
+key(m) = sum_i m_i 2^(32 i) - deg(m) 2^(32 n), from the generators and the
+columns of each degree to the returned basis, whose leading keys go on to
+``hilbert.MonomialIdeal``; tuples appear only at the edges (``Polynomial``,
+and the columns and labels of ``MacaulayMatrix``).  A smaller key is a
+DRL-larger monomial, so a packed polynomial is a dict whose keys ascend from its
 leading term and the term heap holds plain ints; a product is a sum of keys,
 so a shifted row or tail is its keys plus one shift.  Divisibility uses the
 guard bit at the top of each 32-bit field: a | b iff ((b | G) - a) & G ==
@@ -46,8 +52,8 @@ import numpy as np
 
 from .core import (
     PolySystem,
-    _Packing,
     _packed_monomials,
+    _packing,
     monomials_of_degree,
 )
 from .errors import (
@@ -63,10 +69,10 @@ from .errors import (
 from .hilbert import MonomialIdeal
 
 # Largest Macaulay matrix the engine builds (2^27 int64 cells are 1 GiB), and
-# the most cells a gb_up_to degree loop builds in all.
+# the most cells a gb_up_to degree loop's blocks may have in all.
 MAX_MACAULAY_CELLS = 2**27
-# Most degrees a gb_up_to loop walks: each costs a build and an RREF however
-# small its matrix is (in one variable every matrix has one column).
+# Most degrees a gb_up_to loop walks: each costs an elimination however small
+# its blocks are (in one variable every degree has one monomial).
 MAX_LOOP_DEGREES = 2**10
 # Most S-pair reductions one Buchberger loop makes, on every route: a count,
 # not a time, so a seeded run stops at the same pair on every machine.
@@ -112,36 +118,42 @@ def _macaulay_cells(system: PolySystem, d: int) -> int:
 def _check_cells(cells: int, what: str) -> None:
     if cells > MAX_MACAULAY_CELLS:
         raise MatrixTooLarge(
-            f"{what} needs at least {cells} Macaulay matrix cells, over the limit "
+            f"{what} needs at least {cells} matrix cells, over the limit "
             f"of {MAX_MACAULAY_CELLS}"
         )
 
 
+def _degree_cells(system: PolySystem, d: int) -> int:
+    """Most cells gb_up_to's degree-d blocks have together: every product
+    x_k * u of a degree-(d - 1) monomial and every degree-d generator is a
+    row of X or of D, over at most all the degree-d monomials."""
+    n = system.n
+    products = n * math.comb(n - 2 + d, d - 1) if d >= 1 else 0
+    rows = products + sum(dj == d for dj in system.degrees)
+    return rows * math.comb(n - 1 + d, d)
+
+
 def _check_degree_loop(system: PolySystem, lo: int, cap: int) -> None:
-    """Refuse the loop over M_lo..M_cap if it has too many degrees or builds
-    too many cells in all.  Only one degree is alive at a time (M_d, its
-    RREF copy and the gathered pivot rows, none larger than M_cap), so the
-    total also bounds the memory, up to a factor of three."""
-    what = f"the degree loop M_{lo}..M_{cap}"
+    """Refuse gb_up_to's loop over the degrees lo..cap if it has too many
+    degrees or its blocks have too many cells in all.  Only two degrees are
+    alive at a time: the tails of degree d - 1, and degree d's X and D (with
+    a copy for the RREF) and tails, whose rows are some of the products and
+    generators counted by ``_degree_cells``; so the total also bounds the
+    memory, up to a factor of four."""
+    what = f"the degree loop {lo}..{cap}"
     if cap - lo + 1 > MAX_LOOP_DEGREES:
         raise MatrixTooLarge(
             f"{what} has {cap - lo + 1} degrees, over the limit of {MAX_LOOP_DEGREES}"
         )
     total = 0
     for d in range(cap, lo - 1, -1):  # largest first, to stop early
-        total += _macaulay_cells(system, d)
+        total += _degree_cells(system, d)
         _check_cells(total, what)
 
 
-def build_macaulay(system: PolySystem, d: int, owners=None) -> MacaulayMatrix:
+def build_macaulay(system: PolySystem, d: int) -> MacaulayMatrix:
     """Assemble M_d for a homogeneous system; one row per pair (degree
     d - d_j multiplier t, generator j) with d_j <= d, in generator order.
-
-    ``owners`` maps a degree e < d to {pivot monomial of M_e: generator of its
-    pivot row}; t lies in LM(<f_1..f_{j-1}>) iff its owner is below j, and
-    then row (t, j) is skipped (the F5 criterion).  The rows kept from
-    generators up to j still span <f_1..f_j>_d, so the RREF is unchanged and
-    a regular sequence gives no zero row.
 
     Columns are indexed by packed monomial (``core._Packing``) and each
     generator is packed once, so row (t, j) is the keys of f_j plus the one
@@ -158,21 +170,18 @@ def build_macaulay(system: PolySystem, d: int, owners=None) -> MacaulayMatrix:
         raise DegreeTooSmall(f"degree {d} below the least generator degree {min(degrees)}")
     _check_cells(_macaulay_cells(system, d), f"M_{d}")
 
-    pack = _Packing(system.n)
+    pack = _packing(system.n)
     columns = monomials_of_degree(system.n, d)
-    col_index = {pack.pack(m): i for i, m in enumerate(columns)}
+    col_index = {k: i for i, k in enumerate(_packed_monomials(system.n, d))}
     labels = []
     cells = []
     values = []
     for j, f in enumerate(system.polys):
         if degrees[j] > d:
             continue
-        owned = owners.get(d - degrees[j], {}) if owners else {}
         terms = pack.terms(f)
         coeffs = list(terms.values())
         for mult in monomials_of_degree(system.n, d - degrees[j]):
-            if owned.get(mult, j) < j:
-                continue
             base = len(labels) * len(columns)
             shift = pack.pack(mult)
             cells.extend([base + col_index[k + shift] for k in terms])
@@ -538,63 +547,202 @@ def buchberger(system: PolySystem) -> GroebnerBasis:
         raise EmptyBasis("cannot compute a basis for an empty system")
     if any(f.is_zero() for f in system.polys):
         raise ZeroPolynomial("system contains the zero polynomial")
-    fld, pack = system.field, _Packing(system.n)
+    fld, pack = system.field, _packing(system.n)
     return _complete([_monic(pack.terms(f), fld.p) for f in system.polys], pack, fld)
+
+
+def _matmul_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
+    """``a @ b`` mod p for int64 arrays with entries in [0, p), p < 2^31.
+
+    A sum of k products is exact while k (p - 1)^2 < 2^63.  Past that, ``b``
+    is split into 16-bit halves, so each product is below 2^47, and the
+    inner dimension into chunks whose sums stay below 2^63; every partial
+    product is reduced mod p before it is added.
+    """
+    k = a.shape[1]
+    if k * (p - 1) ** 2 <= _INT64_MAX:
+        return a @ b % p
+    step = _INT64_MAX // ((p - 1) * 0xFFFF)
+    high, low = b >> 16, b & 0xFFFF
+    out = np.zeros((a.shape[0], b.shape[1]), dtype=np.int64)
+    for s in range(0, k, step):
+        part = a[:, s:s + step]
+        out += (part @ high[s:s + step] % p << 16) % p
+        out += part @ low[s:s + step] % p
+        out %= p
+    return out
+
+
+@dataclass(frozen=True)
+class _Echelon:
+    """The canonical RREF of the degree-d part of an ideal, I_d, kept as its
+    leading monomials and their tails.  ``leads`` are the packed keys of
+    LM(I)_d in any order, ``standard`` the other degree-d keys, ascending,
+    and row i of ``tails`` the coefficients, on ``standard``, of the RREF row
+    led by ``leads[i]``."""
+
+    degree: int
+    leads: tuple
+    standard: tuple
+    tails: np.ndarray
+
+
+def _pivot_products(prev: _Echelon, pack) -> dict:
+    """P = {x_k * u : u a leading monomial of I_{d-1}}, the degree-d part of
+    <LM(I)_{<d}>, each product mapped to the least k giving it: the variable
+    of its pivot row, the first of the rows x_k * (u + tail) leading there."""
+    pivots = {}
+    for k in reversed(range(pack.n)):  # the least k is written last
+        x = pack.variable(k)
+        pivots.update({u + x: k for u in prev.leads})
+    return pivots
+
+
+def _eliminate_degree(prev: _Echelon, pivots: dict, gens: list, pack, p: int):
+    """The echelon of I_d from that of I_{d-1}, and the RREF rows whose
+    leading monomials are new at degree d, as packed polynomials.
+
+    I_d is spanned by the rows x_k * (u + tail) and the degree-d generators.
+    The pivot row of each product t in P is the first one leading there;
+    their block [A | B] on the columns (P, N = the other monomials) has A
+    unit upper triangular, and is solved bottom-up to X = A^-1 B: t + X_t is
+    the row of I_d led by t with no other P term.  Rows are solved in
+    rounds, each taking every row whose tail meets only rows solved
+    before.  The other rows [C_P | C_N], repeated products and generators,
+    give D = C_N - C_P X, whose RREF holds the new leading monomials Q.  A
+    product x_k * s of a standard monomial s lands in P or in N, so C_P X is
+    a gather of X's rows, never a P-wide matrix.
+    """
+    d = prev.degree + 1
+    n, tails = pack.n, prev.tails
+    plist = sorted(pivots)  # ascending keys: DRL-largest first
+    pidx = {t: i for i, t in enumerate(plist)}
+    standard = [t for t in _packed_monomials(n, d) if t not in pivots]
+    col = {t: j for j, t in enumerate(standard)}
+    width = len(standard)
+    owner = np.array([pivots[t] for t in plist], dtype=np.intp)
+    lands, owned, repeated = [], [], []
+    for k in range(n):
+        x = pack.variable(k)
+        # where x_k times each standard monomial of degree d - 1 lands
+        into_p, to_p, into_n, to_n = [], [], [], []
+        for j, s in enumerate(prev.standard):
+            t = s + x
+            if t in pidx:
+                into_p.append(j)
+                to_p.append(pidx[t])
+            else:
+                into_n.append(j)
+                to_n.append(col[t])
+        lands.append(tuple(np.array(v, dtype=np.intp) for v in (into_p, to_p, into_n, to_n)))
+        at = np.array([pidx[u + x] for u in prev.leads], dtype=np.intp)
+        pivot = owner[at] == k
+        owned.append((np.flatnonzero(pivot), at[pivot]))
+        repeated.append((np.flatnonzero(~pivot), at[~pivot]))
+    solved = np.zeros((len(plist), width), dtype=np.int64)  # X
+
+    def products(rows, k):
+        """The rows x_k * (u + tail) of ``prev``'s ``rows`` on N, less C_P X
+        over the P columns of x_k * tail."""
+        into_p, to_p, into_n, to_n = lands[k]
+        out = np.zeros((len(rows), width), dtype=np.int64)
+        chosen = tails[rows]
+        out[:, to_n] = chosen[:, into_n]
+        return (out - _matmul_mod(chosen[:, into_p], solved[to_p], p)) % p
+
+    pending = [np.arange(len(rows)) for rows, _ in owned]
+    done = np.zeros(len(plist), dtype=bool)
+    while any(len(left) for left in pending):
+        ready = []
+        for k, left in enumerate(pending):
+            into_p, to_p = lands[k][:2]
+            waits = (tails[owned[k][0][left]][:, into_p] != 0) & ~done[to_p]
+            blocked = waits.any(axis=1)
+            ready.append(left[~blocked])
+            pending[k] = left[blocked]
+        if not any(len(now) for now in ready):
+            raise InvariantViolation(f"the pivot block of degree {d} is not triangular")
+        for k, now in enumerate(ready):
+            if len(now):
+                rows, at = owned[k][0][now], owned[k][1][now]
+                solved[at] = products(rows, k)
+                done[at] = True
+
+    blocks = []
+    for k, (rows, lead) in enumerate(repeated):
+        if len(rows):
+            blocks.append((products(rows, k) - solved[lead]) % p)
+    if gens:
+        on_p = np.zeros((len(gens), len(plist)), dtype=np.int64)
+        on_n = np.zeros((len(gens), width), dtype=np.int64)
+        for g, terms in enumerate(gens):
+            for t, c in terms.items():
+                if t in pidx:
+                    on_p[g, pidx[t]] = c
+                else:
+                    on_n[g, col[t]] = c
+        blocks.append((on_n - _matmul_mod(on_p, solved, p)) % p)
+    res = rref_naive(np.vstack(blocks) if blocks else np.zeros((0, width), np.int64), p)
+
+    new = res.matrix[: res.rank]
+    q_cols = list(res.pivots)
+    keep = np.setdiff1d(np.arange(width), q_cols)
+    solved = (solved - _matmul_mod(solved[:, q_cols], new, p)) % p
+    rows = [
+        {standard[j]: int(row[j]) for j in np.flatnonzero(row).tolist()} for row in new
+    ]
+    echelon = _Echelon(
+        d,
+        tuple(plist) + tuple(standard[c] for c in q_cols),
+        tuple(standard[j] for j in keep.tolist()),
+        np.vstack([solved[:, keep], new[:, keep]]),
+    )
+    return echelon, rows
 
 
 def gb_up_to(system: PolySystem, cap: int) -> GroebnerBasis:
     """Complete reduced Groebner basis of a homogeneous system: degree-by-
-    degree Macaulay RREFs up to degree ``cap``, then Buchberger's loop on the
-    pairs whose lcm lies above ``cap``.  The loop stops before M_d, with no
-    pairs, at the first d where every degree-d monomial is divisible by a
-    collected leading monomial, as then every monomial above is too.  The cap
-    moves only the degree where elimination hands over; the basis is the same
-    for every cap accepted.
+    degree elimination up to degree ``cap``, then Buchberger's loop on the
+    pairs whose lcm lies above ``cap``.  The loop stops at the first d where
+    every degree-d monomial is a multiple x_k * u of a leading monomial u of
+    degree d - 1, with no pairs, as then every monomial above is one too.
+    The cap moves only the degree where elimination hands over; the basis is
+    the same for every cap accepted.
 
-    Each M_d is built without the rows the F5 criterion skips; its owners
-    (pivot monomial -> generator of the pivot row) serve the higher degrees.
-    Each RREF row whose leading monomial no earlier row's divides is kept as
-    a packed polynomial: the columns are DRL-descending, so their keys ascend
-    and the pivot, a 1, comes first.
+    Degree d is eliminated from the echelon of degree d - 1
+    (``_eliminate_degree``) rather than from M_d: the rows of the RREF of
+    M_{d-1}, times each variable, and the degree-d generators span I_d.
+    The RREF rows led by monomials new at degree d are kept as packed
+    polynomials; their keys ascend, so the pivot, a 1, comes first.
     """
     if not system.homogeneous:
         raise NotHomogeneous("Macaulay elimination needs a homogeneous system")
     if any(f.is_zero() for f in system.polys):
         raise ZeroPolynomial("system contains the zero polynomial")
     degrees = system.degrees
+    if any(dj < 1 for dj in degrees):
+        raise InvalidDegree("generators must have degree >= 1")
     if cap < max(degrees):
         raise DegreeTooSmall(f"cap {cap} below the largest generator degree {max(degrees)}")
     _check_degree_loop(system, min(degrees), cap)
 
     fld, n = system.field, system.n
-    pack = _Packing(n)
-    divides = pack.divides
+    pack = _packing(n)
+    gens = {}
+    for f in system.polys:
+        gens.setdefault(f.degree(), []).append(pack.terms(f))
     collected = []
-    collected_lms = []
-    powers = 0  # guard bits of the variables with a pure power in collected_lms
-    owners = {}
-    for d in range(min(degrees), cap + 1):
-        # if every degree-d monomial is a leading one, so is every one above
-        if powers == pack.guard and all(
-            any(divides(g, t) for g in collected_lms)
-            for t in reversed(_packed_monomials(n, d))  # DRL-least first
-        ):
+    echelon = _Echelon(min(degrees) - 1, (), (), np.zeros((0, 0), dtype=np.int64))
+    for d in range(min(degrees), cap + 2):
+        pivots = _pivot_products(echelon, pack)
+        # no column outside P: every degree-d monomial is a leading one,
+        # and so is every one above
+        if len(pivots) == math.comb(n - 1 + d, d):
             return _complete(collected, pack, fld, above=math.inf)
-        mac = build_macaulay(system, d, owners)
-        res = rref_naive(mac.matrix, fld.p)
-        pivot_rows = zip(res.pivots, res.pivot_rows)
-        owners[d] = {mac.columns[c]: mac.row_labels[i][1] for c, i in pivot_rows}
-        keys = [pack.pack(m) for m in mac.columns]
-        for row_idx, piv in enumerate(res.pivots):
-            lm = keys[piv]
-            if any(divides(g, lm) for g in collected_lms):
-                continue
-            row = res.matrix[row_idx]
-            collected.append({keys[i]: int(row[i]) for i in np.flatnonzero(row).tolist()})
-            collected_lms.append(lm)
-            support = pack.support(lm)
-            if not support & (support - 1):
-                powers |= support
+        if d > cap:
+            break
+        echelon, rows = _eliminate_degree(echelon, pivots, gens.get(d, []), pack, fld.p)
+        collected.extend(rows)
     # every leading monomial of degree <= cap in the ideal is divisible by a
     # collected one, so the rows are a Groebner basis up to degree cap
     return _complete(collected, pack, fld, above=cap)

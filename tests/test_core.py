@@ -223,6 +223,41 @@ class TestPolynomial:
         assert poly_to_string(f) == "x1^2 + 3*x1*x2 + 5"
         assert poly_to_string(Polynomial.zero(f7, 2)) == "0"
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_unchecked_results_equal_a_checked_rebuild(self, data):
+        # arithmetic and unpacking build their dicts clean and skip the
+        # constructor's checks; the checking constructor must agree, so no
+        # zero, unreduced or misplaced coefficient gets through
+        p = data.draw(st.sampled_from((2, 3, 31, 2**31 - 1)), label="p")
+        fld, n = PrimeField(p), data.draw(st.integers(0, 3), label="n")
+        monomial = st.tuples(*[st.integers(0, 4)] * n)
+
+        def polynomial(label):
+            coeffs = st.dictionaries(monomial, st.integers(-p, 2 * p), max_size=5)
+            return Polynomial(fld, n, data.draw(coeffs, label=label))
+
+        f, g = polynomial("f"), polynomial("g")
+        c = data.draw(st.integers(-p, 2 * p), label="c")
+        m = data.draw(monomial, label="m")
+        pack = core._Packing(n)
+        results = [
+            f + g, f - g, -f, f * g, f * c, f.scale(c), f.term_mul(m, c),
+            pack.polynomial(pack.terms(f), fld),
+        ]
+        for r in results:
+            assert r.coeffs == Polynomial(fld, n, r.coeffs).coeffs
+            assert all(0 < v < p for v in r.coeffs.values())
+        assert pack.polynomial(pack.terms(f), fld) == f
+
+    def test_term_mul_checks_its_monomial(self, f7):
+        f = Polynomial(f7, 2, {(1, 0): 1})
+        with pytest.raises(DimensionMismatch):
+            f.term_mul((1,))
+        with pytest.raises(InvalidDegree, match="negative"):
+            f.term_mul((-1, 1))
+        assert f.term_mul((0, 2), 3) == Polynomial(f7, 2, {(1, 2): 3})
+
 
 # ---------------------------------------------------------------------------
 # linear changes

@@ -1,6 +1,6 @@
-"""Macaulay matrices, the two RREF routines, the Macaulay engine and its F5
-row pruning, the Gebauer-Moeller pruning against the Buchberger oracle, and
-the rank identity."""
+"""Macaulay matrices, the two RREF routines, the Macaulay engine and its
+degree-by-degree elimination, the Gebauer-Moeller pruning against the
+Buchberger oracle, and the rank identity."""
 
 import contextlib
 import hashlib
@@ -40,7 +40,15 @@ from sgb import (
 )
 from sgb import core, engine
 from sgb.core import _Packing
-from sgb.engine import MAX_MACAULAY_CELLS, _check_degree_loop, _macaulay_cells, _reduce, _Reducers
+from sgb.engine import (
+    MAX_MACAULAY_CELLS,
+    _check_degree_loop,
+    _degree_cells,
+    _macaulay_cells,
+    _matmul_mod,
+    _reduce,
+    _Reducers,
+)
 from sgb.errors import (
     BudgetExhausted,
     DegreeTooLarge,
@@ -89,10 +97,13 @@ def complete_engine_cases():
     return cases
 
 
+EDGE_PRIMES = (2, 3, 31, 65521, 2**31 - 1)
+
+
 @pytest.fixture(scope="module")
-def f5_cases():
+def echelon_cases():
     """(system, one above its true maximal basis degree) for dense, Z and
-    mixed-degree systems over F_2, F_3, F_7, F_31 and F_{2^31-1}."""
+    mixed-degree systems over F_2, F_3, F_31, F_65521 and F_{2^31-1}."""
     shapes = (
         (3, 3, (2, 2, 2)),
         (4, 4, (2, 2, 2, 2)),
@@ -102,7 +113,7 @@ def f5_cases():
         (4, 5, (2,) * 5),
     )
     cases = []
-    for q in (2, 3, 7, 31, 2**31 - 1):
+    for q in EDGE_PRIMES:
         for sampler in (sample_system, sample_Z_system):
             for n, m, degrees in shapes:
                 for seed in range(2):
@@ -113,24 +124,18 @@ def f5_cases():
 
 @contextlib.contextmanager
 def eliminations(monkeypatch):
-    """Record ``(M_d, its RREF)`` for each degree gb_up_to eliminates, seen
-    through the module globals it calls."""
+    """Record the echelon (leading keys, standard keys, tails) of each degree
+    gb_up_to eliminates, seen through the module global it calls."""
     seen = []
-    build, rref = engine.build_macaulay, engine.rref_naive
+    step = engine._eliminate_degree
 
-    def spy_build(*args):
-        seen.append((build(*args), None))
-        return seen[-1][0]
-
-    def spy_rref(a, p):
-        mac, res = seen[-1]
-        assert res is None and a is mac.matrix  # one RREF of the matrix just built
-        seen[-1] = (mac, rref(a, p))
-        return seen[-1][1]
+    def spy(*args):
+        echelon, rows = step(*args)
+        seen.append(echelon)
+        return echelon, rows
 
     with monkeypatch.context() as mp:
-        mp.setattr(engine, "build_macaulay", spy_build)
-        mp.setattr(engine, "rref_naive", spy_rref)
+        mp.setattr(engine, "_eliminate_degree", spy)
         yield seen
 
 
@@ -411,6 +416,24 @@ class TestPackedMonomials:
         with pytest.raises(DegreeTooLarge):
             gb_up_to(system, 6)
 
+    def test_cached_packings_follow_the_width(self, f31):
+        # the shared packings and packed monomials are cached per width: keys
+        # made at a patched width must not outlive it
+        system = sample_system(3, 3, (2, 2, 2), f31, seed=1)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(core, "_PACK_BITS", 4)  # degrees below 8
+            assert core._packing(3).bits == 4
+            narrow = gb_up_to(system, 4)  # fills the caches at width 4
+            assert narrow == buchberger(system)
+        assert core._packing(3).bits == core._PACK_BITS
+        assert core._packed_monomials(3, 2) == tuple(map(_Packing(3).pack, monomials_of_degree(3, 2)))
+        # degree 8 and above do not fit 4-bit fields
+        wide = sample_system(3, 3, (3, 3, 4), f31, seed=1)
+        assert max_gb_deg(buchberger(wide)) >= 8
+        basis, oracle = gb_up_to(wide, 9), buchberger(wide)
+        assert basis == oracle and basis.keys == oracle.keys
+        assert gb_up_to(system, 4) == narrow
+
 
 class TestBuildMacaulay:
     def test_hand_expansion(self, f7):
@@ -483,20 +506,24 @@ class TestBuildMacaulay:
         line = PolySystem(f7, 1, (Polynomial(f7, 1, {(1,): 1}),))
         with pytest.raises(MatrixTooLarge, match="degrees"):
             gb_up_to(line, 10**8)
-        # M_1000 alone (999 x 1,001) is under the limit and the loop has
-        # 999 degrees; its matrices together are over it
+        # M_1000 alone (999 x 1,001) and the loop's degree-1000 blocks (at
+        # most 2,000 x 1,001) are under the limit, and the loop has 999
+        # degrees; its blocks together are over it
         plane = PolySystem(f7, 2, (Polynomial(f7, 2, {(2, 0): 1}),))
         assert _macaulay_cells(plane, 1000) < MAX_MACAULAY_CELLS
+        assert _degree_cells(plane, 1000) < MAX_MACAULAY_CELLS
         with pytest.raises(MatrixTooLarge, match="cells"):
             gb_up_to(plane, 1000)
 
     def test_size_limit_admits_dense_7_8_at_lazard_cap(self):
-        # 8 quadrics in 7 variables at cap 8: M_8 is 7,392 x 3,003 and the
-        # loop M_2..M_8 has about 30.5 M cells; checked without building
+        # 8 quadrics in 7 variables at cap 8: M_8 is 7,392 x 3,003; the
+        # loop's degree-8 blocks have at most 7 * 1,716 products over 3,003
+        # columns, and degrees 2..8 about 51 M cells; checked without building
         f31 = PrimeField(31)
         quad = Polynomial(f31, 7, {m: 1 for m in monomials_of_degree(7, 2)})
         system = PolySystem(f31, 7, (quad,) * 8)
         assert _macaulay_cells(system, 8) == 7392 * 3003
+        assert _degree_cells(system, 8) == 7 * 1716 * 3003
         _check_degree_loop(system, 2, 8)
 
     def test_dump_golden(self, f7):
@@ -852,53 +879,84 @@ class TestGroebner:
                 assert pivot_monoms == ideal_part
 
 
-class TestF5Pruning:
-    def test_each_degree_is_built_and_eliminated_once(self, monkeypatch, f7):
-        # bench/tracing.py counts the matrices and ranks by wrapping these two
-        # module globals, so gb_up_to must reach them by name, once per degree
+def echelon_rows(echelon, n):
+    """The rows an echelon keeps, leading monomial plus tail, as a dense
+    matrix over the degree's monomials in pivot order."""
+    index = {k: i for i, k in enumerate(core._packed_monomials(n, echelon.degree))}
+    rows = np.zeros((len(echelon.leads), len(index)), dtype=np.int64)
+    for r, lead in enumerate(echelon.leads):
+        rows[r, index[lead]] = 1
+        rows[r, [index[s] for s in echelon.standard]] = echelon.tails[r]
+    return rows[np.argsort([index[lead] for lead in echelon.leads], kind="stable")]
+
+
+@st.composite
+def edge_field_cases(draw):
+    """A dense, Z or mixed-degree system over a field at the edges of the
+    range, p in {2, 3, 31, 65521, 2^31 - 1}, and a cap from its largest
+    generator degree to the Lazard bound + 1."""
+    fld = PrimeField(draw(st.sampled_from(EDGE_PRIMES)))
+    n = draw(st.integers(2, 4))
+    m = draw(st.integers(1, n + 1))
+    kind = draw(st.sampled_from((sample_system, sample_Z_system, "mixed")))
+    if kind == "mixed":
+        degrees = tuple(draw(st.lists(st.integers(1, 3), min_size=m, max_size=m)))
+        kind = sample_system
+    else:
+        degrees = (draw(st.integers(1, 3)),) * m
+    system = kind(n, m, degrees, fld, seed=draw(st.integers(0, 2**32)))
+    cap = draw(st.integers(max(degrees), lazard_bound(n, m, degrees) + 1))
+    return system, cap
+
+
+class TestDegreeElimination:
+    def test_kept_rows_are_the_rref_of_m_d(self, monkeypatch, echelon_cases):
+        # degree d is eliminated from the rows of degree d - 1 times each
+        # variable, never from M_d; the rows it keeps must still be exactly
+        # the nonzero rows of the canonical RREF of M_d
+        for system, cap in echelon_cases:
+            with eliminations(monkeypatch) as seen:
+                gb_up_to(system, cap)
+            assert seen
+            for echelon in seen:
+                full = rref_naive(build_macaulay(system, echelon.degree).matrix, system.field.p)
+                kept = echelon_rows(echelon, system.n)
+                assert np.array_equal(kept, full.matrix[: full.rank]), (system, echelon.degree)
+
+    @settings(max_examples=100, deadline=None)
+    @given(edge_field_cases())
+    def test_matches_buchberger_over_the_edge_fields(self, case):
+        system, cap = case
+        basis, oracle = gb_up_to(system, cap), buchberger(system)
+        assert basis == oracle and basis.keys == oracle.keys
+
+    def test_each_degree_reduces_one_block(self, monkeypatch, f7):
+        # bench/tracing.py counts matrices and ranks by wrapping the module
+        # globals build_macaulay and rref_naive: the loop builds no M_d and
+        # reaches rref_naive by name once per degree, for its block D
         system = sample_system(3, 3, (1, 2, 3), f7, seed=0)
+        calls = []
+        rref = engine.rref_naive
+        monkeypatch.setattr(engine, "build_macaulay", lambda *a: calls.append("build"))
+        monkeypatch.setattr(engine, "rref_naive", lambda a, p: calls.append(a.shape) or rref(a, p))
         with eliminations(monkeypatch) as seen:
-            gb_up_to(system, 5)
-        assert [mac.degree for mac, _ in seen] == [1, 2, 3, 4, 5]
-        assert all(res is not None for _, res in seen)
+            assert gb_up_to(system, 5) == buchberger(system)
+        assert [e.degree for e in seen] == [1, 2, 3, 4, 5]
+        assert len(calls) == 5 and "build" not in calls
 
-    def test_pruned_matrices_give_the_full_rref(self, monkeypatch, f5_cases):
-        pruned = 0
-        for system, cap in f5_cases:
-            with eliminations(monkeypatch) as seen:
-                gb_up_to(system, cap)
-            for mac, res in seen:
-                full_mac = build_macaulay(system, mac.degree)
-                full = rref_naive(full_mac.matrix, system.field.p)
-                assert res.pivots == full.pivots, (system, mac.degree)
-                assert np.array_equal(res.matrix[: res.rank], full.matrix[: full.rank])
-                # rows are dropped, never added or moved
-                kept = set(mac.row_labels)
-                assert mac.row_labels == tuple(x for x in full_mac.row_labels if x in kept)
-                pruned += len(full_mac.row_labels) - len(kept)
-        assert pruned > 1000
-
-    def test_regular_sequences_have_no_zero_rows(self, monkeypatch, f5_cases):
-        # F5's theorem: on a regular sequence no kept row reduces to zero
-        regular = [case for case in f5_cases if is_regular_sequence(case[0])]
-        assert len(regular) >= 30
-        for system, cap in regular:
-            with eliminations(monkeypatch) as seen:
-                gb_up_to(system, cap)
-            for mac, res in seen:
-                assert res.rank == mac.matrix.shape[0], (system, mac.degree)
-
-    def test_skipped_row_of_the_two_variable_example(self, f7):
-        # M_2 of x1^2 + x2^2, x1*x2: x1^2 leads a row of f1, so x1^2 * f2 is
-        # in the span of the other rows of M_4 and is skipped
-        system = fixture_f1_f2(f7)
-        m2 = build_macaulay(system, 2)
-        res = rref_naive(m2.matrix, 7)
-        assert res.pivot_rows == (0, 1)
-        owned = zip(res.pivots, res.pivot_rows)
-        owners = {2: {m2.columns[c]: m2.row_labels[i][1] for c, i in owned}}
-        full, pruned = build_macaulay(system, 4), build_macaulay(system, 4, owners)
-        assert set(full.row_labels) - set(pruned.row_labels) == {((2, 0), 1)}
+    def test_matrix_products_stay_exact_past_2_63(self):
+        # at p = 2^31 - 1 two products already pass 2^63; 70,000 of them
+        # also take more than one chunk of the split product
+        rng = np.random.default_rng(3)
+        for p in EDGE_PRIMES:
+            for k in (0, 1, 2, 3, 40, 70_000):
+                a = rng.integers(p - 3, p, size=(2, k)) if k > 40 else rng.integers(0, p, size=(2, k))
+                b = rng.integers(p - 3, p, size=(k, 3))
+                exact = [
+                    [sum(int(x) * int(y) for x, y in zip(a[i], b[:, j])) % p for j in range(3)]
+                    for i in range(2)
+                ]
+                assert _matmul_mod(a, b, p).tolist() == exact, (p, k)
 
 
 @st.composite
@@ -935,11 +993,11 @@ class TestLeadingMonomialIdeal:
 
 
 def built_degrees(system, cap):
-    """The basis gb_up_to returns at ``cap``, and the degrees of the M_d it
-    builds and eliminates."""
+    """The basis gb_up_to returns at ``cap``, and the degrees it
+    eliminates."""
     with pytest.MonkeyPatch.context() as mp, eliminations(mp) as seen:
         basis = gb_up_to(system, cap)
-    return basis, [mac.degree for mac, _ in seen]
+    return basis, [echelon.degree for echelon in seen]
 
 
 @st.composite
@@ -986,7 +1044,7 @@ class TestCoverExit:
     @settings(max_examples=120, deadline=None)
     @given(exit_cases())
     def test_stops_at_the_first_covered_degree(self, case):
-        # M_d is skipped, with every degree above it, iff every degree-d
+        # degree d is skipped, with every degree above it, iff every degree-d
         # monomial is a multiple of a basis element of lower degree: d lies
         # above the basis and HF(d) = 0, read from the oracle's leading ideal
         system, cap = case
@@ -1002,8 +1060,8 @@ class TestCoverExit:
 
     @pytest.mark.parametrize("n, m, built", [(5, 6, [2, 3, 4]), (6, 7, [2, 3, 4]), (6, 6, [2, 3, 4, 5, 6, 7])])
     def test_dense_quadrics_at_the_lazard_cap(self, f31, n, m, built):
-        # 5/6 and 6/7 stop after M_4; this 6/6 has a degree-7 basis element
-        # (the regularity), so M_7 is built
+        # 5/6 and 6/7 stop after degree 4; this 6/6 has a degree-7 basis
+        # element (the regularity), so degree 7 is eliminated
         system = sample_system(n, m, (2,) * m, f31, seed=1)
         basis, seen = built_degrees(system, lazard_bound(n, m, system.degrees))
         assert seen == built and max_gb_deg(basis) == built[-1]
@@ -1011,7 +1069,7 @@ class TestCoverExit:
 
     def test_squares_skip_the_last_matrix(self, f31):
         # x_i^2 in six variables: HF(7) = 0 with a basis of degree 2, so the
-        # Lazard cap's M_7 is never built, and no pair is formed
+        # Lazard cap's degree 7 is never eliminated, and no pair is formed
         squares = tuple(Polynomial(f31, 6, {tuple(2 * (j == i) for j in range(6)): 1}) for i in range(6))
         system = PolySystem(f31, 6, squares)
         basis, seen = built_degrees(system, 7)
