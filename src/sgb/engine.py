@@ -686,7 +686,9 @@ def _eliminate_degree(prev: _Echelon, pivots: dict, gens: list, pack, p: int):
 
     new = res.matrix[: res.rank]
     q_cols = list(res.pivots)
-    keep = np.setdiff1d(np.arange(width), q_cols)
+    # a mask, not np.setdiff1d: its np.unique imports numpy.ma, 1.4 MB resident
+    keep = np.ones(width, dtype=bool)
+    keep[q_cols] = False
     solved = (solved - _matmul_mod(solved[:, q_cols], new, p)) % p
     rows = [
         {standard[j]: int(row[j]) for j in np.flatnonzero(row).tolist()} for row in new
@@ -694,7 +696,7 @@ def _eliminate_degree(prev: _Echelon, pivots: dict, gens: list, pack, p: int):
     echelon = _Echelon(
         d,
         tuple(plist) + tuple(standard[c] for c in q_cols),
-        tuple(standard[j] for j in keep.tolist()),
+        tuple(standard[j] for j in np.flatnonzero(keep).tolist()),
         np.vstack([solved[:, keep], new[:, keep]]),
     )
     return echelon, rows

@@ -22,7 +22,13 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
 
-from .analysis import child_seed, sample_system, sample_Z_system, verify_main_theorem
+from .analysis import (
+    _default_route,
+    child_seed,
+    sample_system,
+    sample_Z_system,
+    verify_main_theorem,
+)
 from .core import PolySystem, Polynomial, PrimeField, default_var_names, poly_to_string
 from .errors import InvariantViolation, ParseError, SgbError, UnknownVariable
 
@@ -268,7 +274,8 @@ def _trial_record(args) -> ExperimentRecord:
     sampler = sample_Z_system if construction == "Z" else sample_system
     system = sampler(n, m, degrees, fld, seed)
     start = time.monotonic()
-    record = ExperimentRecord(trial, seed, "ok", n, m, tuple(degrees), q, engine="buchberger")
+    engine, _ = _default_route(system)  # also the engine of a failed trial's bases
+    record = ExperimentRecord(trial, seed, "ok", n, m, tuple(degrees), q, engine=engine)
     try:
         report = verify_main_theorem(system, seed=seed, max_attempts=max_attempts)
         record.r = report.krull_dim
@@ -318,9 +325,14 @@ def run_experiment(
     """One record per trial, in trial order and deterministic for a fixed
     seed (timings excluded, hence off by default).
 
-    A trial with a basis that needs more than ``engine.MAX_S_PAIRS`` S-pair
-    reductions gets ``status=BudgetExhausted``; the limit counts reductions,
-    so that outcome is seed-deterministic too.
+    Every trial runs ``verify_main_theorem``, whose bases of I and I^sigma
+    take the default route of ``groebner_basis``.  That route depends only
+    on the shape, so the ``engine`` column names it on every row, failed
+    trials included: ``macaulay`` where the Macaulay engine eliminates up
+    to D(n, m), ``buchberger`` otherwise.  A trial with a basis that needs
+    more than ``engine.MAX_S_PAIRS`` S-pair reductions gets
+    ``status=BudgetExhausted``; the limit counts reductions, so that outcome
+    is seed-deterministic too.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")

@@ -27,6 +27,7 @@ from sgb import (
     is_regular_sequence,
     leading_monomial_ideal,
     minimalize,
+    monomials_of_degree,
     regularity_profile,
     run_experiment,
     sample_system,
@@ -41,9 +42,11 @@ from sgb.errors import (
     DegreeTooSmall,
     DimensionMismatch,
     DimensionTooHigh,
+    EmptyBasis,
     InvariantViolation,
     NotLinear,
     SearchExhausted,
+    SgbError,
     UnitIdeal,
     ZeroForm,
 )
@@ -509,6 +512,157 @@ class TestVerifyMainTheorem:
         records = run_experiment(3, 4, (2, 2, 2, 2), 31, trials=4, seed=3)
         assert [r.status for r in records] == ["BudgetExhausted"] * 4
         assert " ok=0 " in summarize(records)
+
+
+def corner_system(n, m, degrees, fld, seed):
+    """Like ``sample_system`` but on the squarefree monomials only: every
+    coordinate point is a projective zero, so no variable is an admissible
+    linear form and an accepted sigma is a shear."""
+    rng = random.Random(seed)
+    polys = []
+    for d in degrees:
+        squarefree = [t for t in monomials_of_degree(n, d) if max(t) == 1]
+        f = Polynomial(fld, n, {})
+        while f.is_zero():
+            f = Polynomial(fld, n, {t: rng.randrange(fld.p) for t in squarefree})
+        polys.append(f)
+    return PolySystem(fld, n, tuple(polys))
+
+
+def comparable(outcome):
+    """A verifier outcome with the fields that may differ between routes set
+    aside: the engine name, and sigma's identity (LinearChange compares by
+    object) replaced by its matrix."""
+    if isinstance(outcome, Exception):
+        return type(outcome).__name__
+    return dataclasses.replace(outcome, engine=None, sigma=outcome.sigma.matrix)
+
+
+def verify_outcome(system):
+    try:
+        return verify_main_theorem(system, seed=0)
+    except SgbError as e:
+        return e
+
+
+def groebner_outcome(system):
+    """A default-route basis as its printed elements and leading keys, or
+    the name of its error."""
+    try:
+        basis = analysis.groebner_basis(system)
+    except SgbError as e:
+        return type(e).__name__
+    return [str(g) for g in basis], basis.keys
+
+
+class TestDefaultRoute:
+    @staticmethod
+    def forced(monkeypatch, fn, *args):
+        with monkeypatch.context() as patch:
+            patch.setattr(analysis, "_default_route", lambda system: ("buchberger", None))
+            return fn(*args)
+
+    @pytest.mark.parametrize(
+        "sampler, n, m, p",
+        [
+            (sample_system, 6, 7, 2),
+            (sample_system, 7, 8, 3),
+            (sample_system, 6, 7, 31),
+            (sample_system, 7, 8, 65521),
+            (sample_Z_system, 6, 6, 2),
+            (sample_Z_system, 7, 8, 3),
+            (sample_Z_system, 6, 7, 31),
+            (sample_Z_system, 7, 8, 65521),
+            (corner_system, 6, 6, 2),
+            (corner_system, 6, 7, 2),
+            (corner_system, 6, 7, 3),
+            (corner_system, 7, 8, 31),
+            (corner_system, 6, 6, 65521),
+        ],
+    )
+    def test_reports_match_buchberger(self, monkeypatch, sampler, n, m, p):
+        system = sampler(n, m, (2,) * m, PrimeField(p), seed=p + n)
+        assert analysis._default_route(system)[0] == "macaulay"
+        routed = verify_outcome(system)
+        oracle = self.forced(monkeypatch, verify_outcome, system)
+        assert comparable(routed) == comparable(oracle)
+        if not isinstance(routed, Exception):
+            assert routed.engine == "macaulay" and oracle.engine == "buchberger"
+
+    def test_route_by_shape(self, f31, monkeypatch):
+        calls = []
+        for name in ("gb_up_to", "buchberger"):
+            real = getattr(analysis, name)
+            monkeypatch.setattr(
+                analysis, name,
+                lambda system, *a, _name=name, _real=real: calls.append((_name, system.m))
+                or _real(system, *a),
+            )
+        report = verify_main_theorem(sample_system(6, 7, (2,) * 7, f31, seed=1), seed=0)
+        assert report.sigma.is_identity() and report.engine == "macaulay"
+        assert calls == [("gb_up_to", 7)]
+
+        calls.clear()
+        report = verify_main_theorem(sample_system(5, 5, (2,) * 5, f31, seed=1), seed=0)
+        assert report.engine == "buchberger" and calls == [("buchberger", 5)]
+
+        # I and I^sigma by elimination, every candidate <I, l> after x_n by
+        # the oracle
+        calls.clear()
+        report = verify_main_theorem(corner_system(6, 6, (2,) * 6, f31, seed=1), seed=0)
+        assert not report.sigma.is_identity() and report.engine == "macaulay"
+        extensions = [("buchberger", 7)] * (report.attempts_used - 1)
+        assert calls == [("gb_up_to", 6)] + extensions + [("gb_up_to", 6)]
+
+    def test_budget_falls_back_to_buchberger(self, f31, monkeypatch):
+        system = sample_system(6, 7, (2,) * 7, f31, seed=2)
+        routed = verify_main_theorem(system, seed=0)
+        assert routed.engine == "macaulay"
+        monkeypatch.setattr(engine, "MAX_MACAULAY_CELLS", 1000)
+        assert analysis._default_route(system) == ("buchberger", None)
+        fallback = verify_main_theorem(system, seed=0)
+        assert fallback.engine == "buchberger"
+        assert comparable(fallback) == comparable(routed)
+
+    def test_unreachable_bound_falls_back_to_buchberger(self, f31):
+        # D(2, 3) of three degree-40,000 generators needs a series longer
+        # than the series limit (CapExhausted); the Lazard cap that stands in
+        # is 40,000 degrees past the lowest one, over the loop's limit
+        gens = ((40_000, 0), (0, 40_000), (20_000, 20_000))
+        system = PolySystem(f31, 2, tuple(poly(f31, 2, {t: 1}) for t in gens))
+        assert analysis._default_route(system) == ("buchberger", None)
+        assert analysis.groebner_basis(system) == buchberger(system)
+
+    def test_typed_errors_match_buchberger(self, f31, monkeypatch):
+        base = sample_system(6, 7, (2,) * 7, f31, seed=3).polys
+        one = Polynomial(f31, 6, {(0,) * 6: 1})
+        zero = Polynomial(f31, 6, {})
+        x6 = Polynomial.variable(f31, 6, 5)
+        systems = {
+            "constant": base + (one,),
+            "zero": base + (zero,),
+            "duplicate": base + base[:1],
+            "linear": base + (x6,),
+            "m < n - 1": base[:4],
+        }
+        eliminated = {"duplicate", "linear", "m < n - 1"}
+        outcomes = {}
+        for name, polys in systems.items():
+            system = PolySystem(f31, 6, polys)
+            route = "macaulay" if name in eliminated else "buchberger"
+            assert analysis._default_route(system)[0] == route, name
+            basis = groebner_outcome(system)
+            assert basis == self.forced(monkeypatch, groebner_outcome, system), name
+            outcomes[name] = comparable(verify_outcome(system))
+            oracle = comparable(self.forced(monkeypatch, verify_outcome, system))
+            assert outcomes[name] == oracle, name
+        assert outcomes["constant"] == "UnitIdeal"
+        assert outcomes["zero"] == "ZeroPolynomial"
+        assert outcomes["m < n - 1"] == "DimensionTooHigh"
+        for name in ("duplicate", "linear"):
+            assert not isinstance(outcomes[name], str)
+        with pytest.raises(EmptyBasis):
+            analysis.groebner_basis(PolySystem(f31, 6, ()))
 
 
 class TestSamplers:
