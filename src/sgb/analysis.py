@@ -110,10 +110,13 @@ def groebner_basis(
     systems with enough monomials above their top degree, where the loop of
     an Artinian system stops by the cover test with no pair reduced, and
     the Buchberger oracle for the rest, including every system a typed
-    error rejects."""
+    error rejects.  A cap with the Buchberger engine is a ValueError: that
+    engine has no cap to apply."""
     if engine is None:
         engine, cap = _default_route(system)
     if engine == "buchberger":
+        if cap is not None:
+            raise ValueError("a cap applies to the macaulay engine only")
         return buchberger(system)
     if engine == "macaulay":
         top = max(system.degrees)
@@ -301,28 +304,32 @@ class PositionChange:
     attempts_used: int
 
 
-def build_sigma(ell: Polynomial) -> LinearChange:
-    """Change of variables sending the linear form to x_n: a pivot-to-last
-    permutation followed by a shear in the last column."""
-    ell, pivot = normalized_form(ell)
-    fld, n = ell.field, ell.n
-    coeffs = [0] * n
+def _coefficients(ell: Polynomial) -> list:
+    """The coefficient of each variable in the linear form ``ell``."""
+    coeffs = [0] * ell.n
     for m, c in ell.coeffs.items():
         coeffs[m.index(1)] = c
+    return coeffs
 
-    perm = [[int(i == j) for j in range(n)] for i in range(n)]
-    if pivot != n - 1:
-        perm[pivot][pivot] = perm[n - 1][n - 1] = 0
-        perm[pivot][n - 1] = perm[n - 1][pivot] = 1
-    sigma1 = LinearChange(fld, perm, f"swap x{pivot + 1} and x{n}")
 
-    moved = list(coeffs)
+def build_sigma(ell: Polynomial) -> LinearChange:
+    """Change of variables sending the linear form to x_n: a swap of the
+    pivot and x_n, then a shear of the last column.  Its matrix is the
+    product of the two, written directly: the shear matrix, with columns
+    ``pivot`` and n - 1 swapped because the swap acts first."""
+    ell, pivot = normalized_form(ell)
+    fld, n = ell.field, ell.n
+    moved = _coefficients(ell)
     moved[pivot], moved[n - 1] = moved[n - 1], moved[pivot]
-    shear = [[int(i == j) for j in range(n)] for i in range(n)]
-    for i in range(n - 1):
-        shear[i][n - 1] = (-moved[i]) % fld.p
-    sigma2 = LinearChange(fld, shear, "shear last column")
-    return sigma2.compose(sigma1)
+    rows = [[int(i == j) for j in range(n)] for i in range(n)]
+    for i, row in enumerate(rows):
+        if i < n - 1:
+            row[n - 1] = -moved[i] % fld.p
+        row[pivot], row[n - 1] = row[n - 1], row[pivot]
+    note = "shear last column"
+    if pivot != n - 1:
+        note = f"swap x{pivot + 1} and x{n}, then {note}"
+    return LinearChange(fld, rows, note)
 
 
 def normalized_form(ell: Polynomial) -> tuple[Polynomial, int]:
@@ -331,9 +338,7 @@ def normalized_form(ell: Polynomial) -> tuple[Polynomial, int]:
         raise ZeroForm("zero form")
     if not ell.is_linear_form():
         raise NotLinear("expected a homogeneous linear form")
-    coeffs = [0] * ell.n
-    for m, c in ell.coeffs.items():
-        coeffs[m.index(1)] = c
+    coeffs = _coefficients(ell)
     pivot = max(i for i, c in enumerate(coeffs) if c)
     return ell.scale(ell.field.inv(coeffs[pivot])), pivot
 

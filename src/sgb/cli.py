@@ -34,7 +34,8 @@ _FLAGS = {
     "engine": dict(choices=["macaulay", "buchberger"], default="macaulay", help="basis engine"),
     "cap": dict(type=int, default=None,
                 help="degree where the Macaulay engine hands over to Buchberger's loop "
-                     "(default: the largest generator degree)"),
+                     "(default: the largest generator degree; not allowed with "
+                     "--engine buchberger)"),
     "attempts": dict(type=int, default=64, help="linear-form search budget"),
     "trials": dict(type=int, default=10, help="experiment trial count"),
     "construction": dict(choices=["generic", "Z"], default="generic"),
@@ -253,6 +254,8 @@ def run_command(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        if getattr(args, "cap", None) is not None and args.engine == "buchberger":
+            parser.error("argument --cap: not allowed with --engine buchberger")
     except SystemExit as e:
         return int(e.code or 0)
     try:

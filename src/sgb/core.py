@@ -5,8 +5,10 @@ Monomials are plain tuples of non-negative exponents ``(e_1, ..., e_n)`` for
 the variables ``x_1 > ... > x_n``; the private :class:`_Packing` turns them
 into single ints, the engine's only monomial form between its inputs and
 its results.  Field elements are plain ints in
-``[0, p)``; a :class:`PrimeField` supplies the arithmetic.  All values are
-immutable after construction and safe to share across threads.
+``[0, p)``; a :class:`PrimeField` supplies the arithmetic.  The public
+values (fields, polynomials, systems and linear changes) are immutable after
+construction, compare and hash by value, and are safe to share across
+threads.
 """
 
 from __future__ import annotations
@@ -538,6 +540,7 @@ class PolySystem:
     n: int
     polys: tuple
     homogeneous: bool = _dc_field(init=False)
+    degrees: tuple = _dc_field(init=False)
 
     def __post_init__(self):
         polys = tuple(self.polys)
@@ -548,14 +551,11 @@ class PolySystem:
         object.__setattr__(
             self, "homogeneous", all(f.is_homogeneous() for f in polys)
         )
+        object.__setattr__(self, "degrees", tuple(f.degree() for f in polys))
 
     @property
     def m(self) -> int:
         return len(self.polys)
-
-    @property
-    def degrees(self) -> tuple:
-        return tuple(f.degree() for f in self.polys)
 
     def extended(self, *extra) -> "PolySystem":
         return PolySystem(self.field, self.n, self.polys + tuple(extra))
@@ -564,14 +564,6 @@ class PolySystem:
 # ---------------------------------------------------------------------------
 # linear coordinate changes
 # ---------------------------------------------------------------------------
-
-
-def _mat_mul(a, b, p):
-    n = len(a)
-    return tuple(
-        tuple(sum(a[i][k] * b[k][j] for k in range(n)) % p for j in range(n))
-        for i in range(n)
-    )
 
 
 def _mat_inv(mat, p):
@@ -594,29 +586,33 @@ def _mat_inv(mat, p):
     return tuple(tuple(r[n:]) for r in aug)
 
 
+@dataclass(frozen=True)
 class LinearChange:
     """Invertible change of variables given by an n x n matrix P over F_p.
 
     Acting on a polynomial substitutes x_i by the i-th column of P, i.e.
-    ``f -> f(x . P)`` in row-vector convention.
+    ``f -> f(x . P)`` in row-vector convention.  The matrix is stored
+    reduced mod p as a tuple of rows.  Two changes are equal, and hash
+    alike, when their fields and matrices are; ``note`` is a label and
+    takes no part in either.
     """
 
-    __slots__ = ("field", "n", "matrix", "note", "_inverse_matrix")
+    field: PrimeField
+    matrix: tuple
+    note: str = _dc_field(default="", compare=False)
 
-    def __init__(self, fld: PrimeField, matrix, note: str = ""):
-        p = fld.p
-        mat = tuple(tuple(v % p for v in row) for row in matrix)
-        n = len(mat)
-        if any(len(row) != n for row in mat):
+    def __post_init__(self):
+        p = self.field.p
+        mat = tuple(tuple(v % p for v in row) for row in self.matrix)
+        if any(len(row) != len(mat) for row in mat):
             raise DimensionMismatch("matrix is not square")
-        inv = _mat_inv(mat, p)
-        if inv is None:
+        if _mat_inv(mat, p) is None:
             raise ZeroInverse("coordinate-change matrix is singular")
-        self.field = fld
-        self.n = n
-        self.matrix = mat
-        self.note = note
-        self._inverse_matrix = inv
+        object.__setattr__(self, "matrix", mat)
+
+    @property
+    def n(self) -> int:
+        return len(self.matrix)
 
     @staticmethod
     def identity(fld: PrimeField, n: int, note: str = "identity") -> "LinearChange":
@@ -625,25 +621,14 @@ class LinearChange:
         )
 
     def inverse(self) -> "LinearChange":
-        return LinearChange(self.field, self._inverse_matrix, f"inverse of ({self.note})")
-
-    def compose(self, inner: "LinearChange") -> "LinearChange":
-        """The change acting as ``inner`` first, then ``self``."""
-        if self.n != inner.n or self.field != inner.field:
-            raise DimensionMismatch("cannot compose changes of different shape")
         return LinearChange(
-            self.field,
-            _mat_mul(self.matrix, inner.matrix, self.field.p),
-            f"({self.note}) o ({inner.note})",
+            self.field, _mat_inv(self.matrix, self.field.p), f"inverse of ({self.note})"
         )
 
     def is_identity(self) -> bool:
         return all(
             self.matrix[i][j] == int(i == j) for i in range(self.n) for j in range(self.n)
         )
-
-    def __repr__(self):
-        return f"LinearChange(p={self.field.p}, n={self.n}, note={self.note!r})"
 
 
 def apply_linear_change(f: Polynomial, t: LinearChange) -> Polynomial:

@@ -276,6 +276,32 @@ class TestSigma:
         sig = build_sigma(Polynomial.variable(f7, 2, 0))
         assert sig.matrix == ((0, 1), (1, 0))
 
+    @pytest.mark.parametrize("p", [2, 31, 2**31 - 1])
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_matrix_is_the_swap_then_the_shear(self, p, n):
+        # the product of the two factors, computed here: P swaps the pivot
+        # and x_n, S shears the last column by the swapped coefficients
+        fld, rng = PrimeField(p), random.Random(p + n)
+        for pivot in range(n):
+            for _ in range(5):
+                vec = [rng.randrange(p) for _ in range(pivot)] + [rng.randrange(1, p)]
+                vec += [0] * (n - 1 - pivot)
+                moved = [c * pow(vec[pivot], -1, p) % p for c in vec]
+                moved[pivot], moved[n - 1] = moved[n - 1], moved[pivot]
+                swap = [[int(i == j) for j in range(n)] for i in range(n)]
+                swap[pivot], swap[n - 1] = swap[n - 1], swap[pivot]
+                shear = [[int(i == j) for j in range(n)] for i in range(n)]
+                for i in range(n - 1):
+                    shear[i][n - 1] = -moved[i] % p
+                product = tuple(
+                    tuple(sum(shear[i][k] * swap[k][j] for k in range(n)) % p
+                          for j in range(n))
+                    for i in range(n)
+                )
+                sig = build_sigma(Polynomial.linear_form(fld, vec))
+                assert sig.matrix == product
+                assert ("swap" in sig.note) == (pivot != n - 1)
+
     def test_errors(self, f7):
         with pytest.raises(ZeroForm):
             build_sigma(Polynomial.zero(f7, 2))
@@ -387,6 +413,17 @@ class TestVerifyMainTheorem:
         assert report.ineq_max_gb is True and report.ineq_D_nm is True
         assert report.weakly_revlex is True and report.equality_attained is True
         assert report.hypotheses_verified
+
+    def test_two_runs_on_one_input_give_equal_reports(self, f31):
+        # sigma is the identity on the first system and a shear on the second
+        for system in (
+            sample_Z_system(5, 6, (2,) * 6, f31, 3),
+            corner_system(5, 6, (2,) * 6, f31, 1),
+        ):
+            first, second = (verify_main_theorem(system, seed=1) for _ in range(2))
+            assert first.sigma is not second.sigma
+            assert first == second and hash(first.sigma) == hash(second.sigma)
+        assert not first.sigma.is_identity()
 
     def test_artinian_fixture(self, f7):
         system = PolySystem(
@@ -530,12 +567,11 @@ def corner_system(n, m, degrees, fld, seed):
 
 
 def comparable(outcome):
-    """A verifier outcome with the fields that may differ between routes set
-    aside: the engine name, and sigma's identity (LinearChange compares by
-    object) replaced by its matrix."""
+    """A verifier outcome with the engine name, which differs between
+    routes, set aside."""
     if isinstance(outcome, Exception):
         return type(outcome).__name__
-    return dataclasses.replace(outcome, engine=None, sigma=outcome.sigma.matrix)
+    return dataclasses.replace(outcome, engine=None)
 
 
 def verify_outcome(system):
@@ -588,6 +624,12 @@ class TestDefaultRoute:
         assert comparable(routed) == comparable(oracle)
         if not isinstance(routed, Exception):
             assert routed.engine == "macaulay" and oracle.engine == "buchberger"
+
+    def test_buchberger_takes_no_cap(self, f7):
+        system = spec_fixture_system(f7)
+        with pytest.raises(ValueError, match="macaulay engine only"):
+            analysis.groebner_basis(system, "buchberger", cap=3)
+        assert analysis.groebner_basis(system, "buchberger", cap=None).keys
 
     def test_route_by_shape(self, f31, monkeypatch):
         calls = []

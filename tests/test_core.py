@@ -282,6 +282,26 @@ class TestLinearChange:
         with pytest.raises(ZeroInverse):
             LinearChange(f7, [[1, 1], [1, 1]])
 
+    def test_compares_and_hashes_by_field_and_matrix(self, f7):
+        a = LinearChange(f7, [[1, -1], [0, 1]], "x2 -> x2 - x1")
+        b = LinearChange(f7, ((1, 6), (0, 1)), "another label")
+        assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+        assert a.matrix == ((1, 6), (0, 1)) and a.n == 2
+        assert a != LinearChange(PrimeField(5), [[1, -1], [0, 1]])
+        assert a != LinearChange(f7, [[1, 1], [0, 1]])
+        assert a.inverse().inverse() == a and a.inverse() != a
+
+    @pytest.mark.parametrize("name", ["matrix", "field", "note", "n"])
+    def test_attributes_cannot_be_assigned(self, f7, name):
+        t = LinearChange.identity(f7, 2)
+        with pytest.raises(AttributeError):
+            setattr(t, name, None)
+        assert t.is_identity()
+
+    def test_non_square_matrix_rejected(self, f7):
+        with pytest.raises(DimensionMismatch):
+            LinearChange(f7, [[1, 0, 0], [0, 1, 0]])
+
     def test_dimension_mismatch(self, f7):
         t = LinearChange.identity(f7, 3)
         with pytest.raises(DimensionMismatch):

@@ -358,6 +358,7 @@ class TestCliCommands:
             ["experiment", "-n", "2", "-m", "3", "-d", "2,2,2", "--pair-budget", "1.5"],
             ["experiment", "-n", "2", "-m", "3", "-d", "2,2,2", "--pair-budget", "lots"],
             ["verify", "SYS", "--pair-budget", "10"],
+            ["gb", "SYS", "--engine", "buchberger", "--cap", "1000000"],
         ],
     )
     def test_flags_a_command_does_not_read_are_usage_errors(self, tmp_path, argv):
