@@ -17,6 +17,8 @@ import math
 import random
 from dataclasses import dataclass
 
+import numpy as np
+
 from .core import (
     LinearChange,
     PolySystem,
@@ -29,10 +31,13 @@ from .core import (
 from .engine import (
     GroebnerBasis,
     _check_degree_loop,
+    _DegreeLoop,
+    _multiplication_maps,
     buchberger,
     gb_up_to,
     leading_monomial_ideal,
     max_gb_deg,
+    rref_naive,
 )
 from .errors import (
     CapExhausted,
@@ -49,7 +54,7 @@ from .errors import (
     ZeroForm,
 )
 from .hilbert import HilbertProfile, MonomialIdeal, regularity_profile
-from .series import degree_bound_Dnm, degree_product, lazard_bound, poly_sub
+from .series import degree_bound_Dnm, degree_product, lazard_bound, poly_mul, poly_sub
 
 # ---------------------------------------------------------------------------
 # exact Hilbert data of a polynomial ideal
@@ -343,20 +348,93 @@ def normalized_form(ell: Polynomial) -> tuple[Polynomial, int]:
     return ell.scale(ell.field.inv(coeffs[pivot])), pivot
 
 
-def _search_linear_form(system, lm, seed, max_attempts):
-    """Candidate loop; assumes the dimension precondition already holds.
+class _ExtensionMaps:
+    """Hilbert functions of <I, l> for linear forms l, read from multiplication
+    on R/I, with no basis of <I, l>: HF_{R/<I, l>}(d) = HF_{R/I}(d) -
+    rank(l : (R/I)_{d-1} -> (R/I)_d), and l acts as sum_k c_k x_k.  ``loop``
+    holds the echelons of I up to ``lazard``, the Lazard degree of <I, l>,
+    or up to its cover; the maps of x_k are built once per degree and shared
+    by every form."""
+
+    def __init__(self, loop: _DegreeLoop, lazard: int):
+        self.loop, self.lazard = loop, lazard
+        self.maps = {}
+
+    def hf(self, coeffs, d: int) -> int:
+        """HF_{R/<I, l>}(d) for l = sum_k coeffs[k] x_k and d >= 1."""
+        loop, p = self.loop, self.loop.p
+        maps = self.maps.get(d)
+        if maps is None:
+            prev, cur = loop.echelon(d - 1), loop.echelon(d)
+            maps = self.maps[d] = _multiplication_maps(prev, cur, loop.pack, p)
+        _, rows, cols = maps.shape
+        if not rows or not cols:
+            return cols
+        image = np.zeros((rows, cols), dtype=np.int64)
+        for c, x in zip(coeffs, maps):
+            if c:
+                image += c * x % p
+        return cols - rref_naive(image, p).rank
+
+    def profile(self, ell: Polynomial) -> HilbertProfile | None:
+        """The profile of <I, ell> when R/<I, ell> is Artinian, else None.
+
+        An Artinian <I, l> has HF zero at the Lazard degree (Lazard 1983; the
+        Hilbert function is the same over the algebraic closure of F_p), so
+        one rank there rejects.  An accepted form takes ranks from degree 1
+        up to the first zero of HF, and HF(0) = 1; those values are the
+        h-polynomial of the Artinian quotient, whose d_reg is their count.
+        """
+        coeffs = _coefficients(ell)
+        if self.hf(coeffs, self.lazard):
+            return None
+        h = [1]
+        for d in range(1, self.lazard):
+            value = self.hf(coeffs, d)
+            if not value:
+                break
+            h.append(value)
+        numerator = poly_mul(h, degree_product((1,) * ell.n))
+        return HilbertProfile(tuple(numerator), 0, tuple(h), len(h), len(h), len(h), None)
+
+
+def _extension_test(system: PolySystem, basis: GroebnerBasis):
+    """A function from a linear form l to the profile of <I, l>, or to None
+    when l is rejected, for the candidates after x_n.
+
+    It reads multiplication maps on the echelons of I up to the Lazard
+    degree of <I, l> (``_ExtensionMaps``).  A basis from the Macaulay route
+    carries the degree loop that built it, which goes on from its cap if the
+    Lazard degree lies above; otherwise the loop starts from the generators.
+    A loop that the engine's cell budget refuses leaves the candidates to the
+    Buchberger oracle, a basis of <I, l> each."""
+    n, degrees = system.n, system.degrees
+    lazard = lazard_bound(n, system.m + 1, degrees + (1,))
+    try:
+        _check_degree_loop(system, min(degrees), lazard)
+    except MatrixTooLarge:
+        return lambda ell: _hilbert_of_basis(buchberger(system.extended(ell)))[1]
+    loop = basis.echelons or _DegreeLoop(system)
+    loop.walk(lazard)
+    return _ExtensionMaps(loop, lazard).profile
+
+
+def _search_linear_form(system, basis, seed, max_attempts):
+    """Candidate loop over the homogeneous system ``system`` and the basis
+    of its ideal I; assumes the dimension precondition already holds.
 
     Returns the position change together with the profile of the successful
-    extension <F, l> so callers need not recompute it.  The first candidate,
-    l = x_n, is read from ``lm`` = LM(I) with no basis of <I, x_n>: I is
+    extension <I, l> so callers need not recompute it.  No candidate gets a
+    basis of <I, l>.  The first, l = x_n, is read from LM(I): I is
     homogeneous and the order is DRL with x_n last, so in(I + <x_n>) = in(I)
-    + <x_n> (Bayer-Stillman 1987, Lemma 2.2).  Every later candidate gets the
-    basis of its extension from the Buchberger oracle: on the extensions of
-    quadrics in 6 variables vanishing at every coordinate point, elimination
-    up to D(n, m) took 0.97x the oracle's time over F_31 and 1.2x over F_7.
+    + <x_n> (Bayer-Stillman 1987, Lemma 2.2).  Every later candidate is
+    tested by multiplication maps on the echelons of I (``_extension_test``),
+    built on the first of them, so a run that accepts x_n builds none.
     """
     fld, n = system.field, system.n
     rng = random.Random(seed)
+    lm = leading_monomial_ideal(basis)
+    extension = None
 
     def candidates():
         for i in reversed(range(n)):
@@ -374,9 +452,10 @@ def _search_linear_form(system, lm, seed, max_attempts):
         if attempts == 1:  # l = x_n
             ext_profile = _profile_with_xn(lm)
         else:
-            extension = groebner_basis(system.extended(ell), engine="buchberger")
-            _, ext_profile = _hilbert_of_basis(extension)
-        if ext_profile.krull_dim == 0:
+            if extension is None:
+                extension = _extension_test(system, basis)
+            ext_profile = extension(ell)
+        if ext_profile is not None and ext_profile.artinian:
             ell, pivot = normalized_form(ell)
             pos = PositionChange(ell, pivot, build_sigma(ell), attempts)
             return pos, ext_profile
@@ -397,12 +476,15 @@ def find_linear_form(
     SearchExhausted when the budget runs out (the field may be too small)
     and DimensionTooHigh when R/I itself has dimension >= 2.
     """
-    lm, profile = exact_hilbert_of_ideal(system)
+    if not system.homogeneous:
+        raise NotHomogeneous("exact Hilbert data needs a homogeneous system")
+    basis = groebner_basis(system)
+    _, profile = _hilbert_of_basis(basis)
     if profile.krull_dim >= 2:
         raise DimensionTooHigh(
             f"Krull dimension {profile.krull_dim} >= 2: no single form can work"
         )
-    pos, _ = _search_linear_form(system, lm, seed, max_attempts)
+    pos, _ = _search_linear_form(system, basis, seed, max_attempts)
     return pos
 
 
@@ -457,9 +539,8 @@ def verify_main_theorem(
 
     Every basis is complete and reduced.  The bases of I and I^sigma take
     ``groebner_basis``'s default route, which depends only on the shape, so
-    both come from the engine that ``TheoremReport.engine`` names; the bases
-    of the extensions <I, l> come from the Buchberger oracle.  A basis that
-    needs more than ``engine.MAX_S_PAIRS`` S-pair reductions raises
+    both come from the engine that ``TheoremReport.engine`` names.  A basis
+    that needs more than ``engine.MAX_S_PAIRS`` S-pair reductions raises
     BudgetExhausted, at the same pair for a fixed input; on the Macaulay
     route only the pairs of Buchberger's loop after the handover at the cap
     count.
@@ -467,9 +548,12 @@ def verify_main_theorem(
     No basis of <J, x_n> is computed, for J = I or J = I^sigma: the system is
     homogeneous and the order is DRL with x_n last, so in(J + <x_n>) = in(J)
     + <x_n> (Bayer-Stillman 1987, Lemma 2.2) and its Hilbert data is read
-    from LM(J).  So a run with sigma the identity computes the one basis of
-    I; otherwise it computes ``attempts_used + 1``: those of I, of <I, l> for
-    each candidate l after x_n, and of I^sigma.
+    from LM(J).  The candidates l after x_n are tested by multiplication
+    maps on the echelons of I, with no basis of <I, l> unless the cell
+    budget refuses the echelons.  So a run computes at most two bases: that
+    of I, and that of I^sigma when sigma is not the identity.  The check
+    d_reg(<I^sigma, x_n>) == d_reg(<I, l>) compares two independent
+    computations, LM(I^sigma) and the maps on I.
     """
     if not system.homogeneous:
         raise NotHomogeneous("the degree bounds apply to homogeneous ideals")
@@ -484,7 +568,7 @@ def verify_main_theorem(
     semireg = _certification(profile, degrees)
     gen_d_reg = profile.gen_d_reg
 
-    pos, ext_profile = _search_linear_form(system, lm, seed, max_attempts)
+    pos, ext_profile = _search_linear_form(system, basis, seed, max_attempts)
     d_reg_ell = ext_profile.d_reg
 
     if pos.sigma.is_identity():  # then the normalized l is x_n

@@ -33,6 +33,10 @@ so a shifted row or tail is its keys plus one shift.  Divisibility uses the
 guard bit at the top of each 32-bit field: a | b iff ((b | G) - a) & G ==
 G.  A degree of 2^31 or more raises DegreeTooLarge rather than wrap.
 
+The degree loop (``_DegreeLoop``) stays on the basis ``gb_up_to`` returns and
+can go on past its cap: its echelons of I_d give multiplication by each
+variable on R/I, degree by degree (``_multiplication_maps``).
+
 Buchberger's loop (``_complete``, which ``buchberger`` and ``gb_up_to``
 share) reduces against one append-only reducer set that caches, per
 monomial, the first reducer in list order whose leading monomial divides it
@@ -46,7 +50,7 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass, field as _dc_field
+from dataclasses import dataclass, field as _dc_field, replace as _replace
 
 import numpy as np
 
@@ -296,10 +300,13 @@ def rref_block(a: np.ndarray, p: int) -> RrefResult:
 @dataclass(frozen=True)
 class GroebnerBasis:
     """Complete reduced basis: monic elements sorted by (degree, descending
-    DRL leading monomial); ``keys`` are their packed leading keys, ascending."""
+    DRL leading monomial); ``keys`` are their packed leading keys, ascending.
+    A basis from ``gb_up_to`` also carries its degree loop as ``echelons``
+    (a ``_DegreeLoop``), whose echelons of I_d give R/I degree by degree."""
 
     elements: tuple
     keys: tuple = _dc_field(default=(), compare=False, repr=False)
+    echelons: _DegreeLoop | None = _dc_field(default=None, compare=False, repr=False)
 
     def leading_monomials(self) -> tuple:
         return tuple(g.leading_monomial() for g in self.elements)
@@ -702,6 +709,95 @@ def _eliminate_degree(prev: _Echelon, pivots: dict, gens: list, pack, p: int):
     return echelon, rows
 
 
+class _DegreeLoop:
+    """The degree-by-degree elimination of a homogeneous system, kept so that
+    it can go on: the echelon of I_d for each degree walked, from lo - 1 for
+    lo the least generator degree, and ``covered``, the first degree whose
+    monomials are all leading ones (None until one is met).  I_d = 0 below
+    lo, so every monomial of such a degree is standard; from ``covered`` on,
+    none is."""
+
+    def __init__(self, system: PolySystem):
+        n = system.n
+        self.pack = _packing(n)
+        self.p = system.field.p
+        self.gens = {}
+        for f in system.polys:
+            self.gens.setdefault(f.degree(), []).append(self.pack.terms(f))
+        self.lo = min(system.degrees)
+        self.echelons = [_zero_echelon(n, self.lo - 1)]
+        self.covered = None
+        self._pivots = None  # of the degree after the last echelon, once made
+
+    @property
+    def top(self) -> int:
+        """The last degree eliminated."""
+        return self.echelons[-1].degree
+
+    def covers_next(self) -> bool:
+        """Whether every monomial of degree top + 1 is a multiple x_k * u of
+        a leading monomial u of degree top, so that every one above is too."""
+        if self.covered is None and self._pivots is None:
+            d = self.top + 1
+            self._pivots = _pivot_products(self.echelons[-1], self.pack)
+            if len(self._pivots) == math.comb(self.pack.n - 1 + d, d):
+                self.covered = d
+        return self.covered is not None
+
+    def walk(self, hi: int) -> list:
+        """Eliminate every degree up to ``hi``, or up to the cover; returns
+        the RREF rows whose leading monomials are new in those degrees, as
+        packed polynomials."""
+        rows = []
+        while not self.covers_next() and self.top < hi:
+            gens = self.gens.get(self.top + 1, [])
+            echelon, new = _eliminate_degree(self.echelons[-1], self._pivots, gens, self.pack, self.p)
+            self._pivots = None
+            self.echelons.append(echelon)
+            rows.extend(new)
+        return rows
+
+    def echelon(self, d: int) -> _Echelon:
+        """The echelon of I_d, for d <= top or from the cover on."""
+        if self.covered is not None and d >= self.covered:
+            return _Echelon(d, (), (), np.zeros((0, 0), dtype=np.int64))
+        if d < self.lo:
+            return _zero_echelon(self.pack.n, d)
+        return self.echelons[d - self.lo + 1]
+
+
+def _zero_echelon(n: int, d: int) -> _Echelon:
+    """The echelon of the zero space of degree d: every monomial standard."""
+    standard = _packed_monomials(n, d)
+    return _Echelon(d, (), standard, np.zeros((0, len(standard)), dtype=np.int64))
+
+
+def _multiplication_maps(prev: _Echelon, cur: _Echelon, pack, p: int) -> np.ndarray:
+    """Multiplication by each variable from R_{d-1}/I_{d-1} to R_d/I_d on the
+    standard monomials, for the echelons ``prev`` and ``cur`` of degrees
+    d - 1 and d: entry (k, i, j) is the coefficient of the j-th standard
+    monomial of degree d in x_k times the i-th one of degree d - 1.  A
+    product x_k * s is itself when standard; otherwise it leads a row u +
+    tail of the RREF of I_d, so modulo I it is -tail (the multiplication
+    matrices of Faugere-Gianni-Lazard-Mora 1993, taken degree by degree)."""
+    maps = np.zeros((pack.n, len(prev.standard), len(cur.standard)), dtype=np.int64)
+    if not cur.standard:
+        return maps
+    col = {t: j for j, t in enumerate(cur.standard)}
+    row = {t: i for i, t in enumerate(cur.leads)}
+    minus = -cur.tails % p
+    for k in range(pack.n):
+        x = pack.variable(k)
+        for i, s in enumerate(prev.standard):
+            t = s + x
+            j = col.get(t)
+            if j is None:
+                maps[k, i] = minus[row[t]]
+            else:
+                maps[k, i, j] = 1
+    return maps
+
+
 def gb_up_to(system: PolySystem, cap: int) -> GroebnerBasis:
     """Complete reduced Groebner basis of a homogeneous system: degree-by-
     degree elimination up to degree ``cap``, then Buchberger's loop on the
@@ -715,7 +811,9 @@ def gb_up_to(system: PolySystem, cap: int) -> GroebnerBasis:
     (``_eliminate_degree``) rather than from M_d: the rows of the RREF of
     M_{d-1}, times each variable, and the degree-d generators span I_d.
     The RREF rows led by monomials new at degree d are kept as packed
-    polynomials; their keys ascend, so the pivot, a 1, comes first.
+    polynomials; their keys ascend, so the pivot, a 1, comes first.  The
+    basis carries the loop (``GroebnerBasis.echelons``), which can go on
+    past the cap.
     """
     if not system.homogeneous:
         raise NotHomogeneous("Macaulay elimination needs a homogeneous system")
@@ -728,26 +826,14 @@ def gb_up_to(system: PolySystem, cap: int) -> GroebnerBasis:
         raise DegreeTooSmall(f"cap {cap} below the largest generator degree {max(degrees)}")
     _check_degree_loop(system, min(degrees), cap)
 
-    fld, n = system.field, system.n
-    pack = _packing(n)
-    gens = {}
-    for f in system.polys:
-        gens.setdefault(f.degree(), []).append(pack.terms(f))
-    collected = []
-    echelon = _Echelon(min(degrees) - 1, (), (), np.zeros((0, 0), dtype=np.int64))
-    for d in range(min(degrees), cap + 2):
-        pivots = _pivot_products(echelon, pack)
-        # no column outside P: every degree-d monomial is a leading one,
-        # and so is every one above
-        if len(pivots) == math.comb(n - 1 + d, d):
-            return _complete(collected, pack, fld, above=math.inf)
-        if d > cap:
-            break
-        echelon, rows = _eliminate_degree(echelon, pivots, gens.get(d, []), pack, fld.p)
-        collected.extend(rows)
-    # every leading monomial of degree <= cap in the ideal is divisible by a
+    loop = _DegreeLoop(system)
+    collected = loop.walk(cap)
+    # with the next degree covered the rows are the reduced basis; else every
+    # leading monomial of degree <= cap in the ideal is divisible by a
     # collected one, so the rows are a Groebner basis up to degree cap
-    return _complete(collected, pack, fld, above=cap)
+    above = math.inf if loop.covered is not None else cap
+    basis = _complete(collected, loop.pack, system.field, above=above)
+    return _replace(basis, echelons=loop)
 
 
 def leading_monomial_ideal(basis: GroebnerBasis) -> MonomialIdeal:

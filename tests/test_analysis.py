@@ -25,6 +25,7 @@ from sgb import (
     froberg_series,
     buchberger,
     is_regular_sequence,
+    lazard_bound,
     leading_monomial_ideal,
     minimalize,
     monomials_of_degree,
@@ -403,6 +404,63 @@ class TestExtensionFromLeadingMonomials:
             assert analysis._profile_with_xn(lm) == regularity_profile(expected)
 
 
+@st.composite
+def map_cases(draw):
+    """A dense, Z or corner system over F_2, F_3, F_31 or F_(2^31 - 1) in 3 to
+    6 variables, with m = n - 1 .. n + 1 generators of degree 2 (or 3, for
+    n <= 4), and as candidates every variable and two random forms.  Every
+    variable of a corner system, and x_1 .. x_(n-1) of a Z system, is
+    rejected; for m = n - 1 a regular sequence with an admissible l has
+    d_reg(<I, l>) = n, the Lazard degree itself."""
+    fld = PrimeField(draw(st.sampled_from((2, 3, 31, 2**31 - 1))))
+    n = draw(st.integers(3, 6))
+    m = draw(st.integers(n - 1, n + 1))
+    degree = st.integers(2, 3 if n <= 4 else 2)
+    degrees = tuple(draw(st.lists(degree, min_size=m, max_size=m)))
+    sampler = draw(st.sampled_from((sample_system, sample_Z_system, corner_system)))
+    system = sampler(n, m, degrees, fld, draw(st.integers(0, 2**32)))
+    coefficient = st.integers(0, fld.p - 1)
+    vectors = draw(st.lists(st.lists(coefficient, min_size=n, max_size=n), min_size=2, max_size=2))
+    forms = [Polynomial.variable(fld, n, i) for i in range(n)]
+    return system, forms + [Polynomial.linear_form(fld, v) for v in vectors if any(v)]
+
+
+class TestExtensionMaps:
+    @settings(max_examples=60, deadline=None)
+    @given(map_cases())
+    def test_matches_the_basis_of_the_extension(self, case):
+        # the profile from multiplication maps on the echelons of I, by
+        # either route, against the oracle's basis of <I, l>
+        system, forms = case
+        test = analysis._extension_test(system, analysis.groebner_basis(system))
+        for ell in forms:
+            lm = leading_monomial_ideal(buchberger(system.extended(ell)))
+            expected = regularity_profile(lm)
+            assert test(ell) == (expected if expected.artinian else None), ell
+
+    def test_rejection_is_one_rank_at_the_lazard_degree(self, f31, monkeypatch):
+        # each form vanishes at a point of V(I): x_1 .. x_(n-1) at
+        # (0 : ... : 0 : 1) on a Z system, and on coordinate_zeros_system
+        # every variable at the coordinate points where it is 0
+        shapes = []
+        real = analysis.rref_naive
+        monkeypatch.setattr(analysis, "rref_naive", lambda a, p: shapes.append(a.shape) or real(a, p))
+        z = sample_Z_system(4, 4, (2, 2, 3, 3), f31, seed=1)
+        cases = [(z, [Polynomial.variable(f31, 4, i) for i in range(3)])]
+        corner = coordinate_zeros_system(f31)
+        cases.append((corner, [Polynomial.variable(f31, 3, i) for i in range(3)]))
+        for system, forms in cases:
+            n, degrees = system.n, system.degrees
+            top = lazard_bound(n, system.m + 1, degrees + (1,))
+            _, profile = exact_hilbert_of_ideal(system)
+            hf = expand_hilbert_series(profile.numerator, n, top)
+            test = analysis._extension_test(system, analysis.groebner_basis(system))
+            for ell in forms:
+                shapes.clear()
+                assert test(ell) is None
+                assert shapes == [(hf[top - 1], hf[top])]
+
+
 class TestVerifyMainTheorem:
     def test_worked_fixture(self, f7):
         report = verify_main_theorem(spec_fixture_system(f7), seed=1)
@@ -514,8 +572,8 @@ class TestVerifyMainTheorem:
             verify_main_theorem(system, seed=0)
 
     def test_bases_per_run(self, f31, monkeypatch):
-        # no basis of <I, x_n> or <I^sigma, x_n>: one basis when sigma is the
-        # identity, otherwise I, I^sigma and <I, l> for each l after x_n
+        # no basis of <I, x_n>, <I^sigma, x_n> or of any <I, l>: one basis
+        # when sigma is the identity, otherwise those of I and I^sigma
         bases = []
         real = analysis.groebner_basis
 
@@ -535,7 +593,7 @@ class TestVerifyMainTheorem:
             bases.clear()
             report = verify_main_theorem(system, seed=0)
             identity = report.sigma.is_identity()
-            assert len(bases) == (1 if identity else report.attempts_used + 1)
+            assert len(bases) == (1 if identity else 2)
             seen.add(identity)
         assert seen == {True, False}
 
@@ -648,13 +706,24 @@ class TestDefaultRoute:
         report = verify_main_theorem(sample_system(5, 5, (2,) * 5, f31, seed=1), seed=0)
         assert report.engine == "buchberger" and calls == [("buchberger", 5)]
 
-        # I and I^sigma by elimination, every candidate <I, l> after x_n by
-        # the oracle
-        calls.clear()
-        report = verify_main_theorem(corner_system(6, 6, (2,) * 6, f31, seed=1), seed=0)
-        assert not report.sigma.is_identity() and report.engine == "macaulay"
-        extensions = [("buchberger", 7)] * (report.attempts_used - 1)
-        assert calls == [("gb_up_to", 6)] + extensions + [("gb_up_to", 6)]
+        # I and I^sigma by elimination; the candidates after x_n read the
+        # echelons of I's degree loop, which is not built again: at 6/6 its
+        # cap D = 7 is the Lazard degree of <I, l>, at 6/7 it goes on past
+        # the cap D = 4 up to 7
+        loops = []
+        real_loop = analysis._DegreeLoop
+        monkeypatch.setattr(engine, "_DegreeLoop", lambda s: loops.append(s) or real_loop(s))
+        monkeypatch.setattr(analysis, "_DegreeLoop", engine._DegreeLoop)
+        for m, cap in ((6, 7), (7, 4)):
+            calls.clear()
+            loops.clear()
+            system = corner_system(6, m, (2,) * m, f31, seed=1)
+            assert analysis._default_route(system) == ("macaulay", cap)
+            report = verify_main_theorem(system, seed=0)
+            assert not report.sigma.is_identity() and report.engine == "macaulay"
+            assert report.attempts_used > 6
+            assert calls == [("gb_up_to", m), ("gb_up_to", m)]
+            assert loops == [system, apply_to_system(system, report.sigma)]
 
     def test_budget_falls_back_to_buchberger(self, f31, monkeypatch):
         system = sample_system(6, 7, (2,) * 7, f31, seed=2)
@@ -665,6 +734,43 @@ class TestDefaultRoute:
         fallback = verify_main_theorem(system, seed=0)
         assert fallback.engine == "buchberger"
         assert comparable(fallback) == comparable(routed)
+
+    @pytest.mark.parametrize(
+        "case, cells",
+        [("corner 5/6", 1000), ("coordinate zeros", 10), ("corner 6/7", 10**6)],
+    )
+    def test_refused_loop_leaves_candidates_to_buchberger(self, f31, monkeypatch, case, cells):
+        # unpatched, the candidates after x_n read the echelons of I: built
+        # from the generators on the Buchberger route, carried on from the
+        # cap D(6, 7) = 4 on the Macaulay route; with the loop up to the
+        # Lazard degree of <I, l> over the cell budget, each gets a basis of
+        # <I, l> from the oracle
+        system = {
+            "corner 5/6": corner_system(5, 6, (2,) * 6, f31, seed=1),
+            "coordinate zeros": coordinate_zeros_system(f31),
+            "corner 6/7": corner_system(6, 7, (2,) * 7, f31, seed=1),
+        }[case]
+        route = analysis._default_route(system)
+        loops, extensions = [], []
+        real_loop, real_buchberger = analysis._DegreeLoop, analysis.buchberger
+
+        def spy(s):
+            if s.m > system.m:
+                extensions.append(s)
+            return real_buchberger(s)
+
+        monkeypatch.setattr(analysis, "_DegreeLoop", lambda s: loops.append(s) or real_loop(s))
+        monkeypatch.setattr(analysis, "buchberger", spy)
+        maps = verify_main_theorem(system, seed=0)
+        assert not maps.sigma.is_identity() and not extensions
+        assert loops == ([system] if route[0] == "buchberger" else [])
+
+        loops.clear()
+        monkeypatch.setattr(engine, "MAX_MACAULAY_CELLS", cells)
+        assert analysis._default_route(system) == route
+        oracle = verify_main_theorem(system, seed=0)
+        assert oracle == maps and not loops
+        assert len(extensions) == maps.attempts_used - 1
 
     def test_unreachable_bound_falls_back_to_buchberger(self, f31):
         # D(2, 3) of three degree-40,000 generators needs a series longer
