@@ -13,11 +13,10 @@ regular-sequence law.  All Hilbert data is exact; nothing is sampled.
 from __future__ import annotations
 
 import bisect
+import functools
 import math
 import random
 from dataclasses import dataclass
-
-import numpy as np
 
 from .core import (
     LinearChange,
@@ -32,12 +31,10 @@ from .engine import (
     GroebnerBasis,
     _check_degree_loop,
     _DegreeLoop,
-    _multiplication_maps,
     buchberger,
     gb_up_to,
     leading_monomial_ideal,
     max_gb_deg,
-    rref_naive,
 )
 from .errors import (
     CapExhausted,
@@ -115,9 +112,12 @@ def groebner_basis(
     systems with enough monomials above their top degree, where the loop of
     an Artinian system stops by the cover test with no pair reduced, and
     the Buchberger oracle for the rest, including every system a typed
-    error rejects.  A cap with the Buchberger engine is a ValueError: that
-    engine has no cap to apply."""
+    error rejects.  A cap with the Buchberger engine, or with no engine
+    named, is a ValueError: the first has no cap to apply, and the default
+    route picks its own."""
     if engine is None:
+        if cap is not None:
+            raise ValueError("a cap needs the macaulay engine named")
         engine, cap = _default_route(system)
     if engine == "buchberger":
         if cap is not None:
@@ -348,66 +348,43 @@ def normalized_form(ell: Polynomial) -> tuple[Polynomial, int]:
     return ell.scale(ell.field.inv(coeffs[pivot])), pivot
 
 
-class _ExtensionMaps:
-    """Hilbert functions of <I, l> for linear forms l, read from multiplication
-    on R/I, with no basis of <I, l>: HF_{R/<I, l>}(d) = HF_{R/I}(d) -
-    rank(l : (R/I)_{d-1} -> (R/I)_d), and l acts as sum_k c_k x_k.  ``loop``
-    holds the echelons of I up to ``lazard``, the Lazard degree of <I, l>,
-    or up to its cover; the maps of x_k are built once per degree and shared
-    by every form."""
+def _extension_profile(loop: _DegreeLoop, lazard: int, ell: Polynomial) -> HilbertProfile | None:
+    """The profile of <I, ell> when R/<I, ell> is Artinian, else None, from
+    the values of its Hilbert function that ``loop`` reads from
+    multiplication on R/I (``_DegreeLoop.extension_hf``), with no basis of
+    <I, ell>.  ``loop`` has walked I up to ``lazard``, the Lazard degree of
+    <I, ell>, or up to its cover.
 
-    def __init__(self, loop: _DegreeLoop, lazard: int):
-        self.loop, self.lazard = loop, lazard
-        self.maps = {}
-
-    def hf(self, coeffs, d: int) -> int:
-        """HF_{R/<I, l>}(d) for l = sum_k coeffs[k] x_k and d >= 1."""
-        loop, p = self.loop, self.loop.p
-        maps = self.maps.get(d)
-        if maps is None:
-            prev, cur = loop.echelon(d - 1), loop.echelon(d)
-            maps = self.maps[d] = _multiplication_maps(prev, cur, loop.pack, p)
-        _, rows, cols = maps.shape
-        if not rows or not cols:
-            return cols
-        image = np.zeros((rows, cols), dtype=np.int64)
-        for c, x in zip(coeffs, maps):
-            if c:
-                image += c * x % p
-        return cols - rref_naive(image, p).rank
-
-    def profile(self, ell: Polynomial) -> HilbertProfile | None:
-        """The profile of <I, ell> when R/<I, ell> is Artinian, else None.
-
-        An Artinian <I, l> has HF zero at the Lazard degree (Lazard 1983; the
-        Hilbert function is the same over the algebraic closure of F_p), so
-        one rank there rejects.  An accepted form takes ranks from degree 1
-        up to the first zero of HF, and HF(0) = 1; those values are the
-        h-polynomial of the Artinian quotient, whose d_reg is their count.
-        """
-        coeffs = _coefficients(ell)
-        if self.hf(coeffs, self.lazard):
-            return None
-        h = [1]
-        for d in range(1, self.lazard):
-            value = self.hf(coeffs, d)
-            if not value:
-                break
-            h.append(value)
-        numerator = poly_mul(h, degree_product((1,) * ell.n))
-        return HilbertProfile(tuple(numerator), 0, tuple(h), len(h), len(h), len(h), None)
+    An Artinian <I, l> has HF zero at the Lazard degree (Lazard 1983; the
+    Hilbert function is the same over the algebraic closure of F_p), so one
+    rank there rejects.  An accepted form takes ranks from degree 1 up to the
+    first zero of HF, and HF(0) = 1; those values are the h-polynomial of the
+    Artinian quotient, whose d_reg is their count.
+    """
+    coeffs = _coefficients(ell)
+    if loop.extension_hf(coeffs, lazard):
+        return None
+    h = [1]
+    for d in range(1, lazard):
+        value = loop.extension_hf(coeffs, d)
+        if not value:
+            break
+        h.append(value)
+    numerator = poly_mul(h, degree_product((1,) * ell.n))
+    return HilbertProfile(tuple(numerator), 0, tuple(h), len(h), len(h), len(h), None)
 
 
 def _extension_test(system: PolySystem, basis: GroebnerBasis):
     """A function from a linear form l to the profile of <I, l>, or to None
     when l is rejected, for the candidates after x_n.
 
-    It reads multiplication maps on the echelons of I up to the Lazard
-    degree of <I, l> (``_ExtensionMaps``).  A basis from the Macaulay route
-    carries the degree loop that built it, which goes on from its cap if the
-    Lazard degree lies above; otherwise the loop starts from the generators.
-    A loop that the engine's cell budget refuses leaves the candidates to the
-    Buchberger oracle, a basis of <I, l> each."""
+    It is ``_extension_profile`` bound to a degree loop walked up to the
+    Lazard degree of <I, l>, whose echelons of I give multiplication on R/I
+    and whose ``extension_hf`` takes the ranks.  A basis from the Macaulay
+    route carries the degree loop that built it, which goes on from its cap
+    if the Lazard degree lies above; otherwise the loop starts from the
+    generators.  A loop that the engine's cell budget refuses leaves the
+    candidates to the Buchberger oracle, a basis of <I, l> each."""
     n, degrees = system.n, system.degrees
     lazard = lazard_bound(n, system.m + 1, degrees + (1,))
     try:
@@ -416,7 +393,7 @@ def _extension_test(system: PolySystem, basis: GroebnerBasis):
         return lambda ell: _hilbert_of_basis(buchberger(system.extended(ell)))[1]
     loop = basis.echelons or _DegreeLoop(system)
     loop.walk(lazard)
-    return _ExtensionMaps(loop, lazard).profile
+    return functools.partial(_extension_profile, loop, lazard)
 
 
 def _search_linear_form(system, basis, seed, max_attempts):
@@ -428,8 +405,9 @@ def _search_linear_form(system, basis, seed, max_attempts):
     basis of <I, l>.  The first, l = x_n, is read from LM(I): I is
     homogeneous and the order is DRL with x_n last, so in(I + <x_n>) = in(I)
     + <x_n> (Bayer-Stillman 1987, Lemma 2.2).  Every later candidate is
-    tested by multiplication maps on the echelons of I (``_extension_test``),
-    built on the first of them, so a run that accepts x_n builds none.
+    tested by multiplication maps on the echelons of I, whose ranks the
+    degree loop of I takes (``_extension_test``); the loop is made ready on
+    the first of them, so a run that accepts x_n builds no map.
     """
     fld, n = system.field, system.n
     rng = random.Random(seed)
@@ -549,7 +527,8 @@ def verify_main_theorem(
     homogeneous and the order is DRL with x_n last, so in(J + <x_n>) = in(J)
     + <x_n> (Bayer-Stillman 1987, Lemma 2.2) and its Hilbert data is read
     from LM(J).  The candidates l after x_n are tested by multiplication
-    maps on the echelons of I, with no basis of <I, l> unless the cell
+    maps on the echelons of I, ranked inside the degree loop of I
+    (``_DegreeLoop.extension_hf``), with no basis of <I, l> unless the cell
     budget refuses the echelons.  So a run computes at most two bases: that
     of I, and that of I^sigma when sigma is not the identity.  The check
     d_reg(<I^sigma, x_n>) == d_reg(<I, l>) compares two independent

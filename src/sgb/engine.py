@@ -34,8 +34,10 @@ guard bit at the top of each 32-bit field: a | b iff ((b | G) - a) & G ==
 G.  A degree of 2^31 or more raises DegreeTooLarge rather than wrap.
 
 The degree loop (``_DegreeLoop``) stays on the basis ``gb_up_to`` returns and
-can go on past its cap: its echelons of I_d give multiplication by each
-variable on R/I, degree by degree (``_multiplication_maps``).
+can go on past its cap.  Its echelons of I_d give multiplication by each
+variable on R/I, degree by degree, and from those it answers the Hilbert
+function of <I, l> for a linear form l, with one rank mod p
+(``_DegreeLoop.extension_hf``).
 
 Buchberger's loop (``_complete``, which ``buchberger`` and ``gb_up_to``
 share) reduces against one append-only reducer set that caches, per
@@ -70,7 +72,7 @@ from .errors import (
     NotHomogeneous,
     ZeroPolynomial,
 )
-from .hilbert import MonomialIdeal
+from .hilbert import MonomialIdeal, _minimal
 
 # Largest Macaulay matrix the engine builds (2^27 int64 cells are 1 GiB), and
 # the most cells a gb_up_to degree loop's blocks may have in all.
@@ -208,17 +210,14 @@ class RrefResult:
     matrix: np.ndarray  # same shape as the input, zero rows last
     pivots: tuple  # strictly increasing pivot column indices
     rank: int
-    # input row of each pivot: the first row independent of the rows before
-    # it whose remainder modulo them leads there
-    pivot_rows: tuple
 
 
 def _rref_inplace(a: np.ndarray, p: int):
     """Gauss-Jordan elimination of an int64 matrix with entries in [0, p).
     Rows stay in place: a column's pivot row is the first free row, in input
     order, that is nonzero there.  The pivot rows are gathered in pivot order
-    at the end, leaving the canonical RREF in ``a``; returns the pivot columns
-    and the input row of each."""
+    at the end, leaving the canonical RREF in ``a``; returns the pivot
+    columns."""
     rows, cols = a.shape
     step = (p - 1) ** 2  # largest product of a multiplier and a residue
     bound = p - 1  # every entry of a[:, c:] satisfies |entry| <= bound
@@ -251,7 +250,7 @@ def _rref_inplace(a: np.ndarray, p: int):
     kept %= p
     a[: len(kept)] = kept
     a[len(kept):] = 0
-    return pivots, pivot_rows
+    return pivots
 
 
 def rref_naive(a: np.ndarray, p: int) -> RrefResult:
@@ -263,33 +262,29 @@ def rref_naive(a: np.ndarray, p: int) -> RrefResult:
     pivots are those of the exact elimination.
     """
     work = np.asarray(a, dtype=np.int64) % p
-    pivots, pivot_rows = _rref_inplace(work, p)
-    return RrefResult(work, tuple(pivots), len(pivots), tuple(pivot_rows))
+    pivots = _rref_inplace(work, p)
+    return RrefResult(work, tuple(pivots), len(pivots))
 
 
 def rref_block(a: np.ndarray, p: int) -> RrefResult:
     """RREF via repeated elimination of 2l-row batches (l = column count).
 
     Each pass reduces the first 2l rows of the pool and puts the surviving
-    nonzero rows back in front, each labelled with the input row of its
-    pivot; at most ceil(k/l) passes.
+    nonzero rows back in front; at most ceil(k/l) passes.
     The result is bitwise identical to :func:`rref_naive`.
     """
-    work = np.asarray(a, dtype=np.int64) % p
-    k, ell = work.shape
+    pool = np.asarray(a, dtype=np.int64) % p
+    k, ell = pool.shape
     if ell == 0 or k <= 2 * ell:
-        return rref_naive(work, p)
-    pool, labels = work, np.arange(k)
+        return rref_naive(pool, p)
     while pool.shape[0] > 2 * ell:
         batch = pool[: 2 * ell].copy()
-        _, batch_rows = _rref_inplace(batch, p)
-        pool = np.vstack([batch[: len(batch_rows)], pool[2 * ell:]])
-        labels = np.concatenate([labels[batch_rows], labels[2 * ell:]])
+        rank = len(_rref_inplace(batch, p))
+        pool = np.vstack([batch[:rank], pool[2 * ell:]])
     final = rref_naive(pool, p)
     out = np.zeros((k, ell), dtype=np.int64)
     out[: final.rank] = final.matrix[: final.rank]
-    pivot_rows = tuple(labels[list(final.pivot_rows)].tolist())
-    return RrefResult(out, final.pivots, final.rank, pivot_rows)
+    return RrefResult(out, final.pivots, final.rank)
 
 
 # ---------------------------------------------------------------------------
@@ -452,11 +447,7 @@ def _update_pairs(pack, lmG, pairs, lcms, t):
     by_lcm = {}
     for i in range(t):
         by_lcm.setdefault(with_new[i], []).append(i)
-    minimal = []
-    for m in sorted(by_lcm, reverse=True):  # ascending DRL
-        if not any(divides(seen, m) for seen in minimal):
-            minimal.append(m)
-    for m in minimal:
+    for m in reversed(_minimal(by_lcm, pack.guard)):  # ascending DRL
         # product criterion: coprime leading monomials reduce to zero
         if any(m == lmG[i] + lmf for i in by_lcm[m]):
             continue
@@ -728,6 +719,7 @@ class _DegreeLoop:
         self.echelons = [_zero_echelon(n, self.lo - 1)]
         self.covered = None
         self._pivots = None  # of the degree after the last echelon, once made
+        self._maps = {}  # degree d -> multiplication by each x_k into degree d
 
     @property
     def top(self) -> int:
@@ -765,37 +757,50 @@ class _DegreeLoop:
             return _zero_echelon(self.pack.n, d)
         return self.echelons[d - self.lo + 1]
 
+    def extension_hf(self, coeffs, d: int) -> int:
+        """HF_{R/<I, l>}(d) = HF_{R/I}(d) - rank(l : (R/I)_{d-1} -> (R/I)_d)
+        for l = sum_k coeffs[k] x_k and 1 <= d <= top, or from the cover on;
+        the rank is taken by ``rref_naive``.
+
+        Multiplication by x_k is built once per degree, on the standard
+        monomials: entry (k, i, j) is the coefficient of the j-th standard
+        monomial of degree d in x_k times the i-th one of degree d - 1.  A
+        product x_k * s is itself when standard; otherwise it leads a row u +
+        tail of the RREF of I_d, so modulo I it is -tail (the multiplication
+        matrices of Faugere-Gianni-Lazard-Mora 1993, taken degree by degree).
+        """
+        pack, p = self.pack, self.p
+        maps = self._maps.get(d)
+        if maps is None:
+            prev, cur = self.echelon(d - 1), self.echelon(d)
+            maps = np.zeros((pack.n, len(prev.standard), len(cur.standard)), dtype=np.int64)
+            col = {t: j for j, t in enumerate(cur.standard)}
+            row = {t: i for i, t in enumerate(cur.leads)}
+            minus = -cur.tails % p
+            for k in range(pack.n if cur.standard else 0):  # else (R/I)_d = 0
+                x = pack.variable(k)
+                for i, s in enumerate(prev.standard):
+                    t = s + x
+                    j = col.get(t)
+                    if j is None:
+                        maps[k, i] = minus[row[t]]
+                    else:
+                        maps[k, i, j] = 1
+            self._maps[d] = maps
+        _, rows, cols = maps.shape
+        if not rows or not cols:
+            return cols
+        image = np.zeros((rows, cols), dtype=np.int64)
+        for c, x in zip(coeffs, maps):
+            if c:
+                image += c * x % p
+        return cols - rref_naive(image, p).rank
+
 
 def _zero_echelon(n: int, d: int) -> _Echelon:
     """The echelon of the zero space of degree d: every monomial standard."""
     standard = _packed_monomials(n, d)
     return _Echelon(d, (), standard, np.zeros((0, len(standard)), dtype=np.int64))
-
-
-def _multiplication_maps(prev: _Echelon, cur: _Echelon, pack, p: int) -> np.ndarray:
-    """Multiplication by each variable from R_{d-1}/I_{d-1} to R_d/I_d on the
-    standard monomials, for the echelons ``prev`` and ``cur`` of degrees
-    d - 1 and d: entry (k, i, j) is the coefficient of the j-th standard
-    monomial of degree d in x_k times the i-th one of degree d - 1.  A
-    product x_k * s is itself when standard; otherwise it leads a row u +
-    tail of the RREF of I_d, so modulo I it is -tail (the multiplication
-    matrices of Faugere-Gianni-Lazard-Mora 1993, taken degree by degree)."""
-    maps = np.zeros((pack.n, len(prev.standard), len(cur.standard)), dtype=np.int64)
-    if not cur.standard:
-        return maps
-    col = {t: j for j, t in enumerate(cur.standard)}
-    row = {t: i for i, t in enumerate(cur.leads)}
-    minus = -cur.tails % p
-    for k in range(pack.n):
-        x = pack.variable(k)
-        for i, s in enumerate(prev.standard):
-            t = s + x
-            j = col.get(t)
-            if j is None:
-                maps[k, i] = minus[row[t]]
-            else:
-                maps[k, i, j] = 1
-    return maps
 
 
 def gb_up_to(system: PolySystem, cap: int) -> GroebnerBasis:

@@ -443,8 +443,8 @@ class TestExtensionMaps:
         # (0 : ... : 0 : 1) on a Z system, and on coordinate_zeros_system
         # every variable at the coordinate points where it is 0
         shapes = []
-        real = analysis.rref_naive
-        monkeypatch.setattr(analysis, "rref_naive", lambda a, p: shapes.append(a.shape) or real(a, p))
+        real = engine.rref_naive
+        monkeypatch.setattr(engine, "rref_naive", lambda a, p: shapes.append(a.shape) or real(a, p))
         z = sample_Z_system(4, 4, (2, 2, 3, 3), f31, seed=1)
         cases = [(z, [Polynomial.variable(f31, 4, i) for i in range(3)])]
         corner = coordinate_zeros_system(f31)
@@ -688,6 +688,12 @@ class TestDefaultRoute:
         with pytest.raises(ValueError, match="macaulay engine only"):
             analysis.groebner_basis(system, "buchberger", cap=3)
         assert analysis.groebner_basis(system, "buchberger", cap=None).keys
+
+    def test_default_route_takes_no_cap(self, f7):
+        system = spec_fixture_system(f7)
+        with pytest.raises(ValueError, match="macaulay engine named"):
+            analysis.groebner_basis(system, cap=3)
+        assert analysis.groebner_basis(system, cap=None).keys
 
     def test_route_by_shape(self, f31, monkeypatch):
         calls = []
