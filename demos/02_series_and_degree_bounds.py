@@ -39,7 +39,7 @@ for omega in (2, 2.807):
     cost_new, cost_classic = complexity_estimate(5, 10, degree_bound_Dnm(5, 10, [2] * 10), omega)
     print(f"\nomega = {omega}: cost {cost_new:.3e}  (classical estimate {cost_classic:.3e})")
 
-# The truncation degree never exceeds the square-system value, so the retry
-# loop that grows the series cap always terminates for m >= n.
+# For m >= n the truncation degree never exceeds the Lazard bound L, so one
+# series of L + 1 coefficients always holds it.
 print("\ntruncation for a very overdetermined shape:",
       truncated_froberg_polynomial(3, [2] * 12))

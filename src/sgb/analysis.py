@@ -95,38 +95,16 @@ def _default_route(system: PolySystem) -> tuple[str, int | None]:
     return "macaulay", cap
 
 
-def groebner_basis(
-    system: PolySystem,
-    engine: str | None = None,
-    cap: int | None = None,
-) -> GroebnerBasis:
-    """Complete reduced basis from the Buchberger oracle, or from the
-    Macaulay engine handing over to Buchberger's loop above ``cap``; both
-    give the same basis, for every cap.  For the Macaulay engine the cap
-    defaults to, and is raised to, the largest generator degree; a higher
-    cap builds more matrices, up to the first degree whose monomials are
-    all leading ones.
-
-    With no engine named, the system takes its default route
+def groebner_basis(system: PolySystem) -> GroebnerBasis:
+    """Complete reduced basis of ``system`` by its default route
     (``_default_route``): the Macaulay engine at the cap D(n, m) for
     systems with enough monomials above their top degree, where the loop of
     an Artinian system stops by the cover test with no pair reduced, and
     the Buchberger oracle for the rest, including every system a typed
-    error rejects.  A cap with the Buchberger engine, or with no engine
-    named, is a ValueError: the first has no cap to apply, and the default
-    route picks its own."""
-    if engine is None:
-        if cap is not None:
-            raise ValueError("a cap needs the macaulay engine named")
-        engine, cap = _default_route(system)
-    if engine == "buchberger":
-        if cap is not None:
-            raise ValueError("a cap applies to the macaulay engine only")
-        return buchberger(system)
-    if engine == "macaulay":
-        top = max(system.degrees)
-        return gb_up_to(system, top if cap is None else max(cap, top))
-    raise ValueError(f"unknown engine {engine!r}")
+    error rejects.  Both engines give the same basis; a caller that names
+    one calls ``buchberger`` or ``gb_up_to``."""
+    engine, cap = _default_route(system)
+    return buchberger(system) if engine == "buchberger" else gb_up_to(system, cap)
 
 
 def _hilbert_of_basis(basis: GroebnerBasis) -> tuple[MonomialIdeal, HilbertProfile]:
@@ -539,8 +517,7 @@ def verify_main_theorem(
     n, m = system.n, system.m
     degrees = system.degrees
 
-    engine, cap = _default_route(system)
-    basis = groebner_basis(system, engine, cap)
+    basis = groebner_basis(system)
     lm, profile = _hilbert_of_basis(basis)
     if profile.krull_dim >= 2:
         raise DimensionTooHigh(f"Krull dimension {profile.krull_dim} >= 2")
@@ -553,7 +530,7 @@ def verify_main_theorem(
     if pos.sigma.is_identity():  # then the normalized l is x_n
         basis_sigma, lm_sigma, sigma_xn_profile = basis, lm, ext_profile
     else:
-        basis_sigma = groebner_basis(apply_to_system(system, pos.sigma), engine, cap)
+        basis_sigma = groebner_basis(apply_to_system(system, pos.sigma))
         lm_sigma = leading_monomial_ideal(basis_sigma)
         sigma_xn_profile = _profile_with_xn(lm_sigma)
     gb_deg_sigma = max_gb_deg(basis_sigma)
@@ -606,7 +583,7 @@ def verify_main_theorem(
         equality_attained=equality,
         m_n_minus_1_law=m_n_minus_1_law,
         semiregular=semireg,
-        engine=engine,
+        engine=_default_route(system)[0],
     )
 
 

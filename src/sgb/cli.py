@@ -12,9 +12,10 @@ import sys
 from pathlib import Path
 
 from . import io as sgbio
-from .analysis import _certification, exact_hilbert_of_ideal, groebner_basis, verify_main_theorem
+from .analysis import _certification, exact_hilbert_of_ideal, verify_main_theorem
 from .analysis import check_noether_position, check_weakly_revlex
 from .core import monom_to_string, poly_to_string
+from .engine import buchberger, gb_up_to
 from .errors import SgbError
 from .series import bound_report
 
@@ -51,7 +52,11 @@ def _add_flags(parser: argparse.ArgumentParser, *names):
 
 def _cmd_gb(args) -> int:
     doc = _load_doc(args.file)
-    basis = groebner_basis(doc.system, args.engine, args.cap)
+    if args.engine == "buchberger":
+        basis = buchberger(doc.system)
+    else:
+        top = max(doc.system.degrees)
+        basis = gb_up_to(doc.system, top if args.cap is None else max(args.cap, top))
     out = sys.stdout if args.out is None else open(args.out, "w", encoding="utf-8")
     try:
         for g in basis:

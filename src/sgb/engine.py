@@ -141,11 +141,12 @@ def _degree_cells(system: PolySystem, d: int) -> int:
 
 def _check_degree_loop(system: PolySystem, lo: int, cap: int) -> None:
     """Refuse gb_up_to's loop over the degrees lo..cap if it has too many
-    degrees or its blocks have too many cells in all.  Only two degrees are
-    alive at a time: the tails of degree d - 1, and degree d's X and D (with
-    a copy for the RREF) and tails, whose rows are some of the products and
-    generators counted by ``_degree_cells``; so the total also bounds the
-    memory, up to a factor of four."""
+    degrees or its blocks have too many cells in all.  The loop keeps every
+    echelon it makes, and the multiplication maps built from them: the
+    tails of degree d and the maps into degree d each have at most the cells
+    ``_degree_cells`` counts for d, as do its X and D (with a copy for the
+    RREF), which live only while d is eliminated.  So the summed count
+    bounds what the loop keeps, up to a factor of four."""
     what = f"the degree loop {lo}..{cap}"
     if cap - lo + 1 > MAX_LOOP_DEGREES:
         raise MatrixTooLarge(

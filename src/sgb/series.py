@@ -97,17 +97,25 @@ def divide_by_one_minus_z(numerator, n: int, cap: int) -> list:
 
 
 def froberg_series(n: int, degrees, cap: int) -> TruncSeries:
-    """Coefficients of prod_j (1 - z^(d_j)) / (1 - z)^n mod z^cap."""
+    """Coefficients of prod_j (1 - z^(d_j)) / (1 - z)^n mod z^cap.
+
+    Each factor (1 - z^(d_j)) is applied mod z^cap, never the whole
+    numerator of degree sum(d_j), so the work is about (n + m) * cap."""
     if n < 1 or cap < 1:
         raise InvalidDegree(f"need n >= 1 and cap >= 1, got n={n}, cap={cap}")
-    return TruncSeries(tuple(divide_by_one_minus_z(degree_product(degrees), n, cap)))
+    out = divide_by_one_minus_z([1], n, cap)
+    for d in degrees:
+        if d < 1:
+            raise InvalidDegree(f"generator degree {d} < 1")
+        out[d:] = [a - b for a, b in zip(out[d:], out)]
+    return TruncSeries(tuple(out))
 
 
 def positive_truncate(s: TruncSeries) -> list:
     """Longest all-positive prefix of ``s``, returned as polynomial coefficients.
 
     The prefix must end inside the cap: if every known coefficient is positive
-    the caller has to retry with a larger cap (CapExhausted).
+    it raises CapExhausted.
     """
     if s.cap == 0 or s.coeffs[0] <= 0:
         raise InvalidDegree("series must start with a positive coefficient")
@@ -118,26 +126,34 @@ def positive_truncate(s: TruncSeries) -> list:
 
 
 def truncated_froberg_polynomial(n: int, degrees) -> list:
-    """The positive truncation of the full series, growing the cap as needed.
+    """The positive truncation of the full series, read from one series with
+    cap L + 1, for L = lazard_bound(n, m, degrees).
 
-    Starts at sum(d_j - 1) + 2 and doubles on CapExhausted; for m >= n the
-    truncation degree never exceeds the all-degrees Macaulay value, so this
-    terminates.  For m < n every coefficient is positive, and it raises
-    UndefinedBound.  A cap above ``MAX_SERIES_CAP`` is refused with
-    CapExhausted before any series is built.
+    For m >= n the first non-positive coefficient lies at index <= L:
+
+    - the n largest degrees alone give prod_j (1 - z^(d_j)) / (1 - z)^n =
+      prod_j (1 + z + ... + z^(d_j - 1)), a polynomial of degree L - 1, so
+      its coefficient at index L is 0;
+    - multiplying a series a by (1 - z^d) gives b_k = a_k - a_(k-d), and for
+      k up to the first non-positive index K of a, a_(k-d) is positive or
+      absent, so b_k <= a_k: no coefficient before the first non-positive
+      one rises, and b has a non-positive coefficient at or before K.
+
+    Each further degree is such a factor, so L + 1 coefficients suffice.
+    For m < n every coefficient is positive, and it raises UndefinedBound.
+    A cap above ``MAX_SERIES_CAP`` is refused with CapExhausted before any
+    series is built.  The cap is ``lazard_bound``'s value taken before its
+    checks, so an invalid degree is still reported by ``froberg_series``.
     """
-    if len(degrees) < n:
-        raise UndefinedBound(f"every coefficient is positive for m={len(degrees)} < n={n}")
-    cap = max(2, sum(d - 1 for d in degrees) + 2)
-    while True:
-        if cap > MAX_SERIES_CAP:
-            raise CapExhausted(
-                f"the series would need {cap} coefficients, over the limit of {MAX_SERIES_CAP}"
-            )
-        try:
-            return positive_truncate(froberg_series(n, degrees, cap))
-        except CapExhausted:
-            cap *= 2
+    m = len(degrees)
+    if m < n:
+        raise UndefinedBound(f"every coefficient is positive for m={m} < n={n}")
+    cap = max(2, sum(sorted(degrees)[m - n:]) - n + 2)
+    if cap > MAX_SERIES_CAP:
+        raise CapExhausted(
+            f"the series would need {cap} coefficients, over the limit of {MAX_SERIES_CAP}"
+        )
+    return positive_truncate(froberg_series(n, degrees, cap))
 
 
 def lazard_bound(n: int, m: int, degrees) -> int:

@@ -1,10 +1,32 @@
 import contextlib
 import io
+import signal
 
 import pytest
 
 from sgb import PolySystem, Polynomial, PrimeField
 from sgb.cli import run_command
+
+
+# Longest any one test may run; the slowest takes about 4 s.  A kernel that
+# stops terminating then fails its test instead of hanging the suite.
+TEST_TIME_LIMIT_S = 300
+
+
+@pytest.hookimpl(hookwrapper=True)
+def pytest_runtest_call(item):
+    """Fail the test when it runs past ``TEST_TIME_LIMIT_S`` (SIGALRM)."""
+
+    def expire(signum, frame):
+        pytest.fail(f"{item.nodeid} ran past the {TEST_TIME_LIMIT_S} s limit")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(TEST_TIME_LIMIT_S)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def run_cli(argv):

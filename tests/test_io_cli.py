@@ -181,6 +181,16 @@ class TestCliCommands:
         assert code_b == code_m == 0
         assert out_b == out_m == "x1^2 + x2^2\nx1*x2\nx2^3\n"
 
+    def test_gb_cap_below_the_top_degree_is_raised_to_it(self, tmp_path):
+        # gb_up_to refuses a cap below the largest generator degree 2
+        # (DegreeTooSmall); the CLI raises --cap 1 to it
+        path = tmp_path / "sys.json"
+        path.write_text(FIXTURE)
+        code_b, out_b, err_b = run_cli(["gb", str(path), "--engine", "buchberger"])
+        code, out, err = run_cli(["gb", str(path), "--engine", "macaulay", "--cap", "1"])
+        assert code == code_b == 0 and err == err_b == ""
+        assert out == out_b == "x1^2 + x2^2\nx1*x2\nx2^3\n"
+
     def test_gb_default_cap_gives_the_complete_basis(self, tmp_path):
         # Krull dimension one: the default cap 2 (the largest generator
         # degree) and the Lazard bound 4 are both below the true maximal

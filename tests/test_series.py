@@ -106,10 +106,28 @@ class TestPositiveTruncate:
                     expected = nxt
                 assert prefix == expected
 
+    def test_one_series_at_the_lazard_cap(self, monkeypatch):
+        # the first non-positive coefficient lies at or below the Lazard
+        # bound L, so one series of L + 1 coefficients always suffices
+        caps = []
+        real = series_module.froberg_series
+
+        def spy(n, degrees, cap):
+            caps.append(cap)
+            return real(n, degrees, cap)
+
+        monkeypatch.setattr(series_module, "froberg_series", spy)
+        for n in range(1, 5):
+            for m in range(n, n + 3):
+                for degrees in itertools.combinations_with_replacement(range(1, 6), m):
+                    caps.clear()
+                    truncated_froberg_polynomial(n, list(degrees))
+                    assert caps == [lazard_bound(n, m, degrees) + 1], degrees
+
     @pytest.mark.parametrize("n, degrees", [(3, [2]), (2, []), (4, [2, 3, 1])])
     def test_fewer_forms_than_variables_is_undefined(self, n, degrees):
         # prod(1 + ... + z^(d_j - 1)) / (1 - z)^(n - m) has no nonpositive
-        # coefficient, so no cap ends the retry loop
+        # coefficient, so the truncation never ends
         with pytest.raises(UndefinedBound):
             truncated_froberg_polynomial(n, degrees)
 
@@ -154,14 +172,17 @@ class TestBounds:
         with pytest.raises(CapExhausted):
             degree_bound_Dnm(2, 3, [10**6] * 3)
         assert time.monotonic() - start < 1
-        # the largest cap accepted is the limit itself
+        # the largest cap accepted is the limit itself: Lazard bound + 1
         monkeypatch.undo()
-        degrees = [MAX_SERIES_CAP // 2 - 1, MAX_SERIES_CAP // 2, 2]
+        degrees = [MAX_SERIES_CAP // 2, MAX_SERIES_CAP // 2, 2]
         assert degree_bound_Dnm(2, 3, degrees) <= lazard_bound(2, 3, degrees)
-        # a long series with many numerator terms costs n prefix sums, not
-        # cap times the terms (cap 64,106 here)
+        # a long series with many numerator terms costs n prefix sums and one
+        # pass per degree, not cap times the terms (cap 60,107 here); a long
+        # degree list costs m passes over the cap, not its numerator of
+        # degree sum(d_j)
         start = time.monotonic()
         assert degree_bound_Dnm(15, 16, list(range(4000, 4016))) == 32053
+        assert degree_bound_Dnm(2, 20_000, [2] * 20_000) == 2
         assert time.monotonic() - start < 2
 
     def test_Dnm_never_exceeds_lazard_for_overdetermined(self):
