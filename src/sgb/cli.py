@@ -55,8 +55,8 @@ def _cmd_gb(args) -> int:
     if args.engine == "buchberger":
         basis = buchberger(doc.system)
     else:
-        top = max(doc.system.degrees)
-        basis = gb_up_to(doc.system, top if args.cap is None else max(args.cap, top))
+        cap = max(doc.system.degrees, default=0)  # gb_up_to refuses an empty system
+        basis = gb_up_to(doc.system, cap if args.cap is None else max(args.cap, cap))
     out = sys.stdout if args.out is None else open(args.out, "w", encoding="utf-8")
     try:
         for g in basis:

@@ -16,6 +16,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import struct
 from dataclasses import dataclass, field as _dc_field
 
 from .errors import (
@@ -201,16 +202,17 @@ class Polynomial:
         object.__setattr__(self, "_terms", None)
 
     @classmethod
-    def _of_clean(cls, fld: PrimeField, n: int, coeffs: dict) -> "Polynomial":
+    def _of_clean(cls, fld: PrimeField, n: int, coeffs: dict, terms=None) -> "Polynomial":
         """A polynomial from a dict built clean, taken as it is: ``n``
         non-negative exponents per monomial and coefficients in [1, p).  For
         dicts the program makes from valid polynomials; input goes through
-        the checking constructor."""
+        the checking constructor.  ``terms``, if given, are the items of
+        ``coeffs`` in descending DRL order, kept for ``terms()``."""
         f = object.__new__(cls)
         object.__setattr__(f, "field", fld)
         object.__setattr__(f, "n", n)
         object.__setattr__(f, "coeffs", coeffs)
-        object.__setattr__(f, "_terms", None)
+        object.__setattr__(f, "_terms", terms)
         return f
 
     def __setattr__(self, *_):
@@ -391,6 +393,11 @@ def default_var_names(n: int) -> list:
 
 def monom_to_string(m: Monom, names) -> str:
     """Factors of ``m`` joined by "*" (``x^e`` for e > 1); "1" for the unit."""
+    return _monom_str(m, names)
+
+
+def _monom_str(m: Monom, names) -> str:
+    # private, so that tracing the public functions spans no single term
     factors = []
     for i, e in enumerate(m):
         if e == 1:
@@ -414,9 +421,9 @@ def poly_to_string(f: Polynomial, names=None) -> str:
         if not any(m):
             parts.append(str(c))
         elif c == 1:
-            parts.append(monom_to_string(m, names))
+            parts.append(_monom_str(m, names))
         else:
-            parts.append(f"{c}*" + monom_to_string(m, names))
+            parts.append(f"{c}*" + _monom_str(m, names))
     return " + ".join(parts)
 
 
@@ -428,6 +435,8 @@ def poly_to_string(f: Polynomial, names=None) -> str:
 # a guard, so a packed monomial's degree (and so each exponent) must stay
 # below 2^(_PACK_BITS - 1).
 _PACK_BITS = 32
+# struct codes of the widths that are whole unsigned machine integers
+_STRUCT_CODES = {8: "B", 16: "H", 32: "I", 64: "Q"}
 
 
 class _Packing:
@@ -440,10 +449,12 @@ class _Packing:
     ``((b | G) - a) & G == G``: each field of ``b | G`` is b_i + 2^(w-1), and
     subtracting a_i clears its guard exactly when a_i > b_i, with no borrow
     between fields.  Packed polynomials are dicts {key: coefficient} whose
-    keys ascend, so the leading term comes first.
+    keys ascend, so the leading term comes first.  At a width of 8, 16, 32
+    or 64 bits the exponent fields are the little-endian bytes of one
+    ``struct``, so a monomial packs and unpacks in one conversion.
     """
 
-    __slots__ = ("n", "bits", "shifts", "unit", "mask", "guard", "ones", "limit")
+    __slots__ = ("n", "bits", "shifts", "unit", "mask", "guard", "ones", "limit", "fields")
 
     def __init__(self, n: int):
         w = _PACK_BITS
@@ -455,6 +466,8 @@ class _Packing:
         self.guard = sum(1 << (s + w - 1) for s in self.shifts)
         self.ones = sum(1 << s for s in self.shifts)
         self.limit = 1 << (w - 1)
+        code = _STRUCT_CODES.get(w)
+        self.fields = struct.Struct(f"<{n}{code}") if code else None
 
     def degree(self, k: int) -> int:
         return -(k >> (self.bits * self.n))
@@ -469,7 +482,9 @@ class _Packing:
     def pack(self, m: Monom) -> int:
         d = sum(m)
         self.check(d)
-        return sum(e << s for e, s in zip(m, self.shifts)) - d * self.unit
+        if self.fields is None:
+            return sum(e << s for e, s in zip(m, self.shifts)) - d * self.unit
+        return int.from_bytes(self.fields.pack(*m), "little") - d * self.unit
 
     def variable(self, i: int) -> int:
         """Key of x_(i+1)."""
@@ -477,8 +492,10 @@ class _Packing:
 
     def unpack(self, k: int) -> Monom:
         r = k & self.mask
-        field = (1 << self.bits) - 1
-        return tuple((r >> s) & field for s in self.shifts)
+        if self.fields is None:
+            field = (1 << self.bits) - 1
+            return tuple((r >> s) & field for s in self.shifts)
+        return self.fields.unpack(r.to_bytes(self.fields.size, "little"))
 
     def divides(self, a: int, b: int) -> bool:
         return ((b | self.guard) - a) & self.guard == self.guard
@@ -498,11 +515,15 @@ class _Packing:
         return b + excess - excess % ((1 << self.bits) - 1) * self.unit
 
     def terms(self, f: Polynomial) -> dict:
-        return {self.pack(m): c for m, c in f.terms()}
+        """The packed terms of ``f``, keys ascending: DRL-descending, as
+        ``f.terms()``, without sorting by ``drl_key``."""
+        return dict(sorted(zip(map(self.pack, f.coeffs), f.coeffs.values())))
 
     def polynomial(self, terms: dict, fld: PrimeField) -> Polynomial:
-        """The polynomial of packed ``terms``, whose coefficients lie in [1, p)."""
-        return Polynomial._of_clean(fld, self.n, {self.unpack(k): c for k, c in terms.items()})
+        """The polynomial of packed ``terms``, whose keys ascend and whose
+        coefficients lie in [1, p); its ``terms()`` keep that order."""
+        items = tuple(zip(map(self.unpack, terms), terms.values()))
+        return Polynomial._of_clean(fld, self.n, dict(items), items)
 
 
 def _packing(n: int) -> _Packing:

@@ -23,10 +23,13 @@ only the Schur complement D = C_N - C_P A^-1 B of the other rows goes to
 added, and a matrix product whose sums could pass 2^63 - 1 is split.
 
 Inside the engine every monomial is a packed int (``core._Packing``),
-key(m) = sum_i m_i 2^(32 i) - deg(m) 2^(32 n), from the generators and the
-columns of each degree to the returned basis, whose leading keys go on to
-``hilbert.MonomialIdeal``; tuples appear only at the edges (``Polynomial``,
-and the columns and labels of ``MacaulayMatrix``).  A smaller key is a
+key(m) = sum_i m_i 2^(32 i) - deg(m) 2^(32 n), from the generators, packed
+by sorting their terms on the int keys, and the columns of each degree to
+the returned basis.  The basis stays packed until it is read: its leading
+keys go on to ``hilbert.MonomialIdeal`` and ``max_gb_deg``, and its
+elements become ``Polynomial``s only when first read, with their terms in
+the stored order.  Tuples appear only at the edges (``Polynomial``, and the
+columns and labels of ``MacaulayMatrix``).  A smaller key is a
 DRL-larger monomial, so a packed polynomial is a dict whose keys ascend from its
 leading term and the term heap holds plain ints; a product is a sum of keys,
 so a shifted row or tail is its keys plus one shift.  Divisibility uses the
@@ -44,12 +47,13 @@ share) reduces against one append-only reducer set that caches, per
 monomial, the first reducer in list order whose leading monomial divides it
 (a miss records how many reducers were checked; only later ones are tried
 again), so remainders are those of plain division, whatever the cache
-holds.  It minimalizes and interreduces on packed leading keys and unpacks
-once, when the sorted basis is returned.
+holds.  It minimalizes and interreduces on packed leading keys and returns
+the sorted basis packed.
 """
 
 from __future__ import annotations
 
+import functools
 import heapq
 import math
 from dataclasses import dataclass, field as _dc_field, replace as _replace
@@ -293,32 +297,57 @@ def rref_block(a: np.ndarray, p: int) -> RrefResult:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GroebnerBasis:
     """Complete reduced basis: monic elements sorted by (degree, descending
-    DRL leading monomial); ``keys`` are their packed leading keys, ascending.
-    A basis from ``gb_up_to`` also carries its degree loop as ``echelons``
-    (a ``_DegreeLoop``), whose echelons of I_d give R/I degree by degree."""
+    DRL leading monomial), held packed.  ``packed`` are the elements as
+    packed polynomials of ``pack`` over ``field``, ``keys`` their leading
+    keys, ascending.  ``elements`` unpacks them into Polynomials when first
+    read, with their terms in the stored order; two bases are equal when
+    their elements are.  A basis from ``gb_up_to`` also carries its degree
+    loop as ``echelons`` (a ``_DegreeLoop``), whose echelons of I_d give R/I
+    degree by degree."""
 
-    elements: tuple
-    keys: tuple = _dc_field(default=(), compare=False, repr=False)
-    echelons: _DegreeLoop | None = _dc_field(default=None, compare=False, repr=False)
+    packed: tuple
+    keys: tuple = _dc_field(repr=False)
+    pack: object = _dc_field(repr=False)
+    field: object = _dc_field(repr=False)
+    echelons: _DegreeLoop | None = _dc_field(default=None, repr=False)
+
+    @functools.cached_property
+    def elements(self) -> tuple:
+        return tuple(self.pack.polynomial(g, self.field) for g in self.packed)
 
     def leading_monomials(self) -> tuple:
         return tuple(g.leading_monomial() for g in self.elements)
+
+    def __eq__(self, other):
+        return isinstance(other, GroebnerBasis) and self.elements == other.elements
+
+    def __hash__(self):
+        return hash(self.elements)
 
     def __iter__(self):
         return iter(self.elements)
 
     def __len__(self):
-        return len(self.elements)
+        return len(self.packed)
+
+
+def _leading_keys(basis: GroebnerBasis, what: str) -> tuple:
+    """The packed leading keys of a nonempty basis, one per element."""
+    if not basis.packed:
+        raise EmptyBasis(f"empty basis has no {what}")
+    if len(basis.keys) != len(basis.packed):
+        raise InvariantViolation("a basis must carry the leading key of each element")
+    return basis.keys
 
 
 def max_gb_deg(basis: GroebnerBasis) -> int:
-    """Maximal total degree in the basis."""
-    if not basis.elements:
-        raise EmptyBasis("empty basis has no maximal degree")
-    return max(g.degree() for g in basis.elements)
+    """Maximal total degree in the basis, read from the least leading key:
+    DRL is graded, so deg LM(g) = deg g, and the least key has the largest
+    degree."""
+    return basis.pack.degree(_leading_keys(basis, "maximal degree")[0])
 
 
 class _Reducers:
@@ -470,7 +499,7 @@ def _reduced_basis(G, pack, fld, above: int | None = None) -> GroebnerBasis:
     can divide it: g is reduced by those, its leading term stays, and its tail
     becomes its unique normal form.  Elements of degree <= ``above`` are
     Macaulay RREF rows (see ``_complete``) and are reduced already.  The
-    result is sorted by (degree, key) and unpacked once.
+    result is sorted by (degree, key) and stays packed.
     """
     done = _Reducers(pack)
     kept = []
@@ -483,8 +512,7 @@ def _reduced_basis(G, pack, fld, above: int | None = None) -> GroebnerBasis:
         done.add(g)
         kept.append((pack.degree(lm), lm, g))
     kept.sort(key=lambda e: e[:2])
-    elements = tuple(pack.polynomial(g, fld) for _, _, g in kept)
-    return GroebnerBasis(elements, tuple(reversed(done.lms)))
+    return GroebnerBasis(tuple(g for _, _, g in kept), tuple(reversed(done.lms)), pack, fld)
 
 
 def _complete(G, pack, fld, above: float | None = None) -> GroebnerBasis:
@@ -821,6 +849,8 @@ def gb_up_to(system: PolySystem, cap: int) -> GroebnerBasis:
     basis carries the loop (``GroebnerBasis.echelons``), which can go on
     past the cap.
     """
+    if not system.polys:
+        raise EmptyBasis("cannot compute a basis for an empty system")
     if not system.homogeneous:
         raise NotHomogeneous("Macaulay elimination needs a homogeneous system")
     if any(f.is_zero() for f in system.polys):
@@ -845,8 +875,4 @@ def gb_up_to(system: PolySystem, cap: int) -> GroebnerBasis:
 def leading_monomial_ideal(basis: GroebnerBasis) -> MonomialIdeal:
     """Minimal generators of <LM(G)> as a MonomialIdeal: the packed leading
     keys of the reduced basis, which no other divides."""
-    if not basis.elements:
-        raise EmptyBasis("empty basis has no leading-monomial ideal")
-    if len(basis.keys) != len(basis.elements):
-        raise InvariantViolation("a basis must carry the leading key of each element")
-    return MonomialIdeal(basis.elements[0].n, basis.keys)
+    return MonomialIdeal(basis.pack.n, _leading_keys(basis, "leading-monomial ideal"))

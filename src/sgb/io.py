@@ -10,7 +10,9 @@ System files are JSON documents with keys ``field.char``, ``vars``,
     var       := "x"<digits> | "y"
     coeff     := decimal integer (reduced mod p)
 
-with whitespace ignored and "-" or the unicode minus accepted as sign.
+with whitespace ignored and "-" or the unicode minus accepted as sign.  The
+parser makes one pass, one regular-expression match per term, with no token
+list; a character that starts no token is reported before any other error.
 """
 
 from __future__ import annotations
@@ -39,7 +41,25 @@ SCHEMA_VERSION = 1
 # ---------------------------------------------------------------------------
 
 _VAR_NAME = re.compile(r"^(x[0-9]+|y)$")
-_TOKEN = re.compile(r"[ \t\r\n]+|(?P<num>[0-9]+)|(?P<var>x[0-9]+|y)|(?P<op>[*^+\-−])")
+_WS = r"[ \t\r\n]*"
+_VAR = r"(?:x[0-9]+|y)"
+# One term: a sign, a coefficient with its "*", and a power product, each
+# optional, with no power product after a coefficient that has no "*".
+# Each "*" inside the power product is taken only before a variable, so a
+# match stops at the first token that cannot continue the term; the last
+# factor and its exponent are captured to tell "x1^" from "x1^2^".
+_TERM = re.compile(
+    rf"{_WS}(?P<sign>[+\-−])?{_WS}"
+    rf"(?:(?P<coeff>[0-9]+){_WS}(?P<star>\*{_WS})?)?"
+    rf"(?:(?(star)|(?(coeff)(?!)))(?P<pp>(?:{_VAR}{_WS}(?:\^{_WS}[0-9]+{_WS})?\*{_WS}(?={_VAR}))*"
+    rf"{_VAR}{_WS}(?:\^{_WS}(?P<exp>[0-9]+){_WS})?))?"
+)
+_BLANKS = re.compile(_WS)
+_FACTOR = re.compile(rf"({_VAR}){_WS}(?:\^{_WS}([0-9]+))?")
+# the token at a position: a number, a variable, or one character
+_TOKEN = re.compile(r"[0-9]+|x[0-9]+|.", re.S)
+# a character no token starts with; "x" starts one only before a digit
+_BAD_CHAR = re.compile(r"[^ \t\r\n0-9xy*^+\-−]|x(?![0-9])")
 
 
 def _line_col(text: str, pos: int) -> tuple[int, int]:
@@ -48,96 +68,76 @@ def _line_col(text: str, pos: int) -> tuple[int, int]:
     return line, pos - last
 
 
-def _tokenize(text: str):
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if m is None:
-            line, col = _line_col(text, pos)
-            raise ParseError(f"unexpected character {text[pos]!r}", line, col)
-        if m.lastgroup == "num":
-            tokens.append(("num", m.group(), pos))
-        elif m.lastgroup == "var":
-            tokens.append(("var", m.group(), pos))
-        elif m.lastgroup == "op":
-            op = "-" if m.group() == "−" else m.group()
-            tokens.append(("op", op, pos))
-        pos = m.end()
-    return tokens
+def _unexpected(text: str) -> ParseError | None:
+    """The error for the first character of ``text`` that starts no token,
+    if there is one: it is reported before any other error."""
+    bad = _BAD_CHAR.search(text)
+    if bad is None:
+        return None
+    return ParseError(f"unexpected character {bad.group()[0]!r}", *_line_col(text, bad.start()))
+
+
+def _error(text: str, message: str, pos: int) -> ParseError:
+    return _unexpected(text) or ParseError(message, *_line_col(text, pos))
+
+
+def _term_error(text: str, m) -> ParseError:
+    """The error that ends the walk at the term ``m``: it lacks a part, or it
+    is followed by something other than a sign or the end of the text."""
+    e = m.end()
+    sign, coeff, star, pp, exp = m.groups()
+    if pp is None and coeff is None:
+        if e < len(text):
+            return _error(text, "expected a variable", e)
+        if sign is None:
+            return _error(text, "empty polynomial", 0)
+        return _error(text, "dangling sign", m.start("sign"))
+    if pp is None and star is not None:
+        return _error(text, "expected a variable after '*'", e if e < len(text) else m.start("star"))
+    if pp is not None and text[e] == "*":  # not before a variable
+        after = _BLANKS.match(text, e + 1).end()
+        if after < len(text) and "0" <= text[after] <= "9":
+            return _error(text, "coefficient must come first in a term", after)
+        return _error(text, "expected a variable", after)
+    if pp is not None and text[e] == "^" and exp is None:
+        return _error(text, "expected an exponent after '^'", e)
+    return _error(text, f"expected '+' or '-', got {_TOKEN.match(text, e).group()!r}", e)
 
 
 def parse_polynomial(text: str, names, fld: PrimeField) -> Polynomial:
-    """Parse one polynomial string against the declared variable names."""
-    n = len(names)
+    """Parse one polynomial string against the declared variable names, one
+    regular-expression match per term."""
+    n, end = len(names), len(text)
     index = {name: i for i, name in enumerate(names)}
-    tokens = _tokenize(text)
-
-    def error(msg, pos):
-        line, col = _line_col(text, pos)
-        raise ParseError(msg, line, col)
-
+    constant = (0,) * n
     coeffs: dict = {}
-    i = 0
-    if not tokens:
-        error("empty polynomial", 0)
-
-    first = True
-    while i < len(tokens):
-        sign = 1
-        kind, val, pos = tokens[i]
-        if kind == "op" and val in "+-":
-            sign = -1 if val == "-" else 1
-            i += 1
-        elif not first:
-            error(f"expected '+' or '-', got {val!r}", pos)
-        first = False
-        if i >= len(tokens):
-            error("dangling sign", pos)
-
-        # one term: optional coefficient, then optional power product
-        coeff = 1
-        exponents = [0] * n
-        saw_factor = False
-        kind, val, pos = tokens[i]
-        if kind == "num":
-            coeff = int(val)
-            saw_factor = True
-            i += 1
-            if i < len(tokens) and tokens[i][:2] == ("op", "*"):
-                i += 1
-                if i >= len(tokens) or tokens[i][0] != "var":
-                    error("expected a variable after '*'", tokens[min(i, len(tokens) - 1)][2])
-            else:
-                coeffs_key = tuple(exponents)
-                coeffs[coeffs_key] = coeffs.get(coeffs_key, 0) + sign * coeff
-                continue
-        while True:
-            kind, val, pos = tokens[i] if i < len(tokens) else (None, None, len(text))
-            if kind != "var":
-                if saw_factor and kind == "num":
-                    error("coefficient must come first in a term", pos)
-                error("expected a variable", pos)
-            if val not in index:
-                raise UnknownVariable(f"variable {val!r} not declared (declared: {', '.join(names)})")
-            exp = 1
-            i += 1
-            if i < len(tokens) and tokens[i][:2] == ("op", "^"):
-                i += 1
-                if i >= len(tokens) or tokens[i][0] != "num":
-                    error("expected an exponent after '^'", tokens[i - 1][2])
-                exp = int(tokens[i][1])
-                i += 1
-            exponents[index[val]] += exp
-            saw_factor = True
-            if i < len(tokens) and tokens[i][:2] == ("op", "*"):
-                i += 1
-                continue
+    pos = 0
+    while True:
+        m = _TERM.match(text, pos)
+        sign, coeff, star, pp, _ = m.groups()
+        c = 1 if coeff is None else int(coeff)
+        if pp is not None:
+            exponents = [0] * n
+            for var, exp in _FACTOR.findall(pp):
+                i = index.get(var)
+                if i is None:
+                    raise _unexpected(text) or UnknownVariable(
+                        f"variable {var!r} not declared (declared: {', '.join(names)})"
+                    )
+                exponents[i] += int(exp) if exp else 1
+            key = tuple(exponents)
+        elif coeff is None or star is not None:
+            raise _term_error(text, m)
+        else:
+            key = constant
+        coeffs[key] = coeffs.get(key, 0) + (-c if sign in ("-", "−") else c)
+        pos = m.end()
+        if pos == end:
             break
-        key = tuple(exponents)
-        coeffs[key] = coeffs.get(key, 0) + sign * coeff
-
-    return Polynomial(fld, n, coeffs)
+        if text[pos] not in "+-−":
+            raise _term_error(text, m)
+    p = fld.p
+    return Polynomial._of_clean(fld, n, {k: v % p for k, v in coeffs.items() if v % p})
 
 
 # ---------------------------------------------------------------------------

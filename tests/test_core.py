@@ -21,6 +21,7 @@ from sgb import (
     homogenize,
     mono_mul,
     monomials_of_degree,
+    parse_polynomial,
     poly_to_string,
     top_part,
 )
@@ -262,6 +263,53 @@ class TestPolynomial:
 # ---------------------------------------------------------------------------
 # linear changes
 # ---------------------------------------------------------------------------
+
+
+@st.composite
+def round_trip_cases(draw, bits):
+    """A polynomial over F_2 to F_(2^31-1) in 1 to 7 variables whose monomials
+    fit a packing of width ``bits``: small exponents, and in some monomials
+    one exponent as large as the degree limit allows."""
+    p = draw(st.sampled_from((2, 3, 31, 65521, 2**31 - 1)), label="p")
+    n = draw(st.integers(1, 7), label="n")
+    limit = 1 << (bits - 1)
+    small = st.integers(0, min(3, (limit - 1) // n))
+
+    def monomial():
+        m = draw(st.lists(small, min_size=n, max_size=n))
+        if draw(st.booleans()):
+            i = draw(st.integers(0, n - 1))
+            m[i] = 0
+            m[i] = draw(st.integers(0, limit - 1 - sum(m)))
+        return tuple(m)
+
+    coeffs = {monomial(): draw(st.integers(-p, 2 * p)) for _ in range(draw(st.integers(0, 6)))}
+    return Polynomial(PrimeField(p), n, coeffs)
+
+
+class TestPackedRoundTrips:
+    """The edges of the engine: text to Polynomial and back, and Polynomial
+    to packed terms and back, at the default field width and at 4 bits."""
+
+    @pytest.mark.parametrize("bits", [core._PACK_BITS, 4])
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_print_parse_and_pack_unpack(self, bits, data):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(core, "_PACK_BITS", bits)
+            f = data.draw(round_trip_cases(bits))
+            names = [f"x{i + 1}" for i in range(f.n)]
+            text = poly_to_string(f, names)
+            assert parse_polynomial(text, names, f.field) == f
+            pack = core._Packing(f.n)
+            terms = pack.terms(f)
+            assert list(terms) == sorted(terms)  # keys ascend: the leading term first
+            g = pack.polynomial(terms, f.field)
+            assert g == f
+            drl = sorted(f.coeffs.items(), key=lambda t: drl_key(t[0]), reverse=True)
+            assert list(g.terms()) == drl == list(f.terms())
+            assert poly_to_string(g, names) == text
+            assert parse_polynomial(poly_to_string(g, names), names, f.field) == g
 
 
 class TestLinearChange:

@@ -774,7 +774,12 @@ class TestGroebner:
         from sgb import GroebnerBasis
 
         with pytest.raises(EmptyBasis):
-            max_gb_deg(GroebnerBasis(()))
+            max_gb_deg(GroebnerBasis((), (), _Packing(2), f7))
+        # a hand-built basis: its degree comes from its keys, so it needs them
+        basis = buchberger(fixture_f1_f2(f7))
+        assert max_gb_deg(GroebnerBasis(basis.packed, basis.keys, basis.pack, f7)) == 3
+        with pytest.raises(InvariantViolation):
+            max_gb_deg(GroebnerBasis(basis.packed, (), basis.pack, f7))
 
     def test_gb_up_to_cap_below_generators(self, f7):
         with pytest.raises(DegreeTooSmall):
@@ -970,7 +975,39 @@ class TestLeadingMonomialIdeal:
 
         basis = buchberger(fixture_f1_f2(f7))
         with pytest.raises(InvariantViolation):
-            leading_monomial_ideal(GroebnerBasis(basis.elements))
+            leading_monomial_ideal(GroebnerBasis(basis.packed, (), basis.pack, basis.field))
+
+
+@st.composite
+def inhomogeneous_systems(draw):
+    """Up to three polynomials of mixed degrees in one to three variables
+    over F_2, F_3, F_31 or F_(2^31-1)."""
+    p = draw(st.sampled_from((2, 3, 31, 2**31 - 1)))
+    n = draw(st.integers(1, 3))
+    fld = PrimeField(p)
+    monomial = st.tuples(*[st.integers(0, 2)] * n)
+    polys = draw(st.lists(
+        st.dictionaries(monomial, st.integers(1, p - 1), min_size=1, max_size=4),
+        min_size=1, max_size=3,
+    ))
+    return PolySystem(fld, n, tuple(Polynomial(fld, n, f) for f in polys))
+
+
+class TestMaxGbDegFromKeys:
+    # max_gb_deg reads the least leading key; DRL is graded, so that is the
+    # largest degree of an element
+
+    @settings(max_examples=100, deadline=None)
+    @given(basis_cases())
+    def test_both_engines(self, system):
+        for basis in (buchberger(system), gb_up_to(system, max(system.degrees))):
+            assert max_gb_deg(basis) == max(g.degree() for g in basis.elements)
+
+    @settings(max_examples=100, deadline=None)
+    @given(inhomogeneous_systems())
+    def test_inhomogeneous_buchberger(self, system):
+        basis = buchberger(system)
+        assert max_gb_deg(basis) == max(g.degree() for g in basis.elements)
 
 
 def built_degrees(system, cap):

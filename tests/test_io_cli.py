@@ -59,6 +59,51 @@ HIGH_DEGREE = (
 )
 
 
+# The parser's error surface: text, error type, message, and the ParseError's
+# line and column (None for UnknownVariable, which carries none).  An
+# unexpected character anywhere is reported before any grammar error.
+PARSE_ERRORS = (
+    ("x1^", "ParseError", "expected an exponent after '^'", 1, 3),
+    ("x1^ ", "ParseError", "expected an exponent after '^'", 1, 3),
+    ("x1 ^ x2", "ParseError", "expected an exponent after '^'", 1, 4),
+    ("3*", "ParseError", "expected a variable after '*'", 1, 2),
+    ("3*4", "ParseError", "expected a variable after '*'", 1, 3),
+    ("3**x1", "ParseError", "expected a variable after '*'", 1, 3),
+    ("x1 x2", "ParseError", "expected '+' or '-', got 'x2'", 1, 4),
+    ("x1^2^3", "ParseError", "expected '+' or '-', got '^'", 1, 5),
+    ("3 4", "ParseError", "expected '+' or '-', got '4'", 1, 3),
+    ("2x1", "ParseError", "expected '+' or '-', got 'x1'", 1, 2),
+    ("3^2", "ParseError", "expected '+' or '-', got '^'", 1, 2),
+    ("x1 5", "ParseError", "expected '+' or '-', got '5'", 1, 4),
+    ("x1^2 3", "ParseError", "expected '+' or '-', got '3'", 1, 6),
+    ("x1 * x2 x1", "ParseError", "expected '+' or '-', got 'x1'", 1, 9),
+    ("x1*3", "ParseError", "coefficient must come first in a term", 1, 4),
+    ("3*x1*5", "ParseError", "coefficient must come first in a term", 1, 6),
+    ("--x1", "ParseError", "expected a variable", 1, 2),
+    ("x1*-x2", "ParseError", "expected a variable", 1, 4),
+    ("x1 − − x2", "ParseError", "expected a variable", 1, 6),
+    ("* x1", "ParseError", "expected a variable", 1, 1),
+    ("^2", "ParseError", "expected a variable", 1, 1),
+    ("x1*", "ParseError", "expected a variable", 1, 4),
+    ("x1^2*", "ParseError", "expected a variable", 1, 6),
+    ("+", "ParseError", "dangling sign", 1, 1),
+    ("x1 +", "ParseError", "dangling sign", 1, 4),
+    ("", "ParseError", "empty polynomial", 1, 1),
+    ("  ", "ParseError", "empty polynomial", 1, 1),
+    ("x1 + % x2", "ParseError", "unexpected character '%'", 1, 6),
+    ("x", "ParseError", "unexpected character 'x'", 1, 1),
+    ("x3", "UnknownVariable", "variable 'x3' not declared (declared: x1, x2)", None, None),
+    ("y", "UnknownVariable", "variable 'y' not declared (declared: x1, x2)", None, None),
+    ("x3^", "UnknownVariable", "variable 'x3' not declared (declared: x1, x2)", None, None),
+    # embedded newlines
+    ("x1 +\n  3 3", "ParseError", "expected '+' or '-', got '3'", 2, 5),
+    ("x1 + x2 *\n", "ParseError", "expected a variable", 2, 1),
+    ("x1\r\n−\n", "ParseError", "dangling sign", 2, 1),
+    ("x1 +\n x3 + %", "ParseError", "unexpected character '%'", 2, 7),
+    ("x1\n\n  @", "ParseError", "unexpected character '@'", 3, 3),
+)
+
+
 class TestPolynomialGrammar:
     def test_basic_terms(self, f7):
         names = ["x1", "x2"]
@@ -97,6 +142,17 @@ class TestPolynomialGrammar:
         for bad in ("x1 +", "* x1", "x1 ^ x2", "3 3", "x1 5"):
             with pytest.raises(ParseError):
                 parse_polynomial(bad, ["x1", "x2"], f7)
+
+    @pytest.mark.parametrize("text, kind, message, line, column", PARSE_ERRORS)
+    def test_error_surface(self, f7, text, kind, message, line, column):
+        with pytest.raises(SgbError) as exc:
+            parse_polynomial(text, ["x1", "x2"], f7)
+        assert type(exc.value).__name__ == kind
+        if kind == "ParseError":
+            assert str(exc.value) == f"{message} (line {line}, column {column})"
+            assert (exc.value.line, exc.value.column) == (line, column)
+        else:
+            assert str(exc.value) == message
 
     def test_round_trip_canonical(self, f31):
         rng = random.Random(0)
@@ -190,6 +246,15 @@ class TestCliCommands:
         code, out, err = run_cli(["gb", str(path), "--engine", "macaulay", "--cap", "1"])
         assert code == code_b == 0 and err == err_b == ""
         assert out == out_b == "x1^2 + x2^2\nx1*x2\nx2^3\n"
+
+    @pytest.mark.parametrize("engine", [[], ["--engine", "macaulay"], ["--engine", "buchberger"],
+                                        ["--engine", "macaulay", "--cap", "3"]])
+    def test_gb_refuses_an_empty_system(self, tmp_path, engine):
+        path = tmp_path / "empty.json"
+        path.write_text('{"field":{"char":7},"vars":["x1","x2"],"polys":[]}')
+        code, out, err = run_cli(["gb", str(path)] + engine)
+        assert code == 1 and out == ""
+        assert err == "error: EmptyBasis: cannot compute a basis for an empty system\n"
 
     def test_gb_default_cap_gives_the_complete_basis(self, tmp_path):
         # Krull dimension one: the default cap 2 (the largest generator
