@@ -32,7 +32,6 @@ from .engine import (
     _check_degree_loop,
     _DegreeLoop,
     buchberger,
-    gb_up_to,
     leading_monomial_ideal,
     max_gb_deg,
 )
@@ -95,6 +94,14 @@ def _default_route(system: PolySystem) -> tuple[str, int | None]:
     return "macaulay", cap
 
 
+def _basis_and_loop(system: PolySystem) -> tuple[GroebnerBasis, _DegreeLoop | None]:
+    """The basis of ``system`` by its default route, and the degree loop
+    that built it on the Macaulay route (None on Buchberger's)."""
+    engine, cap = _default_route(system)
+    loop = None if engine == "buchberger" else _DegreeLoop(system)
+    return (buchberger(system) if loop is None else loop.basis(cap)), loop
+
+
 def groebner_basis(system: PolySystem) -> GroebnerBasis:
     """Complete reduced basis of ``system`` by its default route
     (``_default_route``): the Macaulay engine at the cap D(n, m) for
@@ -103,8 +110,7 @@ def groebner_basis(system: PolySystem) -> GroebnerBasis:
     the Buchberger oracle for the rest, including every system a typed
     error rejects.  Both engines give the same basis; a caller that names
     one calls ``buchberger`` or ``gb_up_to``."""
-    engine, cap = _default_route(system)
-    return buchberger(system) if engine == "buchberger" else gb_up_to(system, cap)
+    return _basis_and_loop(system)[0]
 
 
 def _hilbert_of_basis(basis: GroebnerBasis) -> tuple[MonomialIdeal, HilbertProfile]:
@@ -352,31 +358,31 @@ def _extension_profile(loop: _DegreeLoop, lazard: int, ell: Polynomial) -> Hilbe
     return HilbertProfile(tuple(numerator), 0, tuple(h), len(h), len(h), len(h), None)
 
 
-def _extension_test(system: PolySystem, basis: GroebnerBasis):
+def _extension_test(system: PolySystem, loop: _DegreeLoop | None):
     """A function from a linear form l to the profile of <I, l>, or to None
     when l is rejected, for the candidates after x_n.
 
     It is ``_extension_profile`` bound to a degree loop walked up to the
     Lazard degree of <I, l>, whose echelons of I give multiplication on R/I
-    and whose ``extension_hf`` takes the ranks.  A basis from the Macaulay
-    route carries the degree loop that built it, which goes on from its cap
-    if the Lazard degree lies above; otherwise the loop starts from the
-    generators.  A loop that the engine's cell budget refuses leaves the
-    candidates to the Buchberger oracle, a basis of <I, l> each."""
+    and whose ``extension_hf`` takes the ranks.  ``loop`` is the one that
+    built I's basis on the Macaulay route, which goes on from its cap if the
+    Lazard degree lies above; with None a loop starts from the generators.
+    A loop that the engine's cell budget refuses leaves the candidates to
+    the Buchberger oracle, a basis of <I, l> each."""
     n, degrees = system.n, system.degrees
     lazard = lazard_bound(n, system.m + 1, degrees + (1,))
     try:
         _check_degree_loop(system, min(degrees), lazard)
     except MatrixTooLarge:
         return lambda ell: _hilbert_of_basis(buchberger(system.extended(ell)))[1]
-    loop = basis.echelons or _DegreeLoop(system)
+    loop = loop or _DegreeLoop(system)
     loop.walk(lazard)
     return functools.partial(_extension_profile, loop, lazard)
 
 
-def _search_linear_form(system, basis, seed, max_attempts):
-    """Candidate loop over the homogeneous system ``system`` and the basis
-    of its ideal I; assumes the dimension precondition already holds.
+def _search_linear_form(system, basis, loop, seed, max_attempts):
+    """Candidate loop over the homogeneous system ``system``, the basis of
+    its ideal I and the loop that built it, if any; assumes dim R/I <= 1.
 
     Returns the position change together with the profile of the successful
     extension <I, l> so callers need not recompute it.  No candidate gets a
@@ -408,8 +414,7 @@ def _search_linear_form(system, basis, seed, max_attempts):
         if attempts == 1:  # l = x_n
             ext_profile = _profile_with_xn(lm)
         else:
-            if extension is None:
-                extension = _extension_test(system, basis)
+            extension = extension or _extension_test(system, loop)
             ext_profile = extension(ell)
         if ext_profile is not None and ext_profile.artinian:
             ell, pivot = normalized_form(ell)
@@ -434,13 +439,13 @@ def find_linear_form(
     """
     if not system.homogeneous:
         raise NotHomogeneous("exact Hilbert data needs a homogeneous system")
-    basis = groebner_basis(system)
+    basis, loop = _basis_and_loop(system)
     _, profile = _hilbert_of_basis(basis)
     if profile.krull_dim >= 2:
         raise DimensionTooHigh(
             f"Krull dimension {profile.krull_dim} >= 2: no single form can work"
         )
-    pos, _ = _search_linear_form(system, basis, seed, max_attempts)
+    pos, _ = _search_linear_form(system, basis, loop, seed, max_attempts)
     return pos
 
 
@@ -507,24 +512,24 @@ def verify_main_theorem(
     from LM(J).  The candidates l after x_n are tested by multiplication
     maps on the echelons of I, ranked inside the degree loop of I
     (``_DegreeLoop.extension_hf``), with no basis of <I, l> unless the cell
-    budget refuses the echelons.  So a run computes at most two bases: that
-    of I, and that of I^sigma when sigma is not the identity.  The check
-    d_reg(<I^sigma, x_n>) == d_reg(<I, l>) compares two independent
-    computations, LM(I^sigma) and the maps on I.
+    budget refuses the echelons; on the Macaulay route that loop built I's
+    basis, and the verifier, not the basis, holds it.  So a run computes at
+    most two bases: that of I, and that of I^sigma when sigma is not the
+    identity.  The check d_reg(<I^sigma, x_n>) == d_reg(<I, l>) compares
+    two independent computations, LM(I^sigma) and the maps on I.
     """
     if not system.homogeneous:
         raise NotHomogeneous("the degree bounds apply to homogeneous ideals")
-    n, m = system.n, system.m
-    degrees = system.degrees
+    n, m, degrees = system.n, system.m, system.degrees
 
-    basis = groebner_basis(system)
+    basis, loop = _basis_and_loop(system)
     lm, profile = _hilbert_of_basis(basis)
     if profile.krull_dim >= 2:
         raise DimensionTooHigh(f"Krull dimension {profile.krull_dim} >= 2")
     semireg = _certification(profile, degrees)
     gen_d_reg = profile.gen_d_reg
 
-    pos, ext_profile = _search_linear_form(system, basis, seed, max_attempts)
+    pos, ext_profile = _search_linear_form(system, basis, loop, seed, max_attempts)
     d_reg_ell = ext_profile.d_reg
 
     if pos.sigma.is_identity():  # then the normalized l is x_n
@@ -554,13 +559,8 @@ def verify_main_theorem(
     equality = (gb_deg_sigma == rhs) if (weakly and artinian_after_sigma) else None
 
     m_n_minus_1_law = None
-    if m == n - 1:
-        ext_degrees = degrees + (1,)
-        ext_regular = first_defect_degree(ext_profile, ext_degrees) is None
-        if ext_regular:
-            m_n_minus_1_law = (
-                gen_d_reg == d_reg_ell - 1 == sum(d - 1 for d in degrees)
-            )
+    if m == n - 1 and first_defect_degree(ext_profile, degrees + (1,)) is None:
+        m_n_minus_1_law = gen_d_reg == d_reg_ell - 1 == sum(d - 1 for d in degrees)
 
     return TheoremReport(
         n=n,
@@ -583,7 +583,7 @@ def verify_main_theorem(
         equality_attained=equality,
         m_n_minus_1_law=m_n_minus_1_law,
         semiregular=semireg,
-        engine=_default_route(system)[0],
+        engine="buchberger" if loop is None else "macaulay",
     )
 
 

@@ -36,11 +36,11 @@ so a shifted row or tail is its keys plus one shift.  Divisibility uses the
 guard bit at the top of each 32-bit field: a | b iff ((b | G) - a) & G ==
 G.  A degree of 2^31 or more raises DegreeTooLarge rather than wrap.
 
-The degree loop (``_DegreeLoop``) stays on the basis ``gb_up_to`` returns and
-can go on past its cap.  Its echelons of I_d give multiplication by each
-variable on R/I, degree by degree, and from those it answers the Hilbert
-function of <I, l> for a linear form l, with one rank mod p
-(``_DegreeLoop.extension_hf``).
+The degree loop (``_DegreeLoop``) builds the basis (``_DegreeLoop.basis``)
+and stays with its caller, not on the basis; it can go on past its cap.  Its
+echelons of I_d give multiplication by each variable on R/I, degree by
+degree, and from those it answers the Hilbert function of <I, l> for a
+linear form l, with one rank mod p (``_DegreeLoop.extension_hf``).
 
 Buchberger's loop (``_complete``, which ``buchberger`` and ``gb_up_to``
 share) reduces against one append-only reducer set that caches, per
@@ -56,7 +56,7 @@ from __future__ import annotations
 import functools
 import heapq
 import math
-from dataclasses import dataclass, field as _dc_field, replace as _replace
+from dataclasses import dataclass, field as _dc_field
 
 import numpy as np
 
@@ -304,15 +304,12 @@ class GroebnerBasis:
     packed polynomials of ``pack`` over ``field``, ``keys`` their leading
     keys, ascending.  ``elements`` unpacks them into Polynomials when first
     read, with their terms in the stored order; two bases are equal when
-    their elements are.  A basis from ``gb_up_to`` also carries its degree
-    loop as ``echelons`` (a ``_DegreeLoop``), whose echelons of I_d give R/I
-    degree by degree."""
+    their elements are."""
 
     packed: tuple
     keys: tuple = _dc_field(repr=False)
     pack: object = _dc_field(repr=False)
     field: object = _dc_field(repr=False)
-    echelons: _DegreeLoop | None = _dc_field(default=None, repr=False)
 
     @functools.cached_property
     def elements(self) -> tuple:
@@ -740,7 +737,7 @@ class _DegreeLoop:
     def __init__(self, system: PolySystem):
         n = system.n
         self.pack = _packing(n)
-        self.p = system.field.p
+        self.field = system.field
         self.gens = {}
         for f in system.polys:
             self.gens.setdefault(f.degree(), []).append(self.pack.terms(f))
@@ -772,11 +769,22 @@ class _DegreeLoop:
         rows = []
         while not self.covers_next() and self.top < hi:
             gens = self.gens.get(self.top + 1, [])
-            echelon, new = _eliminate_degree(self.echelons[-1], self._pivots, gens, self.pack, self.p)
+            echelon, new = _eliminate_degree(self.echelons[-1], self._pivots, gens, self.pack, self.field.p)
             self._pivots = None
             self.echelons.append(echelon)
             rows.extend(new)
         return rows
+
+    def basis(self, cap: int) -> GroebnerBasis:
+        """The complete reduced basis from a loop not walked yet: the walk up
+        to ``cap``, or to the cover, then Buchberger's loop on the pairs whose
+        lcm lies above ``cap``.  The loop can go on past ``cap`` afterwards."""
+        collected = self.walk(cap)
+        # with the next degree covered the rows are the reduced basis; else every
+        # leading monomial of degree <= cap in the ideal is divisible by a
+        # collected one, so the rows are a Groebner basis up to degree cap
+        above = math.inf if self.covered is not None else cap
+        return _complete(collected, self.pack, self.field, above=above)
 
     def echelon(self, d: int) -> _Echelon:
         """The echelon of I_d, for d <= top or from the cover on."""
@@ -798,7 +806,7 @@ class _DegreeLoop:
         tail of the RREF of I_d, so modulo I it is -tail (the multiplication
         matrices of Faugere-Gianni-Lazard-Mora 1993, taken degree by degree).
         """
-        pack, p = self.pack, self.p
+        pack, p = self.pack, self.field.p
         maps = self._maps.get(d)
         if maps is None:
             prev, cur = self.echelon(d - 1), self.echelon(d)
@@ -846,8 +854,8 @@ def gb_up_to(system: PolySystem, cap: int) -> GroebnerBasis:
     M_{d-1}, times each variable, and the degree-d generators span I_d.
     The RREF rows led by monomials new at degree d are kept as packed
     polynomials; their keys ascend, so the pivot, a 1, comes first.  The
-    basis carries the loop (``GroebnerBasis.echelons``), which can go on
-    past the cap.
+    loop (``_DegreeLoop.basis``) is dropped on return; a caller that reads
+    its echelons builds one and asks it for the basis.
     """
     if not system.polys:
         raise EmptyBasis("cannot compute a basis for an empty system")
@@ -861,15 +869,7 @@ def gb_up_to(system: PolySystem, cap: int) -> GroebnerBasis:
     if cap < max(degrees):
         raise DegreeTooSmall(f"cap {cap} below the largest generator degree {max(degrees)}")
     _check_degree_loop(system, min(degrees), cap)
-
-    loop = _DegreeLoop(system)
-    collected = loop.walk(cap)
-    # with the next degree covered the rows are the reduced basis; else every
-    # leading monomial of degree <= cap in the ideal is divisible by a
-    # collected one, so the rows are a Groebner basis up to degree cap
-    above = math.inf if loop.covered is not None else cap
-    basis = _complete(collected, loop.pack, system.field, above=above)
-    return _replace(basis, echelons=loop)
+    return _DegreeLoop(system).basis(cap)
 
 
 def leading_monomial_ideal(basis: GroebnerBasis) -> MonomialIdeal:

@@ -20,7 +20,14 @@ from dataclasses import dataclass
 
 from .core import Monom, _packing, monomials_of_degree
 from .errors import DimensionMismatch, InvalidDegree, InvariantViolation, UnitIdeal
-from .series import degree_product, divide_by_one_minus_z, poly_eval, poly_sub, poly_trim
+from .series import (
+    _check_series_length,
+    degree_product,
+    divide_by_one_minus_z,
+    poly_eval,
+    poly_sub,
+    poly_trim,
+)
 
 # ---------------------------------------------------------------------------
 # monomial ideals
@@ -116,7 +123,9 @@ def _numerator(keys: tuple, pack, memo) -> list:
         m = mixed[0]
         colon = [-((pack.lcm(g, m) - m) >> top) for g in keys if g != m]
         colon = degree_product(colon) if all(colon) else []
-        out = poly_sub(degree_product(pure), [0] * -(m >> top) + colon)
+        shift = -(m >> top)
+        _check_series_length(shift + len(colon))
+        out = poly_sub(degree_product(pure), [0] * shift + colon)
     else:
         # N(J) = N(J + <x>) + z N(J : x) for the variable x in the most
         # mixed generators, the first of those

@@ -20,6 +20,7 @@ from __future__ import annotations
 import json
 import os
 import re
+import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
@@ -60,6 +61,8 @@ _FACTOR = re.compile(rf"({_VAR}){_WS}(?:\^{_WS}([0-9]+))?")
 _TOKEN = re.compile(r"[0-9]+|x[0-9]+|.", re.S)
 # a character no token starts with; "x" starts one only before a digit
 _BAD_CHAR = re.compile(r"[^ \t\r\n0-9xy*^+\-−]|x(?![0-9])")
+# a coefficient or an exponent: digits that are not part of a variable name
+_NUMBER = re.compile(r"(?<![x0-9])[0-9]+")
 
 
 def _line_col(text: str, pos: int) -> tuple[int, int]:
@@ -104,6 +107,15 @@ def _term_error(text: str, m) -> ParseError:
     return _error(text, f"expected '+' or '-', got {_TOKEN.match(text, e).group()!r}", e)
 
 
+def _long_number(text: str) -> ParseError:
+    """The error for the first coefficient or exponent of ``text`` with more
+    digits than ``int`` converts (``sys.get_int_max_str_digits``): terms are
+    converted in text order, and the terms before it parsed."""
+    limit = sys.get_int_max_str_digits()
+    long = next(m for m in _NUMBER.finditer(text) if len(m.group()) > limit)
+    return _error(text, f"number of more than {limit} digits", long.start())
+
+
 def parse_polynomial(text: str, names, fld: PrimeField) -> Polynomial:
     """Parse one polynomial string against the declared variable names, one
     regular-expression match per term."""
@@ -112,30 +124,33 @@ def parse_polynomial(text: str, names, fld: PrimeField) -> Polynomial:
     constant = (0,) * n
     coeffs: dict = {}
     pos = 0
-    while True:
-        m = _TERM.match(text, pos)
-        sign, coeff, star, pp, _ = m.groups()
-        c = 1 if coeff is None else int(coeff)
-        if pp is not None:
-            exponents = [0] * n
-            for var, exp in _FACTOR.findall(pp):
-                i = index.get(var)
-                if i is None:
-                    raise _unexpected(text) or UnknownVariable(
-                        f"variable {var!r} not declared (declared: {', '.join(names)})"
-                    )
-                exponents[i] += int(exp) if exp else 1
-            key = tuple(exponents)
-        elif coeff is None or star is not None:
-            raise _term_error(text, m)
-        else:
-            key = constant
-        coeffs[key] = coeffs.get(key, 0) + (-c if sign in ("-", "−") else c)
-        pos = m.end()
-        if pos == end:
-            break
-        if text[pos] not in "+-−":
-            raise _term_error(text, m)
+    try:
+        while True:
+            m = _TERM.match(text, pos)
+            sign, coeff, star, pp, _ = m.groups()
+            c = 1 if coeff is None else int(coeff)
+            if pp is not None:
+                exponents = [0] * n
+                for var, exp in _FACTOR.findall(pp):
+                    i = index.get(var)
+                    if i is None:
+                        raise _unexpected(text) or UnknownVariable(
+                            f"variable {var!r} not declared (declared: {', '.join(names)})"
+                        )
+                    exponents[i] += int(exp) if exp else 1
+                key = tuple(exponents)
+            elif coeff is None or star is not None:
+                raise _term_error(text, m)
+            else:
+                key = constant
+            coeffs[key] = coeffs.get(key, 0) + (-c if sign in ("-", "−") else c)
+            pos = m.end()
+            if pos == end:
+                break
+            if text[pos] not in "+-−":
+                raise _term_error(text, m)
+    except ValueError:  # from int(), on a number past the digit limit
+        raise _long_number(text) from None
     p = fld.p
     return Polynomial._of_clean(fld, n, {k: v % p for k, v in coeffs.items() if v % p})
 

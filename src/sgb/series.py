@@ -56,12 +56,26 @@ def poly_eval(a, x: int) -> int:
     return v
 
 
+def _check_series_length(length: int) -> None:
+    """Refuse a dense series or polynomial of more than ``MAX_SERIES_CAP``
+    coefficients before it is built."""
+    if length > MAX_SERIES_CAP:
+        raise CapExhausted(
+            f"the series would need {length} coefficients, over the limit of {MAX_SERIES_CAP}"
+        )
+
+
 def degree_product(degrees) -> list:
-    """Coefficients of prod_j (1 - z^(d_j)); the empty product is 1."""
-    out = [1]
+    """Coefficients of prod_j (1 - z^(d_j)); the empty product is 1.  A
+    product of more than ``MAX_SERIES_CAP`` coefficients raises CapExhausted
+    before any list is built."""
+    degrees = tuple(degrees)
     for d in degrees:
         if d < 1:
             raise InvalidDegree(f"generator degree {d} < 1")
+    _check_series_length(sum(degrees) + 1)
+    out = [1]
+    for d in degrees:
         factor = [0] * (d + 1)
         factor[0], factor[d] = 1, -1
         out = poly_mul(out, factor)
@@ -149,10 +163,7 @@ def truncated_froberg_polynomial(n: int, degrees) -> list:
     if m < n:
         raise UndefinedBound(f"every coefficient is positive for m={m} < n={n}")
     cap = max(2, sum(sorted(degrees)[m - n:]) - n + 2)
-    if cap > MAX_SERIES_CAP:
-        raise CapExhausted(
-            f"the series would need {cap} coefficients, over the limit of {MAX_SERIES_CAP}"
-        )
+    _check_series_length(cap)
     return positive_truncate(froberg_series(n, degrees, cap))
 
 

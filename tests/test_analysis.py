@@ -432,7 +432,7 @@ class TestExtensionMaps:
         # the profile from multiplication maps on the echelons of I, by
         # either route, against the oracle's basis of <I, l>
         system, forms = case
-        test = analysis._extension_test(system, analysis.groebner_basis(system))
+        test = analysis._extension_test(system, analysis._basis_and_loop(system)[1])
         for ell in forms:
             lm = leading_monomial_ideal(buchberger(system.extended(ell)))
             expected = regularity_profile(lm)
@@ -454,7 +454,7 @@ class TestExtensionMaps:
             top = lazard_bound(n, system.m + 1, degrees + (1,))
             _, profile = exact_hilbert_of_ideal(system)
             hf = expand_hilbert_series(profile.numerator, n, top)
-            test = analysis._extension_test(system, analysis.groebner_basis(system))
+            test = analysis._extension_test(system, analysis._basis_and_loop(system)[1])
             for ell in forms:
                 shapes.clear()
                 assert test(ell) is None
@@ -573,15 +573,16 @@ class TestVerifyMainTheorem:
 
     def test_bases_per_run(self, f31, monkeypatch):
         # no basis of <I, x_n>, <I^sigma, x_n> or of any <I, l>: one basis
-        # when sigma is the identity, otherwise those of I and I^sigma
+        # when sigma is the identity, otherwise those of I and I^sigma; each
+        # takes the default route through _basis_and_loop
         bases = []
-        real = analysis.groebner_basis
+        real = analysis._basis_and_loop
 
         def spy(system):
             bases.append(system)
             return real(system)
 
-        monkeypatch.setattr(analysis, "groebner_basis", spy)
+        monkeypatch.setattr(analysis, "_basis_and_loop", spy)
         systems = [coordinate_zeros_system(f31)] + [
             sampler(3, m, (2,) * m, f31, seed=k)
             for sampler in (sample_system, sample_Z_system)
@@ -684,17 +685,24 @@ class TestDefaultRoute:
             assert routed.engine == "macaulay" and oracle.engine == "buchberger"
 
     def test_route_by_shape(self, f31, monkeypatch):
-        calls = []
-        for name in ("gb_up_to", "buchberger"):
-            real = getattr(analysis, name)
-            monkeypatch.setattr(
-                analysis, name,
-                lambda system, *a, _name=name, _real=real: calls.append((_name, system.m))
-                or _real(system, *a),
-            )
+        # each basis is built once, by the oracle or by one degree loop of
+        # its ideal
+        calls, loops = [], []
+        real_buchberger, real_loop = analysis.buchberger, analysis._DegreeLoop
+
+        def loop(system):
+            calls.append(("loop", system.m))
+            loops.append(real_loop(system))
+            return loops[-1]
+
+        monkeypatch.setattr(analysis, "_DegreeLoop", loop)
+        monkeypatch.setattr(
+            analysis, "buchberger",
+            lambda system: calls.append(("buchberger", system.m)) or real_buchberger(system),
+        )
         report = verify_main_theorem(sample_system(6, 7, (2,) * 7, f31, seed=1), seed=0)
         assert report.sigma.is_identity() and report.engine == "macaulay"
-        assert calls == [("gb_up_to", 7)]
+        assert calls == [("loop", 7)]
 
         calls.clear()
         report = verify_main_theorem(sample_system(5, 5, (2,) * 5, f31, seed=1), seed=0)
@@ -703,11 +711,7 @@ class TestDefaultRoute:
         # I and I^sigma by elimination; the candidates after x_n read the
         # echelons of I's degree loop, which is not built again: at 6/6 its
         # cap D = 7 is the Lazard degree of <I, l>, at 6/7 it goes on past
-        # the cap D = 4 up to 7
-        loops = []
-        real_loop = analysis._DegreeLoop
-        monkeypatch.setattr(engine, "_DegreeLoop", lambda s: loops.append(s) or real_loop(s))
-        monkeypatch.setattr(analysis, "_DegreeLoop", engine._DegreeLoop)
+        # the cap D = 4 up to 7, while the loop of I^sigma stops at the cap
         for m, cap in ((6, 7), (7, 4)):
             calls.clear()
             loops.clear()
@@ -716,8 +720,8 @@ class TestDefaultRoute:
             report = verify_main_theorem(system, seed=0)
             assert not report.sigma.is_identity() and report.engine == "macaulay"
             assert report.attempts_used > 6
-            assert calls == [("gb_up_to", m), ("gb_up_to", m)]
-            assert loops == [system, apply_to_system(system, report.sigma)]
+            assert calls == [("loop", m), ("loop", m)]
+            assert [lp.top for lp in loops] == [7, cap]
 
     def test_budget_falls_back_to_buchberger(self, f31, monkeypatch):
         system = sample_system(6, 7, (2,) * 7, f31, seed=2)
@@ -736,9 +740,9 @@ class TestDefaultRoute:
     def test_refused_loop_leaves_candidates_to_buchberger(self, f31, monkeypatch, case, cells):
         # unpatched, the candidates after x_n read the echelons of I: built
         # from the generators on the Buchberger route, carried on from the
-        # cap D(6, 7) = 4 on the Macaulay route; with the loop up to the
-        # Lazard degree of <I, l> over the cell budget, each gets a basis of
-        # <I, l> from the oracle
+        # cap D(6, 7) = 4 by the loop that built I's basis on the Macaulay
+        # route; with the loop up to the Lazard degree of <I, l> over the
+        # cell budget, each gets a basis of <I, l> from the oracle
         system = {
             "corner 5/6": corner_system(5, 6, (2,) * 6, f31, seed=1),
             "coordinate zeros": coordinate_zeros_system(f31),
@@ -757,13 +761,15 @@ class TestDefaultRoute:
         monkeypatch.setattr(analysis, "buchberger", spy)
         maps = verify_main_theorem(system, seed=0)
         assert not maps.sigma.is_identity() and not extensions
-        assert loops == ([system] if route[0] == "buchberger" else [])
+        # the loops that built the bases of I and I^sigma, if any
+        bases = [] if route[0] == "buchberger" else [system, apply_to_system(system, maps.sigma)]
+        assert loops == (bases or [system])
 
         loops.clear()
         monkeypatch.setattr(engine, "MAX_MACAULAY_CELLS", cells)
         assert analysis._default_route(system) == route
         oracle = verify_main_theorem(system, seed=0)
-        assert oracle == maps and not loops
+        assert oracle == maps and loops == bases
         assert len(extensions) == maps.attempts_used - 1
 
     def test_unreachable_bound_falls_back_to_buchberger(self, f31):

@@ -3,10 +3,12 @@ degree-by-degree elimination, the Gebauer-Moeller pruning against the
 Buchberger oracle, and the rank identity."""
 
 import contextlib
+import gc
 import hashlib
 import math
 import random
 import time
+import weakref
 
 import numpy as np
 import pytest
@@ -38,7 +40,7 @@ from sgb import (
     sample_system,
     sample_Z_system,
 )
-from sgb import core, engine
+from sgb import analysis, core, engine
 from sgb.core import _Packing
 from sgb.engine import (
     MAX_MACAULAY_CELLS,
@@ -929,6 +931,28 @@ class TestDegreeElimination:
             assert gb_up_to(system, 5) == buchberger(system)
         assert [e.degree for e in seen] == [1, 2, 3, 4, 5]
         assert len(calls) == 5 and "build" not in calls
+
+    def test_the_basis_keeps_no_degree_loop(self, f31, monkeypatch):
+        # a basis is a value: the loop that built it, with its echelons, is
+        # garbage once gb_up_to or the default route returns it
+        refs = []
+
+        class Loop(engine._DegreeLoop):
+            def __init__(self, system):
+                super().__init__(system)
+                refs.append(weakref.ref(self))
+
+        monkeypatch.setattr(engine, "_DegreeLoop", Loop)
+        monkeypatch.setattr(analysis, "_DegreeLoop", Loop)
+        system = sample_system(6, 7, (2,) * 7, f31, seed=1)
+        route, cap = analysis._default_route(system)
+        assert route == "macaulay"
+        for build in (lambda s: gb_up_to(s, cap), analysis.groebner_basis):
+            refs.clear()
+            basis = build(system)
+            gc.collect()
+            assert len(refs) == 1 and refs[0]() is None
+            assert len(basis) and basis.keys
 
     def test_matrix_products_stay_exact_past_2_63(self):
         # at p = 2^31 - 1 two products already pass 2^63; 70,000 of them

@@ -101,6 +101,9 @@ PARSE_ERRORS = (
     ("x1\r\n−\n", "ParseError", "dangling sign", 2, 1),
     ("x1 +\n x3 + %", "ParseError", "unexpected character '%'", 2, 7),
     ("x1\n\n  @", "ParseError", "unexpected character '@'", 3, 3),
+    # numbers past int()'s default digit limit
+    ("x1 + " + "7" * 4301 + "*x2", "ParseError", "number of more than 4300 digits", 1, 6),
+    ("x1 + x2^" + "1" * 4301, "ParseError", "number of more than 4300 digits", 1, 9),
 )
 
 
@@ -379,6 +382,17 @@ class TestCliCommands:
         start = time.monotonic()
         code, out, err = run_cli(["analyze", str(path)])
         assert code == 1 and out == "" and "error: MatrixTooLarge" in err
+        assert time.monotonic() - start < 1
+
+    @pytest.mark.parametrize("command", ["analyze", "verify"])
+    def test_huge_degrees_are_refused_before_the_numerator(self, tmp_path, command):
+        # the Hilbert numerator of <x1^(10^8), x3^2> is a dense list of
+        # 10^8 + 3 coefficients, gigabytes: refused before it is built
+        path = tmp_path / "huge.json"
+        path.write_text(HUGE_DEGREES)
+        start = time.monotonic()
+        code, out, err = run_cli([command, str(path)])
+        assert code == 1 and out == "" and "error: CapExhausted" in err
         assert time.monotonic() - start < 1
 
     @pytest.mark.parametrize(
