@@ -16,7 +16,7 @@ from .analysis import _certification, exact_hilbert_of_ideal, verify_main_theore
 from .analysis import check_noether_position, check_weakly_revlex
 from .core import monom_to_string, poly_to_string
 from .engine import buchberger, gb_up_to
-from .errors import SgbError
+from .errors import ParseError, SgbError
 from .series import bound_report
 
 
@@ -26,7 +26,15 @@ def _print_kv(stream, **fields):
 
 
 def _load_doc(path: str) -> sgbio.SystemDoc:
-    return sgbio.parse_system_doc(Path(path).read_text(encoding="utf-8"))
+    data = Path(path).read_bytes()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as e:
+        before = data[: e.start].decode("utf-8")  # valid up to the bad byte
+        raise ParseError(
+            f"invalid UTF-8 byte {data[e.start]:#04x}", *sgbio._line_col(before, len(before))
+        ) from None
+    return sgbio.parse_system_doc(text)
 
 
 _FLAGS = {

@@ -3,12 +3,12 @@ lexicographic order, multivariate polynomials, and linear coordinate changes.
 
 Monomials are plain tuples of non-negative exponents ``(e_1, ..., e_n)`` for
 the variables ``x_1 > ... > x_n``; the private :class:`_Packing` turns them
-into single ints, the engine's only monomial form between its inputs and
-its results.  Field elements are plain ints in
-``[0, p)``; a :class:`PrimeField` supplies the arithmetic.  The public
-values (fields, polynomials, systems and linear changes) are immutable after
-construction, compare and hash by value, and are safe to share across
-threads.
+into single ints, one unsigned 32-bit field per exponent in one ``struct``
+layout, the engine's only monomial form between its inputs and its results.
+Field elements are plain ints in ``[0, p)``; a :class:`PrimeField` supplies
+the arithmetic.  The public values (fields, polynomials, systems and linear
+changes) are immutable after construction, compare and hash by value, and
+are safe to share across threads.
 """
 
 from __future__ import annotations
@@ -435,23 +435,21 @@ def poly_to_string(f: Polynomial, names=None) -> str:
 # a guard, so a packed monomial's degree (and so each exponent) must stay
 # below 2^(_PACK_BITS - 1).
 _PACK_BITS = 32
-# struct codes of the widths that are whole unsigned machine integers
-_STRUCT_CODES = {8: "B", 16: "H", 32: "I", 64: "Q"}
 
 
 class _Packing:
     """Monomials in ``n`` variables packed into one int each,
-    ``key(m) = sum_i m_i 2^(w i) - deg(m) 2^(w n)`` with w = ``_PACK_BITS``.
+    ``key(m) = sum_i m_i 2^(32 i) - deg(m) 2^(32 n)``.
 
     A smaller key is a DRL-larger monomial: the degree term decides first,
     then the exponent of x_n, then that of x_(n-1), and so on.  A product is a
     sum of keys.  With G the guard bits of the exponent fields, ``a | b`` iff
-    ``((b | G) - a) & G == G``: each field of ``b | G`` is b_i + 2^(w-1), and
+    ``((b | G) - a) & G == G``: each field of ``b | G`` is b_i + 2^31, and
     subtracting a_i clears its guard exactly when a_i > b_i, with no borrow
     between fields.  Packed polynomials are dicts {key: coefficient} whose
-    keys ascend, so the leading term comes first.  At a width of 8, 16, 32
-    or 64 bits the exponent fields are the little-endian bytes of one
-    ``struct``, so a monomial packs and unpacks in one conversion.
+    keys ascend, so the leading term comes first.  The exponent fields are
+    the little-endian unsigned 32-bit integers of one ``struct``, so a
+    monomial packs and unpacks in one conversion.
     """
 
     __slots__ = ("n", "bits", "shifts", "unit", "mask", "guard", "ones", "limit", "fields")
@@ -466,8 +464,7 @@ class _Packing:
         self.guard = sum(1 << (s + w - 1) for s in self.shifts)
         self.ones = sum(1 << s for s in self.shifts)
         self.limit = 1 << (w - 1)
-        code = _STRUCT_CODES.get(w)
-        self.fields = struct.Struct(f"<{n}{code}") if code else None
+        self.fields = struct.Struct(f"<{n}I")
 
     def degree(self, k: int) -> int:
         return -(k >> (self.bits * self.n))
@@ -482,8 +479,6 @@ class _Packing:
     def pack(self, m: Monom) -> int:
         d = sum(m)
         self.check(d)
-        if self.fields is None:
-            return sum(e << s for e, s in zip(m, self.shifts)) - d * self.unit
         return int.from_bytes(self.fields.pack(*m), "little") - d * self.unit
 
     def variable(self, i: int) -> int:
@@ -491,25 +486,21 @@ class _Packing:
         return (1 << self.shifts[i]) - self.unit
 
     def unpack(self, k: int) -> Monom:
-        r = k & self.mask
-        if self.fields is None:
-            field = (1 << self.bits) - 1
-            return tuple((r >> s) & field for s in self.shifts)
-        return self.fields.unpack(r.to_bytes(self.fields.size, "little"))
+        return self.fields.unpack((k & self.mask).to_bytes(self.fields.size, "little"))
 
     def divides(self, a: int, b: int) -> bool:
         return ((b | self.guard) - a) & self.guard == self.guard
 
     def support(self, k: int) -> int:
         """The guard bits of the nonzero exponent fields of ``k``: a field
-        e_i + 2^(w-1) - 1 keeps its guard iff e_i >= 1."""
+        e_i + 2^31 - 1 keeps its guard iff e_i >= 1."""
         return ((k | self.guard) - self.ones) & self.guard
 
     def lcm(self, a: int, b: int) -> int:
         """lcm of two packed monomials: ``b`` times the fieldwise excess
         max(a_i - b_i, 0).  Its degree is exact whatever its size, as the
         excess has degree at most deg(a)."""
-        diff = ((a | self.guard) - b) & self.mask  # fields a_i - b_i + 2^(w-1)
+        diff = ((a | self.guard) - b) & self.mask  # fields a_i - b_i + 2^31
         ahead = diff & self.guard  # guards of the fields where a_i >= b_i
         excess = diff & (ahead - (ahead >> (self.bits - 1)))
         return b + excess - excess % ((1 << self.bits) - 1) * self.unit
@@ -526,26 +517,16 @@ class _Packing:
         return Polynomial._of_clean(fld, self.n, dict(items), items)
 
 
-def _packing(n: int) -> _Packing:
-    """The shared packing of ``n`` variables at the current width."""
-    return _packing_at(n, _PACK_BITS)
-
-
-def _packed_monomials(n: int, d: int) -> tuple:
-    """Keys of ``monomials_of_degree(n, d)`` at the current width, ascending."""
-    return _packed_monomials_at(n, d, _PACK_BITS)
-
-
-# The width keys both caches, so a packing made at one width is never handed
-# out at another.
 @functools.lru_cache(maxsize=None)
-def _packing_at(n: int, bits: int) -> _Packing:
+def _packing(n: int) -> _Packing:
+    """The shared packing of ``n`` variables."""
     return _Packing(n)
 
 
 @functools.lru_cache(maxsize=None)
-def _packed_monomials_at(n: int, d: int, bits: int) -> tuple:
-    return tuple(map(_packing_at(n, bits).pack, monomials_of_degree(n, d)))
+def _packed_monomials(n: int, d: int) -> tuple:
+    """Keys of ``monomials_of_degree(n, d)``, ascending."""
+    return tuple(map(_packing(n).pack, monomials_of_degree(n, d)))
 
 
 # ---------------------------------------------------------------------------

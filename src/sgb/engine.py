@@ -301,15 +301,18 @@ def rref_block(a: np.ndarray, p: int) -> RrefResult:
 class GroebnerBasis:
     """Complete reduced basis: monic elements sorted by (degree, descending
     DRL leading monomial), held packed.  ``packed`` are the elements as
-    packed polynomials of ``pack`` over ``field``, ``keys`` their leading
-    keys, ascending.  ``elements`` unpacks them into Polynomials when first
-    read, with their terms in the stored order; two bases are equal when
-    their elements are."""
+    packed polynomials of ``pack`` over ``field``, each with its leading key
+    first.  ``keys`` are those leading keys, ascending, and ``elements`` the
+    elements as Polynomials, with their terms in the stored order; each is
+    derived when first read.  Two bases are equal when their elements are."""
 
     packed: tuple
-    keys: tuple = _dc_field(repr=False)
     pack: object = _dc_field(repr=False)
     field: object = _dc_field(repr=False)
+
+    @functools.cached_property
+    def keys(self) -> tuple:
+        return tuple(sorted(next(iter(g)) for g in self.packed))
 
     @functools.cached_property
     def elements(self) -> tuple:
@@ -335,8 +338,6 @@ def _leading_keys(basis: GroebnerBasis, what: str) -> tuple:
     """The packed leading keys of a nonempty basis, one per element."""
     if not basis.packed:
         raise EmptyBasis(f"empty basis has no {what}")
-    if len(basis.keys) != len(basis.packed):
-        raise InvariantViolation("a basis must carry the leading key of each element")
     return basis.keys
 
 
@@ -509,7 +510,7 @@ def _reduced_basis(G, pack, fld, above: int | None = None) -> GroebnerBasis:
         done.add(g)
         kept.append((pack.degree(lm), lm, g))
     kept.sort(key=lambda e: e[:2])
-    return GroebnerBasis(tuple(g for _, _, g in kept), tuple(reversed(done.lms)), pack, fld)
+    return GroebnerBasis(tuple(g for _, _, g in kept), pack, fld)
 
 
 def _complete(G, pack, fld, above: float | None = None) -> GroebnerBasis:

@@ -116,6 +116,21 @@ def _long_number(text: str) -> ParseError:
     return _error(text, f"number of more than {limit} digits", long.start())
 
 
+# a JSON string, or a JSON number: integer part, fraction, exponent
+_JSON_TOKEN = re.compile(r'"(?:[^"\\]|\\.)*"|-?([0-9]+)(\.[0-9]+)?([eE][-+]?[0-9]+)?')
+
+
+def _long_json_integer(text: str) -> ParseError:
+    """The error for the first JSON integer of ``text`` with more digits than
+    ``int`` converts: the decoder converts numbers in text order, and the
+    text before that one is valid JSON, so its strings are skipped whole."""
+    limit = sys.get_int_max_str_digits()
+    long = next(
+        m for m in _JSON_TOKEN.finditer(text) if m[1] and not (m[2] or m[3]) and len(m[1]) > limit
+    )
+    return ParseError(f"number of more than {limit} digits", *_line_col(text, long.start()))
+
+
 def parse_polynomial(text: str, names, fld: PrimeField) -> Polynomial:
     """Parse one polynomial string against the declared variable names, one
     regular-expression match per term."""
@@ -174,6 +189,10 @@ def parse_system_doc(text: str) -> SystemDoc:
         raw = json.loads(text)
     except json.JSONDecodeError as e:
         raise ParseError(f"invalid JSON: {e.msg}", e.lineno, e.colno) from None
+    except ValueError:  # from int(), on a number past the digit limit
+        raise _long_json_integer(text) from None
+    except RecursionError:
+        raise ParseError("invalid JSON: arrays or objects nested too deeply") from None
     if not isinstance(raw, dict):
         raise ParseError("top-level value must be an object")
     try:
@@ -350,9 +369,9 @@ def run_experiment(
     is seed-deterministic too.
     """
     if trials < 1:
-        raise ValueError("trials must be >= 1")
+        raise SgbError("trials must be >= 1")
     if construction not in ("generic", "Z"):
-        raise ValueError(f"unknown construction {construction!r}")
+        raise SgbError(f"unknown construction {construction!r}")
     jobs = [
         (t, n, m, tuple(degrees), q, seed, construction, max_attempts, timings)
         for t in range(trials)

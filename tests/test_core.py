@@ -266,13 +266,13 @@ class TestPolynomial:
 
 
 @st.composite
-def round_trip_cases(draw, bits):
+def round_trip_cases(draw):
     """A polynomial over F_2 to F_(2^31-1) in 1 to 7 variables whose monomials
-    fit a packing of width ``bits``: small exponents, and in some monomials
-    one exponent as large as the degree limit allows."""
+    fit the packing: small exponents, and in some monomials one exponent as
+    large as the degree limit allows."""
     p = draw(st.sampled_from((2, 3, 31, 65521, 2**31 - 1)), label="p")
     n = draw(st.integers(1, 7), label="n")
-    limit = 1 << (bits - 1)
+    limit = core._Packing(n).limit
     small = st.integers(0, min(3, (limit - 1) // n))
 
     def monomial():
@@ -289,27 +289,23 @@ def round_trip_cases(draw, bits):
 
 class TestPackedRoundTrips:
     """The edges of the engine: text to Polynomial and back, and Polynomial
-    to packed terms and back, at the default field width and at 4 bits."""
+    to packed terms and back."""
 
-    @pytest.mark.parametrize("bits", [core._PACK_BITS, 4])
-    @settings(max_examples=150, deadline=None)
-    @given(data=st.data())
-    def test_print_parse_and_pack_unpack(self, bits, data):
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(core, "_PACK_BITS", bits)
-            f = data.draw(round_trip_cases(bits))
-            names = [f"x{i + 1}" for i in range(f.n)]
-            text = poly_to_string(f, names)
-            assert parse_polynomial(text, names, f.field) == f
-            pack = core._Packing(f.n)
-            terms = pack.terms(f)
-            assert list(terms) == sorted(terms)  # keys ascend: the leading term first
-            g = pack.polynomial(terms, f.field)
-            assert g == f
-            drl = sorted(f.coeffs.items(), key=lambda t: drl_key(t[0]), reverse=True)
-            assert list(g.terms()) == drl == list(f.terms())
-            assert poly_to_string(g, names) == text
-            assert parse_polynomial(poly_to_string(g, names), names, f.field) == g
+    @settings(max_examples=300, deadline=None)
+    @given(f=round_trip_cases())
+    def test_print_parse_and_pack_unpack(self, f):
+        names = [f"x{i + 1}" for i in range(f.n)]
+        text = poly_to_string(f, names)
+        assert parse_polynomial(text, names, f.field) == f
+        pack = core._Packing(f.n)
+        terms = pack.terms(f)
+        assert list(terms) == sorted(terms)  # keys ascend: the leading term first
+        g = pack.polynomial(terms, f.field)
+        assert g == f
+        drl = sorted(f.coeffs.items(), key=lambda t: drl_key(t[0]), reverse=True)
+        assert list(g.terms()) == drl == list(f.terms())
+        assert poly_to_string(g, names) == text
+        assert parse_polynomial(poly_to_string(g, names), names, f.field) == g
 
 
 class TestLinearChange:

@@ -56,7 +56,6 @@ from sgb.errors import (
     DegreeTooLarge,
     DegreeTooSmall,
     EmptyBasis,
-    InvariantViolation,
     MatrixTooLarge,
     NotHomogeneous,
     ZeroPolynomial,
@@ -302,24 +301,13 @@ class TestNormalForm:
         assert reducers.divisor[x1x2] == 1
 
 
-def packing(n, bits):
-    """A packing of ``n`` variables made at another field width."""
-    saved = core._PACK_BITS
-    core._PACK_BITS = bits
-    try:
-        return _Packing(n)
-    finally:
-        core._PACK_BITS = saved
-
-
 @st.composite
 def packed_cases(draw):
-    """A field width, and two monomials whose degrees fit it: small
-    exponents, or one exponent as large as the degree limit allows; the
-    second is often a multiple of the first."""
-    bits = draw(st.sampled_from((core._PACK_BITS, 8, 4)))
+    """Two monomials whose degrees fit the packing: small exponents, or one
+    exponent as large as the degree limit allows; the second is often a
+    multiple of the first."""
     n = draw(st.integers(1, 4))
-    limit = 1 << (bits - 1)
+    limit = _Packing(n).limit
 
     def monomial():
         m = draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
@@ -332,15 +320,15 @@ def packed_cases(draw):
     a, b = monomial(), monomial()
     if draw(st.booleans()) and sum(a) + sum(b) < limit:
         b = mono_mul(a, b)
-    return bits, a, b
+    return a, b
 
 
 class TestPackedMonomials:
     @settings(max_examples=400, deadline=None)
     @given(packed_cases())
     def test_matches_tuple_monomials(self, case):
-        bits, a, b = case
-        pack = packing(len(a), bits)
+        a, b = case
+        pack = _Packing(len(a))
         ka, kb = pack.pack(a), pack.pack(b)
         assert pack.unpack(ka) == a and pack.degree(ka) == sum(a)
         # a smaller key is a DRL-larger monomial
@@ -350,7 +338,7 @@ class TestPackedMonomials:
         lcm = pack.lcm(ka, kb)  # exact even when its degree does not fit
         assert pack.unpack(lcm) == mono_lcm(a, b)
         assert pack.degree(lcm) == sum(mono_lcm(a, b))
-        if sum(a) + sum(b) < 1 << (bits - 1):
+        if sum(a) + sum(b) < pack.limit:
             assert ka + kb == pack.pack(mono_mul(a, b))
         if mono_divides(a, b):
             assert kb - ka == pack.pack(mono_div(b, a))
@@ -387,35 +375,18 @@ class TestPackedMonomials:
         with pytest.raises(DegreeTooLarge):
             gb_up_to(system, d)
 
-    def test_lcm_over_the_width_is_refused_mid_run(self, f31, monkeypatch):
-        # inputs of degree 6; the only pair has lcm x1^5*x2^5 of degree 10
+    def test_lcm_over_the_width_is_refused_mid_run(self, f31):
+        # inputs of degree 2^30 + 1 fit; the only pair has lcm
+        # x1^(2^30)*x2^(2^30) of degree 2^31, which does not
         names = ("x1", "x2", "x3")
-        polys = ("x1^5*x2 + x3^6", "x1*x2^5 + x3^6")
+        polys = ("x1^1073741824*x2 + x3^1073741825", "x1*x2^1073741824 + x3^1073741825")
         system = PolySystem(f31, 3, tuple(parse_polynomial(f, names, f31) for f in polys))
-        assert len(buchberger(system)) > 2
-        monkeypatch.setattr(core, "_PACK_BITS", 4)  # degrees below 8
-        with pytest.raises(DegreeTooLarge):
+        with pytest.raises(DegreeTooLarge, match="degree 2147483648;"):
             buchberger(system)
-        with pytest.raises(DegreeTooLarge):
-            gb_up_to(system, 6)
-
-    def test_cached_packings_follow_the_width(self, f31):
-        # the shared packings and packed monomials are cached per width: keys
-        # made at a patched width must not outlive it
-        system = sample_system(3, 3, (2, 2, 2), f31, seed=1)
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(core, "_PACK_BITS", 4)  # degrees below 8
-            assert core._packing(3).bits == 4
-            narrow = gb_up_to(system, 4)  # fills the caches at width 4
-            assert narrow == buchberger(system)
-        assert core._packing(3).bits == core._PACK_BITS
-        assert core._packed_monomials(3, 2) == tuple(map(_Packing(3).pack, monomials_of_degree(3, 2)))
-        # degree 8 and above do not fit 4-bit fields
-        wide = sample_system(3, 3, (3, 3, 4), f31, seed=1)
-        assert max_gb_deg(buchberger(wide)) >= 8
-        basis, oracle = gb_up_to(wide, 9), buchberger(wide)
-        assert basis == oracle and basis.keys == oracle.keys
-        assert gb_up_to(system, 4) == narrow
+        # the degree loop lists every monomial of a degree, so it is refused
+        # long before an lcm could pass the width
+        with pytest.raises(MatrixTooLarge):
+            gb_up_to(system, 2**30 + 1)
 
 
 class TestBuildMacaulay:
@@ -776,12 +747,12 @@ class TestGroebner:
         from sgb import GroebnerBasis
 
         with pytest.raises(EmptyBasis):
-            max_gb_deg(GroebnerBasis((), (), _Packing(2), f7))
-        # a hand-built basis: its degree comes from its keys, so it needs them
+            max_gb_deg(GroebnerBasis((), _Packing(2), f7))
+        # a hand-built basis derives its leading keys from its elements
         basis = buchberger(fixture_f1_f2(f7))
-        assert max_gb_deg(GroebnerBasis(basis.packed, basis.keys, basis.pack, f7)) == 3
-        with pytest.raises(InvariantViolation):
-            max_gb_deg(GroebnerBasis(basis.packed, (), basis.pack, f7))
+        rebuilt = GroebnerBasis(basis.packed, basis.pack, f7)
+        assert max_gb_deg(rebuilt) == 3
+        assert rebuilt.keys == basis.keys
 
     def test_gb_up_to_cap_below_generators(self, f7):
         with pytest.raises(DegreeTooSmall):
@@ -992,14 +963,6 @@ class TestLeadingMonomialIdeal:
         assert lm == expected
         assert lm.gens == expected.gens
         assert set(lm.gens) == set(basis.leading_monomials())
-
-    def test_basis_without_its_keys_is_refused(self, f7):
-        # a hand-built basis has no packed leading keys to read
-        from sgb import GroebnerBasis
-
-        basis = buchberger(fixture_f1_f2(f7))
-        with pytest.raises(InvariantViolation):
-            leading_monomial_ideal(GroebnerBasis(basis.packed, (), basis.pack, basis.field))
 
 
 @st.composite

@@ -187,9 +187,16 @@ class TestSystemFiles:
             '{"field":{"char":7},"vars":["y","x1"],"polys":[]}',
             '{"field":{"char":7},"vars":["x1"],"polys":[5]}',
             '{"field":{"char":7},"vars":["x1"],"polys":"x1"}',
+            '{"field":{"char":%s},"vars":["x1"],"polys":[]}' % ("1" * 4301),
+            "[" * 200_000,
         ):
             with pytest.raises(ParseError):
                 parse_system(bad)
+        # a long number is found after a longer run of digits in a string
+        long = '{"polys":["%s"],\n"field":{"char":-%s}}' % ("1" * 5000, "1" * 4301)
+        with pytest.raises(ParseError) as exc:
+            parse_system(long)
+        assert (exc.value.line, exc.value.column) == (2, 17)
 
     def test_parser_never_leaks_internal_errors(self):
         # fuzzed inputs must fail with domain errors only
@@ -353,6 +360,13 @@ class TestCliCommands:
         # help exits 0
         assert run_cli(["--help"])[0] == 0
 
+    def test_undecodable_file_is_a_parse_error(self, tmp_path):
+        path = tmp_path / "sys.json"
+        path.write_bytes(b'{"field":{"char":7},\n"vars":["x1\xff"],"polys":["x1"]}')
+        code, out, err = run_cli(["gb", str(path)])
+        assert code == 1 and out == ""
+        assert err == "error: ParseError: invalid UTF-8 byte 0xff (line 2, column 12)\n"
+
     @pytest.mark.parametrize("meta", ["5", "[1]", "null", '"ab"'])
     def test_meta_that_is_not_an_object_is_a_parse_error(self, tmp_path, meta):
         path = tmp_path / "sys.json"
@@ -458,6 +472,13 @@ class TestCliCommands:
 
 
 class TestExperiment:
+    def test_bad_arguments_are_typed_errors(self):
+        code, out, err = run_cli(["experiment", "-n", "2", "-m", "2", "-d", "2,2", "--trials", "0"])
+        assert (code, out, err) == (1, "", "error: SgbError: trials must be >= 1\n")
+        # the CLI offers only the known constructions; the library refuses others
+        with pytest.raises(SgbError, match="unknown construction 'W'"):
+            run_experiment(2, 2, (2, 2), 31, trials=1, seed=1, construction="W")
+
     def test_csv_schema_and_determinism(self, tmp_path):
         args = [
             "experiment", "-n", "2", "-m", "3", "-d", "2,2,2", "-q", "31",
