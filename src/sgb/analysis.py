@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import bisect
 import functools
+import itertools
 import math
 import random
 from dataclasses import dataclass
@@ -30,6 +31,7 @@ from .core import (
 from .engine import (
     GroebnerBasis,
     _check_degree_loop,
+    _check_system,
     _DegreeLoop,
     buchberger,
     leading_monomial_ideal,
@@ -45,12 +47,13 @@ from .errors import (
     NotHomogeneous,
     NotLinear,
     SearchExhausted,
+    SgbError,
     UndefinedBound,
     UnitIdeal,
     ZeroForm,
 )
 from .hilbert import HilbertProfile, MonomialIdeal, regularity_profile
-from .series import degree_bound_Dnm, degree_product, lazard_bound, poly_mul, poly_sub
+from .series import bound_report, degree_bound_Dnm, degree_product, lazard_bound, poly_mul, poly_sub
 
 # ---------------------------------------------------------------------------
 # exact Hilbert data of a polynomial ideal
@@ -68,17 +71,20 @@ _ELIMINATION_MIN_MONOMIALS = 56
 def _default_route(system: PolySystem) -> tuple[str, int | None]:
     """Engine and cap of ``groebner_basis``'s default route for ``system``.
 
-    A homogeneous system whose generators all have degree >= 1 and whose
+    A system that the degree loop takes (``engine._check_system``) and whose
     degree top + 1 has at least ``_ELIMINATION_MIN_MONOMIALS`` monomials goes
     to the Macaulay engine at the cap D(n, m) (the Lazard bound where D is
     undefined, and never below top), if ``gb_up_to``'s degree loop up to
     that cap fits the engine's cell budget.  Every other system goes to the
-    Buchberger oracle.  The route depends only on n and the degrees, so a
-    system and its image under a linear change share it.
+    Buchberger oracle, which raises the typed error of each system it
+    refuses too.  The route depends only on n and the degrees, so a system
+    and its image under a linear change share it.
     """
-    degrees = system.degrees
-    if not system.polys or not system.homogeneous or min(degrees) < 1:
+    try:
+        _check_system(system, eliminate=True)
+    except SgbError:
         return "buchberger", None
+    degrees = system.degrees
     n, m, top = system.n, system.m, max(degrees)
     if math.comb(n + top, top + 1) < _ELIMINATION_MIN_MONOMIALS:
         return "buchberger", None
@@ -380,9 +386,9 @@ def _extension_test(system: PolySystem, loop: _DegreeLoop | None):
     return functools.partial(_extension_profile, loop, lazard)
 
 
-def _search_linear_form(system, basis, loop, seed, max_attempts):
-    """Candidate loop over the homogeneous system ``system``, the basis of
-    its ideal I and the loop that built it, if any; assumes dim R/I <= 1.
+def _search_linear_form(system, lm, loop, seed, max_attempts):
+    """Candidate loop over the homogeneous system ``system``, LM(I) of its
+    ideal I and the loop that built I's basis, if any; assumes dim R/I <= 1.
 
     Returns the position change together with the profile of the successful
     extension <I, l> so callers need not recompute it.  No candidate gets a
@@ -395,7 +401,6 @@ def _search_linear_form(system, basis, loop, seed, max_attempts):
     """
     fld, n = system.field, system.n
     rng = random.Random(seed)
-    lm = leading_monomial_ideal(basis)
     extension = None
 
     def candidates():
@@ -406,11 +411,7 @@ def _search_linear_form(system, basis, loop, seed, max_attempts):
             if any(vec):
                 yield Polynomial.linear_form(fld, vec)
 
-    attempts = 0
-    for ell in candidates():
-        if attempts >= max_attempts:
-            break
-        attempts += 1
+    for attempts, ell in enumerate(itertools.islice(candidates(), max_attempts), 1):
         if attempts == 1:  # l = x_n
             ext_profile = _profile_with_xn(lm)
         else:
@@ -426,6 +427,22 @@ def _search_linear_form(system, basis, loop, seed, max_attempts):
     )
 
 
+def _ideal_for_search(system: PolySystem, max_attempts: int):
+    """I's basis by the default route, the loop that built it (None on
+    Buchberger's route), LM(I) and its profile.  NotHomogeneous and SgbError
+    (``max_attempts`` < 1) come before any basis is built, DimensionTooHigh
+    (dim R/I >= 2: no single form can work) after it."""
+    if not system.homogeneous:
+        raise NotHomogeneous("the degree bounds apply to homogeneous ideals")
+    if max_attempts < 1:
+        raise SgbError(f"max_attempts must be >= 1, got {max_attempts}")
+    basis, loop = _basis_and_loop(system)
+    lm, profile = _hilbert_of_basis(basis)
+    if profile.krull_dim >= 2:
+        raise DimensionTooHigh(f"Krull dimension {profile.krull_dim} >= 2: no single form can work")
+    return basis, loop, lm, profile
+
+
 def find_linear_form(
     system: PolySystem,
     seed: int = 0,
@@ -437,16 +454,8 @@ def find_linear_form(
     SearchExhausted when the budget runs out (the field may be too small)
     and DimensionTooHigh when R/I itself has dimension >= 2.
     """
-    if not system.homogeneous:
-        raise NotHomogeneous("exact Hilbert data needs a homogeneous system")
-    basis, loop = _basis_and_loop(system)
-    _, profile = _hilbert_of_basis(basis)
-    if profile.krull_dim >= 2:
-        raise DimensionTooHigh(
-            f"Krull dimension {profile.krull_dim} >= 2: no single form can work"
-        )
-    pos, _ = _search_linear_form(system, basis, loop, seed, max_attempts)
-    return pos
+    _, loop, lm, _ = _ideal_for_search(system, max_attempts)
+    return _search_linear_form(system, lm, loop, seed, max_attempts)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -518,18 +527,12 @@ def verify_main_theorem(
     identity.  The check d_reg(<I^sigma, x_n>) == d_reg(<I, l>) compares
     two independent computations, LM(I^sigma) and the maps on I.
     """
-    if not system.homogeneous:
-        raise NotHomogeneous("the degree bounds apply to homogeneous ideals")
+    basis, loop, lm, profile = _ideal_for_search(system, max_attempts)
     n, m, degrees = system.n, system.m, system.degrees
-
-    basis, loop = _basis_and_loop(system)
-    lm, profile = _hilbert_of_basis(basis)
-    if profile.krull_dim >= 2:
-        raise DimensionTooHigh(f"Krull dimension {profile.krull_dim} >= 2")
     semireg = _certification(profile, degrees)
     gen_d_reg = profile.gen_d_reg
 
-    pos, ext_profile = _search_linear_form(system, basis, loop, seed, max_attempts)
+    pos, ext_profile = _search_linear_form(system, lm, loop, seed, max_attempts)
     d_reg_ell = ext_profile.d_reg
 
     if pos.sigma.is_identity():  # then the normalized l is x_n
@@ -546,15 +549,10 @@ def verify_main_theorem(
             f"({sigma_xn_profile.d_reg} vs {d_reg_ell})"
         )
 
-    try:
-        D_nm = degree_bound_Dnm(n, m, degrees)
-    except UndefinedBound:
-        D_nm = None
-    lz = lazard_bound(n, m, degrees)
-
+    bounds = bound_report(n, m, degrees)
     rhs = max(d_reg_ell, gen_d_reg)
     ineq_max_gb = gb_deg_sigma <= rhs
-    ineq_D_nm = None if D_nm is None else rhs <= D_nm
+    ineq_D_nm = None if bounds.D_nm is None else rhs <= bounds.D_nm
     weakly = check_weakly_revlex(lm_sigma)
     equality = (gb_deg_sigma == rhs) if (weakly and artinian_after_sigma) else None
 
@@ -574,8 +572,8 @@ def verify_main_theorem(
         d_reg_ell=d_reg_ell,
         gen_d_reg=gen_d_reg,
         max_gb_deg_sigma=gb_deg_sigma,
-        D_nm=D_nm,
-        lazard=lz,
+        D_nm=bounds.D_nm,
+        lazard=bounds.lazard,
         ineq_max_gb=ineq_max_gb,
         ineq_D_nm=ineq_D_nm,
         weakly_revlex=weakly,

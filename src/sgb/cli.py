@@ -12,17 +12,25 @@ import sys
 from pathlib import Path
 
 from . import io as sgbio
-from .analysis import _certification, exact_hilbert_of_ideal, verify_main_theorem
+from .analysis import _certification, exact_hilbert_of_ideal, groebner_basis, verify_main_theorem
 from .analysis import check_noether_position, check_weakly_revlex
-from .core import monom_to_string, poly_to_string
+from .core import homogenize_system, monom_to_string, poly_to_string
 from .engine import buchberger, gb_up_to
 from .errors import ParseError, SgbError
 from .series import bound_report
 
 
-def _print_kv(stream, **fields):
+def _print_kv(**fields):
     for key, value in fields.items():
-        stream.write(f"{key}={sgbio._fmt(value, ',')}\n")
+        sys.stdout.write(f"{key}={sgbio._fmt(value, ',')}\n")
+
+
+def _write(text: str, path: str | None) -> None:
+    """Write ``text`` to the file ``path``, or to stdout without one."""
+    if path:
+        Path(path).write_text(text, encoding="utf-8")
+    else:
+        sys.stdout.write(text)
 
 
 def _load_doc(path: str) -> sgbio.SystemDoc:
@@ -40,11 +48,12 @@ def _load_doc(path: str) -> sgbio.SystemDoc:
 _FLAGS = {
     "seed": dict(type=int, default=0, help="master random seed"),
     "omega": dict(type=float, default=2.807, help="matrix multiplication exponent in [2, 3)"),
-    "engine": dict(choices=["macaulay", "buchberger"], default="macaulay", help="basis engine"),
+    "engine": dict(choices=["macaulay", "buchberger"], default=None,
+                   help="basis engine (default: chosen by the system's shape)"),
     "cap": dict(type=int, default=None,
                 help="degree where the Macaulay engine hands over to Buchberger's loop "
-                     "(default: the largest generator degree; not allowed with "
-                     "--engine buchberger)"),
+                     "(selects that engine; default: the largest generator degree; "
+                     "not allowed with --engine buchberger)"),
     "attempts": dict(type=int, default=64, help="linear-form search budget"),
     "trials": dict(type=int, default=10, help="experiment trial count"),
     "construction": dict(choices=["generic", "Z"], default="generic"),
@@ -62,16 +71,11 @@ def _cmd_gb(args) -> int:
     doc = _load_doc(args.file)
     if args.engine == "buchberger":
         basis = buchberger(doc.system)
-    else:
-        cap = max(doc.system.degrees, default=0)  # gb_up_to refuses an empty system
-        basis = gb_up_to(doc.system, cap if args.cap is None else max(args.cap, cap))
-    out = sys.stdout if args.out is None else open(args.out, "w", encoding="utf-8")
-    try:
-        for g in basis:
-            out.write(poly_to_string(g, doc.names) + "\n")
-    finally:
-        if out is not sys.stdout:
-            out.close()
+    elif args.engine is None and args.cap is None:
+        basis = groebner_basis(doc.system)
+    else:  # a cap below the largest generator degree is raised to it
+        basis = gb_up_to(doc.system, max((args.cap or 0, *doc.system.degrees)))
+    _write("".join(poly_to_string(g, doc.names) + "\n" for g in basis), args.out)
     return 0
 
 
@@ -81,7 +85,6 @@ def _cmd_analyze(args) -> int:
     lm, profile = exact_hilbert_of_ideal(system)
     cert = _certification(profile, system.degrees)
     _print_kv(
-        sys.stdout,
         p=system.field.p,
         n=system.n,
         m=system.m,
@@ -116,7 +119,6 @@ def _cmd_bound(args) -> int:
     degrees = _parse_degrees(args.degrees)
     report = bound_report(args.n, args.m, degrees, args.omega)
     _print_kv(
-        sys.stdout,
         n=report.n,
         m=report.m,
         degrees=report.degrees,
@@ -138,7 +140,6 @@ def _cmd_verify(args) -> int:
     )
     sigma = ";".join(",".join(str(v) for v in row) for row in report.sigma.matrix)
     _print_kv(
-        sys.stdout,
         n=report.n,
         m=report.m,
         q=report.q,
@@ -169,18 +170,12 @@ def _cmd_verify(args) -> int:
 
 def _cmd_homogenize(args) -> int:
     doc = _load_doc(args.file)
-    from .core import homogenize_system
-
     homogenized = homogenize_system(doc.system)
     names = tuple(doc.names) + ("y",)
     if "y" in doc.names:
         raise SgbError("system already contains the homogenization variable y")
     out_doc = sgbio.SystemDoc(homogenized, names, dict(doc.meta))
-    text = sgbio.serialize_system_doc(out_doc)
-    if args.out:
-        Path(args.out).write_text(text, encoding="utf-8")
-    else:
-        sys.stdout.write(text)
+    _write(sgbio.serialize_system_doc(out_doc), args.out)
     return 0
 
 

@@ -162,6 +162,20 @@ def _check_degree_loop(system: PolySystem, lo: int, cap: int) -> None:
         _check_cells(total, what)
 
 
+def _check_system(system: PolySystem, eliminate: bool) -> None:
+    """Refuse, in this order, an empty system (EmptyBasis), with ``eliminate``
+    an inhomogeneous one (NotHomogeneous), a zero generator (ZeroPolynomial,
+    of degree -1) and with ``eliminate`` a degree below 1 (InvalidDegree)."""
+    if not system.polys:
+        raise EmptyBasis("cannot compute a basis for an empty system")
+    if eliminate and not system.homogeneous:
+        raise NotHomogeneous("Macaulay elimination needs a homogeneous system")
+    if any(f.is_zero() for f in system.polys):
+        raise ZeroPolynomial("system contains the zero polynomial")
+    if eliminate and min(system.degrees) < 1:
+        raise InvalidDegree("generators must have degree >= 1")
+
+
 def build_macaulay(system: PolySystem, d: int) -> MacaulayMatrix:
     """Assemble M_d for a homogeneous system; one row per pair (degree
     d - d_j multiplier t, generator j) with d_j <= d, in generator order.
@@ -170,13 +184,8 @@ def build_macaulay(system: PolySystem, d: int) -> MacaulayMatrix:
     generator is packed once, so row (t, j) is the keys of f_j plus the one
     int key(t).  A degree of 2^31 or more raises DegreeTooLarge.
     """
-    if not system.homogeneous:
-        raise NotHomogeneous("Macaulay matrices need a homogeneous system")
+    _check_system(system, eliminate=True)
     degrees = system.degrees
-    if any(f.is_zero() for f in system.polys):
-        raise ZeroPolynomial("system contains the zero polynomial")
-    if any(dj < 1 for dj in degrees):
-        raise InvalidDegree("generators must have degree >= 1")
     if d < min(degrees):
         raise DegreeTooSmall(f"degree {d} below the least generator degree {min(degrees)}")
     _check_cells(_macaulay_cells(system, d), f"M_{d}")
@@ -568,10 +577,7 @@ def buchberger(system: PolySystem) -> GroebnerBasis:
     terms.  The input is packed once; a term of degree 2^31 or more raises
     DegreeTooLarge.
     """
-    if not system.polys:
-        raise EmptyBasis("cannot compute a basis for an empty system")
-    if any(f.is_zero() for f in system.polys):
-        raise ZeroPolynomial("system contains the zero polynomial")
+    _check_system(system, eliminate=False)
     fld, pack = system.field, _packing(system.n)
     return _complete([_monic(pack.terms(f), fld.p) for f in system.polys], pack, fld)
 
@@ -729,36 +735,37 @@ def _eliminate_degree(prev: _Echelon, pivots: dict, gens: list, pack, p: int):
 
 class _DegreeLoop:
     """The degree-by-degree elimination of a homogeneous system, kept so that
-    it can go on: the echelon of I_d for each degree walked, from lo - 1 for
-    lo the least generator degree, and ``covered``, the first degree whose
+    it can go on: the echelon of I_d for each degree walked, from lo for lo
+    the least generator degree, and ``covered``, the first degree whose
     monomials are all leading ones (None until one is met).  I_d = 0 below
     lo, so every monomial of such a degree is standard; from ``covered`` on,
-    none is."""
+    none is.  It refuses what ``_check_system`` refuses and lists no monomial
+    before it walks, so a caller can check the walk's cells first."""
 
     def __init__(self, system: PolySystem):
-        n = system.n
-        self.pack = _packing(n)
+        _check_system(system, eliminate=True)
+        self.pack = _packing(system.n)
         self.field = system.field
         self.gens = {}
         for f in system.polys:
             self.gens.setdefault(f.degree(), []).append(self.pack.terms(f))
         self.lo = min(system.degrees)
-        self.echelons = [_zero_echelon(n, self.lo - 1)]
+        self.echelons = []  # of the degrees lo..top
         self.covered = None
         self._pivots = None  # of the degree after the last echelon, once made
         self._maps = {}  # degree d -> multiplication by each x_k into degree d
 
     @property
     def top(self) -> int:
-        """The last degree eliminated."""
-        return self.echelons[-1].degree
+        """The last degree eliminated, lo - 1 before the walk."""
+        return self.lo - 1 + len(self.echelons)
 
     def covers_next(self) -> bool:
         """Whether every monomial of degree top + 1 is a multiple x_k * u of
         a leading monomial u of degree top, so that every one above is too."""
         if self.covered is None and self._pivots is None:
             d = self.top + 1
-            self._pivots = _pivot_products(self.echelons[-1], self.pack)
+            self._pivots = _pivot_products(self.echelon(self.top), self.pack)
             if len(self._pivots) == math.comb(self.pack.n - 1 + d, d):
                 self.covered = d
         return self.covered is not None
@@ -769,8 +776,8 @@ class _DegreeLoop:
         packed polynomials."""
         rows = []
         while not self.covers_next() and self.top < hi:
-            gens = self.gens.get(self.top + 1, [])
-            echelon, new = _eliminate_degree(self.echelons[-1], self._pivots, gens, self.pack, self.field.p)
+            prev, gens = self.echelon(self.top), self.gens.get(self.top + 1, [])
+            echelon, new = _eliminate_degree(prev, self._pivots, gens, self.pack, self.field.p)
             self._pivots = None
             self.echelons.append(echelon)
             rows.extend(new)
@@ -793,7 +800,7 @@ class _DegreeLoop:
             return _Echelon(d, (), (), np.zeros((0, 0), dtype=np.int64))
         if d < self.lo:
             return _zero_echelon(self.pack.n, d)
-        return self.echelons[d - self.lo + 1]
+        return self.echelons[d - self.lo]
 
     def extension_hf(self, coeffs, d: int) -> int:
         """HF_{R/<I, l>}(d) = HF_{R/I}(d) - rank(l : (R/I)_{d-1} -> (R/I)_d)
@@ -856,21 +863,15 @@ def gb_up_to(system: PolySystem, cap: int) -> GroebnerBasis:
     The RREF rows led by monomials new at degree d are kept as packed
     polynomials; their keys ascend, so the pivot, a 1, comes first.  The
     loop (``_DegreeLoop.basis``) is dropped on return; a caller that reads
-    its echelons builds one and asks it for the basis.
+    its echelons builds one and asks it for the basis.  A refused system
+    raises before a cap below the top degree (DegreeTooSmall) or a loop over
+    the cell budget (MatrixTooLarge).
     """
-    if not system.polys:
-        raise EmptyBasis("cannot compute a basis for an empty system")
-    if not system.homogeneous:
-        raise NotHomogeneous("Macaulay elimination needs a homogeneous system")
-    if any(f.is_zero() for f in system.polys):
-        raise ZeroPolynomial("system contains the zero polynomial")
-    degrees = system.degrees
-    if any(dj < 1 for dj in degrees):
-        raise InvalidDegree("generators must have degree >= 1")
-    if cap < max(degrees):
-        raise DegreeTooSmall(f"cap {cap} below the largest generator degree {max(degrees)}")
-    _check_degree_loop(system, min(degrees), cap)
-    return _DegreeLoop(system).basis(cap)
+    loop = _DegreeLoop(system)
+    if cap < max(system.degrees):
+        raise DegreeTooSmall(f"cap {cap} below the largest generator degree {max(system.degrees)}")
+    _check_degree_loop(system, loop.lo, cap)
+    return loop.basis(cap)
 
 
 def leading_monomial_ideal(basis: GroebnerBasis) -> MonomialIdeal:

@@ -178,7 +178,8 @@ def hilbert_function(J: MonomialIdeal, d: int) -> int:
 
 
 def expand_hilbert_series(numerator, n: int, upto: int) -> list:
-    """Hilbert function values HF(0..upto) from the numerator, exactly."""
+    """Hilbert function values HF(0..upto) from the numerator, exactly; more
+    than ``MAX_SERIES_CAP`` values raise CapExhausted before any is built."""
     return divide_by_one_minus_z(numerator, n, upto + 1)
 
 

@@ -370,6 +370,8 @@ def run_experiment(
     """
     if trials < 1:
         raise SgbError("trials must be >= 1")
+    if max_attempts < 1:
+        raise SgbError(f"max_attempts must be >= 1, got {max_attempts}")
     if construction not in ("generic", "Z"):
         raise SgbError(f"unknown construction {construction!r}")
     jobs = [

@@ -103,7 +103,9 @@ class TruncSeries:
 
 
 def divide_by_one_minus_z(numerator, n: int, cap: int) -> list:
-    """Coefficients of numerator / (1 - z)^n mod z^cap, by n prefix sums."""
+    """Coefficients of numerator / (1 - z)^n mod z^cap, by n prefix sums; a
+    cap above ``MAX_SERIES_CAP`` raises CapExhausted before any is built."""
+    _check_series_length(cap)
     out = list(numerator[:cap]) + [0] * max(0, cap - len(numerator))
     for _ in range(n):
         out = list(itertools.accumulate(out))
@@ -114,7 +116,8 @@ def froberg_series(n: int, degrees, cap: int) -> TruncSeries:
     """Coefficients of prod_j (1 - z^(d_j)) / (1 - z)^n mod z^cap.
 
     Each factor (1 - z^(d_j)) is applied mod z^cap, never the whole
-    numerator of degree sum(d_j), so the work is about (n + m) * cap."""
+    numerator of degree sum(d_j), so the work is about (n + m) * cap.  A cap
+    above ``MAX_SERIES_CAP`` raises CapExhausted before a degree is checked."""
     if n < 1 or cap < 1:
         raise InvalidDegree(f"need n >= 1 and cap >= 1, got n={n}, cap={cap}")
     out = divide_by_one_minus_z([1], n, cap)
@@ -163,7 +166,6 @@ def truncated_froberg_polynomial(n: int, degrees) -> list:
     if m < n:
         raise UndefinedBound(f"every coefficient is positive for m={m} < n={n}")
     cap = max(2, sum(sorted(degrees)[m - n:]) - n + 2)
-    _check_series_length(cap)
     return positive_truncate(froberg_series(n, degrees, cap))
 
 

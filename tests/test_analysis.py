@@ -361,6 +361,12 @@ class TestFindLinearForm:
         with pytest.raises(SearchExhausted):
             find_linear_form(system, seed=0, max_attempts=16)
 
+    @pytest.mark.parametrize("search", [find_linear_form, verify_main_theorem])
+    def test_no_attempts_is_refused_before_any_basis(self, f7, monkeypatch, search):
+        monkeypatch.setattr(analysis, "_basis_and_loop", None)
+        with pytest.raises(SgbError, match=r"^max_attempts must be >= 1, got 0$"):
+            search(spec_fixture_system(f7), seed=0, max_attempts=0)
+
 
 def coordinate_zeros_system(fld):
     """Squarefree quadratics in three variables: they vanish at every

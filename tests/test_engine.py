@@ -56,6 +56,7 @@ from sgb.errors import (
     DegreeTooLarge,
     DegreeTooSmall,
     EmptyBasis,
+    InvalidDegree,
     MatrixTooLarge,
     NotHomogeneous,
     ZeroPolynomial,
@@ -387,6 +388,37 @@ class TestPackedMonomials:
         # long before an lcm could pass the width
         with pytest.raises(MatrixTooLarge):
             gb_up_to(system, 2**30 + 1)
+
+
+class TestInputChecks:
+    @pytest.mark.parametrize("entry", ["build_macaulay", "gb_up_to", "loop", "buchberger"])
+    def test_one_order_on_every_entry(self, f7, entry):
+        # an empty system, then homogeneity for elimination, then a zero
+        # generator, then a degree below 1 for elimination
+        call = {
+            "build_macaulay": lambda s: build_macaulay(s, 2),
+            "gb_up_to": lambda s: gb_up_to(s, 2),
+            "loop": engine._DegreeLoop,
+            "buchberger": buchberger,
+        }[entry]
+        eliminates = entry != "buchberger"
+        x1, zero = Polynomial.variable(f7, 2, 0), Polynomial.zero(f7, 2)
+        one = Polynomial(f7, 2, {(0, 0): 1})
+        cases = [
+            ((), EmptyBasis),
+            ((zero, x1 + one), NotHomogeneous if eliminates else ZeroPolynomial),
+            ((x1, zero, one), ZeroPolynomial),
+        ]
+        for polys, error in cases:
+            with pytest.raises(error):
+                call(PolySystem(f7, 2, polys))
+        with pytest.raises(EmptyBasis, match="^cannot compute a basis for an empty system$"):
+            call(PolySystem(f7, 2, ()))
+        if eliminates:
+            with pytest.raises(InvalidDegree):
+                call(PolySystem(f7, 2, (x1, one)))
+        else:
+            assert [str(g) for g in call(PolySystem(f7, 2, (x1, one)))] == ["1"]
 
 
 class TestBuildMacaulay:

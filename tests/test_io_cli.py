@@ -29,7 +29,7 @@ from sgb import (
     system_doc,
     write_csv,
 )
-from sgb import engine, hilbert
+from sgb import analysis, cli, engine, hilbert
 from sgb import io as sgbio
 from sgb.analysis import child_seed
 from sgb.cli import build_parser
@@ -267,14 +267,14 @@ class TestCliCommands:
         assert err == "error: EmptyBasis: cannot compute a basis for an empty system\n"
 
     def test_gb_default_cap_gives_the_complete_basis(self, tmp_path):
-        # Krull dimension one: the default cap 2 (the largest generator
-        # degree) and the Lazard bound 4 are both below the true maximal
-        # basis degree 5, so Buchberger's loop must supply the rest
+        # Krull dimension one: the Macaulay engine's default cap 2 (the
+        # largest generator degree) and the Lazard bound 4 are both below the
+        # true maximal basis degree 5, so Buchberger's loop must supply the rest
         path = tmp_path / "sys.json"
         system = sample_Z_system(4, 3, (2, 2, 2), PrimeField(2), seed=2)
         path.write_text(serialize_system_doc(system_doc(system)))
         code_b, out_b, err_b = run_cli(["gb", str(path), "--engine", "buchberger"])
-        code, out, err = run_cli(["gb", str(path)])
+        code, out, err = run_cli(["gb", str(path), "--engine", "macaulay"])
         assert code == code_b == 0 and err == err_b == ""
         assert out == out_b and len(out.splitlines()) == 8
         assert max(g.degree() for g in gb_up_to(system, 4)) == 5
@@ -286,9 +286,32 @@ class TestCliCommands:
         path.write_text(
             '{"field":{"char":31},"vars":["x1","x2","x3"],"polys":["x1^40","x2^40","x3^40"]}'
         )
-        code, out, err = run_cli(["gb", str(path)])
+        code, out, err = run_cli(["gb", str(path), "--engine", "macaulay"])
         assert code == 0 and err == ""
         assert out == "x1^40\nx2^40\nx3^40\n"
+
+    @pytest.mark.parametrize("system", ["dense 6/6", "inhomogeneous"])
+    def test_plain_gb_takes_the_default_route(self, tmp_path, monkeypatch, system):
+        # with neither --engine nor --cap, sgb gb prints groebner_basis: the
+        # Macaulay engine at D(6, 6) = 7 on the dense quadrics, Buchberger's
+        # oracle on the inhomogeneous system, which the Macaulay engine refuses
+        path = tmp_path / "sys.json"
+        path.write_text(
+            serialize_system_doc(system_doc(sample_system(6, 6, (2,) * 6, PrimeField(31), seed=1)))
+            if system == "dense 6/6"
+            else '{"field":{"char":7},"vars":["x1","x2"],"polys":["x1^2 + x2 + 1","x1*x2 + 3"]}'
+        )
+        calls = []
+        real = analysis.groebner_basis
+        monkeypatch.setattr(cli, "groebner_basis", lambda s: calls.append(s) or real(s))
+        code_b, out_b, err_b = run_cli(["gb", str(path), "--engine", "buchberger"])
+        assert calls == []
+        code, out, err = run_cli(["gb", str(path)])
+        assert len(calls) == 1
+        assert code == code_b == 0 and err == err_b == ""
+        assert out == out_b and out
+        if system == "dense 6/6":
+            assert analysis._default_route(calls[0]) == ("macaulay", 7)
 
     def test_bound_with_huge_degrees(self):
         # m = n is a closed form; m > n refuses the series cap up front
@@ -375,19 +398,30 @@ class TestCliCommands:
             code, out, err = run_cli([command, str(path)])
             assert code == 1 and out == "" and "error: ParseError" in err, command
 
-    @pytest.mark.parametrize("cap", [[], ["--cap", "3"], ["--cap", "100000000"]])
+    @pytest.mark.parametrize(
+        "cap", [["--engine", "macaulay"], ["--cap", "3"], ["--cap", "100000000"]]
+    )
     def test_gb_refuses_oversized_matrices(self, tmp_path, cap):
         path = tmp_path / "huge.json"
         path.write_text(HUGE_DEGREES)
         code, out, err = run_cli(["gb", str(path)] + cap)
         assert code == 1 and out == "" and "MatrixTooLarge" in err
 
+    def test_plain_gb_leaves_oversized_matrices_to_buchberger(self, tmp_path):
+        # the default route checks the degree loop up to D(3, 2) = 10^8
+        # against the cell budget and sends the system to Buchberger's
+        # oracle, whose one pair the product criterion drops
+        path = tmp_path / "huge.json"
+        path.write_text(HUGE_DEGREES)
+        code, out, err = run_cli(["gb", str(path)])
+        assert (code, out, err) == (0, "x3^2\nx1^100000000 + x2^100000000\n", "")
+
     def test_gb_refuses_a_one_variable_power_over_the_width(self, tmp_path):
-        # the default cap is 2^31: listing its one monomial must not copy
-        # range(2^31) first, which ran out of memory
+        # the Macaulay engine's default cap is 2^31: listing its one monomial
+        # must not copy range(2^31) first, which ran out of memory
         path = tmp_path / "power.json"
         path.write_text('{"field":{"char":31},"vars":["x1"],"polys":["x1^2147483648"]}')
-        code, out, err = run_cli(["gb", str(path)])
+        code, out, err = run_cli(["gb", str(path), "--engine", "macaulay"])
         assert code == 1 and out == "" and "DegreeTooLarge" in err
 
     def test_analyze_refuses_oversized_monomial_lists(self, tmp_path):
@@ -478,6 +512,20 @@ class TestExperiment:
         # the CLI offers only the known constructions; the library refuses others
         with pytest.raises(SgbError, match="unknown construction 'W'"):
             run_experiment(2, 2, (2, 2), 31, trials=1, seed=1, construction="W")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["verify", "SYS"], ["experiment", "-n", "2", "-m", "1", "-d", "2", "--trials", "1"]],
+    )
+    def test_no_attempts_is_a_typed_error(self, tmp_path, argv):
+        # refused before any basis is built, not reported as SearchExhausted
+        # (verify) or as a trial row (experiment)
+        path = tmp_path / "sys.json"
+        path.write_text(FIXTURE)
+        argv = [str(path) if a == "SYS" else a for a in argv] + ["--attempts", "0"]
+        code, out, err = run_cli(argv)
+        assert code == 1 and out == ""
+        assert re.match(r"error: SgbError: max_attempts must be >= 1, got 0\n\Z", err)
 
     def test_csv_schema_and_determinism(self, tmp_path):
         args = [

@@ -5,6 +5,7 @@ import itertools
 import math
 import random
 import time
+import tracemalloc
 
 import pytest
 
@@ -12,6 +13,7 @@ from sgb import (
     TruncSeries,
     complexity_estimate,
     degree_bound_Dnm,
+    expand_hilbert_series,
     froberg_series,
     lazard_bound,
     positive_truncate,
@@ -24,7 +26,7 @@ from sgb.errors import (
     OmegaOutOfRange,
     UndefinedBound,
 )
-from sgb.series import MAX_SERIES_CAP
+from sgb.series import MAX_SERIES_CAP, divide_by_one_minus_z
 
 
 def series_oracle(n, degrees, cap):
@@ -54,6 +56,23 @@ class TestFrobergSeries:
     def test_invalid_degree(self):
         with pytest.raises(InvalidDegree):
             froberg_series(2, [2, 0], 4)
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda cap: divide_by_one_minus_z([1], 2, cap),
+            lambda cap: froberg_series(2, [2], cap).coeffs,
+            lambda cap: expand_hilbert_series([1], 2, cap - 1),
+        ],
+        ids=["divide_by_one_minus_z", "froberg_series", "expand_hilbert_series"],
+    )
+    def test_series_over_the_limit_is_refused(self, build):
+        with pytest.raises(CapExhausted):
+            build(MAX_SERIES_CAP + 1)
+        assert len(build(MAX_SERIES_CAP)) == MAX_SERIES_CAP
+        # a bad degree with a cap inside the limit is still reported
+        with pytest.raises(InvalidDegree):
+            froberg_series(2, [2, 0], MAX_SERIES_CAP)
 
     def test_empty_product_is_binomial_series(self):
         for n in range(1, 5):
@@ -163,17 +182,21 @@ class TestBounds:
         assert degree_bound_Dnm(3, 3, [10**6] * 3) == 3 * (10**6 - 1) + 1
         assert time.monotonic() - start < 1
 
-    def test_overdetermined_series_cap_is_refused_before_building(self, monkeypatch):
-        # cap 3 * (10^6 - 1) + 2 is over the limit; no series may be built
-        monkeypatch.setattr(series_module, "froberg_series", None)
-        start = time.monotonic()
-        with pytest.raises(CapExhausted):
-            truncated_froberg_polynomial(2, [10**6] * 3)
-        with pytest.raises(CapExhausted):
-            degree_bound_Dnm(2, 3, [10**6] * 3)
-        assert time.monotonic() - start < 1
+    def test_overdetermined_series_cap_is_refused_before_building(self):
+        # cap 3 * (10^6 - 1) + 2 is over the limit; no series may be built:
+        # a list of that many coefficients alone takes 24 MB
+        tracemalloc.start()
+        try:
+            start = time.monotonic()
+            with pytest.raises(CapExhausted):
+                truncated_froberg_polynomial(2, [10**6] * 3)
+            with pytest.raises(CapExhausted):
+                degree_bound_Dnm(2, 3, [10**6] * 3)
+            assert time.monotonic() - start < 1
+            assert tracemalloc.get_traced_memory()[1] < 2**20
+        finally:
+            tracemalloc.stop()
         # the largest cap accepted is the limit itself: Lazard bound + 1
-        monkeypatch.undo()
         degrees = [MAX_SERIES_CAP // 2, MAX_SERIES_CAP // 2, 2]
         assert degree_bound_Dnm(2, 3, degrees) <= lazard_bound(2, 3, degrees)
         # a long series with many numerator terms costs n prefix sums and one
