@@ -338,6 +338,13 @@ def normalized_form(ell: Polynomial) -> tuple[Polynomial, int]:
     return ell.scale(ell.field.inv(coeffs[pivot])), pivot
 
 
+def _artinian_profile(h, n: int) -> HilbertProfile:
+    """Profile of an Artinian R/J in n variables from h, its HF values up to the
+    last nonzero one: numerator h (1 - z)^n, hilb = d_reg = gen_d_reg = len(h)."""
+    numerator = poly_mul(h, degree_product((1,) * n))
+    return HilbertProfile(tuple(numerator), 0, tuple(h), len(h), len(h), len(h), None)
+
+
 def _extension_profile(loop: _DegreeLoop, lazard: int, ell: Polynomial) -> HilbertProfile | None:
     """The profile of <I, ell> when R/<I, ell> is Artinian, else None, from
     the values of its Hilbert function that ``loop`` reads from
@@ -349,19 +356,13 @@ def _extension_profile(loop: _DegreeLoop, lazard: int, ell: Polynomial) -> Hilbe
     Hilbert function is the same over the algebraic closure of F_p), so one
     rank there rejects.  An accepted form takes ranks from degree 1 up to the
     first zero of HF, and HF(0) = 1; those values are the h-polynomial of the
-    Artinian quotient, whose d_reg is their count.
+    Artinian quotient (``_artinian_profile``).
     """
     coeffs = _coefficients(ell)
     if loop.extension_hf(coeffs, lazard):
         return None
-    h = [1]
-    for d in range(1, lazard):
-        value = loop.extension_hf(coeffs, d)
-        if not value:
-            break
-        h.append(value)
-    numerator = poly_mul(h, degree_product((1,) * ell.n))
-    return HilbertProfile(tuple(numerator), 0, tuple(h), len(h), len(h), len(h), None)
+    values = (loop.extension_hf(coeffs, d) for d in range(1, lazard))
+    return _artinian_profile([1, *itertools.takewhile(bool, values)], ell.n)
 
 
 def _extension_test(system: PolySystem, loop: _DegreeLoop | None):
@@ -392,12 +393,13 @@ def _search_linear_form(system, lm, loop, seed, max_attempts):
 
     Returns the position change together with the profile of the successful
     extension <I, l> so callers need not recompute it.  No candidate gets a
-    basis of <I, l>.  The first, l = x_n, is read from LM(I): I is
-    homogeneous and the order is DRL with x_n last, so in(I + <x_n>) = in(I)
-    + <x_n> (Bayer-Stillman 1987, Lemma 2.2).  Every later candidate is
-    tested by multiplication maps on the echelons of I, whose ranks the
-    degree loop of I takes (``_extension_test``); the loop is made ready on
-    the first of them, so a run that accepts x_n builds no map.
+    basis of <I, l>.  The first, l = x_n, is read from LM(I), or counted on
+    the loop if ``lm`` is None (it reached its cover): I is homogeneous and
+    the order is DRL with x_n last, so in(I + <x_n>) = in(I) + <x_n>
+    (Bayer-Stillman 1987, Lemma 2.2).  Every later candidate is tested by
+    multiplication maps on the echelons of I, whose ranks the degree loop of
+    I takes (``_extension_test``); the loop is made ready on the first of
+    them, so a run that accepts x_n builds no map.
     """
     fld, n = system.field, system.n
     rng = random.Random(seed)
@@ -413,7 +415,8 @@ def _search_linear_form(system, lm, loop, seed, max_attempts):
 
     for attempts, ell in enumerate(itertools.islice(candidates(), max_attempts), 1):
         if attempts == 1:  # l = x_n
-            ext_profile = _profile_with_xn(lm)
+            ext_profile = (_profile_with_xn(lm) if lm is not None
+                           else _artinian_profile(loop.hilbert_values(xn_free=True), n))
         else:
             extension = extension or _extension_test(system, loop)
             ext_profile = extension(ell)
@@ -431,12 +434,15 @@ def _ideal_for_search(system: PolySystem, max_attempts: int):
     """I's basis by the default route, the loop that built it (None on
     Buchberger's route), LM(I) and its profile.  NotHomogeneous and SgbError
     (``max_attempts`` < 1) come before any basis is built, DimensionTooHigh
-    (dim R/I >= 2: no single form can work) after it."""
+    (dim R/I >= 2: no single form can work) after it.  On a loop that reached
+    its cover R/I is Artinian, LM(I) is None and the profile is counted."""
     if not system.homogeneous:
         raise NotHomogeneous("the degree bounds apply to homogeneous ideals")
     if max_attempts < 1:
         raise SgbError(f"max_attempts must be >= 1, got {max_attempts}")
     basis, loop = _basis_and_loop(system)
+    if loop is not None and loop.covered is not None:
+        return basis, loop, None, _artinian_profile(loop.hilbert_values(), system.n)
     lm, profile = _hilbert_of_basis(basis)
     if profile.krull_dim >= 2:
         raise DimensionTooHigh(f"Krull dimension {profile.krull_dim} >= 2: no single form can work")
@@ -518,7 +524,10 @@ def verify_main_theorem(
     No basis of <J, x_n> is computed, for J = I or J = I^sigma: the system is
     homogeneous and the order is DRL with x_n last, so in(J + <x_n>) = in(J)
     + <x_n> (Bayer-Stillman 1987, Lemma 2.2) and its Hilbert data is read
-    from LM(J).  The candidates l after x_n are tested by multiplication
+    from LM(J), or, when I's loop reached its cover (R/I Artinian, so x_n is
+    accepted and sigma is the identity), counted on that loop with R/I's data
+    and the weakly reverse-lex flag (``_DegreeLoop.hilbert_values``,
+    ``weakly_revlex``).  The candidates l after x_n are tested by multiplication
     maps on the echelons of I, ranked inside the degree loop of I
     (``_DegreeLoop.extension_hf``), with no basis of <I, l> unless the cell
     budget refuses the echelons; on the Macaulay route that loop built I's
@@ -553,7 +562,7 @@ def verify_main_theorem(
     rhs = max(d_reg_ell, gen_d_reg)
     ineq_max_gb = gb_deg_sigma <= rhs
     ineq_D_nm = None if bounds.D_nm is None else rhs <= bounds.D_nm
-    weakly = check_weakly_revlex(lm_sigma)
+    weakly = loop.weakly_revlex() if lm_sigma is None else check_weakly_revlex(lm_sigma)
     equality = (gb_deg_sigma == rhs) if (weakly and artinian_after_sigma) else None
 
     m_n_minus_1_law = None

@@ -170,11 +170,10 @@ def _cmd_verify(args) -> int:
 
 def _cmd_homogenize(args) -> int:
     doc = _load_doc(args.file)
-    homogenized = homogenize_system(doc.system)
-    names = tuple(doc.names) + ("y",)
     if "y" in doc.names:
         raise SgbError("system already contains the homogenization variable y")
-    out_doc = sgbio.SystemDoc(homogenized, names, dict(doc.meta))
+    names = tuple(doc.names) + ("y",)
+    out_doc = sgbio.SystemDoc(homogenize_system(doc.system), names, dict(doc.meta))
     _write(sgbio.serialize_system_doc(out_doc), args.out)
     return 0
 

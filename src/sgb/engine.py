@@ -77,6 +77,7 @@ from .errors import (
     ZeroPolynomial,
 )
 from .hilbert import MonomialIdeal, _minimal
+from .series import poly_trim
 
 # Largest Macaulay matrix the engine builds (2^27 int64 cells are 1 GiB), and
 # the most cells a gb_up_to degree loop's blocks may have in all.
@@ -610,12 +611,15 @@ class _Echelon:
     leading monomials and their tails.  ``leads`` are the packed keys of
     LM(I)_d in any order, ``standard`` the other degree-d keys, ascending,
     and row i of ``tails`` the coefficients, on ``standard``, of the RREF row
-    led by ``leads[i]``."""
+    led by ``leads[i]``.  ``new`` is Q_d, the leads new at d, ascending, and
+    ``via[i]`` the variable of the pivot row of ``leads[i]``, n in Q_d."""
 
     degree: int
     leads: tuple
     standard: tuple
     tails: np.ndarray
+    new: tuple = ()
+    via: np.ndarray = _dc_field(default_factory=lambda: np.zeros(0, dtype=np.intp))
 
 
 def _pivot_products(prev: _Echelon, pack) -> dict:
@@ -643,6 +647,12 @@ def _eliminate_degree(prev: _Echelon, pivots: dict, gens: list, pack, p: int):
     give D = C_N - C_P X, whose RREF holds the new leading monomials Q.  A
     product x_k * s of a standard monomial s lands in P or in N, so C_P X is
     a gather of X's rows, never a P-wide matrix.
+
+    The chain criterion leaves out a repeated product x_k r_u, for r_w the
+    RREF row led by w, when u's pivot row has a variable c < k.  Then u = x_c v,
+    r_u = x_c r_v - sum a_w r_w over leads w < u, r_{x_k v} = x_k r_v - sum
+    b_w r_w over w < x_k v, and x_k r_u is x_c r_{x_k v} plus rows x_j r_w with
+    x_j w < x_k u; by induction on (x_k u, k) D's span, so its RREF, stays.
     """
     d = prev.degree + 1
     n, tails = pack.n, prev.tails
@@ -669,7 +679,8 @@ def _eliminate_degree(prev: _Echelon, pivots: dict, gens: list, pack, p: int):
         at = np.array([pidx[u + x] for u in prev.leads], dtype=np.intp)
         pivot = owner[at] == k
         owned.append((np.flatnonzero(pivot), at[pivot]))
-        repeated.append((np.flatnonzero(~pivot), at[~pivot]))
+        repeat = ~pivot & (prev.via >= k)  # the chain criterion
+        repeated.append((np.flatnonzero(repeat), at[repeat]))
     solved = np.zeros((len(plist), width), dtype=np.int64)  # X
 
     def products(rows, k):
@@ -724,11 +735,14 @@ def _eliminate_degree(prev: _Echelon, pivots: dict, gens: list, pack, p: int):
     rows = [
         {standard[j]: int(row[j]) for j in np.flatnonzero(row).tolist()} for row in new
     ]
+    q_keys = tuple(standard[c] for c in q_cols)
     echelon = _Echelon(
         d,
-        tuple(plist) + tuple(standard[c] for c in q_cols),
+        tuple(plist) + q_keys,
         tuple(standard[j] for j in np.flatnonzero(keep).tolist()),
         np.vstack([solved[:, keep], new[:, keep]]),
+        q_keys,
+        np.concatenate([owner, np.full(len(q_keys), n, dtype=np.intp)]),
     )
     return echelon, rows
 
@@ -801,6 +815,23 @@ class _DegreeLoop:
         if d < self.lo:
             return _zero_echelon(self.pack.n, d)
         return self.echelons[d - self.lo]
+
+    def hilbert_values(self, xn_free: bool = False) -> list:
+        """HF_{R/I}(d), or with ``xn_free`` HF_{R/<I, x_n>}(d), from d = 0 to
+        the last nonzero value, for a loop walked to its cover.  The echelon
+        of I_d is the RREF of I_d, so HF_{R/I}(d) = |standard_d|, 0 from the
+        cover on and maybe already at ``top``.  in(I + <x_n>) = in(I) + <x_n>
+        (Bayer-Stillman 1987, Lemma 2.2): HF_{R/<I, x_n>}(d) counts the
+        standard monomials with x_n exponent 0."""
+        shift, field = self.pack.shifts[-1], (1 << self.pack.bits) - 1
+        count = (lambda st: sum(not (s >> shift) & field for s in st)) if xn_free else len
+        return poly_trim([count(self.echelon(d).standard) for d in range(self.covered)])
+
+    def weakly_revlex(self) -> bool:
+        """Whether in(I) is weakly reverse-lex, for a loop walked to its cover:
+        its minimal generators are the Q_d of the degrees walked, so it is iff
+        in each the largest key in Q_d is below the least standard key."""
+        return all(not e.new or not e.standard or e.new[-1] < e.standard[0] for e in self.echelons)
 
     def extension_hf(self, coeffs, d: int) -> int:
         """HF_{R/<I, l>}(d) = HF_{R/I}(d) - rank(l : (R/I)_{d-1} -> (R/I)_d)

@@ -5,7 +5,7 @@ import dataclasses
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from sgb import (
     PolySystem,
@@ -465,6 +465,73 @@ class TestExtensionMaps:
                 shapes.clear()
                 assert test(ell) is None
                 assert shapes == [(hf[top - 1], hf[top])]
+
+
+@st.composite
+def artinian_cases(draw):
+    """A dense system over F_2, F_3, F_7, F_31 or F_(2^31 - 1) in 2 to 5
+    variables with m = n .. n + 2 generators, all quadrics or of mixed
+    degrees 1 to 3, whose degree loop, walked up to the Lazard degree,
+    reached its cover (so R/I is Artinian); the loop and its basis."""
+    fld = PrimeField(draw(st.sampled_from((2, 3, 7, 31, 2**31 - 1))))
+    n = draw(st.integers(2, 5))
+    m = draw(st.integers(n, n + 2))
+    mixed = st.lists(st.integers(1, 3), min_size=m, max_size=m)
+    degrees = tuple(draw(mixed)) if draw(st.booleans()) else (2,) * m
+    system = sample_system(n, m, degrees, fld, draw(st.integers(0, 2**32)))
+    loop = engine._DegreeLoop(system)
+    basis = loop.basis(max(lazard_bound(n, m, degrees), max(degrees)))
+    assume(loop.covered is not None)
+    return loop, basis
+
+
+# the functions the verifier reads Hilbert and position data from when I's
+# degree loop did not reach its cover
+HILBERT_ORACLES = (
+    "leading_monomial_ideal", "regularity_profile", "_profile_with_xn", "check_weakly_revlex"
+)
+
+
+class TestCountedHilbertData:
+    def test_counts_on_the_loop_match_the_oracles(self):
+        # HF_{R/I}(d) = |standard_d|, HF_{R/<I, x_n>}(d) the x_n-free
+        # standard monomials, and in(I) weakly reverse-lex iff each Q_d lies
+        # DRL-above every standard monomial of its degree
+        weakly = []
+
+        @settings(max_examples=150, deadline=None, derandomize=True)
+        @given(artinian_cases())
+        def check(case):
+            loop, basis = case
+            n, lm = loop.pack.n, leading_monomial_ideal(basis)
+            counted = analysis._artinian_profile(loop.hilbert_values(), n)
+            assert counted == regularity_profile(lm)
+            counted = analysis._artinian_profile(loop.hilbert_values(xn_free=True), n)
+            assert counted == analysis._profile_with_xn(lm)
+            weakly.append(check_weakly_revlex(lm))
+            assert loop.weakly_revlex() == weakly[-1]
+
+        check()
+        assert True in weakly and False in weakly
+
+    def test_oracles_only_off_a_covered_loop(self, f31, monkeypatch):
+        calls = []
+
+        def spy(name, real):
+            return lambda *args: calls.append(name) or real(*args)
+
+        for name in HILBERT_ORACLES:
+            monkeypatch.setattr(analysis, name, spy(name, getattr(analysis, name)))
+        report = verify_main_theorem(sample_system(6, 7, (2,) * 7, f31, seed=1), seed=1)
+        assert (report.engine, report.krull_dim, calls) == ("macaulay", 0, [])
+        # Krull dimension 1 on the Macaulay route, and the Buchberger route
+        for system, engine_name in (
+            (sample_Z_system(6, 7, (2,) * 7, f31, seed=1), "macaulay"),
+            (sample_system(3, 3, (2,) * 3, f31, seed=1), "buchberger"),
+        ):
+            calls.clear()
+            assert verify_main_theorem(system, seed=1).engine == engine_name
+            assert set(calls) == set(HILBERT_ORACLES)
 
 
 class TestVerifyMainTheorem:

@@ -357,6 +357,16 @@ class TestCliCommands:
         assert parsed["vars"] == ["x1", "y"]
         assert parsed["polys"] == ["x1^2 + 3*x1*y + 5*y^2"]
 
+    def test_homogenize_refuses_y_before_homogenizing(self, tmp_path, monkeypatch):
+        path = tmp_path / "sys.json"
+        path.write_text('{"field":{"char":7},"vars":["x1","y"],"polys":["x1^2 + y"]}')
+        calls = []
+        monkeypatch.setattr(cli, "homogenize_system", calls.append)
+        code, out, err = run_cli(["homogenize", str(path)])
+        assert (code, out) == (1, "")
+        assert err == "error: SgbError: system already contains the homogenization variable y\n"
+        assert calls == []
+
     def test_exit_codes(self, tmp_path):
         # usage errors
         assert run_cli(["bogus"])[0] == 2
