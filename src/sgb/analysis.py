@@ -100,23 +100,38 @@ def _default_route(system: PolySystem) -> tuple[str, int | None]:
     return "macaulay", cap
 
 
-def _basis_and_loop(system: PolySystem) -> tuple[GroebnerBasis, _DegreeLoop | None]:
+def _basis_and_loop(
+    system: PolySystem, numerator=None
+) -> tuple[GroebnerBasis, _DegreeLoop | None]:
     """The basis of ``system`` by its default route, and the degree loop
-    that built it on the Macaulay route (None on Buchberger's)."""
+    that built it on the Macaulay route (None on Buchberger's).  The loop is
+    given ``numerator``, that of HS(R/I) if the caller knows it, for its
+    Hilbert exit (``_DegreeLoop.basis``)."""
     engine, cap = _default_route(system)
     loop = None if engine == "buchberger" else _DegreeLoop(system)
-    return (buchberger(system) if loop is None else loop.basis(cap)), loop
+    return (buchberger(system) if loop is None else loop.basis(cap, numerator)), loop
 
 
-def groebner_basis(system: PolySystem) -> GroebnerBasis:
+def groebner_basis(system: PolySystem, numerator=None, *, loops=None) -> GroebnerBasis:
     """Complete reduced basis of ``system`` by its default route
     (``_default_route``): the Macaulay engine at the cap D(n, m) for
-    systems with enough monomials above their top degree, where the loop of
-    an Artinian system stops by the cover test with no pair reduced, and
-    the Buchberger oracle for the rest, including every system a typed
-    error rejects.  Both engines give the same basis; a caller that names
-    one calls ``buchberger`` or ``gb_up_to``."""
-    return _basis_and_loop(system)[0]
+    systems with enough monomials above their top degree, and the
+    Buchberger oracle for the rest, including every system a typed error
+    rejects.  Both engines give the same basis; a caller that names one
+    calls ``buchberger`` or ``gb_up_to``.
+
+    The degree loop of an Artinian system stops by the cover test with no
+    pair reduced.  Given ``numerator``, the numerator of HS(R/I) (known, say,
+    for the image of an ideal under an invertible linear change), it also
+    stops at max.GB.deg(I) if that is within the cap, once its leads have
+    that Hilbert series, with no pair reduced; Buchberger's route does not
+    use it.  A caller that
+    reads the loop's echelons passes a list as ``loops``, which gets the
+    loop that built the basis (nothing on Buchberger's route)."""
+    basis, loop = _basis_and_loop(system, numerator)
+    if loops is not None and loop is not None:
+        loops.append(loop)
+    return basis
 
 
 def _hilbert_of_basis(basis: GroebnerBasis) -> tuple[MonomialIdeal, HilbertProfile]:
@@ -521,6 +536,16 @@ def verify_main_theorem(
     route only the pairs of Buchberger's loop after the handover at the cap
     count.
 
+    sigma is an invertible linear change, so HS(R/I^sigma) = HS(R/I), known
+    before I^sigma is started: ``groebner_basis`` gets its numerator, and on
+    the Macaulay route the degree loop of I^sigma stops at max.GB.deg(I^sigma)
+    by the Hilbert exit (``engine._DegreeLoop.basis``), with no degree above
+    it and no S-pair, unless that degree lies above the cap.  A loop stopped
+    by that exit or by its cover gives the weakly reverse-lex flag of
+    I^sigma (``_DegreeLoop.weakly_revlex``); ``check_weakly_revlex`` scans
+    LM(I^sigma) otherwise.  This uses the exact series of I, not the
+    theorem, so ``ineq_max_gb`` stays a check.
+
     No basis of <J, x_n> is computed, for J = I or J = I^sigma: the system is
     homogeneous and the order is DRL with x_n last, so in(J + <x_n>) = in(J)
     + <x_n> (Bayer-Stillman 1987, Lemma 2.2) and its Hilbert data is read
@@ -545,9 +570,11 @@ def verify_main_theorem(
     d_reg_ell = ext_profile.d_reg
 
     if pos.sigma.is_identity():  # then the normalized l is x_n
-        basis_sigma, lm_sigma, sigma_xn_profile = basis, lm, ext_profile
+        basis_sigma, loop_sigma, lm_sigma, sigma_xn_profile = basis, loop, lm, ext_profile
     else:
-        basis_sigma = groebner_basis(apply_to_system(system, pos.sigma))
+        loops = []  # HS(R/I^sigma) = HS(R/I), which lets its loop stop at max.GB.deg
+        basis_sigma = groebner_basis(apply_to_system(system, pos.sigma), profile.numerator, loops=loops)
+        loop_sigma = loops[0] if loops else None
         lm_sigma = leading_monomial_ideal(basis_sigma)
         sigma_xn_profile = _profile_with_xn(lm_sigma)
     gb_deg_sigma = max_gb_deg(basis_sigma)
@@ -562,7 +589,10 @@ def verify_main_theorem(
     rhs = max(d_reg_ell, gen_d_reg)
     ineq_max_gb = gb_deg_sigma <= rhs
     ineq_D_nm = None if bounds.D_nm is None else rhs <= bounds.D_nm
-    weakly = loop.weakly_revlex() if lm_sigma is None else check_weakly_revlex(lm_sigma)
+    if loop_sigma is not None and loop_sigma.complete:
+        weakly = loop_sigma.weakly_revlex()
+    else:
+        weakly = check_weakly_revlex(lm_sigma)
     equality = (gb_deg_sigma == rhs) if (weakly and artinian_after_sigma) else None
 
     m_n_minus_1_law = None

@@ -634,32 +634,47 @@ class LinearChange:
 
 
 def apply_linear_change(f: Polynomial, t: LinearChange) -> Polynomial:
-    """Image of ``f`` under the substitution x_i -> i-th column of t.matrix."""
+    """Image of ``f`` under the substitution x_i -> i-th column of t.matrix.
+
+    Works on packed monomials (``_Packing``), where a product of monomials
+    is a sum of keys.  Each power of a substituted variable is built once,
+    from the one before, and the image of each term of ``f``, the product of
+    its powers, is added into one dict, reduced mod p once at the end.  A sigma from
+    ``analysis.build_sigma`` has at most two nonzeros per column, so the
+    image of a term of a quadric has at most four terms.  A degree of 2^31 or
+    more raises DegreeTooLarge.
+    """
     if f.n != t.n or f.field != t.field:
         raise DimensionMismatch("polynomial and change act on different rings")
-    fld, n = f.field, f.n
-    substitutions = [
-        Polynomial.linear_form(fld, [t.matrix[j][i] for j in range(n)]) for i in range(n)
+    fld, n, p = f.field, f.n, f.field.p
+    pack = _packing(n)
+    pack.check(f.degree())
+    columns = [
+        [(pack.variable(j), row[i]) for j, row in enumerate(t.matrix) if row[i]]
+        for i in range(n)
     ]
-    power_cache = [{} for _ in range(n)]
+    powers = [[[(0, 1)]] for _ in range(n)]  # powers[i][e]: column i to the e, packed
 
-    def var_power(i, e):
-        cache = power_cache[i]
-        if e not in cache:
-            if e == 0:
-                cache[e] = Polynomial.constant(fld, n, 1)
-            else:
-                cache[e] = var_power(i, e - 1) * substitutions[i]
-        return cache[e]
+    def power(i, e):
+        table = powers[i]
+        while len(table) <= e:
+            step = {}
+            for k, c in table[-1]:
+                for kx, cx in columns[i]:
+                    step[k + kx] = (step.get(k + kx, 0) + c * cx) % p
+            table.append([(k, c) for k, c in step.items() if c])
+        return table[e]
 
-    out = Polynomial.zero(fld, n)
+    out = {}
     for m, c in f.coeffs.items():
-        term = Polynomial.constant(fld, n, c)
+        term = [(0, c)]
         for i, e in enumerate(m):
             if e:
-                term = term * var_power(i, e)
-        out = out + term
-    return out
+                term = [(k + kp, v * cp % p) for k, v in term for kp, cp in power(i, e)]
+        for k, v in term:
+            out[k] = out.get(k, 0) + v
+    image = {k: v % p for k, v in sorted(out.items()) if v % p}
+    return pack.polynomial(image, fld)
 
 
 def apply_to_system(system: PolySystem, t: LinearChange) -> PolySystem:

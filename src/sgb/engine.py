@@ -1,7 +1,10 @@
 """Macaulay matrices, exact RREF over F_p (naive and block variants), and
-complete reduced Groebner bases two ways: degree-by-degree elimination up to
-the first degree its leading monomials cover, or else up to a cap and
-finished by Buchberger's loop (``gb_up_to``), and the Buchberger oracle.
+complete reduced Groebner bases two ways: degree-by-degree elimination
+(``gb_up_to``), and the Buchberger oracle.  The elimination has three
+exits: the first degree its leading monomials cover; given the numerator of
+HS(R/I), the first degree whose leading monomials have that Hilbert series
+(the Hilbert exit, ``_DegreeLoop._generates``); or else the cap, where
+Buchberger's loop finishes the basis.
 
 Matrices are dense int64 numpy arrays with entries in [0, p) on input and
 output.  Elimination leaves rows in place and takes as each column's pivot
@@ -37,7 +40,10 @@ guard bit at the top of each 32-bit field: a | b iff ((b | G) - a) & G ==
 G.  A degree of 2^31 or more raises DegreeTooLarge rather than wrap.
 
 The degree loop (``_DegreeLoop``) builds the basis (``_DegreeLoop.basis``)
-and stays with its caller, not on the basis; it can go on past its cap.  Its
+and stays with its caller, not on the basis; it can go on past its cap.
+A loop that stopped by the cover or the Hilbert exit holds every minimal
+generator of in(I) as a leading monomial new at a degree it walked, and
+answers whether in(I) is weakly reverse-lex (``_DegreeLoop.weakly_revlex``).  Its
 echelons of I_d give multiplication by each variable on R/I, degree by
 degree, and from those it answers the Hilbert function of <I, l> for a
 linear form l, with one rank mod p (``_DegreeLoop.extension_hf``).
@@ -76,7 +82,7 @@ from .errors import (
     NotHomogeneous,
     ZeroPolynomial,
 )
-from .hilbert import MonomialIdeal, _minimal
+from .hilbert import MonomialIdeal, _minimal, expand_hilbert_series, hilbert_numerator
 from .series import poly_trim
 
 # Largest Macaulay matrix the engine builds (2^27 int64 cells are 1 GiB), and
@@ -750,11 +756,13 @@ def _eliminate_degree(prev: _Echelon, pivots: dict, gens: list, pack, p: int):
 class _DegreeLoop:
     """The degree-by-degree elimination of a homogeneous system, kept so that
     it can go on: the echelon of I_d for each degree walked, from lo for lo
-    the least generator degree, and ``covered``, the first degree whose
-    monomials are all leading ones (None until one is met).  I_d = 0 below
-    lo, so every monomial of such a degree is standard; from ``covered`` on,
-    none is.  It refuses what ``_check_system`` refuses and lists no monomial
-    before it walks, so a caller can check the walk's cells first."""
+    the least generator degree, ``covered``, the first degree whose
+    monomials are all leading ones, and ``generated``, the degree where the
+    Hilbert exit found that the leads walked generate in(I) (each None until
+    met).  I_d = 0 below lo, so every monomial of such a degree is standard;
+    from ``covered`` on, none is.  It refuses what ``_check_system`` refuses
+    and lists no monomial before it walks, so a caller can check the walk's
+    cells first."""
 
     def __init__(self, system: PolySystem):
         _check_system(system, eliminate=True)
@@ -766,6 +774,7 @@ class _DegreeLoop:
         self.lo = min(system.degrees)
         self.echelons = []  # of the degrees lo..top
         self.covered = None
+        self.generated = None
         self._pivots = None  # of the degree after the last echelon, once made
         self._maps = {}  # degree d -> multiplication by each x_k into degree d
 
@@ -784,10 +793,19 @@ class _DegreeLoop:
                 self.covered = d
         return self.covered is not None
 
-    def walk(self, hi: int) -> list:
+    @property
+    def complete(self) -> bool:
+        """Whether the leads of the degrees walked generate in(I): the loop
+        met its cover or the Hilbert exit."""
+        return self.covered is not None or self.generated is not None
+
+    def walk(self, hi: int, numerator=None) -> list:
         """Eliminate every degree up to ``hi``, or up to the cover; returns
         the RREF rows whose leading monomials are new in those degrees, as
-        packed polynomials."""
+        packed polynomials.  Given ``numerator``, that of HS(R/I), it also
+        stops at the first degree that passes the Hilbert exit
+        (``_generates``) and records it as ``generated``."""
+        hf = None if numerator is None else expand_hilbert_series(numerator, self.pack.n, hi + 1)
         rows = []
         while not self.covers_next() and self.top < hi:
             prev, gens = self.echelon(self.top), self.gens.get(self.top + 1, [])
@@ -795,17 +813,51 @@ class _DegreeLoop:
             self._pivots = None
             self.echelons.append(echelon)
             rows.extend(new)
+            if hf is not None and echelon.new and self._generates(hf, numerator):
+                self.generated = self.top
+                break
         return rows
 
-    def basis(self, cap: int) -> GroebnerBasis:
+    def _generates(self, hf: list, numerator) -> bool:
+        """The Hilbert exit (Traverso, "Hilbert functions and the Buchberger
+        algorithm", J. Symbolic Comput. 22, 1996): whether J, the ideal of
+        the leads walked up to d = top, is in(I), for ``hf`` the values of
+        HF_{R/I} up to d + 1 or further and ``numerator`` that of HS(R/I).
+
+        Every lead is the leading monomial of an element of I, so J is in
+        in(I), and a monomial ideal inside another with the same Hilbert
+        series equals it: in each degree it is a subspace of the same
+        dimension.  So HS(R/J) = HS(R/I) means J = in(I): the rows
+        collected, each monic with its tail on standard monomials, are the
+        reduced basis, and no degree above d and no S-pair is needed.  J
+        changes only where Q_d is not empty, so only such degrees are asked.
+
+        A pre-test comes first: the degree-(d + 1) part of J is P_{d+1}, the
+        products x_k * u of the leads of degree d, which the next degree
+        needs anyway, so HF_{R/J}(d + 1) = C(n + d, d + 1) - |P_{d+1}| must
+        be HF_{R/I}(d + 1).  Only then is the numerator of J computed from
+        its minimal generators, the Q keys of every degree walked."""
+        if self.covers_next():  # builds P_{d+1}; the cover ends the walk as well
+            return False
+        d, n = self.top, self.pack.n
+        if math.comb(n + d, d + 1) - len(self._pivots) != hf[d + 1]:
+            return False
+        keys = tuple(sorted(k for e in self.echelons for k in e.new))
+        return poly_trim(hilbert_numerator(MonomialIdeal(n, keys))) == poly_trim(numerator)
+
+    def basis(self, cap: int, numerator=None) -> GroebnerBasis:
         """The complete reduced basis from a loop not walked yet: the walk up
         to ``cap``, or to the cover, then Buchberger's loop on the pairs whose
-        lcm lies above ``cap``.  The loop can go on past ``cap`` afterwards."""
-        collected = self.walk(cap)
-        # with the next degree covered the rows are the reduced basis; else every
-        # leading monomial of degree <= cap in the ideal is divisible by a
-        # collected one, so the rows are a Groebner basis up to degree cap
-        above = math.inf if self.covered is not None else cap
+        lcm lies above ``cap``.  Given ``numerator``, that of HS(R/I), the
+        walk also ends at the first degree whose leads generate in(I) (the
+        Hilbert exit, ``_generates``), which is max.GB.deg(I), with no pair.
+        The loop can go on past ``cap`` afterwards."""
+        collected = self.walk(cap, numerator)
+        # with the next degree covered, or the leads generating in(I), the rows
+        # are the reduced basis; else every leading monomial of degree <= cap
+        # in the ideal is divisible by a collected one, so the rows are a
+        # Groebner basis up to degree cap
+        above = math.inf if self.complete else cap
         return _complete(collected, self.pack, self.field, above=above)
 
     def echelon(self, d: int) -> _Echelon:
@@ -828,9 +880,10 @@ class _DegreeLoop:
         return poly_trim([count(self.echelon(d).standard) for d in range(self.covered)])
 
     def weakly_revlex(self) -> bool:
-        """Whether in(I) is weakly reverse-lex, for a loop walked to its cover:
-        its minimal generators are the Q_d of the degrees walked, so it is iff
-        in each the largest key in Q_d is below the least standard key."""
+        """Whether in(I) is weakly reverse-lex, for a complete loop (walked to
+        its cover or to the Hilbert exit): the minimal generators of in(I)
+        are the Q_d of the degrees walked, so it is iff in each the largest
+        key in Q_d is below the least standard key."""
         return all(not e.new or not e.standard or e.new[-1] < e.standard[0] for e in self.echelons)
 
     def extension_hf(self, coeffs, d: int) -> int:

@@ -27,6 +27,7 @@ from sgb import (
     is_regular_sequence,
     lazard_bound,
     leading_monomial_ideal,
+    max_gb_deg,
     minimalize,
     monomials_of_degree,
     regularity_profile,
@@ -534,6 +535,101 @@ class TestCountedHilbertData:
             assert set(calls) == set(HILBERT_ORACLES)
 
 
+@st.composite
+def sigma_image_cases(draw):
+    """A dense, Z or corner system of quadrics over F_2, F_3, F_7, F_31 or
+    F_(2^31 - 1) in 3 to 6 variables with m = n - 1 .. n + 1, and its image
+    under the sigma that ``build_sigma`` makes for a random form."""
+    fld = PrimeField(draw(st.sampled_from((2, 3, 7, 31, 2**31 - 1))))
+    n = draw(st.integers(3, 6))
+    m = draw(st.integers(n - 1, n + 1))
+    sampler = draw(st.sampled_from((sample_system, sample_Z_system, corner_system)))
+    system = sampler(n, m, (2,) * m, fld, draw(st.integers(0, 2**32)))
+    vec = draw(st.lists(st.integers(0, fld.p - 1), min_size=n, max_size=n))
+    assume(any(vec))
+    return system, apply_to_system(system, build_sigma(Polynomial.linear_form(fld, vec)))
+
+
+def sigma_image_check(monkeypatch, check):
+    """Run ``check(image, basis, loop)`` over derandomized
+    ``sigma_image_cases``, where basis and loop are what ``groebner_basis``
+    gives the image with the numerator of HS(R/I), every shape routed to the
+    degree loop."""
+    monkeypatch.setattr(analysis, "_ELIMINATION_MIN_MONOMIALS", 0)
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(sigma_image_cases())
+    def run(case):
+        system, image = case
+        lm = leading_monomial_ideal(buchberger(system))
+        loops = []
+        basis = analysis.groebner_basis(image, regularity_profile(lm).numerator, loops=loops)
+        check(image, basis, loops[0])
+
+    run()
+
+
+class TestHilbertExitOnImages:
+    def test_basis_of_the_image_matches_buchberger(self, monkeypatch):
+        # HS(R/I^sigma) = HS(R/I), so the loop of I^sigma stops at
+        # max.GB.deg(I^sigma) when that is within its cap
+        stops = []
+
+        def check(image, basis, loop):
+            oracle = buchberger(image)
+            assert basis == oracle and basis.keys == oracle.keys
+            top = max_gb_deg(oracle)
+            cap = analysis._default_route(image)[1]
+            if top <= cap:  # the exit, or a cover one degree above the basis
+                assert loop.top == top and loop.complete
+                assert loop.generated == (None if loop.covered else top)
+            stops.append(loop.generated is not None and top < cap)
+
+        sigma_image_check(monkeypatch, check)
+        assert True in stops and False in stops
+
+    def test_weakly_revlex_from_the_loop(self, monkeypatch):
+        # a loop stopped by the Hilbert exit has every minimal generator of
+        # in(I^sigma) as a Q_d of a degree it walked
+        flags = []
+
+        def check(image, basis, loop):
+            if loop.complete:
+                flags.append(check_weakly_revlex(leading_monomial_ideal(basis)))
+                assert loop.weakly_revlex() == flags[-1]
+
+        sigma_image_check(monkeypatch, check)
+        assert True in flags and False in flags
+
+    def test_corner_image_stops_at_its_basis_degree(self, f31, monkeypatch):
+        # corner 6/6: the loop of I^sigma eliminates no degree above
+        # max.GB.deg(I^sigma) = 5, below the cap D(6, 6) = 7, forms no
+        # S-pair, and gives the report its weakly reverse-lex flag
+        system = corner_system(6, 6, (2,) * 6, f31, seed=1)
+        seen, spolys, made = [], [], []
+        real_basis, real_spoly = analysis.groebner_basis, engine._spoly
+
+        def basis_spy(image, numerator, loops):
+            spolys.clear()  # those of I's basis, made before
+            basis = real_basis(image, numerator, loops=loops)
+            seen.append((basis, loops[0]))
+            made.append(len(spolys))
+            return basis
+
+        def no_scan(lm):
+            raise AssertionError("check_weakly_revlex called")
+
+        monkeypatch.setattr(analysis, "groebner_basis", basis_spy)
+        monkeypatch.setattr(engine, "_spoly", lambda *args: spolys.append(args) or real_spoly(*args))
+        monkeypatch.setattr(analysis, "check_weakly_revlex", no_scan)
+        report = verify_main_theorem(system, seed=0)
+        [(basis, loop)] = seen
+        assert report.engine == "macaulay" and analysis._default_route(system) == ("macaulay", 7)
+        assert loop.top == loop.generated == report.max_gb_deg_sigma == 5
+        assert made == [0]
+        assert report.weakly_revlex == check_weakly_revlex(leading_monomial_ideal(basis))
+
+
 class TestVerifyMainTheorem:
     def test_worked_fixture(self, f7):
         report = verify_main_theorem(spec_fixture_system(f7), seed=1)
@@ -647,13 +743,14 @@ class TestVerifyMainTheorem:
     def test_bases_per_run(self, f31, monkeypatch):
         # no basis of <I, x_n>, <I^sigma, x_n> or of any <I, l>: one basis
         # when sigma is the identity, otherwise those of I and I^sigma; each
-        # takes the default route through _basis_and_loop
+        # takes the default route through _basis_and_loop, that of I^sigma
+        # with the numerator of HS(R/I)
         bases = []
         real = analysis._basis_and_loop
 
-        def spy(system):
+        def spy(system, *numerator):
             bases.append(system)
-            return real(system)
+            return real(system, *numerator)
 
         monkeypatch.setattr(analysis, "_basis_and_loop", spy)
         systems = [coordinate_zeros_system(f31)] + [
@@ -784,7 +881,8 @@ class TestDefaultRoute:
         # I and I^sigma by elimination; the candidates after x_n read the
         # echelons of I's degree loop, which is not built again: at 6/6 its
         # cap D = 7 is the Lazard degree of <I, l>, at 6/7 it goes on past
-        # the cap D = 4 up to 7, while the loop of I^sigma stops at the cap
+        # the cap D = 4 up to 7, while the loop of I^sigma stops by the
+        # Hilbert exit at max.GB.deg(I^sigma): 5 below the cap at 6/6, 4 at it
         for m, cap in ((6, 7), (7, 4)):
             calls.clear()
             loops.clear()
@@ -794,7 +892,8 @@ class TestDefaultRoute:
             assert not report.sigma.is_identity() and report.engine == "macaulay"
             assert report.attempts_used > 6
             assert calls == [("loop", m), ("loop", m)]
-            assert [lp.top for lp in loops] == [7, cap]
+            assert [lp.top for lp in loops] == [7, report.max_gb_deg_sigma]
+            assert loops[1].generated == report.max_gb_deg_sigma <= cap
 
     def test_budget_falls_back_to_buchberger(self, f31, monkeypatch):
         system = sample_system(6, 7, (2,) * 7, f31, seed=2)

@@ -12,9 +12,12 @@ import sgb
 from sgb import core
 from sgb import (
     LinearChange,
+    PolySystem,
     Polynomial,
     PrimeField,
     apply_linear_change,
+    apply_to_system,
+    build_sigma,
     dehomogenize,
     drl_compare,
     drl_key,
@@ -27,6 +30,7 @@ from sgb import (
 )
 from sgb.errors import (
     BadModulus,
+    DegreeTooLarge,
     DimensionMismatch,
     InvalidDegree,
     MatrixTooLarge,
@@ -308,6 +312,45 @@ class TestPackedRoundTrips:
         assert parse_polynomial(poly_to_string(g, names), names, f.field) == g
 
 
+def naive_image(f, t):
+    """f(x . P) expanded with Polynomial products and sums: each term's
+    factors x_i become the linear form of column i of P, one at a time."""
+    fld, n = f.field, f.n
+    columns = [Polynomial.linear_form(fld, [row[i] for row in t.matrix]) for i in range(n)]
+    out = Polynomial.zero(fld, n)
+    for m, c in f.coeffs.items():
+        term = Polynomial.constant(fld, n, c)
+        for i, e in enumerate(m):
+            for _ in range(e):
+                term = term * columns[i]
+        out = out + term
+    return out
+
+
+@st.composite
+def substitution_cases(draw):
+    """One to three polynomials over F_2 .. F_(2^31 - 1) in 1 to 7 variables,
+    each of up to six terms of degrees 0 to 4, and either the sigma that
+    ``build_sigma`` makes for a random form or a random invertible change."""
+    fld = PrimeField(draw(st.sampled_from((2, 3, 7, 31, 65521, 2**31 - 1))))
+    n = draw(st.integers(1, 7))
+    top = draw(st.integers(1, 4))
+    monomial = st.integers(0, top).flatmap(lambda d: st.sampled_from(monomials_of_degree(n, d)))
+    terms = st.dictionaries(monomial, st.integers(1, fld.p - 1), max_size=6)
+    polys = [Polynomial(fld, n, t) for t in draw(st.lists(terms, min_size=1, max_size=3))]
+    coefficient = st.integers(0, fld.p - 1)
+    if draw(st.booleans()):
+        vec = draw(st.lists(coefficient, min_size=n, max_size=n).filter(any))
+        change = build_sigma(Polynomial.linear_form(fld, vec))
+    else:
+        rows = draw(st.lists(st.lists(coefficient, min_size=n, max_size=n), min_size=n, max_size=n))
+        try:
+            change = LinearChange(fld, rows)
+        except ZeroInverse:
+            change = LinearChange.identity(fld, n)
+    return PolySystem(fld, n, tuple(polys)), change
+
+
 class TestLinearChange:
     def test_identity_fixture(self, f7):
         t = LinearChange.identity(f7, 2)
@@ -350,6 +393,31 @@ class TestLinearChange:
         t = LinearChange.identity(f7, 3)
         with pytest.raises(DimensionMismatch):
             apply_linear_change(Polynomial.variable(f7, 2, 0), t)
+
+    @settings(max_examples=300, deadline=None)
+    @given(substitution_cases())
+    def test_matches_the_naive_expansion(self, case):
+        # the packed accumulation gives the expanded product, with its terms
+        # in DRL order, and the inverse change takes the image back
+        system, t = case
+        image = apply_to_system(system, t)
+        for f, g in zip(system.polys, image.polys):
+            assert g == naive_image(f, t)
+            assert list(g.terms()) == sorted(g.coeffs.items(), key=lambda e: drl_key(e[0]), reverse=True)
+        assert apply_to_system(image, t.inverse()) == system
+
+    def test_a_high_power_is_built_without_recursion(self, f7):
+        # each power comes from the one before in a loop, so an exponent past
+        # the interpreter's recursion limit is no different
+        t = LinearChange(f7, [[1, 0], [0, 3]])  # x2 -> 3 x2
+        image = apply_linear_change(Polynomial(f7, 2, {(0, 5000): 1}), t)
+        assert image == Polynomial(f7, 2, {(0, 5000): pow(3, 5000, 7)})
+
+    def test_degree_over_the_packing_is_refused(self, f7):
+        # a typed error before any power is built
+        f = Polynomial(f7, 2, {(2**31, 0): 1})
+        with pytest.raises(DegreeTooLarge):
+            apply_linear_change(f, LinearChange.identity(f7, 2))
 
     def test_round_trip_1000_random_polynomials(self, f31):
         rng = random.Random(3)

@@ -23,6 +23,7 @@ from sgb import (
     drl_key,
     gb_up_to,
     hilbert_function,
+    hilbert_numerator,
     is_regular_sequence,
     krull_dim,
     lazard_bound,
@@ -1115,3 +1116,57 @@ class TestCoverExit:
     def test_z_systems_build_every_degree(self, f31):
         system = sample_Z_system(4, 5, (2,) * 5, f31, seed=1)
         assert built_degrees(system, 7)[1] == [2, 3, 4, 5, 6, 7]
+
+
+def hilbert_walk(system, cap, numerator):
+    """The basis a degree loop given the Hilbert numerator ``numerator``
+    returns at ``cap``, the degrees it eliminates, and how many
+    S-polynomials it forms."""
+    spolys = []
+    real = engine._spoly
+    with pytest.MonkeyPatch.context() as mp, eliminations(mp) as seen:
+        mp.setattr(engine, "_spoly", lambda *args: spolys.append(args) or real(*args))
+        basis = engine._DegreeLoop(system).basis(cap, numerator)
+    return basis, [echelon.degree for echelon in seen], len(spolys)
+
+
+class TestHilbertExit:
+    @settings(max_examples=120, deadline=None)
+    @given(exit_cases())
+    def test_stops_at_the_largest_basis_degree(self, case):
+        # given HS(R/I), the loop stops after max.GB.deg(I), the first degree
+        # whose leads have that series, with no S-pair; a basis above the cap
+        # is walked to the cap and finished by the pairs, as without it
+        system, cap = case
+        oracle = buchberger(system)
+        top = max_gb_deg(oracle)
+        numerator = hilbert_numerator(leading_monomial_ideal(oracle))
+        basis, built, spolys = hilbert_walk(system, cap, numerator)
+        assert basis == oracle and basis.keys == oracle.keys
+        assert built == list(range(min(system.degrees), min(top, cap) + 1))
+        if top <= cap:
+            assert spolys == 0
+
+    def test_z_system_stops_below_the_cap(self, f31):
+        # R/I has dimension 1, so the cover never comes: without the numerator
+        # the loop walks to the cap and hands its rows to the pair loop
+        system = sample_Z_system(4, 5, (2,) * 5, f31, seed=1)
+        oracle = buchberger(system)
+        numerator = hilbert_numerator(leading_monomial_ideal(oracle))
+        basis, built, spolys = hilbert_walk(system, 7, numerator)
+        assert basis == oracle and spolys == 0
+        assert built == list(range(2, max_gb_deg(oracle) + 1)) and built[-1] < 7
+        assert built_degrees(system, 7)[1] == [2, 3, 4, 5, 6, 7]
+
+    def test_the_pre_test_alone_does_not_stop(self, f31, monkeypatch):
+        # <x1^2, x2^4> in three variables: after degree 2, HF_{R/J}(3) = 7 =
+        # HF_{R/I}(3), yet J = <x1^2> lacks x2^4, and the numerators tell
+        # them apart; degree 3 adds no lead and is not asked
+        system = PolySystem(f31, 3, tuple(Polynomial(f31, 3, {e: 1}) for e in ((2, 0, 0), (0, 4, 0))))
+        numerator = hilbert_numerator(leading_monomial_ideal(buchberger(system)))
+        asked = []
+        real = engine.hilbert_numerator
+        monkeypatch.setattr(engine, "hilbert_numerator", lambda J: asked.append(J.gens) or real(J))
+        basis, built, spolys = hilbert_walk(system, 6, numerator)
+        assert basis.elements == system.polys and built == [2, 3, 4] and spolys == 0
+        assert asked == [((2, 0, 0),), ((0, 4, 0), (2, 0, 0))]
