@@ -27,17 +27,22 @@ added, and a matrix product whose sums could pass 2^63 - 1 is split.
 
 Inside the engine every monomial is a packed int (``core._Packing``),
 key(m) = sum_i m_i 2^(32 i) - deg(m) 2^(32 n), from the generators, packed
-by sorting their terms on the int keys, and the columns of each degree to
-the returned basis.  The basis stays packed until it is read: its leading
-keys go on to ``hilbert.MonomialIdeal`` and ``max_gb_deg``, and its
-elements become ``Polynomial``s only when first read, with their terms in
-the stored order.  Tuples appear only at the edges (``Polynomial``, and the
-columns and labels of ``MacaulayMatrix``).  A smaller key is a
-DRL-larger monomial, so a packed polynomial is a dict whose keys ascend from its
-leading term and the term heap holds plain ints; a product is a sum of keys,
-so a shifted row or tail is its keys plus one shift.  Divisibility uses the
-guard bit at the top of each 32-bit field: a | b iff ((b | G) - a) & G ==
-G.  A degree of 2^31 or more raises DegreeTooLarge rather than wrap.
+by sorting their terms on the int keys, to the returned basis.  The degree
+loop addresses a degree-d monomial by its index among the ascending keys of
+degree d (``core._packed_monomials``); ``_products`` maps x_k times each
+degree-(d - 1) index to its degree-d index, so the loop's bookkeeping is
+numpy gathers, and keys appear only at its edges: the generators it reads,
+the rows it returns and the Q keys of its Hilbert exit.  The basis stays
+packed until it is read: its leading keys go on to ``hilbert.MonomialIdeal``
+and ``max_gb_deg``, and its elements become ``Polynomial``s only when first
+read, with their terms in the stored order.  Tuples appear only at the
+edges (``Polynomial``, and the columns and labels of ``MacaulayMatrix``).  A
+smaller key is a DRL-larger monomial, so a packed polynomial is a dict whose
+keys ascend from its leading term and the term heap holds plain ints; a
+product is a sum of keys, so a shifted row or tail is its keys plus one
+shift.  Divisibility uses the guard bit at the top of each 32-bit field:
+a | b iff ((b | G) - a) & G == G.  A degree of 2^31 or more raises
+DegreeTooLarge rather than wrap.
 
 The degree loop (``_DegreeLoop``) builds the basis (``_DegreeLoop.basis``)
 and stays with its caller, not on the basis; it can go on past its cap.
@@ -59,6 +64,7 @@ the sorted basis packed.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import heapq
 import math
@@ -614,34 +620,40 @@ def _matmul_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
 @dataclass(frozen=True)
 class _Echelon:
     """The canonical RREF of the degree-d part of an ideal, I_d, kept as its
-    leading monomials and their tails.  ``leads`` are the packed keys of
-    LM(I)_d in any order, ``standard`` the other degree-d keys, ascending,
-    and row i of ``tails`` the coefficients, on ``standard``, of the RREF row
-    led by ``leads[i]``.  ``new`` is Q_d, the leads new at d, ascending, and
+    leading monomials and their tails.  A monomial is its index among the
+    ascending degree-d keys (``core._packed_monomials``), so under DRL the
+    x_n-free ones come first.  ``leads`` are the indices of LM(I)_d, P_d
+    then Q_d, ``standard`` the other indices, ascending, and row i of
+    ``tails`` the coefficients, on ``standard``, of the RREF row led by
+    ``leads[i]``.  ``new`` is Q_d, the leads new at d, ascending, and
     ``via[i]`` the variable of the pivot row of ``leads[i]``, n in Q_d."""
 
     degree: int
-    leads: tuple
-    standard: tuple
+    leads: np.ndarray
+    standard: np.ndarray
     tails: np.ndarray
-    new: tuple = ()
+    new: np.ndarray = _dc_field(default_factory=lambda: np.zeros(0, dtype=np.intp))
     via: np.ndarray = _dc_field(default_factory=lambda: np.zeros(0, dtype=np.intp))
 
 
-def _pivot_products(prev: _Echelon, pack) -> dict:
-    """P = {x_k * u : u a leading monomial of I_{d-1}}, the degree-d part of
-    <LM(I)_{<d}>, each product mapped to the least k giving it: the variable
-    of its pivot row, the first of the rows x_k * (u + tail) leading there."""
-    pivots = {}
-    for k in reversed(range(pack.n)):  # the least k is written last
-        x = pack.variable(k)
-        pivots.update({u + x: k for u in prev.leads})
-    return pivots
+@functools.lru_cache(maxsize=None)
+def _products(n: int, d: int) -> np.ndarray:
+    """Entry (k, i) is the index of x_k times the i-th degree-(d - 1)
+    monomial among the degree-d ones, each in ascending key order."""
+    x = _packing(n).variable
+    index = {t: i for i, t in enumerate(_packed_monomials(n, d))}
+    below = _packed_monomials(n, d - 1)
+    table = np.array([[index[u + x(k)] for u in below] for k in range(n)], dtype=np.intp)
+    table.flags.writeable = False
+    return table
 
 
-def _eliminate_degree(prev: _Echelon, pivots: dict, gens: list, pack, p: int):
+def _eliminate_degree(prev: _Echelon, owner: np.ndarray, gens: list, n: int, p: int):
     """The echelon of I_d from that of I_{d-1}, and the RREF rows whose
     leading monomials are new at degree d, as packed polynomials.
+    ``owner[t]`` is, for t in P = {x_k * u : u a leading monomial of
+    I_{d-1}}, the least k giving it, the variable of its pivot row, and n
+    for t not in P; ``gens`` are the packed degree-d generators.
 
     I_d is spanned by the rows x_k * (u + tail) and the degree-d generators.
     The pivot row of each product t in P is the first one leading there;
@@ -661,29 +673,19 @@ def _eliminate_degree(prev: _Echelon, pivots: dict, gens: list, pack, p: int):
     x_j w < x_k u; by induction on (x_k u, k) D's span, so its RREF, stays.
     """
     d = prev.degree + 1
-    n, tails = pack.n, prev.tails
-    plist = sorted(pivots)  # ascending keys: DRL-largest first
-    pidx = {t: i for i, t in enumerate(plist)}
-    standard = [t for t in _packed_monomials(n, d) if t not in pivots]
-    col = {t: j for j, t in enumerate(standard)}
+    tails, in_p = prev.tails, owner < n
+    plist = np.flatnonzero(in_p)  # ascending keys: DRL-largest first
+    standard = np.flatnonzero(~in_p)
+    where = np.where(in_p, np.cumsum(in_p), np.cumsum(~in_p)) - 1  # the place in P or in N
     width = len(standard)
-    owner = np.array([pivots[t] for t in plist], dtype=np.intp)
     lands, owned, repeated = [], [], []
-    for k in range(n):
-        x = pack.variable(k)
+    for k, table in enumerate(_products(n, d)):
         # where x_k times each standard monomial of degree d - 1 lands
-        into_p, to_p, into_n, to_n = [], [], [], []
-        for j, s in enumerate(prev.standard):
-            t = s + x
-            if t in pidx:
-                into_p.append(j)
-                to_p.append(pidx[t])
-            else:
-                into_n.append(j)
-                to_n.append(col[t])
-        lands.append(tuple(np.array(v, dtype=np.intp) for v in (into_p, to_p, into_n, to_n)))
-        at = np.array([pidx[u + x] for u in prev.leads], dtype=np.intp)
-        pivot = owner[at] == k
+        t = table[prev.standard]
+        hit = in_p[t]
+        lands.append((np.flatnonzero(hit), where[t[hit]], np.flatnonzero(~hit), where[t[~hit]]))
+        t = table[prev.leads]
+        at, pivot = where[t], owner[t] == k
         owned.append((np.flatnonzero(pivot), at[pivot]))
         repeat = ~pivot & (prev.via >= k)  # the chain criterion
         repeated.append((np.flatnonzero(repeat), at[repeat]))
@@ -720,17 +722,12 @@ def _eliminate_degree(prev: _Echelon, pivots: dict, gens: list, pack, p: int):
     for k, (rows, lead) in enumerate(repeated):
         if len(rows):
             blocks.append((products(rows, k) - solved[lead]) % p)
-    if gens:
-        on_p = np.zeros((len(gens), len(plist)), dtype=np.int64)
-        on_n = np.zeros((len(gens), width), dtype=np.int64)
-        for g, terms in enumerate(gens):
-            for t, c in terms.items():
-                if t in pidx:
-                    on_p[g, pidx[t]] = c
-                else:
-                    on_n[g, col[t]] = c
-        blocks.append((on_n - _matmul_mod(on_p, solved, p)) % p)
-    res = rref_naive(np.vstack(blocks) if blocks else np.zeros((0, width), np.int64), p)
+    keys = _packed_monomials(n, d)
+    on = np.zeros((len(gens), len(owner)), dtype=np.int64)  # the generator rows
+    for g, terms in enumerate(gens):
+        on[g, [bisect.bisect_left(keys, t) for t in terms]] = list(terms.values())
+    blocks.append((on[:, standard] - _matmul_mod(on[:, plist], solved, p)) % p)
+    res = rref_naive(np.vstack(blocks), p)
 
     new = res.matrix[: res.rank]
     q_cols = list(res.pivots)
@@ -738,17 +735,16 @@ def _eliminate_degree(prev: _Echelon, pivots: dict, gens: list, pack, p: int):
     keep = np.ones(width, dtype=bool)
     keep[q_cols] = False
     solved = (solved - _matmul_mod(solved[:, q_cols], new, p)) % p
-    rows = [
-        {standard[j]: int(row[j]) for j in np.flatnonzero(row).tolist()} for row in new
-    ]
-    q_keys = tuple(standard[c] for c in q_cols)
+    names = [keys[t] for t in standard.tolist()]
+    rows = [{names[j]: int(row[j]) for j in np.flatnonzero(row).tolist()} for row in new]
+    q = standard[q_cols]
     echelon = _Echelon(
         d,
-        tuple(plist) + q_keys,
-        tuple(standard[j] for j in np.flatnonzero(keep).tolist()),
+        np.concatenate([plist, q]),
+        standard[keep],
         np.vstack([solved[:, keep], new[:, keep]]),
-        q_keys,
-        np.concatenate([owner, np.full(len(q_keys), n, dtype=np.intp)]),
+        q,
+        np.concatenate([owner[plist], np.full(len(q), n, dtype=np.intp)]),
     )
     return echelon, rows
 
@@ -775,7 +771,7 @@ class _DegreeLoop:
         self.echelons = []  # of the degrees lo..top
         self.covered = None
         self.generated = None
-        self._pivots = None  # of the degree after the last echelon, once made
+        self._owner = None  # of the degree after the last echelon, once made
         self._maps = {}  # degree d -> multiplication by each x_k into degree d
 
     @property
@@ -785,11 +781,16 @@ class _DegreeLoop:
 
     def covers_next(self) -> bool:
         """Whether every monomial of degree top + 1 is a multiple x_k * u of
-        a leading monomial u of degree top, so that every one above is too."""
-        if self.covered is None and self._pivots is None:
-            d = self.top + 1
-            self._pivots = _pivot_products(self.echelon(self.top), self.pack)
-            if len(self._pivots) == math.comb(self.pack.n - 1 + d, d):
+        a leading monomial u of degree top, so that every one above is too.
+        It first makes P_{top+1}, those multiples, as the array ``_owner``
+        over the indices of degree top + 1: the least k giving each, n for a
+        monomial not in P."""
+        if self.covered is None and self._owner is None:
+            n, d = self.pack.n, self.top + 1
+            self._owner = np.full(math.comb(n - 1 + d, d), n, dtype=np.intp)
+            for k in reversed(range(n)):  # the least k is written last
+                self._owner[_products(n, d)[k, self.echelon(self.top).leads]] = k
+            if not np.any(self._owner == n):
                 self.covered = d
         return self.covered is not None
 
@@ -809,11 +810,11 @@ class _DegreeLoop:
         rows = []
         while not self.covers_next() and self.top < hi:
             prev, gens = self.echelon(self.top), self.gens.get(self.top + 1, [])
-            echelon, new = _eliminate_degree(prev, self._pivots, gens, self.pack, self.field.p)
-            self._pivots = None
+            echelon, new = _eliminate_degree(prev, self._owner, gens, self.pack.n, self.field.p)
+            self._owner = None
             self.echelons.append(echelon)
             rows.extend(new)
-            if hf is not None and echelon.new and self._generates(hf, numerator):
+            if hf is not None and len(echelon.new) and self._generates(hf, numerator):
                 self.generated = self.top
                 break
         return rows
@@ -840,10 +841,10 @@ class _DegreeLoop:
         if self.covers_next():  # builds P_{d+1}; the cover ends the walk as well
             return False
         d, n = self.top, self.pack.n
-        if math.comb(n + d, d + 1) - len(self._pivots) != hf[d + 1]:
+        if np.count_nonzero(self._owner == n) != hf[d + 1]:
             return False
-        keys = tuple(sorted(k for e in self.echelons for k in e.new))
-        return poly_trim(hilbert_numerator(MonomialIdeal(n, keys))) == poly_trim(numerator)
+        keys = sorted(_packed_monomials(n, e.degree)[q] for e in self.echelons for q in e.new)
+        return poly_trim(hilbert_numerator(MonomialIdeal(n, tuple(keys)))) == poly_trim(numerator)
 
     def basis(self, cap: int, numerator=None) -> GroebnerBasis:
         """The complete reduced basis from a loop not walked yet: the walk up
@@ -862,10 +863,10 @@ class _DegreeLoop:
 
     def echelon(self, d: int) -> _Echelon:
         """The echelon of I_d, for d <= top or from the cover on."""
-        if self.covered is not None and d >= self.covered:
-            return _Echelon(d, (), (), np.zeros((0, 0), dtype=np.int64))
-        if d < self.lo:
-            return _zero_echelon(self.pack.n, d)
+        if d < self.lo or self.covered is not None and d >= self.covered:
+            # below lo I_d = 0, every monomial standard; from the cover on none is
+            size = math.comb(self.pack.n - 1 + d, d) if d < self.lo else 0
+            return _Echelon(d, np.arange(0), np.arange(size), np.zeros((0, size), dtype=np.int64))
         return self.echelons[d - self.lo]
 
     def hilbert_values(self, xn_free: bool = False) -> list:
@@ -874,17 +875,22 @@ class _DegreeLoop:
         of I_d is the RREF of I_d, so HF_{R/I}(d) = |standard_d|, 0 from the
         cover on and maybe already at ``top``.  in(I + <x_n>) = in(I) + <x_n>
         (Bayer-Stillman 1987, Lemma 2.2): HF_{R/<I, x_n>}(d) counts the
-        standard monomials with x_n exponent 0."""
-        shift, field = self.pack.shifts[-1], (1 << self.pack.bits) - 1
-        count = (lambda st: sum(not (s >> shift) & field for s in st)) if xn_free else len
-        return poly_trim([count(self.echelon(d).standard) for d in range(self.covered)])
+        standard monomials with x_n exponent 0.  Under DRL those are the
+        first indices of their degree, one per monomial of degree d in
+        x_1..x_(n-1): C(n - 2 + d, d) for n >= 2, and 1 at d = 0 for n = 1."""
+        n, values = self.pack.n, []
+        for d in range(self.covered):
+            standard = self.echelon(d).standard
+            free = math.comb(n - 2 + d, d) if n > 1 else int(d == 0)
+            values.append(int(np.searchsorted(standard, free)) if xn_free else len(standard))
+        return poly_trim(values)
 
     def weakly_revlex(self) -> bool:
         """Whether in(I) is weakly reverse-lex, for a complete loop (walked to
         its cover or to the Hilbert exit): the minimal generators of in(I)
         are the Q_d of the degrees walked, so it is iff in each the largest
-        key in Q_d is below the least standard key."""
-        return all(not e.new or not e.standard or e.new[-1] < e.standard[0] for e in self.echelons)
+        index in Q_d, if any, is below the least standard index, if any."""
+        return all((e.new[-1:] < e.standard[:1]).all() for e in self.echelons)
 
     def extension_hf(self, coeffs, d: int) -> int:
         """HF_{R/<I, l>}(d) = HF_{R/I}(d) - rank(l : (R/I)_{d-1} -> (R/I)_d)
@@ -894,42 +900,28 @@ class _DegreeLoop:
         Multiplication by x_k is built once per degree, on the standard
         monomials: entry (k, i, j) is the coefficient of the j-th standard
         monomial of degree d in x_k times the i-th one of degree d - 1.  A
-        product x_k * s is itself when standard; otherwise it leads a row u +
-        tail of the RREF of I_d, so modulo I it is -tail (the multiplication
-        matrices of Faugere-Gianni-Lazard-Mora 1993, taken degree by degree).
+        monomial of degree d is itself modulo I when standard; otherwise it
+        leads a row u + tail of the RREF of I_d, so modulo I it is -tail (the
+        multiplication matrices of Faugere-Gianni-Lazard-Mora 1993, taken
+        degree by degree), and map k gathers the products x_k * s from those.
         """
-        pack, p = self.pack, self.field.p
+        n, p = self.pack.n, self.field.p
         maps = self._maps.get(d)
         if maps is None:
             prev, cur = self.echelon(d - 1), self.echelon(d)
-            maps = np.zeros((pack.n, len(prev.standard), len(cur.standard)), dtype=np.int64)
-            col = {t: j for j, t in enumerate(cur.standard)}
-            row = {t: i for i, t in enumerate(cur.leads)}
-            minus = -cur.tails % p
-            for k in range(pack.n if cur.standard else 0):  # else (R/I)_d = 0
-                x = pack.variable(k)
-                for i, s in enumerate(prev.standard):
-                    t = s + x
-                    j = col.get(t)
-                    if j is None:
-                        maps[k, i] = minus[row[t]]
-                    else:
-                        maps[k, i, j] = 1
+            maps = np.zeros((n, len(prev.standard), 0), dtype=np.int64)  # (R/I)_d = 0
+            if len(cur.standard):
+                leads, width = cur.tails.shape
+                modulo = np.zeros((leads + width, width), dtype=np.int64)
+                modulo[cur.standard] = np.eye(width, dtype=np.int64)
+                modulo[cur.leads] = -cur.tails % p
+                maps = modulo[_products(n, d)[:, prev.standard]]
             self._maps[d] = maps
         _, rows, cols = maps.shape
         if not rows or not cols:
             return cols
-        image = np.zeros((rows, cols), dtype=np.int64)
-        for c, x in zip(coeffs, maps):
-            if c:
-                image += c * x % p
+        image = sum(c * x % p for c, x in zip(coeffs, maps) if c)  # l is not zero
         return cols - rref_naive(image, p).rank
-
-
-def _zero_echelon(n: int, d: int) -> _Echelon:
-    """The echelon of the zero space of degree d: every monomial standard."""
-    standard = _packed_monomials(n, d)
-    return _Echelon(d, (), standard, np.zeros((0, len(standard)), dtype=np.int64))
 
 
 def gb_up_to(system: PolySystem, cap: int) -> GroebnerBasis:

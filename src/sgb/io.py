@@ -33,7 +33,9 @@ from .analysis import (
     verify_main_theorem,
 )
 from .core import PolySystem, Polynomial, PrimeField, default_var_names, poly_to_string
-from .errors import InvariantViolation, ParseError, SgbError, UnknownVariable
+from .errors import (
+    DimensionMismatch, InvalidDegree, InvariantViolation, ParseError, SgbError, UnknownVariable,
+)
 
 SCHEMA_VERSION = 1
 
@@ -374,6 +376,10 @@ def run_experiment(
         raise SgbError(f"max_attempts must be >= 1, got {max_attempts}")
     if construction not in ("generic", "Z"):
         raise SgbError(f"unknown construction {construction!r}")
+    if len(degrees) != m:
+        raise DimensionMismatch(f"expected {m} degrees, got {len(degrees)}")
+    if any(d < 1 for d in degrees):
+        raise InvalidDegree("degrees must be >= 1")
     jobs = [
         (t, n, m, tuple(degrees), q, seed, construction, max_attempts, timings)
         for t in range(trials)

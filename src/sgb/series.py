@@ -172,8 +172,10 @@ def truncated_froberg_polynomial(n: int, degrees) -> list:
 def lazard_bound(n: int, m: int, degrees) -> int:
     """Classical Macaulay-type bound: sum of (d_j - 1) + 1 over the min(m, n)
     largest degrees."""
-    if m < 1 or len(degrees) != m:
+    if m < 1:
         raise InvalidDegree("need m >= 1 degrees")
+    if len(degrees) != m:
+        raise InvalidDegree(f"expected {m} degrees, got {len(degrees)}")
     if any(d < 1 for d in degrees):
         raise InvalidDegree("degrees must be >= 1")
     top = sorted(degrees, reverse=True)[: min(m, n)]

@@ -515,6 +515,30 @@ class TestCountedHilbertData:
         check()
         assert True in weakly and False in weakly
 
+    @pytest.mark.parametrize(
+        "n, gens",
+        [
+            (1, [{(2,): 1}]),  # x1^2
+            (2, [{(2, 0): 1, (1, 1): 3, (0, 2): 1}, {(1, 2): 1, (0, 3): 5}]),
+        ],
+    )
+    def test_one_and_two_variable_loops_match_buchberger(self, f7, monkeypatch, n, gens):
+        # the x_n-free standard monomials of degree d are its first
+        # C(n - 2 + d, d) indices, which at n = 1 is 1 at d = 0 and 0 above
+        system = PolySystem(f7, n, tuple(poly(f7, n, c) for c in gens))
+        calls = []
+        monkeypatch.setattr(analysis, "_ELIMINATION_MIN_MONOMIALS", 0)
+        for name in HILBERT_ORACLES:
+            real = getattr(analysis, name)
+            monkeypatch.setattr(
+                analysis, name, lambda *a, name=name, real=real: calls.append(name) or real(*a)
+            )
+        routed = verify_main_theorem(system, seed=0)
+        assert (routed.engine, routed.krull_dim, calls) == ("macaulay", 0, [])
+        monkeypatch.setattr(analysis, "_default_route", lambda system: ("buchberger", None))
+        oracle = verify_main_theorem(system, seed=0)
+        assert oracle.engine == "buchberger" and comparable(routed) == comparable(oracle)
+
     def test_oracles_only_off_a_covered_loop(self, f31, monkeypatch):
         calls = []
 

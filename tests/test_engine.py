@@ -127,7 +127,7 @@ def echelon_cases():
 
 @contextlib.contextmanager
 def eliminations(monkeypatch):
-    """Record the echelon (leading keys, standard keys, tails) of each degree
+    """Record the echelon (leading and standard indices, tails) of each degree
     gb_up_to eliminates, seen through the module global it calls."""
     seen = []
     step = engine._eliminate_degree
@@ -873,13 +873,14 @@ class TestGroebner:
 
 def echelon_rows(echelon, n):
     """The rows an echelon keeps, leading monomial plus tail, as a dense
-    matrix over the degree's monomials in pivot order."""
-    index = {k: i for i, k in enumerate(core._packed_monomials(n, echelon.degree))}
-    rows = np.zeros((len(echelon.leads), len(index)), dtype=np.int64)
-    for r, lead in enumerate(echelon.leads):
-        rows[r, index[lead]] = 1
-        rows[r, [index[s] for s in echelon.standard]] = echelon.tails[r]
-    return rows[np.argsort([index[lead] for lead in echelon.leads], kind="stable")]
+    matrix over the degree's monomials in pivot order.  Leads and standard
+    monomials are indices among the degree's ascending packed keys, which
+    are the columns of M_d."""
+    size = len(core._packed_monomials(n, echelon.degree))
+    rows = np.zeros((len(echelon.leads), size), dtype=np.int64)
+    rows[np.arange(len(echelon.leads)), echelon.leads] = 1
+    rows[:, echelon.standard] = echelon.tails
+    return rows[np.argsort(echelon.leads, kind="stable")]
 
 
 @st.composite

@@ -524,6 +524,24 @@ class TestExperiment:
             run_experiment(2, 2, (2, 2), 31, trials=1, seed=1, construction="W")
 
     @pytest.mark.parametrize(
+        "degrees, err",
+        [
+            ("0,2,2", "error: InvalidDegree: degrees must be >= 1\n"),
+            ("2,2", "error: DimensionMismatch: expected 3 degrees, got 2\n"),
+        ],
+        ids=["degree-0", "two-degrees"],
+    )
+    def test_bad_degrees_are_refused_before_any_trial(self, monkeypatch, degrees, err):
+        # sgb bound refuses these degrees too; no trial and no pool starts
+        started = []
+        monkeypatch.setattr(sgbio, "_trial_record", lambda job: started.append(job))
+        monkeypatch.setattr(sgbio, "ProcessPoolExecutor", lambda **kw: started.append(kw))
+        code, out, err_text = run_cli(
+            ["experiment", "-n", "3", "-m", "3", "-d", degrees, "--trials", "2"]
+        )
+        assert (code, out, err_text, started) == (1, "", err, [])
+
+    @pytest.mark.parametrize(
         "argv",
         [["verify", "SYS"], ["experiment", "-n", "2", "-m", "1", "-d", "2", "--trials", "1"]],
     )

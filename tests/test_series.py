@@ -224,6 +224,14 @@ class TestBounds:
     def test_lazard_uses_largest_degrees(self):
         assert lazard_bound(2, 4, [4, 1, 3, 2]) == (4 - 1) + (3 - 1) + 1
 
+    def test_lazard_refusals_name_their_cause(self):
+        with pytest.raises(InvalidDegree, match=r"^expected 2 degrees, got 1$"):
+            lazard_bound(3, 2, [2])
+        with pytest.raises(InvalidDegree, match=r"^need m >= 1 degrees$"):
+            lazard_bound(3, 0, [])
+        with pytest.raises(InvalidDegree, match=r"^degrees must be >= 1$"):
+            lazard_bound(3, 3, [0, 2, 2])
+
 
 class TestComplexity:
     def test_spec_examples(self):
