@@ -52,8 +52,10 @@ from .errors import (
     UnitIdeal,
     ZeroForm,
 )
-from .hilbert import HilbertProfile, MonomialIdeal, regularity_profile
-from .series import bound_report, degree_bound_Dnm, degree_product, lazard_bound, poly_mul, poly_sub
+from .hilbert import HilbertProfile, MonomialIdeal, krull_dim, regularity_profile
+from .series import (
+    bound_report, degree_bound_Dnm, degree_product, lazard_bound, poly_mul, poly_sub, poly_trim,
+)
 
 # ---------------------------------------------------------------------------
 # exact Hilbert data of a polynomial ideal
@@ -61,11 +63,14 @@ from .series import bound_report, degree_bound_Dnm, degree_product, lazard_bound
 
 
 # Fewest monomials of degree top + 1, for top the largest generator degree,
-# at which the default route eliminates.  From there on (quadrics in n >= 6,
-# cubics in n >= 5) gb_up_to at D(n, m) was 2.1-5.8x as fast as the
-# Buchberger oracle on dense systems over F_31 with m = n..n + 2; below it,
-# 0.5-2.2x, so the smallest shapes lost.
-_ELIMINATION_MIN_MONOMIALS = 56
+# at which the default route eliminates: quadrics in n >= 5, cubics in
+# n >= 4.  The CPU time of verify_main_theorem on the Buchberger route over
+# that on the loop, median over dense, Z and corner systems with m = n - 1
+# .. n + 2 over F_q, q in {2, 3, 7, 31, 2^31 - 1}, ranging over m, all
+# reports equal: quadrics in n = 3..7 (10, 20, 35, 56, 84 monomials)
+# 0.30-0.59, 0.48-0.86, 0.98-1.31, 1.74-3.36, 2.59-5.09; cubics in n = 3..5
+# (15, 35, 70) 0.25-0.44, 0.67-1.20, 1.43-4.36.
+_ELIMINATION_MIN_MONOMIALS = 35
 
 
 def _default_route(system: PolySystem) -> tuple[str, int | None]:
@@ -77,8 +82,10 @@ def _default_route(system: PolySystem) -> tuple[str, int | None]:
     undefined, and never below top), if ``gb_up_to``'s degree loop up to
     that cap fits the engine's cell budget.  Every other system goes to the
     Buchberger oracle, which raises the typed error of each system it
-    refuses too.  The route depends only on n and the degrees, so a system
-    and its image under a linear change share it.
+    refuses too.  The verifier routes I and I^sigma the same way, and on the
+    Macaulay route reads HS(R/I) and the linear form off I's loop
+    (``_ideal_for_search``).  The route depends only on n and the degrees,
+    so a system and its image under a linear change share it.
     """
     try:
         _check_system(system, eliminate=True)
@@ -100,18 +107,6 @@ def _default_route(system: PolySystem) -> tuple[str, int | None]:
     return "macaulay", cap
 
 
-def _basis_and_loop(
-    system: PolySystem, numerator=None
-) -> tuple[GroebnerBasis, _DegreeLoop | None]:
-    """The basis of ``system`` by its default route, and the degree loop
-    that built it on the Macaulay route (None on Buchberger's).  The loop is
-    given ``numerator``, that of HS(R/I) if the caller knows it, for its
-    Hilbert exit (``_DegreeLoop.basis``)."""
-    engine, cap = _default_route(system)
-    loop = None if engine == "buchberger" else _DegreeLoop(system)
-    return (buchberger(system) if loop is None else loop.basis(cap, numerator)), loop
-
-
 def groebner_basis(system: PolySystem, numerator=None, *, loops=None) -> GroebnerBasis:
     """Complete reduced basis of ``system`` by its default route
     (``_default_route``): the Macaulay engine at the cap D(n, m) for
@@ -125,13 +120,16 @@ def groebner_basis(system: PolySystem, numerator=None, *, loops=None) -> Groebne
     for the image of an ideal under an invertible linear change), it also
     stops at max.GB.deg(I) if that is within the cap, once its leads have
     that Hilbert series, with no pair reduced; Buchberger's route does not
-    use it.  A caller that
-    reads the loop's echelons passes a list as ``loops``, which gets the
-    loop that built the basis (nothing on Buchberger's route)."""
-    basis, loop = _basis_and_loop(system, numerator)
-    if loops is not None and loop is not None:
+    use it.  A caller that reads the loop's echelons passes a list as
+    ``loops``, which gets the loop that built the basis (nothing on
+    Buchberger's route)."""
+    engine, cap = _default_route(system)
+    if engine == "buchberger":
+        return buchberger(system)
+    loop = _DegreeLoop(system)
+    if loops is not None:
         loops.append(loop)
-    return basis
+    return loop.basis(cap, numerator)
 
 
 def _hilbert_of_basis(basis: GroebnerBasis) -> tuple[MonomialIdeal, HilbertProfile]:
@@ -353,44 +351,42 @@ def normalized_form(ell: Polynomial) -> tuple[Polynomial, int]:
     return ell.scale(ell.field.inv(coeffs[pivot])), pivot
 
 
-def _artinian_profile(h, n: int) -> HilbertProfile:
-    """Profile of an Artinian R/J in n variables from h, its HF values up to the
-    last nonzero one: numerator h (1 - z)^n, hilb = d_reg = gen_d_reg = len(h)."""
-    numerator = poly_mul(h, degree_product((1,) * n))
-    return HilbertProfile(tuple(numerator), 0, tuple(h), len(h), len(h), len(h), None)
+def _counted_profile(values, n: int) -> HilbertProfile:
+    """Profile of R/J in n variables from ``values``, HF_{R/J}(0..m) for a
+    degree m from which HF_{R/J} is constant: HS(R/J) = sum_{d<m} HF(d) z^d
+    + HF(m) z^m / (1 - z).  For HF(m) = 0, R/J is Artinian and h = values;
+    else it has Krull dimension 1 and h = values (1 - z), cut at degree m."""
+    r = int(values[-1] > 0)
+    h = poly_trim(values if r == 0 else [b - a for a, b in zip([0, *values], values)])
+    numerator = poly_mul(h, degree_product((1,) * (n - r)))
+    stable = len(h) - r
+    d_reg, constant = (None, values[-1]) if r else (stable, None)
+    return HilbertProfile(tuple(numerator), r, tuple(h), stable, d_reg, stable, constant)
 
 
-def _extension_profile(loop: _DegreeLoop, lazard: int, ell: Polynomial) -> HilbertProfile | None:
-    """The profile of <I, ell> when R/<I, ell> is Artinian, else None, from
-    the values of its Hilbert function that ``loop`` reads from
-    multiplication on R/I (``_DegreeLoop.extension_hf``), with no basis of
-    <I, ell>.  ``loop`` has walked I up to ``lazard``, the Lazard degree of
-    <I, ell>, or up to its cover.
+def _extension_profile(hf, lazard: int, n: int) -> HilbertProfile | None:
+    """The profile of <I, l> when R/<I, l> is Artinian, else None, from
+    ``hf``, a function from d to HF_{R/<I, l>}(d) for 1 <= d <= ``lazard``,
+    the Lazard degree of <I, l>, with no basis of <I, l>.
 
     An Artinian <I, l> has HF zero at the Lazard degree (Lazard 1983; the
     Hilbert function is the same over the algebraic closure of F_p), so one
-    rank there rejects.  An accepted form takes ranks from degree 1 up to the
-    first zero of HF, and HF(0) = 1; those values are the h-polynomial of the
-    Artinian quotient (``_artinian_profile``).
-    """
-    coeffs = _coefficients(ell)
-    if loop.extension_hf(coeffs, lazard):
+    value there rejects.  An accepted form takes the values from degree 1
+    up to the first zero, and HF(0) = 1."""
+    if hf(lazard):
         return None
-    values = (loop.extension_hf(coeffs, d) for d in range(1, lazard))
-    return _artinian_profile([1, *itertools.takewhile(bool, values)], ell.n)
+    values = itertools.takewhile(bool, map(hf, range(1, lazard)))
+    return _counted_profile([1, *values, 0], n)
 
 
 def _extension_test(system: PolySystem, loop: _DegreeLoop | None):
     """A function from a linear form l to the profile of <I, l>, or to None
-    when l is rejected, for the candidates after x_n.
-
-    It is ``_extension_profile`` bound to a degree loop walked up to the
-    Lazard degree of <I, l>, whose echelons of I give multiplication on R/I
-    and whose ``extension_hf`` takes the ranks.  ``loop`` is the one that
-    built I's basis on the Macaulay route, which goes on from its cap if the
-    Lazard degree lies above; with None a loop starts from the generators.
-    A loop that the engine's cell budget refuses leaves the candidates to
-    the Buchberger oracle, a basis of <I, l> each."""
+    when l is rejected: ``_extension_profile`` on the values that a degree
+    loop of I, walked up to the Lazard degree of <I, l>, reads from
+    multiplication on R/I (``_DegreeLoop.extension_hf``).  ``loop`` is I's
+    own loop, if any; with None a loop starts from the generators.  A walk
+    that the engine's cell budget refuses leaves the candidates to the
+    Buchberger oracle, a basis of <I, l> each."""
     n, degrees = system.n, system.degrees
     lazard = lazard_bound(n, system.m + 1, degrees + (1,))
     try:
@@ -399,22 +395,20 @@ def _extension_test(system: PolySystem, loop: _DegreeLoop | None):
         return lambda ell: _hilbert_of_basis(buchberger(system.extended(ell)))[1]
     loop = loop or _DegreeLoop(system)
     loop.walk(lazard)
-    return functools.partial(_extension_profile, loop, lazard)
+    return lambda ell: _extension_profile(
+        functools.partial(loop.extension_hf, _coefficients(ell)), lazard, n)
 
 
-def _search_linear_form(system, lm, loop, seed, max_attempts):
-    """Candidate loop over the homogeneous system ``system``, LM(I) of its
-    ideal I and the loop that built I's basis, if any; assumes dim R/I <= 1.
-
-    Returns the position change together with the profile of the successful
-    extension <I, l> so callers need not recompute it.  No candidate gets a
-    basis of <I, l>.  The first, l = x_n, is read from LM(I), or counted on
-    the loop if ``lm`` is None (it reached its cover): I is homogeneous and
-    the order is DRL with x_n last, so in(I + <x_n>) = in(I) + <x_n>
-    (Bayer-Stillman 1987, Lemma 2.2).  Every later candidate is tested by
-    multiplication maps on the echelons of I, whose ranks the degree loop of
-    I takes (``_extension_test``); the loop is made ready on the first of
-    them, so a run that accepts x_n builds no map.
+def _search_linear_form(system, first, loop, seed, max_attempts):
+    """The position change of the first admissible candidate and the
+    profile of <I, l>, for dim R/I <= 1.  The first candidate, l = x_n, has
+    the profile ``first`` (None when rejected), which the caller reads from
+    in(I): I is homogeneous and the order is DRL with x_n last, so in(I +
+    <x_n>) = in(I) + <x_n> (Bayer-Stillman 1987, Lemma 2.2).  The later ones
+    are tested by multiplication maps on the echelons of I's degree
+    ``loop``, or of a fresh one (``_extension_test``), made ready on the
+    first of them, so a run that accepts x_n builds no map.  No candidate
+    gets a basis of <I, l>.
     """
     fld, n = system.field, system.n
     rng = random.Random(seed)
@@ -430,8 +424,7 @@ def _search_linear_form(system, lm, loop, seed, max_attempts):
 
     for attempts, ell in enumerate(itertools.islice(candidates(), max_attempts), 1):
         if attempts == 1:  # l = x_n
-            ext_profile = (_profile_with_xn(lm) if lm is not None
-                           else _artinian_profile(loop.hilbert_values(xn_free=True), n))
+            ext_profile = first
         else:
             extension = extension or _extension_test(system, loop)
             ext_profile = extension(ell)
@@ -445,23 +438,89 @@ def _search_linear_form(system, lm, loop, seed, max_attempts):
     )
 
 
-def _ideal_for_search(system: PolySystem, max_attempts: int):
-    """I's basis by the default route, the loop that built it (None on
-    Buchberger's route), LM(I) and its profile.  NotHomogeneous and SgbError
-    (``max_attempts`` < 1) come before any basis is built, DimensionTooHigh
-    (dim R/I >= 2: no single form can work) after it.  On a loop that reached
-    its cover R/I is Artinian, LM(I) is None and the profile is counted."""
+def _loop_profile(loop: _DegreeLoop, start: int) -> HilbertProfile | None:
+    """HS(R/I) counted on I's degree loop once a form l is accepted, with no
+    basis of I, at the least m >= ``start`` = max(top generator degree,
+    d_reg(<I, l>)) where l is injective from (R/I)_m to (R/I)_{m+1}; None
+    if no m up to the top degree walked, or the cover, has it.  The loop
+    walks one degree more for m = top.  HF_{R/<I, l>} is 0 from m on, so l
+    maps (R/I)_m onto (R/I)_{m+1}, and injectivity, HF_{R/I}(m + 1) -
+    HF_{R/<I, l>}(m + 1) = HF_{R/I}(m), reads HF_{R/I}(m + 1) = HF_{R/I}(m).
+    Then HF_{R/I} stays HF_{R/I}(m) from m on (``_counted_profile``) by the
+    "if" direction of Bayer-Stillman 1987 ("A criterion for detecting
+    m-regularity", Theorem 1.10, j = 1, h_1 = l), for any linear form over
+    any field:
+
+    I is generated in degrees <= m, (I + <l>)_d = R_d for d >= m, and
+    injectivity at m is (I : l)_m = I_m.  Let (I : l)_d = I_d, d >= m, and f
+    in R_{d+1} with l f in I; write f = sum_i x_i f_i, f_i in R_d.  As
+    I_{d+2} = R_1 I_{d+1}, l f = sum_i x_i g_i with g_i in I_{d+1}, so the
+    l f_i - g_i are a syzygy of x_1 .. x_n: l f_i - g_i = sum_j x_j a_ij,
+    a_ij = -a_ji in R_d (the Koszul relations generate them).  Split a_ij =
+    b_ij + l c_ij with b_ij in I_d, c_ij in R_{d-1}, both antisymmetric.
+    Then l (f_i - sum_j x_j c_ij) = g_i + sum_j x_j b_ij is in I, so f_i -
+    sum_j x_j c_ij is in (I : l)_d = I_d, and f = sum_i x_i (f_i - sum_j x_j
+    c_ij), the c_ij cancelling in pairs, is in I.  So (I : l)_d = I_d for
+    every d >= m: l is injective from (R/I)_d, and onto (R/I)_{d+1}.
+    """
+    last = loop.top if loop.covered is None else max(loop.covered, start)
+    for m in range(start, last + 1):
+        loop.walk(m + 1)
+        if loop.hf(m + 1) == loop.hf(m):
+            return _counted_profile([loop.hf(d) for d in range(m + 1)], loop.pack.n)
+    return None
+
+
+def _walk_for_search(system: PolySystem, loop: _DegreeLoop, cap: int) -> int | None:
+    """Walk I's loop to ``cap`` and, short of its cover, to the Lazard degree
+    of <I, l>, which it returns once the cover or the leads walked show dim
+    R/I <= 1 (they lie in in(I)); None if they do not, or if the cell budget
+    refuses the walk to one degree past both, with the loop at the cap."""
+    lazard = lazard_bound(system.n, system.m + 1, system.degrees + (1,))
+    loop.walk(cap)
+    if loop.covered is None:
+        try:
+            _check_degree_loop(system, loop.lo, max(cap, lazard) + 1)
+        except MatrixTooLarge:
+            return None
+        loop.walk(lazard)
+    return lazard if loop.covered is not None or krull_dim(loop.leads()) <= 1 else None
+
+
+def _ideal_for_search(system: PolySystem, seed: int, max_attempts: int):
+    """I's basis (None if none was built), I's degree loop (None on
+    Buchberger's route), the profile of R/I, the position change and the
+    profile of <I, l>.  NotHomogeneous and SgbError (``max_attempts`` < 1)
+    come before any elimination, DimensionTooHigh (dim R/I >= 2: no single
+    form can work) before any candidate.
+
+    On the Macaulay route x_n is read from the x_n-free standard counts of
+    I's loop at the Lazard degree of <I, l> (``_walk_for_search``), the
+    later candidates from its echelons, and HS(R/I), Artinian or not, from
+    the same loop (``_loop_profile``), with no basis of I.  Where the budget
+    refuses that walk, or the loop leaves dim R/I or HS(R/I) open, I's basis
+    comes from the loop, and LM(I) gives the profile, the dimension check
+    and x_n, as on Buchberger's route."""
     if not system.homogeneous:
         raise NotHomogeneous("the degree bounds apply to homogeneous ideals")
     if max_attempts < 1:
         raise SgbError(f"max_attempts must be >= 1, got {max_attempts}")
-    basis, loop = _basis_and_loop(system)
-    if loop is not None and loop.covered is not None:
-        return basis, loop, None, _artinian_profile(loop.hilbert_values(), system.n)
+    engine, cap = _default_route(system)
+    loop = None if engine == "buchberger" else _DegreeLoop(system)
+    lazard = None if loop is None else _walk_for_search(system, loop, cap)
+    found = None
+    if lazard is not None:
+        first = _extension_profile(functools.partial(loop.hf, xn_free=True), lazard, system.n)
+        found = _search_linear_form(system, first, loop, seed, max_attempts)
+        profile = _loop_profile(loop, max(max(system.degrees), found[1].d_reg))
+        if profile is not None:
+            return None, loop, profile, *found
+    basis = buchberger(system) if loop is None else loop.basis(cap)
     lm, profile = _hilbert_of_basis(basis)
     if profile.krull_dim >= 2:
         raise DimensionTooHigh(f"Krull dimension {profile.krull_dim} >= 2: no single form can work")
-    return basis, loop, lm, profile
+    found = found or _search_linear_form(system, _profile_with_xn(lm), loop, seed, max_attempts)
+    return basis, loop, profile, *found
 
 
 def find_linear_form(
@@ -475,8 +534,7 @@ def find_linear_form(
     SearchExhausted when the budget runs out (the field may be too small)
     and DimensionTooHigh when R/I itself has dimension >= 2.
     """
-    _, loop, lm, _ = _ideal_for_search(system, max_attempts)
-    return _search_linear_form(system, lm, loop, seed, max_attempts)[0]
+    return _ideal_for_search(system, seed, max_attempts)[3]
 
 
 # ---------------------------------------------------------------------------
@@ -490,8 +548,8 @@ class TheoremReport:
 
     When the hypotheses hold (dimension <= 1, generalized semi-regular),
     ``ineq_max_gb`` and ``ineq_D_nm`` are theorems: a False value signals an
-    implementation bug.  ``engine`` names the engine of the bases of I and
-    I^sigma: ``macaulay`` or ``buchberger``.
+    implementation bug.  ``engine`` names the default route of I and
+    I^sigma: ``macaulay``, the degree loop, or ``buchberger``.
     """
 
     n: int
@@ -528,49 +586,45 @@ def verify_main_theorem(
 ) -> TheoremReport:
     """Run the whole pipeline on one homogeneous system and fill every flag.
 
-    Every basis is complete and reduced.  The bases of I and I^sigma take
+    Every basis is complete and reduced.  I and I^sigma take
     ``groebner_basis``'s default route, which depends only on the shape, so
-    both come from the engine that ``TheoremReport.engine`` names.  A basis
-    that needs more than ``engine.MAX_S_PAIRS`` S-pair reductions raises
-    BudgetExhausted, at the same pair for a fixed input; on the Macaulay
-    route only the pairs of Buchberger's loop after the handover at the cap
-    count.
+    ``TheoremReport.engine`` names one engine.  A basis that needs more than
+    ``engine.MAX_S_PAIRS`` S-pair reductions raises BudgetExhausted, at the
+    same pair for a fixed input; on the Macaulay route only the pairs of
+    Buchberger's loop after the handover at the cap count.
 
-    sigma is an invertible linear change, so HS(R/I^sigma) = HS(R/I), known
-    before I^sigma is started: ``groebner_basis`` gets its numerator, and on
-    the Macaulay route the degree loop of I^sigma stops at max.GB.deg(I^sigma)
-    by the Hilbert exit (``engine._DegreeLoop.basis``), with no degree above
-    it and no S-pair, unless that degree lies above the cap.  A loop stopped
-    by that exit or by its cover gives the weakly reverse-lex flag of
-    I^sigma (``_DegreeLoop.weakly_revlex``); ``check_weakly_revlex`` scans
-    LM(I^sigma) otherwise.  This uses the exact series of I, not the
-    theorem, so ``ineq_max_gb`` stays a check.
+    On the Macaulay route I's degree loop gives the linear form and HS(R/I),
+    Artinian or of Krull dimension 1, with no basis of I
+    (``_ideal_for_search``); elsewhere LM(I) gives HS(R/I) and x_n.  sigma is
+    invertible, so HS(R/I^sigma) = HS(R/I): ``groebner_basis`` gets its
+    numerator, and the degree loop of I^sigma, or of I when sigma is the
+    identity, stops at its max.GB.deg by the Hilbert exit
+    (``engine._DegreeLoop.basis``), with no S-pair, unless that degree lies
+    above the loop's top.  A loop stopped by that exit or by its cover gives
+    the weakly reverse-lex flag (``_DegreeLoop.weakly_revlex``);
+    ``check_weakly_revlex`` scans LM(I^sigma) otherwise.  This uses the exact
+    series of I, not the theorem, so ``ineq_max_gb`` stays a check.
 
-    No basis of <J, x_n> is computed, for J = I or J = I^sigma: the system is
-    homogeneous and the order is DRL with x_n last, so in(J + <x_n>) = in(J)
-    + <x_n> (Bayer-Stillman 1987, Lemma 2.2) and its Hilbert data is read
-    from LM(J), or, when I's loop reached its cover (R/I Artinian, so x_n is
-    accepted and sigma is the identity), counted on that loop with R/I's data
-    and the weakly reverse-lex flag (``_DegreeLoop.hilbert_values``,
-    ``weakly_revlex``).  The candidates l after x_n are tested by multiplication
-    maps on the echelons of I, ranked inside the degree loop of I
-    (``_DegreeLoop.extension_hf``), with no basis of <I, l> unless the cell
-    budget refuses the echelons; on the Macaulay route that loop built I's
-    basis, and the verifier, not the basis, holds it.  So a run computes at
-    most two bases: that of I, and that of I^sigma when sigma is not the
-    identity.  The check d_reg(<I^sigma, x_n>) == d_reg(<I, l>) compares
-    two independent computations, LM(I^sigma) and the maps on I.
+    No basis of <I, l> is computed unless the cell budget refuses I's loop,
+    and none of <I^sigma, x_n>: in(J + <x_n>) = in(J) + <x_n> for J = I^sigma
+    (Bayer-Stillman 1987, Lemma 2.2), so d_reg(<I^sigma, x_n>) == d_reg(<I,
+    l>) compares two independent computations, LM(I^sigma) and the maps on
+    I.  So a run on the Macaulay route computes at most one basis, that of
+    I^sigma or, for sigma the identity, of I, unless the loop leaves HS(R/I)
+    open; on Buchberger's route that of I and, for sigma not the identity,
+    that of I^sigma.
     """
-    basis, loop, lm, profile = _ideal_for_search(system, max_attempts)
+    basis, loop, profile, pos, ext_profile = _ideal_for_search(system, seed, max_attempts)
     n, m, degrees = system.n, system.m, system.degrees
     semireg = _certification(profile, degrees)
     gen_d_reg = profile.gen_d_reg
-
-    pos, ext_profile = _search_linear_form(system, lm, loop, seed, max_attempts)
     d_reg_ell = ext_profile.d_reg
 
+    lm_sigma = None
     if pos.sigma.is_identity():  # then the normalized l is x_n
-        basis_sigma, loop_sigma, lm_sigma, sigma_xn_profile = basis, loop, lm, ext_profile
+        if basis is None:  # the counted HS(R/I) lets I's loop stop at max.GB.deg(I)
+            basis = loop.basis(loop.top, profile.numerator)
+        basis_sigma, loop_sigma, sigma_xn_profile = basis, loop, ext_profile
     else:
         loops = []  # HS(R/I^sigma) = HS(R/I), which lets its loop stop at max.GB.deg
         basis_sigma = groebner_basis(apply_to_system(system, pos.sigma), profile.numerator, loops=loops)
@@ -592,7 +646,7 @@ def verify_main_theorem(
     if loop_sigma is not None and loop_sigma.complete:
         weakly = loop_sigma.weakly_revlex()
     else:
-        weakly = check_weakly_revlex(lm_sigma)
+        weakly = check_weakly_revlex(lm_sigma or leading_monomial_ideal(basis_sigma))
     equality = (gb_deg_sigma == rhs) if (weakly and artinian_after_sigma) else None
 
     m_n_minus_1_law = None

@@ -136,7 +136,9 @@ def drl_compare(a: Monom, b: Monom) -> int:
     return 0
 
 
-@functools.lru_cache(maxsize=None)
+# each (n, d) cache below keeps the 256 pairs used last, far above the few
+# dozen a batch of one shape walks, so a long process does not keep them all
+@functools.lru_cache(maxsize=256)
 def monomials_of_degree(n: int, d: int) -> tuple:
     """All degree-``d`` monomials in ``n`` variables, DRL-descending.
 
@@ -523,7 +525,7 @@ def _packing(n: int) -> _Packing:
     return _Packing(n)
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=256)
 def _packed_monomials(n: int, d: int) -> tuple:
     """Keys of ``monomials_of_degree(n, d)``, ascending."""
     return tuple(map(_packing(n).pack, monomials_of_degree(n, d)))

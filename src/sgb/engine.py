@@ -32,7 +32,7 @@ loop addresses a degree-d monomial by its index among the ascending keys of
 degree d (``core._packed_monomials``); ``_products`` maps x_k times each
 degree-(d - 1) index to its degree-d index, so the loop's bookkeeping is
 numpy gathers, and keys appear only at its edges: the generators it reads,
-the rows it returns and the Q keys of its Hilbert exit.  The basis stays
+the rows it keeps and the Q keys of its Hilbert exit.  The basis stays
 packed until it is read: its leading keys go on to ``hilbert.MonomialIdeal``
 and ``max_gb_deg``, and its elements become ``Polynomial``s only when first
 read, with their terms in the stored order.  Tuples appear only at the
@@ -636,7 +636,7 @@ class _Echelon:
     via: np.ndarray = _dc_field(default_factory=lambda: np.zeros(0, dtype=np.intp))
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=256)  # as core._packed_monomials
 def _products(n: int, d: int) -> np.ndarray:
     """Entry (k, i) is the index of x_k times the i-th degree-(d - 1)
     monomial among the degree-d ones, each in ascending key order."""
@@ -755,10 +755,11 @@ class _DegreeLoop:
     the least generator degree, ``covered``, the first degree whose
     monomials are all leading ones, and ``generated``, the degree where the
     Hilbert exit found that the leads walked generate in(I) (each None until
-    met).  I_d = 0 below lo, so every monomial of such a degree is standard;
-    from ``covered`` on, none is.  It refuses what ``_check_system`` refuses
-    and lists no monomial before it walks, so a caller can check the walk's
-    cells first."""
+    met), and ``rows``, the RREF rows led by the leads new at each degree
+    walked: the basis elements of those degrees.  I_d = 0 below lo, so every
+    monomial of such a degree is standard; from ``covered`` on, none is.  It
+    refuses what ``_check_system`` refuses and lists no monomial before it
+    walks, so a caller can check the walk's cells first."""
 
     def __init__(self, system: PolySystem):
         _check_system(system, eliminate=True)
@@ -771,6 +772,7 @@ class _DegreeLoop:
         self.echelons = []  # of the degrees lo..top
         self.covered = None
         self.generated = None
+        self.rows = []
         self._owner = None  # of the degree after the last echelon, once made
         self._maps = {}  # degree d -> multiplication by each x_k into degree d
 
@@ -800,24 +802,27 @@ class _DegreeLoop:
         met its cover or the Hilbert exit."""
         return self.covered is not None or self.generated is not None
 
-    def walk(self, hi: int, numerator=None) -> list:
-        """Eliminate every degree up to ``hi``, or up to the cover; returns
-        the RREF rows whose leading monomials are new in those degrees, as
-        packed polynomials.  Given ``numerator``, that of HS(R/I), it also
-        stops at the first degree that passes the Hilbert exit
-        (``_generates``) and records it as ``generated``."""
-        hf = None if numerator is None else expand_hilbert_series(numerator, self.pack.n, hi + 1)
-        rows = []
-        while not self.covers_next() and self.top < hi:
+    def walk(self, hi: int, numerator=None) -> None:
+        """Eliminate every degree up to ``hi``, or up to the cover, adding
+        the RREF rows whose leading monomials are new in those degrees to
+        ``rows``.  Given ``numerator``, that of HS(R/I), it also stops at the
+        first degree that passes the Hilbert exit (``_generates``), from the
+        top already walked on, and records it as ``generated``."""
+        hf = None if numerator is None else expand_hilbert_series(
+            numerator, self.pack.n, max(hi, self.top) + 1)
+        ask = bool(self.echelons)  # a degree walked before without the numerator
+        while True:
+            if hf is not None and ask and not self.complete and self._generates(hf, numerator):
+                self.generated = self.top
+                return
+            if self.covers_next() or self.top >= hi:
+                return
             prev, gens = self.echelon(self.top), self.gens.get(self.top + 1, [])
             echelon, new = _eliminate_degree(prev, self._owner, gens, self.pack.n, self.field.p)
             self._owner = None
             self.echelons.append(echelon)
-            rows.extend(new)
-            if hf is not None and len(echelon.new) and self._generates(hf, numerator):
-                self.generated = self.top
-                break
-        return rows
+            self.rows.extend(new)
+            ask = len(echelon.new) > 0
 
     def _generates(self, hf: list, numerator) -> bool:
         """The Hilbert exit (Traverso, "Hilbert functions and the Buchberger
@@ -843,23 +848,30 @@ class _DegreeLoop:
         d, n = self.top, self.pack.n
         if np.count_nonzero(self._owner == n) != hf[d + 1]:
             return False
+        return poly_trim(hilbert_numerator(self.leads())) == poly_trim(numerator)
+
+    def leads(self) -> MonomialIdeal:
+        """J, the ideal of the leads walked, inside in(I) and equal to it up
+        to the top degree; its minimal generators are the Q_d of the degrees
+        walked."""
+        n = self.pack.n
         keys = sorted(_packed_monomials(n, e.degree)[q] for e in self.echelons for q in e.new)
-        return poly_trim(hilbert_numerator(MonomialIdeal(n, tuple(keys)))) == poly_trim(numerator)
+        return MonomialIdeal(n, tuple(keys))
 
     def basis(self, cap: int, numerator=None) -> GroebnerBasis:
-        """The complete reduced basis from a loop not walked yet: the walk up
-        to ``cap``, or to the cover, then Buchberger's loop on the pairs whose
-        lcm lies above ``cap``.  Given ``numerator``, that of HS(R/I), the
-        walk also ends at the first degree whose leads generate in(I) (the
-        Hilbert exit, ``_generates``), which is max.GB.deg(I), with no pair.
-        The loop can go on past ``cap`` afterwards."""
-        collected = self.walk(cap, numerator)
+        """The complete reduced basis: the walk up to ``cap``, or to the
+        cover, then Buchberger's loop on the pairs whose lcm lies above the
+        top degree walked.  Given ``numerator``, that of HS(R/I), the walk
+        also ends at the first degree whose leads generate in(I) (the Hilbert
+        exit, ``_generates``), asked first of the top degree of a loop walked
+        before, with no pair.  The loop can go on past ``cap`` afterwards."""
+        self.walk(cap, numerator)
         # with the next degree covered, or the leads generating in(I), the rows
-        # are the reduced basis; else every leading monomial of degree <= cap
+        # are the reduced basis; else every leading monomial of degree <= top
         # in the ideal is divisible by a collected one, so the rows are a
-        # Groebner basis up to degree cap
-        above = math.inf if self.complete else cap
-        return _complete(collected, self.pack, self.field, above=above)
+        # Groebner basis up to degree top
+        above = math.inf if self.complete else max(cap, self.top)
+        return _complete(self.rows, self.pack, self.field, above=above)
 
     def echelon(self, d: int) -> _Echelon:
         """The echelon of I_d, for d <= top or from the cover on."""
@@ -869,21 +881,19 @@ class _DegreeLoop:
             return _Echelon(d, np.arange(0), np.arange(size), np.zeros((0, size), dtype=np.int64))
         return self.echelons[d - self.lo]
 
-    def hilbert_values(self, xn_free: bool = False) -> list:
-        """HF_{R/I}(d), or with ``xn_free`` HF_{R/<I, x_n>}(d), from d = 0 to
-        the last nonzero value, for a loop walked to its cover.  The echelon
-        of I_d is the RREF of I_d, so HF_{R/I}(d) = |standard_d|, 0 from the
-        cover on and maybe already at ``top``.  in(I + <x_n>) = in(I) + <x_n>
+    def hf(self, d: int, xn_free: bool = False) -> int:
+        """HF_{R/I}(d), or with ``xn_free`` HF_{R/<I, x_n>}(d), for d <= top
+        or from the cover on.  The echelon of I_d is the RREF of I_d, so
+        HF_{R/I}(d) = |standard_d|.  in(I + <x_n>) = in(I) + <x_n>
         (Bayer-Stillman 1987, Lemma 2.2): HF_{R/<I, x_n>}(d) counts the
         standard monomials with x_n exponent 0.  Under DRL those are the
         first indices of their degree, one per monomial of degree d in
         x_1..x_(n-1): C(n - 2 + d, d) for n >= 2, and 1 at d = 0 for n = 1."""
-        n, values = self.pack.n, []
-        for d in range(self.covered):
-            standard = self.echelon(d).standard
-            free = math.comb(n - 2 + d, d) if n > 1 else int(d == 0)
-            values.append(int(np.searchsorted(standard, free)) if xn_free else len(standard))
-        return poly_trim(values)
+        standard, n = self.echelon(d).standard, self.pack.n
+        if not xn_free:
+            return len(standard)
+        free = math.comb(n - 2 + d, d) if n > 1 else int(d == 0)
+        return int(np.searchsorted(standard, free))
 
     def weakly_revlex(self) -> bool:
         """Whether in(I) is weakly reverse-lex, for a complete loop (walked to

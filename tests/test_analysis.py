@@ -364,7 +364,7 @@ class TestFindLinearForm:
 
     @pytest.mark.parametrize("search", [find_linear_form, verify_main_theorem])
     def test_no_attempts_is_refused_before_any_basis(self, f7, monkeypatch, search):
-        monkeypatch.setattr(analysis, "_basis_and_loop", None)
+        monkeypatch.setattr(analysis, "_default_route", None)  # no route, no basis
         with pytest.raises(SgbError, match=r"^max_attempts must be >= 1, got 0$"):
             search(spec_fixture_system(f7), seed=0, max_attempts=0)
 
@@ -432,6 +432,14 @@ def map_cases(draw):
     return system, forms + [Polynomial.linear_form(fld, v) for v in vectors if any(v)]
 
 
+def default_loop(system):
+    """The degree loop that builds the basis of ``system`` on its default
+    route, None on Buchberger's."""
+    loops = []
+    analysis.groebner_basis(system, loops=loops)
+    return loops[0] if loops else None
+
+
 class TestExtensionMaps:
     @settings(max_examples=60, deadline=None)
     @given(map_cases())
@@ -439,7 +447,7 @@ class TestExtensionMaps:
         # the profile from multiplication maps on the echelons of I, by
         # either route, against the oracle's basis of <I, l>
         system, forms = case
-        test = analysis._extension_test(system, analysis._basis_and_loop(system)[1])
+        test = analysis._extension_test(system, default_loop(system))
         for ell in forms:
             lm = leading_monomial_ideal(buchberger(system.extended(ell)))
             expected = regularity_profile(lm)
@@ -461,7 +469,7 @@ class TestExtensionMaps:
             top = lazard_bound(n, system.m + 1, degrees + (1,))
             _, profile = exact_hilbert_of_ideal(system)
             hf = expand_hilbert_series(profile.numerator, n, top)
-            test = analysis._extension_test(system, analysis._basis_and_loop(system)[1])
+            test = analysis._extension_test(system, default_loop(system))
             for ell in forms:
                 shapes.clear()
                 assert test(ell) is None
@@ -486,8 +494,8 @@ def artinian_cases(draw):
     return loop, basis
 
 
-# the functions the verifier reads Hilbert and position data from when I's
-# degree loop did not reach its cover
+# the functions that read Hilbert and position data from a leading-term
+# ideal, which the verifier counts on I's degree loop instead
 HILBERT_ORACLES = (
     "leading_monomial_ideal", "regularity_profile", "_profile_with_xn", "check_weakly_revlex"
 )
@@ -505,9 +513,10 @@ class TestCountedHilbertData:
         def check(case):
             loop, basis = case
             n, lm = loop.pack.n, leading_monomial_ideal(basis)
-            counted = analysis._artinian_profile(loop.hilbert_values(), n)
+            degrees = range(loop.covered + 1)
+            counted = analysis._counted_profile([loop.hf(d) for d in degrees], n)
             assert counted == regularity_profile(lm)
-            counted = analysis._artinian_profile(loop.hilbert_values(xn_free=True), n)
+            counted = analysis._counted_profile([loop.hf(d, xn_free=True) for d in degrees], n)
             assert counted == analysis._profile_with_xn(lm)
             weakly.append(check_weakly_revlex(lm))
             assert loop.weakly_revlex() == weakly[-1]
@@ -547,16 +556,104 @@ class TestCountedHilbertData:
 
         for name in HILBERT_ORACLES:
             monkeypatch.setattr(analysis, name, spy(name, getattr(analysis, name)))
-        report = verify_main_theorem(sample_system(6, 7, (2,) * 7, f31, seed=1), seed=1)
-        assert (report.engine, report.krull_dim, calls) == ("macaulay", 0, [])
-        # Krull dimension 1 on the Macaulay route, and the Buchberger route
-        for system, engine_name in (
-            (sample_Z_system(6, 7, (2,) * 7, f31, seed=1), "macaulay"),
-            (sample_system(3, 3, (2,) * 3, f31, seed=1), "buchberger"),
+        # Krull dimension 0 and 1 on the Macaulay route, where the loop
+        # counts HS(R/I) and sigma is the identity, then the Buchberger route
+        for system, krull, expected in (
+            (sample_system(6, 7, (2,) * 7, f31, seed=1), 0, set()),
+            (sample_Z_system(6, 7, (2,) * 7, f31, seed=1), 1, set()),
+            (sample_system(3, 3, (2,) * 3, f31, seed=1), 0, set(HILBERT_ORACLES)),
         ):
             calls.clear()
-            assert verify_main_theorem(system, seed=1).engine == engine_name
-            assert set(calls) == set(HILBERT_ORACLES)
+            report = verify_main_theorem(system, seed=1)
+            assert report.engine == ("buchberger" if expected else "macaulay")
+            assert report.krull_dim == krull and report.sigma.is_identity()
+            assert set(calls) == expected
+        # a shear on corner 6/6: LM is read once, of I^sigma, for <I^sigma, x_n>
+        calls.clear()
+        report = verify_main_theorem(corner_system(6, 6, (2,) * 6, f31, seed=1), seed=0)
+        assert report.engine == "macaulay" and not report.sigma.is_identity()
+        assert sorted(calls) == ["_profile_with_xn", "leading_monomial_ideal", "regularity_profile"]
+
+
+@st.composite
+def krull_one_cases(draw):
+    """n - 1 dense quadrics, or n - 1 to n + 1 Z or corner quadrics, over
+    F_2, F_3, F_7, F_31 or F_(2^31 - 1) in 3 to 6 variables: R/I has Krull
+    dimension 1 unless the field is small or the seed unlucky."""
+    fld = PrimeField(draw(st.sampled_from((2, 3, 7, 31, 2**31 - 1))))
+    n = draw(st.integers(3, 6))
+    sampler = draw(st.sampled_from((sample_system, sample_Z_system, corner_system)))
+    m = n - 1 if sampler is sample_system else draw(st.integers(n - 1, n + 1))
+    return sampler(n, m, (2,) * m, fld, draw(st.integers(0, 2**32)))
+
+
+class TestCountedSeries:
+    def test_matches_the_oracle(self, monkeypatch):
+        # HS(R/I) counted on I's loop at the least m >= max(top degree,
+        # d_reg(<I, l>)) where l is injective from (R/I)_m (_loop_profile),
+        # against regularity_profile(LM(I)): l is injective at that first
+        # degree on some inputs, and the loop reads on past it on others
+        monkeypatch.setattr(analysis, "_ELIMINATION_MIN_MONOMIALS", 0)
+        injective_at_start = []
+
+        @settings(max_examples=120, deadline=None, derandomize=True)
+        @given(krull_one_cases())
+        def check(system):
+            try:
+                basis, loop, profile, _, ext = analysis._ideal_for_search(system, 0, 64)
+            except (DimensionTooHigh, SearchExhausted):
+                return
+            assert profile == regularity_profile(leading_monomial_ideal(buchberger(system)))
+            if basis is None:  # counted on the loop
+                start = max(max(system.degrees), ext.d_reg)
+                injective_at_start.append(loop.hf(start + 1) == loop.hf(start))
+
+        check()
+        assert True in injective_at_start and False in injective_at_start
+
+    def test_dimension_two_on_the_loop_route(self, monkeypatch):
+        # Z 5/5 over F_2 at these seeds has Krull dimension 2: the leads of
+        # I's loop leave the dimension open, so no candidate is tried, I's
+        # basis comes from the loop and LM(I) raises as on Buchberger's route
+        def no_search(*args):
+            raise AssertionError("a candidate was tried")
+
+        monkeypatch.setattr(analysis, "_search_linear_form", no_search)
+        f2 = PrimeField(2)
+        for seed in (121, 126, 180, 243):
+            system = sample_Z_system(5, 5, (2,) * 5, f2, seed)
+            assert analysis._default_route(system)[0] == "macaulay"
+            message = r"^Krull dimension 2 >= 2: no single form can work$"
+            with pytest.raises(DimensionTooHigh, match=message):
+                verify_main_theorem(system, seed=0)
+            with pytest.raises(DimensionTooHigh, match=message):
+                find_linear_form(system, seed=0)
+
+    def test_no_degree_to_read_falls_back_to_the_basis(self, f31, monkeypatch):
+        # with no m on the loop, I's basis comes from the loop and LM(I)
+        # gives the profile: the reports stay the same
+        for system in (
+            corner_system(5, 6, (2,) * 6, f31, seed=1),
+            sample_Z_system(6, 7, (2,) * 7, f31, seed=1),
+        ):
+            counted = verify_main_theorem(system, seed=0)
+            with monkeypatch.context() as patch:
+                patch.setattr(analysis, "_loop_profile", lambda loop, start: None)
+                assert verify_main_theorem(system, seed=0) == counted
+
+    def test_identity_sigma_ends_at_the_hilbert_exit(self, f31, monkeypatch):
+        # Krull dimension 1 and sigma the identity: the counted HS(R/I)
+        # ends I's basis on its loop by the Hilbert exit, with no S-pair
+        spolys, loops = [], []
+        real_spoly, real_loop = engine._spoly, analysis._DegreeLoop
+        monkeypatch.setattr(engine, "_spoly", lambda *args: spolys.append(args) or real_spoly(*args))
+        monkeypatch.setattr(analysis, "_DegreeLoop", lambda s: loops.append(real_loop(s)) or loops[-1])
+        system = sample_Z_system(6, 7, (2,) * 7, f31, seed=1)
+        report = verify_main_theorem(system, seed=1)
+        assert report.sigma.is_identity() and report.krull_dim == 1
+        [loop] = loops
+        assert loop.generated is not None and loop.covered is None and not spolys
+        assert report.max_gb_deg_sigma == max_gb_deg(buchberger(system))
 
 
 @st.composite
@@ -766,17 +863,12 @@ class TestVerifyMainTheorem:
 
     def test_bases_per_run(self, f31, monkeypatch):
         # no basis of <I, x_n>, <I^sigma, x_n> or of any <I, l>: one basis
-        # when sigma is the identity, otherwise those of I and I^sigma; each
-        # takes the default route through _basis_and_loop, that of I^sigma
-        # with the numerator of HS(R/I)
+        # when sigma is the identity, otherwise those of I and I^sigma, here
+        # all on Buchberger's route (n = 3), that of I^sigma through
+        # groebner_basis with the numerator of HS(R/I)
         bases = []
-        real = analysis._basis_and_loop
-
-        def spy(system, *numerator):
-            bases.append(system)
-            return real(system, *numerator)
-
-        monkeypatch.setattr(analysis, "_basis_and_loop", spy)
+        real = analysis.buchberger
+        monkeypatch.setattr(analysis, "buchberger", lambda system: bases.append(system) or real(system))
         systems = [coordinate_zeros_system(f31)] + [
             sampler(3, m, (2,) * m, f31, seed=k)
             for sampler in (sample_system, sample_Z_system)
@@ -867,6 +959,11 @@ class TestDefaultRoute:
             (corner_system, 6, 7, 3),
             (corner_system, 7, 8, 31),
             (corner_system, 6, 6, 65521),
+            (sample_system, 5, 4, 3),
+            (sample_system, 5, 6, 2),
+            (sample_Z_system, 5, 5, 2),
+            (corner_system, 5, 5, 3),
+            (corner_system, 5, 6, 7),
         ],
     )
     def test_reports_match_buchberger(self, monkeypatch, sampler, n, m, p):
@@ -899,8 +996,8 @@ class TestDefaultRoute:
         assert calls == [("loop", 7)]
 
         calls.clear()
-        report = verify_main_theorem(sample_system(5, 5, (2,) * 5, f31, seed=1), seed=0)
-        assert report.engine == "buchberger" and calls == [("buchberger", 5)]
+        report = verify_main_theorem(sample_system(4, 4, (2,) * 4, f31, seed=1), seed=0)
+        assert report.engine == "buchberger" and calls == [("buchberger", 4)]
 
         # I and I^sigma by elimination; the candidates after x_n read the
         # echelons of I's degree loop, which is not built again: at 6/6 its
@@ -931,7 +1028,7 @@ class TestDefaultRoute:
 
     @pytest.mark.parametrize(
         "case, cells",
-        [("corner 5/6", 1000), ("coordinate zeros", 10), ("corner 6/7", 10**6)],
+        [("corner 5/6", 100_000), ("coordinate zeros", 10), ("corner 6/7", 10**6)],
     )
     def test_refused_loop_leaves_candidates_to_buchberger(self, f31, monkeypatch, case, cells):
         # unpatched, the candidates after x_n read the echelons of I: built

@@ -357,6 +357,26 @@ class TestPackedMonomials:
             pack.pack((top, 0, 0)) + pack.pack((0, 0, top))
         )
 
+    def test_monomial_caches_are_bounded(self):
+        # the (n, d) caches keep the pairs used last: walking more shapes
+        # than they hold keeps each within its size, and a table evicted and
+        # built again is the same
+        caches = (monomials_of_degree, core._packed_monomials, engine._products)
+
+        def tables():
+            return [monomials_of_degree(3, 4), core._packed_monomials(3, 4),
+                    engine._products(3, 4).tolist()]
+
+        first = tables()
+        for n in (1, 2):
+            for d in range(1, 300):
+                for cache in caches:
+                    cache(n, d)
+        for cache in caches:
+            info = cache.cache_info()
+            assert info.maxsize is not None and info.currsize <= info.maxsize < 2 * 300
+        assert tables() == first
+
     def test_over_wide_input_is_refused(self, f31):
         limit = _Packing(2).limit
         for m in [(limit, 0), (limit // 2, limit // 2)]:

@@ -608,11 +608,11 @@ class TestExperiment:
 
     def test_engine_column_names_the_route(self, monkeypatch):
         # in 6 variables degree 3 has 56 monomials, so the bases of I and
-        # I^sigma come from the Macaulay engine; in 5 it has 35, and they
+        # I^sigma come from the Macaulay engine; in 4 it has 20, and they
         # come from the Buchberger oracle.  A failed trial names its route too
         monkeypatch.setenv("SGB_THREADS", "1")
         routed = run_experiment(6, 7, (2,) * 7, 31, trials=2, seed=1)
-        plain = run_experiment(5, 5, (2,) * 5, 31, trials=2, seed=1)
+        plain = run_experiment(4, 4, (2,) * 4, 31, trials=2, seed=1)
         failed = run_experiment(6, 4, (2,) * 4, 31, trials=1, seed=1)
         assert [(r.status, r.engine) for r in routed] == [("ok", "macaulay")] * 2
         assert [(r.status, r.engine) for r in plain] == [("ok", "buchberger")] * 2
