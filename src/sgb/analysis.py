@@ -380,39 +380,32 @@ def _extension_profile(hf, lazard: int, n: int) -> HilbertProfile | None:
 
 
 def _extension_test(system: PolySystem, loop: _DegreeLoop | None):
-    """A function from a linear form l to the profile of <I, l>, or to None
-    when l is rejected: ``_extension_profile`` on the values that a degree
-    loop of I, walked up to the Lazard degree of <I, l>, reads from
-    multiplication on R/I (``_DegreeLoop.extension_hf``).  ``loop`` is I's
-    own loop, if any; with None a loop starts from the generators.  A walk
-    that the engine's cell budget refuses leaves the candidates to the
-    Buchberger oracle, a basis of <I, l> each."""
-    n, degrees = system.n, system.degrees
-    lazard = lazard_bound(n, system.m + 1, degrees + (1,))
-    try:
-        _check_degree_loop(system, min(degrees), lazard)
-    except MatrixTooLarge:
-        return lambda ell: _hilbert_of_basis(buchberger(system.extended(ell)))[1]
-    loop = loop or _DegreeLoop(system)
-    loop.walk(lazard)
+    """A function from a linear form l to the profile of <I, l> when R/<I, l>
+    is Artinian, else to None.  With I's ``loop`` walked to the Lazard degree
+    of <I, l> or to its cover, ``_extension_profile`` reads multiplication on
+    R/I (``_DegreeLoop.extension_hf``); otherwise (Buchberger's route, or a
+    walk the cell budget cut short) each l gets a Buchberger basis of <I, l>."""
+    def oracle(ell):
+        profile = _hilbert_of_basis(buchberger(system.extended(ell)))[1]
+        return profile if profile.artinian else None
+
+    lazard = lazard_bound(system.n, system.m + 1, system.degrees + (1,))
+    if loop is None or loop.covered is None and loop.top < lazard:
+        return oracle
     return lambda ell: _extension_profile(
-        functools.partial(loop.extension_hf, _coefficients(ell)), lazard, n)
+        functools.partial(loop.extension_hf, _coefficients(ell)), lazard, system.n)
 
 
 def _search_linear_form(system, first, loop, seed, max_attempts):
     """The position change of the first admissible candidate and the
     profile of <I, l>, for dim R/I <= 1.  The first candidate, l = x_n, has
-    the profile ``first`` (None when rejected), which the caller reads from
-    in(I): I is homogeneous and the order is DRL with x_n last, so in(I +
-    <x_n>) = in(I) + <x_n> (Bayer-Stillman 1987, Lemma 2.2).  The later ones
-    are tested by multiplication maps on the echelons of I's degree
-    ``loop``, or of a fresh one (``_extension_test``), made ready on the
-    first of them, so a run that accepts x_n builds no map.  No candidate
-    gets a basis of <I, l>.
-    """
+    the profile ``first`` (None or not Artinian when rejected), read from
+    I's loop or in(I), as in(I + <x_n>) = in(I) + <x_n> for homogeneous I
+    under DRL (Bayer-Stillman 1987, Lemma 2.2); the later ones go to the
+    test of I's route, on I's ``loop`` or by the oracle (``_extension_test``)."""
     fld, n = system.field, system.n
     rng = random.Random(seed)
-    extension = None
+    extension = _extension_test(system, loop)
 
     def candidates():
         for i in reversed(range(n)):
@@ -423,11 +416,7 @@ def _search_linear_form(system, first, loop, seed, max_attempts):
                 yield Polynomial.linear_form(fld, vec)
 
     for attempts, ell in enumerate(itertools.islice(candidates(), max_attempts), 1):
-        if attempts == 1:  # l = x_n
-            ext_profile = first
-        else:
-            extension = extension or _extension_test(system, loop)
-            ext_profile = extension(ell)
+        ext_profile = first if attempts == 1 else extension(ell)  # attempt 1 is l = x_n
         if ext_profile is not None and ext_profile.artinian:
             ell, pivot = normalized_form(ell)
             pos = PositionChange(ell, pivot, build_sigma(ell), attempts)
@@ -500,7 +489,7 @@ def _ideal_for_search(system: PolySystem, seed: int, max_attempts: int):
     the same loop (``_loop_profile``), with no basis of I.  Where the budget
     refuses that walk, or the loop leaves dim R/I or HS(R/I) open, I's basis
     comes from the loop, and LM(I) gives the profile, the dimension check
-    and x_n, as on Buchberger's route."""
+    and x_n, as on Buchberger's route, which builds no loop."""
     if not system.homogeneous:
         raise NotHomogeneous("the degree bounds apply to homogeneous ideals")
     if max_attempts < 1:
@@ -549,7 +538,7 @@ class TheoremReport:
     When the hypotheses hold (dimension <= 1, generalized semi-regular),
     ``ineq_max_gb`` and ``ineq_D_nm`` are theorems: a False value signals an
     implementation bug.  ``engine`` names the default route of I and
-    I^sigma: ``macaulay``, the degree loop, or ``buchberger``.
+    I^sigma: ``macaulay``, the degree loop, or ``buchberger``, then the only engine run.
     """
 
     n: int
@@ -605,14 +594,14 @@ def verify_main_theorem(
     ``check_weakly_revlex`` scans LM(I^sigma) otherwise.  This uses the exact
     series of I, not the theorem, so ``ineq_max_gb`` stays a check.
 
-    No basis of <I, l> is computed unless the cell budget refuses I's loop,
-    and none of <I^sigma, x_n>: in(J + <x_n>) = in(J) + <x_n> for J = I^sigma
-    (Bayer-Stillman 1987, Lemma 2.2), so d_reg(<I^sigma, x_n>) == d_reg(<I,
-    l>) compares two independent computations, LM(I^sigma) and the maps on
-    I.  So a run on the Macaulay route computes at most one basis, that of
-    I^sigma or, for sigma the identity, of I, unless the loop leaves HS(R/I)
-    open; on Buchberger's route that of I and, for sigma not the identity,
-    that of I^sigma.
+    No basis of <I^sigma, x_n> is computed: in(J + <x_n>) = in(J) + <x_n>
+    for J = I^sigma (Bayer-Stillman 1987, Lemma 2.2), so d_reg(<I^sigma,
+    x_n>) == d_reg(<I, l>) compares LM(I^sigma) with the test of l on I's
+    route (``_extension_test``).  So a run on the Macaulay route computes at
+    most one basis, of I^sigma or, for sigma the identity, of I, unless the
+    loop leaves HS(R/I) open or the cell budget cuts its walk short; on
+    Buchberger's route those of I, of <I, l> per candidate after x_n and of
+    I^sigma for sigma not the identity.
     """
     basis, loop, profile, pos, ext_profile = _ideal_for_search(system, seed, max_attempts)
     n, m, degrees = system.n, system.m, system.degrees

@@ -380,6 +380,11 @@ def run_experiment(
         raise DimensionMismatch(f"expected {m} degrees, got {len(degrees)}")
     if any(d < 1 for d in degrees):
         raise InvalidDegree("degrees must be >= 1")
+    PrimeField(q)  # BadModulus; these are trial 0's errors, raised before any trial or pool
+    if construction == "Z" and n < 2:
+        raise DimensionMismatch("the corner-vanishing construction needs n >= 2")
+    if n < 1:
+        raise DimensionMismatch(f"need n >= 1 and d >= 0, got n={n}, d={degrees[0] if degrees else 'NA'}")
     jobs = [
         (t, n, m, tuple(degrees), q, seed, construction, max_attempts, timings)
         for t in range(trials)
@@ -405,27 +410,32 @@ _TEXT_COLUMNS = frozenset(("status", "engine"))
 
 
 def read_csv(text: str) -> list:
-    """Parse experiment CSV text back into records (summary-tool input)."""
-    lines = [ln for ln in text.splitlines() if ln and not ln.startswith("#")]
-    if not lines or lines[0] != ",".join(CSV_COLUMNS):
-        raise ParseError("unrecognized experiment CSV header")
+    """Parse experiment CSV text back into records (summary-tool input); a
+    ParseError names the line of ``text`` and the column of the bad cell."""
+    lines = [(k, ln) for k, ln in enumerate(text.splitlines(), 1) if ln and not ln.startswith("#")]
+    if not lines or lines[0][1] != ",".join(CSV_COLUMNS):
+        raise ParseError("unrecognized experiment CSV header", lines[0][0] if lines else 1)
     records = []
-    for lineno, line in enumerate(lines[1:], start=2):
+    for lineno, line in lines[1:]:
         cells = line.split(",")
         if len(cells) != len(CSV_COLUMNS):
             raise ParseError(f"expected {len(CSV_COLUMNS)} columns", lineno, 1)
-        kwargs = {}
+        kwargs, column = {}, 1
         for col, cell in zip(CSV_COLUMNS, cells):
-            if col in _TEXT_COLUMNS:
-                kwargs[col] = cell
-            elif cell == "NA":
-                kwargs[col] = None
-            elif col in _BOOL_COLUMNS:
-                kwargs[col] = cell == "true"
-            elif col == "degrees":
-                kwargs[col] = tuple(int(v) for v in cell.split(";"))
-            else:
-                kwargs[col] = int(cell)
+            try:
+                if col in _TEXT_COLUMNS:
+                    kwargs[col] = cell
+                elif cell == "NA":
+                    kwargs[col] = None
+                elif col in _BOOL_COLUMNS:
+                    kwargs[col] = {"true": True, "false": False}[cell]
+                elif col == "degrees":
+                    kwargs[col] = tuple(int(v) for v in cell.split(";"))
+                else:
+                    kwargs[col] = int(cell)
+            except (KeyError, ValueError):  # ValueError from int(), KeyError from a boolean
+                raise ParseError(f"bad {col} cell {cell!r}", lineno, column) from None
+            column += len(cell) + 1
         records.append(ExperimentRecord(**kwargs))
     return records
 

@@ -3,6 +3,7 @@ verifier, samplers, and the module's property suites."""
 
 import dataclasses
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -432,26 +433,34 @@ def map_cases(draw):
     return system, forms + [Polynomial.linear_form(fld, v) for v in vectors if any(v)]
 
 
-def default_loop(system):
-    """The degree loop that builds the basis of ``system`` on its default
-    route, None on Buchberger's."""
-    loops = []
-    analysis.groebner_basis(system, loops=loops)
-    return loops[0] if loops else None
+def walked_loop(system):
+    """The degree loop of ``system`` walked to the Lazard degree of <I, l>,
+    or to its cover, whatever the route of ``system``."""
+    loop = engine._DegreeLoop(system)
+    loop.walk(lazard_bound(system.n, system.m + 1, system.degrees + (1,)))
+    return loop
 
 
 class TestExtensionMaps:
     @settings(max_examples=60, deadline=None)
     @given(map_cases())
     def test_matches_the_basis_of_the_extension(self, case):
-        # the profile from multiplication maps on the echelons of I, by
-        # either route, against the oracle's basis of <I, l>
+        # the profile from multiplication maps on the echelons of I's loop,
+        # walked to the Lazard degree of <I, l> or to its cover on either
+        # route, with no basis of <I, l>, and from the test with no loop,
+        # which takes the oracle's basis of <I, l>: None exactly when that
+        # <I, l> is not Artinian
         system, forms = case
-        test = analysis._extension_test(system, default_loop(system))
-        for ell in forms:
+        maps = analysis._extension_test(system, walked_loop(system))
+        oracle = analysis._extension_test(system, None)
+        with mock.patch.object(analysis, "buchberger", wraps=buchberger) as bases:
+            profiles = [maps(ell) for ell in forms]
+        assert not bases.called
+        for ell, profile in zip(forms, profiles):
             lm = leading_monomial_ideal(buchberger(system.extended(ell)))
             expected = regularity_profile(lm)
-            assert test(ell) == (expected if expected.artinian else None), ell
+            assert profile == (expected if expected.artinian else None), ell
+            assert oracle(ell) == (expected if expected.artinian else None), ell
 
     def test_rejection_is_one_rank_at_the_lazard_degree(self, f31, monkeypatch):
         # each form vanishes at a point of V(I): x_1 .. x_(n-1) at
@@ -469,7 +478,7 @@ class TestExtensionMaps:
             top = lazard_bound(n, system.m + 1, degrees + (1,))
             _, profile = exact_hilbert_of_ideal(system)
             hf = expand_hilbert_series(profile.numerator, n, top)
-            test = analysis._extension_test(system, default_loop(system))
+            test = analysis._extension_test(system, walked_loop(system))
             for ell in forms:
                 shapes.clear()
                 assert test(ell) is None
@@ -862,10 +871,11 @@ class TestVerifyMainTheorem:
             verify_main_theorem(system, seed=0)
 
     def test_bases_per_run(self, f31, monkeypatch):
-        # no basis of <I, x_n>, <I^sigma, x_n> or of any <I, l>: one basis
-        # when sigma is the identity, otherwise those of I and I^sigma, here
-        # all on Buchberger's route (n = 3), that of I^sigma through
-        # groebner_basis with the numerator of HS(R/I)
+        # no basis of <I, x_n> or <I^sigma, x_n>: one basis when sigma is
+        # the identity, otherwise those of I and I^sigma, that of I^sigma
+        # through groebner_basis with the numerator of HS(R/I), and one of
+        # <I, l> for each candidate after x_n, all on Buchberger's route
+        # (n = 3), which tests candidates by the oracle
         bases = []
         real = analysis.buchberger
         monkeypatch.setattr(analysis, "buchberger", lambda system: bases.append(system) or real(system))
@@ -880,7 +890,9 @@ class TestVerifyMainTheorem:
             bases.clear()
             report = verify_main_theorem(system, seed=0)
             identity = report.sigma.is_identity()
-            assert len(bases) == (1 if identity else 2)
+            extensions = [s for s in bases if s.m == system.m + 1]
+            assert len(extensions) == report.attempts_used - 1
+            assert len(bases) == (1 if identity else 2 + report.attempts_used - 1)
             seen.add(identity)
         assert seen == {True, False}
 
@@ -1031,11 +1043,12 @@ class TestDefaultRoute:
         [("corner 5/6", 100_000), ("coordinate zeros", 10), ("corner 6/7", 10**6)],
     )
     def test_refused_loop_leaves_candidates_to_buchberger(self, f31, monkeypatch, case, cells):
-        # unpatched, the candidates after x_n read the echelons of I: built
-        # from the generators on the Buchberger route, carried on from the
-        # cap D(6, 7) = 4 by the loop that built I's basis on the Macaulay
-        # route; with the loop up to the Lazard degree of <I, l> over the
-        # cell budget, each gets a basis of <I, l> from the oracle
+        # unpatched, the candidates after x_n read the echelons of I on the
+        # Macaulay route, carried on from the cap D(6, 7) = 4 by the loop
+        # that built I's basis, and get a basis of <I, l> each from the
+        # oracle on the Buchberger route, which builds no loop; with the loop
+        # up to the Lazard degree of <I, l> over the cell budget, each gets
+        # a basis of <I, l> on either route
         system = {
             "corner 5/6": corner_system(5, 6, (2,) * 6, f31, seed=1),
             "coordinate zeros": coordinate_zeros_system(f31),
@@ -1052,18 +1065,45 @@ class TestDefaultRoute:
 
         monkeypatch.setattr(analysis, "_DegreeLoop", lambda s: loops.append(s) or real_loop(s))
         monkeypatch.setattr(analysis, "buchberger", spy)
-        maps = verify_main_theorem(system, seed=0)
-        assert not maps.sigma.is_identity() and not extensions
+        routed = verify_main_theorem(system, seed=0)
+        assert not routed.sigma.is_identity()
         # the loops that built the bases of I and I^sigma, if any
-        bases = [] if route[0] == "buchberger" else [system, apply_to_system(system, maps.sigma)]
-        assert loops == (bases or [system])
+        bases = [] if route[0] == "buchberger" else [system, apply_to_system(system, routed.sigma)]
+        assert loops == bases
+        assert len(extensions) == (routed.attempts_used - 1 if route[0] == "buchberger" else 0)
 
         loops.clear()
+        extensions.clear()
         monkeypatch.setattr(engine, "MAX_MACAULAY_CELLS", cells)
         assert analysis._default_route(system) == route
         oracle = verify_main_theorem(system, seed=0)
-        assert oracle == maps and loops == bases
-        assert len(extensions) == maps.attempts_used - 1
+        assert oracle == routed and loops == bases
+        assert len(extensions) == routed.attempts_used - 1
+
+    def test_buchberger_route_builds_no_loop(self, f31, monkeypatch):
+        # every coordinate point is a zero of these systems, so x_n is
+        # rejected and later candidates are tried; on Buchberger's route each
+        # gets a basis of <I, l> and no degree loop is built, and the report
+        # equals the one routed to I's loop, which tests them by its maps
+        loops = []
+        real_loop = analysis._DegreeLoop
+        monkeypatch.setattr(analysis, "_DegreeLoop", lambda s: loops.append(s) or real_loop(s))
+        systems = [
+            coordinate_zeros_system(f31),
+            corner_system(4, 4, (2,) * 4, PrimeField(7), seed=1),
+            corner_system(4, 5, (2,) * 5, f31, seed=2),
+        ]
+        for system in systems:
+            assert analysis._default_route(system)[0] == "buchberger"
+            report = verify_main_theorem(system, seed=0)
+            assert report.engine == "buchberger" and report.attempts_used >= 2
+            assert loops == []
+            with monkeypatch.context() as patch:
+                patch.setattr(analysis, "_ELIMINATION_MIN_MONOMIALS", 0)
+                looped = verify_main_theorem(system, seed=0)
+            assert looped.engine == "macaulay" and loops
+            assert comparable(looped) == comparable(report)
+            loops.clear()
 
     def test_unreachable_bound_falls_back_to_buchberger(self, f31):
         # D(2, 3) of three degree-40,000 generators needs a series longer

@@ -34,7 +34,7 @@ from sgb import io as sgbio
 from sgb.analysis import child_seed
 from sgb.cli import build_parser
 from sgb.io import CSV_COLUMNS, worker_count
-from sgb.errors import BadModulus, ParseError, SgbError, UnknownVariable
+from sgb.errors import BadModulus, DimensionMismatch, ParseError, SgbError, UnknownVariable
 from conftest import random_polynomial, run_cli
 
 
@@ -524,22 +524,49 @@ class TestExperiment:
             run_experiment(2, 2, (2, 2), 31, trials=1, seed=1, construction="W")
 
     @pytest.mark.parametrize(
-        "degrees, err",
+        "degrees, q, err",
         [
-            ("0,2,2", "error: InvalidDegree: degrees must be >= 1\n"),
-            ("2,2", "error: DimensionMismatch: expected 3 degrees, got 2\n"),
+            ("0,2,2", "31", "error: InvalidDegree: degrees must be >= 1\n"),
+            ("2,2", "31", "error: DimensionMismatch: expected 3 degrees, got 2\n"),
+            ("2,2,2", "4", "error: BadModulus: modulus 4 is not a prime in [2, 2^31)\n"),
         ],
-        ids=["degree-0", "two-degrees"],
+        ids=["degree-0", "two-degrees", "modulus-4"],
     )
-    def test_bad_degrees_are_refused_before_any_trial(self, monkeypatch, degrees, err):
-        # sgb bound refuses these degrees too; no trial and no pool starts
+    def test_bad_degrees_are_refused_before_any_trial(self, monkeypatch, degrees, q, err):
+        # sgb bound refuses these degrees too; no trial and no pool starts,
+        # and a modulus that is not a prime is refused as early
         started = []
         monkeypatch.setattr(sgbio, "_trial_record", lambda job: started.append(job))
         monkeypatch.setattr(sgbio, "ProcessPoolExecutor", lambda **kw: started.append(kw))
         code, out, err_text = run_cli(
-            ["experiment", "-n", "3", "-m", "3", "-d", degrees, "--trials", "2"]
+            ["experiment", "-n", "3", "-m", "3", "-d", degrees, "-q", q, "--trials", "2"]
         )
         assert (code, out, err_text, started) == (1, "", err, [])
+
+    @pytest.mark.parametrize(
+        "n, construction, q, error, message",
+        [
+            (0, "generic", 31, DimensionMismatch, "need n >= 1 and d >= 0, got n=0, d=2"),
+            (-2, "generic", 31, DimensionMismatch, "need n >= 1 and d >= 0, got n=-2, d=2"),
+            (0, "Z", 31, DimensionMismatch, "the corner-vanishing construction needs n >= 2"),
+            (1, "Z", 31, DimensionMismatch, "the corner-vanishing construction needs n >= 2"),
+            (3, "generic", 4, BadModulus, "modulus 4 is not a prime in [2, 2^31)"),
+            (3, "generic", 1, BadModulus, "modulus 1 is not a prime in [2, 2^31)"),
+            (0, "Z", 2**31, BadModulus, "modulus 2147483648 is not a prime in [2, 2^31)"),
+        ],
+    )
+    def test_bad_shape_or_modulus_is_refused_before_any_trial(
+        self, monkeypatch, n, construction, q, error, message
+    ):
+        # the error trial 0 would raise, with no trial and no pool started;
+        # with SGB_THREADS unset a pool would start on two or more cores
+        started = []
+        monkeypatch.delenv("SGB_THREADS", raising=False)
+        monkeypatch.setattr(sgbio, "_trial_record", lambda job: started.append(job))
+        monkeypatch.setattr(sgbio, "ProcessPoolExecutor", lambda **kw: started.append(kw))
+        with pytest.raises(error, match="^" + re.escape(message) + "$"):
+            run_experiment(n, 2, (2, 2), q, trials=4, seed=1, construction=construction)
+        assert started == []
 
     @pytest.mark.parametrize(
         "argv",
@@ -595,6 +622,37 @@ class TestExperiment:
         text = summarize(records)
         assert "cryptographic_rate=" in text and "generalized_rate=" in text
         assert "gap_hist=" in text
+
+    @pytest.mark.parametrize(
+        "cell, value",
+        [
+            ("trial", "x"),
+            ("degrees", "2;;2"),
+            ("degrees", "2;x"),
+            ("q", ""),
+            ("q", "3.5"),
+            ("generalized", "maybe"),
+            ("weakly_revlex", "True"),
+        ],
+    )
+    def test_bad_csv_cells_are_parse_errors(self, cell, value):
+        # the bad row is line 4: the line counts every line of the text,
+        # comments and blanks included; the column is where the cell starts
+        records = run_experiment(2, 2, (2, 2), 31, trials=1, seed=1)
+        buf = io.StringIO()
+        write_csv(records, buf)
+        header, row = buf.getvalue().splitlines()
+        cells = row.split(",")
+        index = CSV_COLUMNS.index(cell)
+        cells[index] = value
+        column = 1 + sum(len(c) + 1 for c in cells[:index])
+        text = "# experiment\n" + header + "\n\n" + ",".join(cells) + "\n"
+        message = f"bad {cell} cell {value!r} (line 4, column {column})"
+        with pytest.raises(ParseError, match="^" + re.escape(message) + "$"):
+            read_csv(text)
+        assert read_csv("\n" + header + "\n#\n" + row + "\n") == records
+        with pytest.raises(ParseError, match=r"^expected 21 columns \(line 3, column 1\)$"):
+            read_csv(header + "\n\n" + row + ",NA\n")
 
     def test_csv_round_trips_into_summary_tool(self):
         records = run_experiment(
