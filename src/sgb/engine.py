@@ -31,8 +31,9 @@ by sorting their terms on the int keys, to the returned basis.  The degree
 loop addresses a degree-d monomial by its index among the ascending keys of
 degree d (``core._packed_monomials``); ``_products`` maps x_k times each
 degree-(d - 1) index to its degree-d index, so the loop's bookkeeping is
-numpy gathers, and keys appear only at its edges: the generators it reads,
-the rows it keeps and the Q keys of its Hilbert exit.  The basis stays
+numpy gathers, made once per degree for every variable together, and keys
+appear only at its edges: the generators it reads, the rows it keeps and the
+Q keys of its Hilbert exit.  The basis stays
 packed until it is read: its leading keys go on to ``hilbert.MonomialIdeal``
 and ``max_gb_deg``, and its elements become ``Polynomial``s only when first
 read, with their terms in the stored order.  Tuples appear only at the
@@ -254,14 +255,14 @@ def _rref_inplace(a: np.ndarray, p: int):
         if len(pivots) == rows:
             break
         a[:, c] %= p
-        nz = np.flatnonzero(free & (a[:, c] != 0))
+        nz = (free & (a[:, c] != 0)).nonzero()[0]
         if nz.size == 0:
             continue
         r = int(nz[0])
         free[r] = False
         a[r, c:] %= p
         a[r, c:] = a[r, c:] * pow(int(a[r, c]), -1, p) % p
-        hit = np.flatnonzero(a[:, c])
+        hit = a[:, c].nonzero()[0]
         hit = hit[hit != r]
         if hit.size:
             if bound > _INT64_MAX - step:
@@ -666,6 +667,13 @@ def _eliminate_degree(prev: _Echelon, owner: np.ndarray, gens: list, n: int, p: 
     product x_k * s of a standard monomial s lands in P or in N, so C_P X is
     a gather of X's rows, never a P-wide matrix.
 
+    The places of x_k times every standard monomial and every lead of degree
+    d - 1 are gathered from ``_products`` once, for all k together.  The
+    pivot rows are taken k-major, with the P places each one waits on, so a
+    round is one mask over the rows of every variable; a block of rows
+    x_k * (u + tail) gets its N part by one scatter and its C_P X by one
+    matrix product per variable.
+
     The chain criterion leaves out a repeated product x_k r_u, for r_w the
     RREF row led by w, when u's pivot row has a variable c < k.  Then u = x_c v,
     r_u = x_c r_v - sum a_w r_w over leads w < u, r_{x_k v} = x_k r_v - sum
@@ -677,51 +685,53 @@ def _eliminate_degree(prev: _Echelon, owner: np.ndarray, gens: list, n: int, p: 
     plist = np.flatnonzero(in_p)  # ascending keys: DRL-largest first
     standard = np.flatnonzero(~in_p)
     where = np.where(in_p, np.cumsum(in_p), np.cumsum(~in_p)) - 1  # the place in P or in N
-    width = len(standard)
-    lands, owned, repeated = [], [], []
-    for k, table in enumerate(_products(n, d)):
-        # where x_k times each standard monomial of degree d - 1 lands
-        t = table[prev.standard]
-        hit = in_p[t]
-        lands.append((np.flatnonzero(hit), where[t[hit]], np.flatnonzero(~hit), where[t[~hit]]))
-        t = table[prev.leads]
-        at, pivot = where[t], owner[t] == k
-        owned.append((np.flatnonzero(pivot), at[pivot]))
-        repeat = ~pivot & (prev.via >= k)  # the chain criterion
-        repeated.append((np.flatnonzero(repeat), at[repeat]))
-    solved = np.zeros((len(plist), width), dtype=np.int64)  # X
+    width, none = len(standard), len(plist)  # none: a sentinel P place, always solved, X row 0
+    table, edges = _products(n, d), np.arange(n + 1)
+    ks = edges[:n, None]
+    # entry (k, i): the place of x_k times the i-th standard monomial of degree
+    # d - 1 in P, else none, and in N, else width
+    t = table[:, prev.standard]
+    hit, at = in_p[t], where[t]
+    to_p, to_n = np.where(hit, at, none), np.where(hit, width, at)
+    meets = hit.any(axis=1).tolist()
+    # entry (k, i): the place in P of x_k times the i-th lead, and whether
+    # that row is its pivot row
+    t = table[:, prev.leads]
+    lead_at, pivot = where[t], owner[t] == ks
+    kr, ir = pivot.nonzero()  # the pivot rows, k-major
+    kq, iq = (~pivot & (prev.via >= ks)).nonzero()  # the repeated rows: the chain criterion
+    solved = np.zeros((none + 1, width), dtype=np.int64)  # X, and row none
+    done = np.zeros(none + 1, dtype=bool)
+    done[none] = True
 
-    def products(rows, k):
-        """The rows x_k * (u + tail) of ``prev``'s ``rows`` on N, less C_P X
-        over the P columns of x_k * tail."""
-        into_p, to_p, into_n, to_n = lands[k]
-        out = np.zeros((len(rows), width), dtype=np.int64)
-        chosen = tails[rows]
-        out[:, to_n] = chosen[:, into_n]
-        return (out - _matmul_mod(chosen[:, into_p], solved[to_p], p)) % p
+    def products(kr, ir):
+        """The rows x_k * (u + tail) of the leads ``ir`` times the variables
+        ``kr``, k-major, on N, less C_P X over the P columns of x_k * tail."""
+        chosen = tails[ir]
+        out = np.zeros((len(ir), width + 1), dtype=np.int64)  # column width takes P
+        out[np.arange(len(ir))[:, None], to_n[kr]] = chosen
+        out = out[:, :width]
+        bounds = np.searchsorted(kr, edges).tolist()
+        for k in range(n):
+            lo, hi = bounds[k], bounds[k + 1]
+            if lo < hi and meets[k]:
+                out[lo:hi] -= _matmul_mod(chosen[lo:hi], solved[to_p[k]], p)
+        return out % p
 
-    pending = [np.arange(len(rows)) for rows, _ in owned]
-    done = np.zeros(len(plist), dtype=bool)
-    while any(len(left) for left in pending):
-        ready = []
-        for k, left in enumerate(pending):
-            into_p, to_p = lands[k][:2]
-            waits = (tails[owned[k][0][left]][:, into_p] != 0) & ~done[to_p]
-            blocked = waits.any(axis=1)
-            ready.append(left[~blocked])
-            pending[k] = left[blocked]
-        if not any(len(now) for now in ready):
+    # row r waits on the P places of x_k * tail it meets, none elsewhere
+    waits = np.where(tails[ir] != 0, to_p[kr], none)
+    pivot_at, pending = lead_at[kr, ir], np.arange(len(kr))
+    while len(pending):
+        ready = done[waits[pending]].all(axis=1)
+        now = pending[ready]
+        if not len(now):
             raise InvariantViolation(f"the pivot block of degree {d} is not triangular")
-        for k, now in enumerate(ready):
-            if len(now):
-                rows, at = owned[k][0][now], owned[k][1][now]
-                solved[at] = products(rows, k)
-                done[at] = True
+        pending = pending[~ready]
+        solved[pivot_at[now]] = products(kr[now], ir[now])
+        done[pivot_at[now]] = True
 
-    blocks = []
-    for k, (rows, lead) in enumerate(repeated):
-        if len(rows):
-            blocks.append((products(rows, k) - solved[lead]) % p)
+    blocks = [(products(kq, iq) - solved[lead_at[kq, iq]]) % p]
+    solved = solved[:none]
     keys = _packed_monomials(n, d)
     on = np.zeros((len(gens), len(owner)), dtype=np.int64)  # the generator rows
     for g, terms in enumerate(gens):
@@ -736,7 +746,7 @@ def _eliminate_degree(prev: _Echelon, owner: np.ndarray, gens: list, n: int, p: 
     keep[q_cols] = False
     solved = (solved - _matmul_mod(solved[:, q_cols], new, p)) % p
     names = [keys[t] for t in standard.tolist()]
-    rows = [{names[j]: int(row[j]) for j in np.flatnonzero(row).tolist()} for row in new]
+    rows = [{names[j]: int(row[j]) for j in row.nonzero()[0].tolist()} for row in new]
     q = standard[q_cols]
     echelon = _Echelon(
         d,

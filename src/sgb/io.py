@@ -65,6 +65,9 @@ _TOKEN = re.compile(r"[0-9]+|x[0-9]+|.", re.S)
 _BAD_CHAR = re.compile(r"[^ \t\r\n0-9xy*^+\-−]|x(?![0-9])")
 # a coefficient or an exponent: digits that are not part of a variable name
 _NUMBER = re.compile(r"(?<![x0-9])[0-9]+")
+# an integer cell of an experiment CSV: int() alone would also take "+2",
+# " 2 ", "1_0" and non-ASCII digits
+_CSV_INT = re.compile(r"-?[0-9]+")
 
 
 def _line_col(text: str, pos: int) -> tuple[int, int]:
@@ -409,6 +412,12 @@ _BOOL_COLUMNS = frozenset(
 _TEXT_COLUMNS = frozenset(("status", "engine"))
 
 
+def _csv_int(cell: str) -> int:
+    if not _CSV_INT.fullmatch(cell):
+        raise ValueError(cell)
+    return int(cell)
+
+
 def read_csv(text: str) -> list:
     """Parse experiment CSV text back into records (summary-tool input); a
     ParseError names the line of ``text`` and the column of the bad cell."""
@@ -430,10 +439,10 @@ def read_csv(text: str) -> list:
                 elif col in _BOOL_COLUMNS:
                     kwargs[col] = {"true": True, "false": False}[cell]
                 elif col == "degrees":
-                    kwargs[col] = tuple(int(v) for v in cell.split(";"))
+                    kwargs[col] = tuple(_csv_int(v) for v in cell.split(";"))
                 else:
-                    kwargs[col] = int(cell)
-            except (KeyError, ValueError):  # ValueError from int(), KeyError from a boolean
+                    kwargs[col] = _csv_int(cell)
+            except (KeyError, ValueError):  # ValueError from _csv_int, KeyError from a boolean
                 raise ParseError(f"bad {col} cell {cell!r}", lineno, column) from None
             column += len(cell) + 1
         records.append(ExperimentRecord(**kwargs))

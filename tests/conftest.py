@@ -1,10 +1,11 @@
 import contextlib
 import io
+import random
 import signal
 
 import pytest
 
-from sgb import PolySystem, Polynomial, PrimeField
+from sgb import PolySystem, Polynomial, PrimeField, monomials_of_degree
 from sgb.cli import run_command
 
 
@@ -48,8 +49,6 @@ def f31():
 
 def random_polynomial(rng, fld, n, max_deg=3, homogeneous=False, nonzero=True):
     """Small random polynomial; degree-d dense when homogeneous."""
-    from sgb import monomials_of_degree
-
     while True:
         coeffs = {}
         if homogeneous:
@@ -89,3 +88,18 @@ def spec_fixture_system(fld):
         2,
         (Polynomial(fld, 2, {(2, 0): 1}), Polynomial(fld, 2, {(1, 1): 1})),
     )
+
+
+def corner_system(n, m, degrees, fld, seed):
+    """Like ``sample_system`` but on the squarefree monomials only: every
+    coordinate point is a projective zero, so no variable is an admissible
+    linear form and an accepted sigma is a shear."""
+    rng = random.Random(seed)
+    polys = []
+    for d in degrees:
+        squarefree = [t for t in monomials_of_degree(n, d) if max(t) == 1]
+        f = Polynomial(fld, n, {})
+        while f.is_zero():
+            f = Polynomial(fld, n, {t: rng.randrange(fld.p) for t in squarefree})
+        polys.append(f)
+    return PolySystem(fld, n, tuple(polys))

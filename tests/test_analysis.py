@@ -54,7 +54,7 @@ from sgb.errors import (
     ZeroForm,
 )
 from sgb.series import degree_product
-from conftest import random_invertible_change, spec_fixture_system
+from conftest import corner_system, random_invertible_change, spec_fixture_system
 
 
 def poly(fld, n, coeffs):
@@ -906,21 +906,6 @@ class TestVerifyMainTheorem:
         records = run_experiment(3, 4, (2, 2, 2, 2), 31, trials=4, seed=3)
         assert [r.status for r in records] == ["BudgetExhausted"] * 4
         assert " ok=0 " in summarize(records)
-
-
-def corner_system(n, m, degrees, fld, seed):
-    """Like ``sample_system`` but on the squarefree monomials only: every
-    coordinate point is a projective zero, so no variable is an admissible
-    linear form and an accepted sigma is a shear."""
-    rng = random.Random(seed)
-    polys = []
-    for d in degrees:
-        squarefree = [t for t in monomials_of_degree(n, d) if max(t) == 1]
-        f = Polynomial(fld, n, {})
-        while f.is_zero():
-            f = Polynomial(fld, n, {t: rng.randrange(fld.p) for t in squarefree})
-        polys.append(f)
-    return PolySystem(fld, n, tuple(polys))
 
 
 def comparable(outcome):

@@ -62,7 +62,7 @@ from sgb.errors import (
     NotHomogeneous,
     ZeroPolynomial,
 )
-from conftest import spec_fixture_system
+from conftest import corner_system, spec_fixture_system
 
 
 def fixture_f1_f2(fld):
@@ -106,7 +106,11 @@ EDGE_PRIMES = (2, 3, 31, 65521, 2**31 - 1)
 @pytest.fixture(scope="module")
 def echelon_cases():
     """(system, one above its true maximal basis degree) for dense, Z and
-    mixed-degree systems over F_2, F_3, F_31, F_65521 and F_{2^31-1}."""
+    mixed-degree systems in 3 and 4 variables over F_2, F_3, F_31, F_65521
+    and F_{2^31-1}, and for corner quadrics 5/6 and 6/6, dense quadrics 6/7
+    and Z quadrics 5/5 over F_2, F_31 and F_{2^31-1}: in 5 to 7 variables a
+    degree has many pivot rows per variable, repeated products the chain
+    criterion drops and keeps, and pivot blocks solved in several rounds."""
     shapes = (
         (3, 3, (2, 2, 2)),
         (4, 4, (2, 2, 2, 2)),
@@ -115,14 +119,22 @@ def echelon_cases():
         (3, 4, (2, 3, 2, 1)),
         (4, 5, (2,) * 5),
     )
-    cases = []
+    wide = (
+        (corner_system, 5, 6),
+        (corner_system, 6, 6),
+        (sample_system, 6, 7),
+        (sample_Z_system, 5, 5),
+    )
+    systems = []
     for q in EDGE_PRIMES:
         for sampler in (sample_system, sample_Z_system):
             for n, m, degrees in shapes:
                 for seed in range(2):
-                    system = sampler(n, m, degrees, PrimeField(q), seed)
-                    cases.append((system, max_gb_deg(buchberger(system)) + 1))
-    return cases
+                    systems.append(sampler(n, m, degrees, PrimeField(q), seed))
+    for q in (2, 31, 2**31 - 1):
+        for sampler, n, m in wide:
+            systems.append(sampler(n, m, (2,) * m, PrimeField(q), 1))
+    return [(system, max_gb_deg(buchberger(system)) + 1) for system in systems]
 
 
 @contextlib.contextmanager
@@ -611,6 +623,33 @@ class TestRref:
             a[-1] = a[0] + a[1 % shape[0]]
             assert_matches_oracle(a, p)
 
+    @pytest.mark.parametrize("p", KERNEL_PRIMES)
+    @pytest.mark.parametrize(
+        "rows, cols, dependent",
+        [
+            # runs of dependent columns, with the rank below and at the rows
+            (40, 48, [*range(10, 20), *range(30, 38)]),
+            (24, 48, [*range(5, 9), *range(40, 48)]),
+            # isolated dependent columns: every third, or a few far apart
+            (40, 48, list(range(3, 48, 3))),
+            (30, 64, [1, 17, 33, 63]),
+            # tall enough that rref_block eliminates in batches
+            (96, 40, [*range(8, 16), 20, 27, 39]),
+        ],
+    )
+    def test_kernels_match_oracle_with_dependent_columns(self, p, rows, cols, dependent):
+        # wide matrices whose dependent columns, each a combination of the
+        # columns before it, take no pivot, so the elimination passes over
+        # them; entries are unreduced, negative and >= p
+        rng = np.random.default_rng(rows * cols + len(dependent))
+        a = rng.integers(0, p, size=(rows, cols), dtype=np.int64)
+        for c in dependent:
+            coeffs = rng.integers(0, p, size=c, dtype=np.int64)
+            a[:, c] = a[:, :c].astype(object).dot(coeffs.astype(object)) % p
+        a += p * rng.integers(-2, 3, size=(rows, cols), dtype=np.int64)
+        assert not set(rref_naive(a, p).pivots) & set(dependent)
+        assert_matches_oracle(a, p)
+
     def test_largest_prime_sweeps_unreduced_entries(self):
         # at p = 2^31 - 1 each update subtracts up to about 2^62, and the
         # non-pivot columns of a 12 x 16 or 24 x 32 matrix are hit by every
@@ -935,6 +974,31 @@ class TestDegreeElimination:
                 full = rref_naive(build_macaulay(system, echelon.degree).matrix, system.field.p)
                 kept = echelon_rows(echelon, system.n)
                 assert np.array_equal(kept, full.matrix[: full.rank]), (system, echelon.degree)
+
+    def test_via_is_the_least_variable_of_each_pivot_row(self, monkeypatch, echelon_cases):
+        # the chain criterion reads via: for a lead t in P_d it is the least k
+        # with t / x_k a lead of degree d - 1, the variable of t's pivot row,
+        # and it is n on Q_d, the leads new at d
+        for system, cap in echelon_cases:
+            n = system.n
+            with eliminations(monkeypatch) as seen:
+                gb_up_to(system, cap)
+            below, degree = set(), seen[0].degree - 1
+            for echelon in seen:
+                assert echelon.degree == degree + 1
+                degree = echelon.degree
+                monos = monomials_of_degree(n, degree)
+                leads = [monos[i] for i in echelon.leads.tolist()]
+                lifted = len(leads) - len(echelon.new)
+                assert echelon.leads[lifted:].tolist() == echelon.new.tolist()
+                for t, k in zip(leads[:lifted], echelon.via[:lifted].tolist()):
+                    quotients = (
+                        j for j in range(n)
+                        if t[j] and t[:j] + (t[j] - 1,) + t[j + 1:] in below
+                    )
+                    assert k == next(quotients), (system, degree, t)
+                assert echelon.via[lifted:].tolist() == [n] * len(echelon.new)
+                below = set(leads)
 
     @settings(max_examples=100, deadline=None)
     @given(edge_field_cases())

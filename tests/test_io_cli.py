@@ -633,6 +633,15 @@ class TestExperiment:
             ("q", "3.5"),
             ("generalized", "maybe"),
             ("weakly_revlex", "True"),
+            # int() takes each of these; an integer cell is -?[0-9]+ only
+            ("q", "+2"),
+            ("q", " 2 "),
+            ("n", "1_0"),
+            ("trial", "\u0662"),
+            ("degrees", "2;+2"),
+            ("degrees", "2; 2"),
+            ("degrees", "1_0;2"),
+            ("degrees", "2;\uff12"),
         ],
     )
     def test_bad_csv_cells_are_parse_errors(self, cell, value):
