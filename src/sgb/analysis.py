@@ -35,7 +35,6 @@ from .engine import (
     _DegreeLoop,
     buchberger,
     leading_monomial_ideal,
-    max_gb_deg,
 )
 from .errors import (
     CapExhausted,
@@ -107,29 +106,18 @@ def _default_route(system: PolySystem) -> tuple[str, int | None]:
     return "macaulay", cap
 
 
-def groebner_basis(system: PolySystem, numerator=None, *, loops=None) -> GroebnerBasis:
+def groebner_basis(system: PolySystem) -> GroebnerBasis:
     """Complete reduced basis of ``system`` by its default route
     (``_default_route``): the Macaulay engine at the cap D(n, m) for
     systems with enough monomials above their top degree, and the
     Buchberger oracle for the rest, including every system a typed error
     rejects.  Both engines give the same basis; a caller that names one
-    calls ``buchberger`` or ``gb_up_to``.
-
-    The degree loop of an Artinian system stops by the cover test with no
-    pair reduced.  Given ``numerator``, the numerator of HS(R/I) (known, say,
-    for the image of an ideal under an invertible linear change), it also
-    stops at max.GB.deg(I) if that is within the cap, once its leads have
-    that Hilbert series, with no pair reduced; Buchberger's route does not
-    use it.  A caller that reads the loop's echelons passes a list as
-    ``loops``, which gets the loop that built the basis (nothing on
-    Buchberger's route)."""
+    calls ``buchberger`` or ``gb_up_to``.  The degree loop of an Artinian
+    system stops by the cover test with no pair reduced."""
     engine, cap = _default_route(system)
     if engine == "buchberger":
         return buchberger(system)
-    loop = _DegreeLoop(system)
-    if loops is not None:
-        loops.append(loop)
-    return loop.basis(cap, numerator)
+    return _DegreeLoop(system).basis(cap)
 
 
 def _hilbert_of_basis(basis: GroebnerBasis) -> tuple[MonomialIdeal, HilbertProfile]:
@@ -575,8 +563,8 @@ def verify_main_theorem(
 ) -> TheoremReport:
     """Run the whole pipeline on one homogeneous system and fill every flag.
 
-    Every basis is complete and reduced.  I and I^sigma take
-    ``groebner_basis``'s default route, which depends only on the shape, so
+    Every basis is complete and reduced.  I and I^sigma take the default
+    route (``_default_route``), which depends only on the shape, so
     ``TheoremReport.engine`` names one engine.  A basis that needs more than
     ``engine.MAX_S_PAIRS`` S-pair reductions raises BudgetExhausted, at the
     same pair for a fixed input; on the Macaulay route only the pairs of
@@ -585,22 +573,24 @@ def verify_main_theorem(
     On the Macaulay route I's degree loop gives the linear form and HS(R/I),
     Artinian or of Krull dimension 1, with no basis of I
     (``_ideal_for_search``); elsewhere LM(I) gives HS(R/I) and x_n.  sigma is
-    invertible, so HS(R/I^sigma) = HS(R/I): ``groebner_basis`` gets its
-    numerator, and the degree loop of I^sigma, or of I when sigma is the
-    identity, stops at its max.GB.deg by the Hilbert exit
-    (``engine._DegreeLoop.basis``), with no S-pair, unless that degree lies
-    above the loop's top.  A loop stopped by that exit or by its cover gives
-    the weakly reverse-lex flag (``_DegreeLoop.weakly_revlex``);
-    ``check_weakly_revlex`` scans LM(I^sigma) otherwise.  This uses the exact
-    series of I, not the theorem, so ``ineq_max_gb`` stays a check.
+    invertible, so HS(R/I^sigma) = HS(R/I), and the degree loop of I^sigma,
+    or I's when sigma is the identity, walks with that numerator to its cap
+    or stops earlier, complete, by its cover or at max.GB.deg(I^sigma) by
+    the Hilbert exit (``engine._DegreeLoop.walk``).  A complete loop gives
+    LM(I^sigma) (``_DegreeLoop.leads``), max.GB.deg(I^sigma) as the degree of
+    its least key (DRL is graded), and the weakly reverse-lex flag, with no
+    basis of I^sigma.  Only an incomplete loop, by the handover at its cap
+    (``_DegreeLoop.basis``), and Buchberger's route build that basis, and
+    ``check_weakly_revlex`` scans its leading monomials.  This uses the
+    exact series of I, not the theorem, so ``ineq_max_gb`` stays a check.
 
     No basis of <I^sigma, x_n> is computed: in(J + <x_n>) = in(J) + <x_n>
     for J = I^sigma (Bayer-Stillman 1987, Lemma 2.2), so d_reg(<I^sigma,
     x_n>) == d_reg(<I, l>) compares LM(I^sigma) with the test of l on I's
-    route (``_extension_test``).  So a run on the Macaulay route computes at
-    most one basis, of I^sigma or, for sigma the identity, of I, unless the
-    loop leaves HS(R/I) open or the cell budget cuts its walk short; on
-    Buchberger's route those of I, of <I, l> per candidate after x_n and of
+    route (``_extension_test``).  So a run on the Macaulay route computes no
+    basis unless a loop is left incomplete at its cap, the loop of I leaves
+    HS(R/I) open, or the cell budget cuts its walk short; on Buchberger's
+    route it computes those of I, of <I, l> per candidate after x_n and of
     I^sigma for sigma not the identity.
     """
     basis, loop, profile, pos, ext_profile = _ideal_for_search(system, seed, max_attempts)
@@ -609,18 +599,27 @@ def verify_main_theorem(
     gen_d_reg = profile.gen_d_reg
     d_reg_ell = ext_profile.d_reg
 
-    lm_sigma = None
-    if pos.sigma.is_identity():  # then the normalized l is x_n
-        if basis is None:  # the counted HS(R/I) lets I's loop stop at max.GB.deg(I)
-            basis = loop.basis(loop.top, profile.numerator)
-        basis_sigma, loop_sigma, sigma_xn_profile = basis, loop, ext_profile
+    identity = pos.sigma.is_identity()  # then the normalized l is x_n
+    if identity:
+        image, basis_sigma, loop_sigma = system, basis, loop
+        cap = None if loop is None else loop.top
     else:
-        loops = []  # HS(R/I^sigma) = HS(R/I), which lets its loop stop at max.GB.deg
-        basis_sigma = groebner_basis(apply_to_system(system, pos.sigma), profile.numerator, loops=loops)
-        loop_sigma = loops[0] if loops else None
+        image, basis_sigma = apply_to_system(system, pos.sigma), None
+        engine, cap = _default_route(image)  # I's route: it depends on the shape only
+        loop_sigma = None if engine == "buchberger" else _DegreeLoop(image)
+    if loop_sigma is not None and basis_sigma is None:
+        # HS(R/I^sigma) = HS(R/I), which lets the loop stop at max.GB.deg
+        loop_sigma.walk(cap, profile.numerator)
+    if loop_sigma is not None and loop_sigma.complete:
+        lm_sigma, weakly = loop_sigma.leads(), loop_sigma.weakly_revlex()
+    else:
+        if basis_sigma is None:
+            basis_sigma = buchberger(image) if loop_sigma is None else loop_sigma.basis(cap)
         lm_sigma = leading_monomial_ideal(basis_sigma)
-        sigma_xn_profile = _profile_with_xn(lm_sigma)
-    gb_deg_sigma = max_gb_deg(basis_sigma)
+        weakly = check_weakly_revlex(lm_sigma)
+    sigma_xn_profile = ext_profile if identity else _profile_with_xn(lm_sigma)
+    # DRL is graded, so the least key of LM(I^sigma) has the largest degree
+    gb_deg_sigma = _packing(n).degree(lm_sigma.keys[0])
     artinian_after_sigma = sigma_xn_profile.krull_dim == 0
     if artinian_after_sigma and sigma_xn_profile.d_reg != d_reg_ell:
         raise InvariantViolation(
@@ -632,10 +631,6 @@ def verify_main_theorem(
     rhs = max(d_reg_ell, gen_d_reg)
     ineq_max_gb = gb_deg_sigma <= rhs
     ineq_D_nm = None if bounds.D_nm is None else rhs <= bounds.D_nm
-    if loop_sigma is not None and loop_sigma.complete:
-        weakly = loop_sigma.weakly_revlex()
-    else:
-        weakly = check_weakly_revlex(lm_sigma or leading_monomial_ideal(basis_sigma))
     equality = (gb_deg_sigma == rhs) if (weakly and artinian_after_sigma) else None
 
     m_n_minus_1_law = None

@@ -32,8 +32,8 @@ loop addresses a degree-d monomial by its index among the ascending keys of
 degree d (``core._packed_monomials``); ``_products`` maps x_k times each
 degree-(d - 1) index to its degree-d index, so the loop's bookkeeping is
 numpy gathers, made once per degree for every variable together, and keys
-appear only at its edges: the generators it reads, the rows it keeps and the
-Q keys of its Hilbert exit.  The basis stays
+appear only at its edges: the generators it reads, its leads (the Q keys)
+and the rows it hands over.  The basis stays
 packed until it is read: its leading keys go on to ``hilbert.MonomialIdeal``
 and ``max_gb_deg``, and its elements become ``Polynomial``s only when first
 read, with their terms in the stored order.  Tuples appear only at the
@@ -45,11 +45,12 @@ shift.  Divisibility uses the guard bit at the top of each 32-bit field:
 a | b iff ((b | G) - a) & G == G.  A degree of 2^31 or more raises
 DegreeTooLarge rather than wrap.
 
-The degree loop (``_DegreeLoop``) builds the basis (``_DegreeLoop.basis``)
-and stays with its caller, not on the basis; it can go on past its cap.
-A loop that stopped by the cover or the Hilbert exit holds every minimal
-generator of in(I) as a leading monomial new at a degree it walked, and
-answers whether in(I) is weakly reverse-lex (``_DegreeLoop.weakly_revlex``).  Its
+The degree loop (``_DegreeLoop``) keeps echelons, builds basis rows from
+them only for ``_DegreeLoop.basis``, stays with its caller, not on the basis,
+and can go on past its cap.  A loop that stopped by the cover or the Hilbert
+exit holds every minimal generator of in(I) as a leading monomial new at a
+degree it walked, so with no basis it gives in(I) (``_DegreeLoop.leads``),
+and whether that is weakly reverse-lex (``_DegreeLoop.weakly_revlex``).  Its
 echelons of I_d give multiplication by each variable on R/I, degree by
 degree, and from those it answers the Hilbert function of <I, l> for a
 linear form l, with one rank mod p (``_DegreeLoop.extension_hf``).
@@ -650,11 +651,10 @@ def _products(n: int, d: int) -> np.ndarray:
 
 
 def _eliminate_degree(prev: _Echelon, owner: np.ndarray, gens: list, n: int, p: int):
-    """The echelon of I_d from that of I_{d-1}, and the RREF rows whose
-    leading monomials are new at degree d, as packed polynomials.
-    ``owner[t]`` is, for t in P = {x_k * u : u a leading monomial of
-    I_{d-1}}, the least k giving it, the variable of its pivot row, and n
-    for t not in P; ``gens`` are the packed degree-d generators.
+    """The echelon of I_d from that of I_{d-1}.  ``owner[t]`` is, for t in
+    P = {x_k * u : u a leading monomial of I_{d-1}}, the least k giving it,
+    the variable of its pivot row, and n for t not in P; ``gens`` are the
+    packed degree-d generators.
 
     I_d is spanned by the rows x_k * (u + tail) and the degree-d generators.
     The pivot row of each product t in P is the first one leading there;
@@ -665,7 +665,8 @@ def _eliminate_degree(prev: _Echelon, owner: np.ndarray, gens: list, n: int, p: 
     before.  The other rows [C_P | C_N], repeated products and generators,
     give D = C_N - C_P X, whose RREF holds the new leading monomials Q.  A
     product x_k * s of a standard monomial s lands in P or in N, so C_P X is
-    a gather of X's rows, never a P-wide matrix.
+    a gather of X's rows, never a P-wide matrix.  The RREF is 0 on the other
+    Q columns, so the echelon's tails are taken on the standard ones only.
 
     The places of x_k times every standard monomial and every lead of degree
     d - 1 are gathered from ``_products`` once, for all k together.  The
@@ -739,24 +740,21 @@ def _eliminate_degree(prev: _Echelon, owner: np.ndarray, gens: list, n: int, p: 
     blocks.append((on[:, standard] - _matmul_mod(on[:, plist], solved, p)) % p)
     res = rref_naive(np.vstack(blocks), p)
 
-    new = res.matrix[: res.rank]
     q_cols = list(res.pivots)
     # a mask, not np.setdiff1d: its np.unique imports numpy.ma, 1.4 MB resident
     keep = np.ones(width, dtype=bool)
     keep[q_cols] = False
-    solved = (solved - _matmul_mod(solved[:, q_cols], new, p)) % p
-    names = [keys[t] for t in standard.tolist()]
-    rows = [{names[j]: int(row[j]) for j in row.nonzero()[0].tolist()} for row in new]
+    kept = res.matrix[: res.rank, keep]  # the RREF is 0 on the other Q columns
+    solved = (solved[:, keep] - _matmul_mod(solved[:, q_cols], kept, p)) % p
     q = standard[q_cols]
-    echelon = _Echelon(
+    return _Echelon(
         d,
         np.concatenate([plist, q]),
         standard[keep],
-        np.vstack([solved[:, keep], new[:, keep]]),
+        np.vstack([solved, kept]),
         q,
         np.concatenate([owner[plist], np.full(len(q), n, dtype=np.intp)]),
     )
-    return echelon, rows
 
 
 class _DegreeLoop:
@@ -765,8 +763,7 @@ class _DegreeLoop:
     the least generator degree, ``covered``, the first degree whose
     monomials are all leading ones, and ``generated``, the degree where the
     Hilbert exit found that the leads walked generate in(I) (each None until
-    met), and ``rows``, the RREF rows led by the leads new at each degree
-    walked: the basis elements of those degrees.  I_d = 0 below lo, so every
+    met).  I_d = 0 below lo, so every
     monomial of such a degree is standard; from ``covered`` on, none is.  It
     refuses what ``_check_system`` refuses and lists no monomial before it
     walks, so a caller can check the walk's cells first."""
@@ -782,7 +779,6 @@ class _DegreeLoop:
         self.echelons = []  # of the degrees lo..top
         self.covered = None
         self.generated = None
-        self.rows = []
         self._owner = None  # of the degree after the last echelon, once made
         self._maps = {}  # degree d -> multiplication by each x_k into degree d
 
@@ -799,9 +795,10 @@ class _DegreeLoop:
         monomial not in P."""
         if self.covered is None and self._owner is None:
             n, d = self.pack.n, self.top + 1
-            self._owner = np.full(math.comb(n - 1 + d, d), n, dtype=np.intp)
-            for k in reversed(range(n)):  # the least k is written last
-                self._owner[_products(n, d)[k, self.echelon(self.top).leads]] = k
+            hits = np.zeros((n + 1, math.comb(n - 1 + d, d)), dtype=bool)
+            hits[n] = True  # argmax takes the first hit: the least k, else n
+            hits[np.arange(n)[:, None], _products(n, d)[:, self.echelon(self.top).leads]] = True
+            self._owner = hits.argmax(axis=0)
             if not np.any(self._owner == n):
                 self.covered = d
         return self.covered is not None
@@ -813,11 +810,11 @@ class _DegreeLoop:
         return self.covered is not None or self.generated is not None
 
     def walk(self, hi: int, numerator=None) -> None:
-        """Eliminate every degree up to ``hi``, or up to the cover, adding
-        the RREF rows whose leading monomials are new in those degrees to
-        ``rows``.  Given ``numerator``, that of HS(R/I), it also stops at the
-        first degree that passes the Hilbert exit (``_generates``), from the
-        top already walked on, and records it as ``generated``."""
+        """Eliminate every degree up to ``hi``, or up to the cover, keeping
+        the echelon of each.  Given ``numerator``, that of HS(R/I), it also
+        stops at the first degree that passes the Hilbert exit
+        (``_generates``), from the top already walked on, and records it as
+        ``generated``."""
         hf = None if numerator is None else expand_hilbert_series(
             numerator, self.pack.n, max(hi, self.top) + 1)
         ask = bool(self.echelons)  # a degree walked before without the numerator
@@ -828,10 +825,9 @@ class _DegreeLoop:
             if self.covers_next() or self.top >= hi:
                 return
             prev, gens = self.echelon(self.top), self.gens.get(self.top + 1, [])
-            echelon, new = _eliminate_degree(prev, self._owner, gens, self.pack.n, self.field.p)
+            echelon = _eliminate_degree(prev, self._owner, gens, self.pack.n, self.field.p)
             self._owner = None
             self.echelons.append(echelon)
-            self.rows.extend(new)
             ask = len(echelon.new) > 0
 
     def _generates(self, hf: list, numerator) -> bool:
@@ -861,9 +857,9 @@ class _DegreeLoop:
         return poly_trim(hilbert_numerator(self.leads())) == poly_trim(numerator)
 
     def leads(self) -> MonomialIdeal:
-        """J, the ideal of the leads walked, inside in(I) and equal to it up
-        to the top degree; its minimal generators are the Q_d of the degrees
-        walked."""
+        """J, the ideal of the leads walked, inside in(I), equal to it up to
+        the top degree, and in(I) itself once the loop is ``complete``; its
+        minimal generators are the Q_d of the degrees walked."""
         n = self.pack.n
         keys = sorted(_packed_monomials(n, e.degree)[q] for e in self.echelons for q in e.new)
         return MonomialIdeal(n, tuple(keys))
@@ -874,14 +870,23 @@ class _DegreeLoop:
         top degree walked.  Given ``numerator``, that of HS(R/I), the walk
         also ends at the first degree whose leads generate in(I) (the Hilbert
         exit, ``_generates``), asked first of the top degree of a loop walked
-        before, with no pair.  The loop can go on past ``cap`` afterwards."""
+        before, with no pair.  The rows, the basis elements led by the Q_d
+        walked, are built here, each a 1 at q and then its tail, keys above
+        q's.  The loop can go on past ``cap`` afterwards."""
         self.walk(cap, numerator)
+        rows = []
+        for e in self.echelons:
+            keys = _packed_monomials(self.pack.n, e.degree)
+            names = [keys[t] for t in e.standard.tolist()]
+            for q, tail in zip(e.new.tolist(), e.tails[len(e.leads) - len(e.new):]):
+                terms = {names[j]: int(tail[j]) for j in tail.nonzero()[0].tolist()}
+                rows.append({keys[q]: 1, **terms})
         # with the next degree covered, or the leads generating in(I), the rows
         # are the reduced basis; else every leading monomial of degree <= top
         # in the ideal is divisible by a collected one, so the rows are a
         # Groebner basis up to degree top
         above = math.inf if self.complete else max(cap, self.top)
-        return _complete(self.rows, self.pack, self.field, above=above)
+        return _complete(rows, self.pack, self.field, above=above)
 
     def echelon(self, d: int) -> _Echelon:
         """The echelon of I_d, for d <= top or from the cover on."""
@@ -956,12 +961,12 @@ def gb_up_to(system: PolySystem, cap: int) -> GroebnerBasis:
     Degree d is eliminated from the echelon of degree d - 1
     (``_eliminate_degree``) rather than from M_d: the rows of the RREF of
     M_{d-1}, times each variable, and the degree-d generators span I_d.
-    The RREF rows led by monomials new at degree d are kept as packed
-    polynomials; their keys ascend, so the pivot, a 1, comes first.  The
-    loop (``_DegreeLoop.basis``) is dropped on return; a caller that reads
-    its echelons builds one and asks it for the basis.  A refused system
-    raises before a cap below the top degree (DegreeTooSmall) or a loop over
-    the cell budget (MatrixTooLarge).
+    Each degree keeps only its echelon; the rows led by monomials new at a
+    degree become packed polynomials, the pivot, a 1, first, when the loop
+    hands them over (``_DegreeLoop.basis``).  The loop is dropped on return;
+    a caller that reads its echelons builds one and asks it for the basis.
+    A refused system raises before a cap below the top degree
+    (DegreeTooSmall) or a loop over the cell budget (MatrixTooLarge).
     """
     loop = _DegreeLoop(system)
     if cap < max(system.degrees):

@@ -577,11 +577,12 @@ class TestCountedHilbertData:
             assert report.engine == ("buchberger" if expected else "macaulay")
             assert report.krull_dim == krull and report.sigma.is_identity()
             assert set(calls) == expected
-        # a shear on corner 6/6: LM is read once, of I^sigma, for <I^sigma, x_n>
+        # a shear on corner 6/6: the loop of I^sigma, stopped by the Hilbert
+        # exit, gives LM(I^sigma), whose profile with x_n is the one oracle
         calls.clear()
         report = verify_main_theorem(corner_system(6, 6, (2,) * 6, f31, seed=1), seed=0)
         assert report.engine == "macaulay" and not report.sigma.is_identity()
-        assert sorted(calls) == ["_profile_with_xn", "leading_monomial_ideal", "regularity_profile"]
+        assert sorted(calls) == ["_profile_with_xn", "regularity_profile"]
 
 
 @st.composite
@@ -682,9 +683,9 @@ def sigma_image_cases(draw):
 
 def sigma_image_check(monkeypatch, check):
     """Run ``check(image, basis, loop)`` over derandomized
-    ``sigma_image_cases``, where basis and loop are what ``groebner_basis``
-    gives the image with the numerator of HS(R/I), every shape routed to the
-    degree loop."""
+    ``sigma_image_cases``, where basis and loop are what the degree loop of
+    the image gives at its default cap with the numerator of HS(R/I), every
+    shape routed to the degree loop."""
     monkeypatch.setattr(analysis, "_ELIMINATION_MIN_MONOMIALS", 0)
 
     @settings(max_examples=80, deadline=None, derandomize=True)
@@ -692,9 +693,10 @@ def sigma_image_check(monkeypatch, check):
     def run(case):
         system, image = case
         lm = leading_monomial_ideal(buchberger(system))
-        loops = []
-        basis = analysis.groebner_basis(image, regularity_profile(lm).numerator, loops=loops)
-        check(image, basis, loops[0])
+        route, cap = analysis._default_route(image)
+        assert route == "macaulay"
+        loop = analysis._DegreeLoop(image)
+        check(image, loop.basis(cap, regularity_profile(lm).numerator), loop)
 
     run()
 
@@ -731,33 +733,84 @@ class TestHilbertExitOnImages:
         sigma_image_check(monkeypatch, check)
         assert True in flags and False in flags
 
+    def test_leading_ideal_from_the_loop(self, monkeypatch):
+        # a complete loop's leads are LM of the basis it would build, and the
+        # degree of their least key is max.GB.deg
+        complete = []
+
+        def check(image, basis, loop):
+            complete.append(loop.complete)
+            if loop.complete:
+                lm = leading_monomial_ideal(basis)
+                assert loop.leads() == lm
+                assert loop.pack.degree(lm.keys[0]) == max_gb_deg(basis)
+
+        sigma_image_check(monkeypatch, check)
+        assert True in complete
+
     def test_corner_image_stops_at_its_basis_degree(self, f31, monkeypatch):
         # corner 6/6: the loop of I^sigma eliminates no degree above
         # max.GB.deg(I^sigma) = 5, below the cap D(6, 6) = 7, forms no
         # S-pair, and gives the report its weakly reverse-lex flag
         system = corner_system(6, 6, (2,) * 6, f31, seed=1)
-        seen, spolys, made = [], [], []
-        real_basis, real_spoly = analysis.groebner_basis, engine._spoly
-
-        def basis_spy(image, numerator, loops):
-            spolys.clear()  # those of I's basis, made before
-            basis = real_basis(image, numerator, loops=loops)
-            seen.append((basis, loops[0]))
-            made.append(len(spolys))
-            return basis
+        loops, spolys = [], []
+        real_loop, real_spoly = analysis._DegreeLoop, engine._spoly
 
         def no_scan(lm):
             raise AssertionError("check_weakly_revlex called")
 
-        monkeypatch.setattr(analysis, "groebner_basis", basis_spy)
+        monkeypatch.setattr(analysis, "_DegreeLoop", lambda s: loops.append(real_loop(s)) or loops[-1])
         monkeypatch.setattr(engine, "_spoly", lambda *args: spolys.append(args) or real_spoly(*args))
         monkeypatch.setattr(analysis, "check_weakly_revlex", no_scan)
         report = verify_main_theorem(system, seed=0)
-        [(basis, loop)] = seen
+        image = apply_to_system(system, report.sigma)
+        [_, loop] = loops  # those of I and of I^sigma
         assert report.engine == "macaulay" and analysis._default_route(system) == ("macaulay", 7)
         assert loop.top == loop.generated == report.max_gb_deg_sigma == 5
-        assert made == [0]
-        assert report.weakly_revlex == check_weakly_revlex(leading_monomial_ideal(basis))
+        assert not spolys
+        assert report.weakly_revlex == check_weakly_revlex(leading_monomial_ideal(buchberger(image)))
+
+    @pytest.mark.parametrize("sampler, m", [(sample_system, 7), (corner_system, 6)])
+    def test_a_complete_loop_assembles_no_basis(self, f31, monkeypatch, sampler, m):
+        # dense 6/7 (sigma the identity) and corner 6/6 (a shear): the report
+        # comes off complete degree loops, with no basis assembled
+        system = sampler(6, m, (2,) * m, f31, seed=1)
+
+        def no_basis(*args, **kwargs):
+            raise AssertionError("a basis was assembled")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(engine, "_complete", no_basis)
+            patch.setattr(engine, "_reduced_basis", no_basis)
+            report = verify_main_theorem(system, seed=0)
+        assert report.engine == "macaulay"
+        assert report.sigma.is_identity() == (sampler is sample_system)
+        image = apply_to_system(system, report.sigma)
+        assert report.max_gb_deg_sigma == max_gb_deg(buchberger(image))
+
+    def test_an_incomplete_loop_hands_over(self, monkeypatch):
+        # Z 4/5 over F_2: the loop of I^sigma ends at its cap D(4, 5) = 3,
+        # below max.GB.deg(I^sigma) = 4, so Buchberger's loop finishes the
+        # basis from there; the report is the one of Buchberger's route
+        system = sample_Z_system(4, 5, (2,) * 5, PrimeField(2), seed=2)
+        loops, handovers = [], []
+        real_loop, real_complete = analysis._DegreeLoop, engine._complete
+
+        def complete(G, pack, fld, above=None):
+            handovers.append(above)
+            return real_complete(G, pack, fld, above)
+
+        monkeypatch.setattr(analysis, "_ELIMINATION_MIN_MONOMIALS", 0)
+        monkeypatch.setattr(analysis, "_DegreeLoop", lambda s: loops.append(real_loop(s)) or loops[-1])
+        monkeypatch.setattr(engine, "_complete", complete)
+        routed = verify_main_theorem(system, seed=0)
+        [_, loop] = loops  # those of I and of I^sigma
+        assert routed.engine == "macaulay" and not routed.sigma.is_identity()
+        assert not loop.complete and loop.top == 3 < routed.max_gb_deg_sigma == 4
+        assert handovers == [3]
+        monkeypatch.setattr(analysis, "_ELIMINATION_MIN_MONOMIALS", 10**9)
+        oracle = verify_main_theorem(system, seed=0)
+        assert oracle.engine == "buchberger" and comparable(routed) == comparable(oracle)
 
 
 class TestVerifyMainTheorem:
