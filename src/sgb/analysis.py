@@ -465,11 +465,11 @@ def _walk_for_search(system: PolySystem, loop: _DegreeLoop, cap: int) -> int | N
 
 
 def _ideal_for_search(system: PolySystem, seed: int, max_attempts: int):
-    """I's basis (None if none was built), I's degree loop (None on
-    Buchberger's route), the profile of R/I, the position change and the
-    profile of <I, l>.  NotHomogeneous and SgbError (``max_attempts`` < 1)
-    come before any elimination, DimensionTooHigh (dim R/I >= 2: no single
-    form can work) before any candidate.
+    """I's basis (None if none was built), I's degree loop and the cap of
+    its route (both None on Buchberger's route), the profile of R/I, the
+    position change and the profile of <I, l>.  NotHomogeneous and SgbError
+    (``max_attempts`` < 1) come before any elimination, DimensionTooHigh
+    (dim R/I >= 2: no single form can work) before any candidate.
 
     On the Macaulay route x_n is read from the x_n-free standard counts of
     I's loop at the Lazard degree of <I, l> (``_walk_for_search``), the
@@ -491,13 +491,13 @@ def _ideal_for_search(system: PolySystem, seed: int, max_attempts: int):
         found = _search_linear_form(system, first, loop, seed, max_attempts)
         profile = _loop_profile(loop, max(max(system.degrees), found[1].d_reg))
         if profile is not None:
-            return None, loop, profile, *found
+            return None, loop, cap, profile, *found
     basis = buchberger(system) if loop is None else loop.basis(cap)
     lm, profile = _hilbert_of_basis(basis)
     if profile.krull_dim >= 2:
         raise DimensionTooHigh(f"Krull dimension {profile.krull_dim} >= 2: no single form can work")
     found = found or _search_linear_form(system, _profile_with_xn(lm), loop, seed, max_attempts)
-    return basis, loop, profile, *found
+    return basis, loop, cap, profile, *found
 
 
 def find_linear_form(
@@ -511,7 +511,7 @@ def find_linear_form(
     SearchExhausted when the budget runs out (the field may be too small)
     and DimensionTooHigh when R/I itself has dimension >= 2.
     """
-    return _ideal_for_search(system, seed, max_attempts)[3]
+    return _ideal_for_search(system, seed, max_attempts)[4]
 
 
 # ---------------------------------------------------------------------------
@@ -593,7 +593,7 @@ def verify_main_theorem(
     route it computes those of I, of <I, l> per candidate after x_n and of
     I^sigma for sigma not the identity.
     """
-    basis, loop, profile, pos, ext_profile = _ideal_for_search(system, seed, max_attempts)
+    basis, loop, cap, profile, pos, ext_profile = _ideal_for_search(system, seed, max_attempts)
     n, m, degrees = system.n, system.m, system.degrees
     semireg = _certification(profile, degrees)
     gen_d_reg = profile.gen_d_reg
@@ -604,9 +604,9 @@ def verify_main_theorem(
         image, basis_sigma, loop_sigma = system, basis, loop
         cap = None if loop is None else loop.top
     else:
+        # I^sigma takes I's route and cap: they depend on the shape only
         image, basis_sigma = apply_to_system(system, pos.sigma), None
-        engine, cap = _default_route(image)  # I's route: it depends on the shape only
-        loop_sigma = None if engine == "buchberger" else _DegreeLoop(image)
+        loop_sigma = None if loop is None else _DegreeLoop(image)
     if loop_sigma is not None and basis_sigma is None:
         # HS(R/I^sigma) = HS(R/I), which lets the loop stop at max.GB.deg
         loop_sigma.walk(cap, profile.numerator)

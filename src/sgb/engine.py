@@ -810,11 +810,11 @@ class _DegreeLoop:
         return self.covered is not None or self.generated is not None
 
     def walk(self, hi: int, numerator=None) -> None:
-        """Eliminate every degree up to ``hi``, or up to the cover, keeping
-        the echelon of each.  Given ``numerator``, that of HS(R/I), it also
-        stops at the first degree that passes the Hilbert exit
-        (``_generates``), from the top already walked on, and records it as
-        ``generated``."""
+        """Eliminate every degree up to ``hi``, keeping the echelon of each,
+        and stop early at the cover or at a Hilbert exit already met.  Given
+        ``numerator``, that of HS(R/I), it asks the Hilbert exit
+        (``_generates``) of each degree from the top already walked on, and
+        records the first that passes as ``generated``."""
         hf = None if numerator is None else expand_hilbert_series(
             numerator, self.pack.n, max(hi, self.top) + 1)
         ask = bool(self.echelons)  # a degree walked before without the numerator
@@ -822,7 +822,7 @@ class _DegreeLoop:
             if hf is not None and ask and not self.complete and self._generates(hf, numerator):
                 self.generated = self.top
                 return
-            if self.covers_next() or self.top >= hi:
+            if self.generated is not None or self.covers_next() or self.top >= hi:
                 return
             prev, gens = self.echelon(self.top), self.gens.get(self.top + 1, [])
             echelon = _eliminate_degree(prev, self._owner, gens, self.pack.n, self.field.p)
@@ -864,16 +864,14 @@ class _DegreeLoop:
         keys = sorted(_packed_monomials(n, e.degree)[q] for e in self.echelons for q in e.new)
         return MonomialIdeal(n, tuple(keys))
 
-    def basis(self, cap: int, numerator=None) -> GroebnerBasis:
+    def basis(self, cap: int) -> GroebnerBasis:
         """The complete reduced basis: the walk up to ``cap``, or to the
-        cover, then Buchberger's loop on the pairs whose lcm lies above the
-        top degree walked.  Given ``numerator``, that of HS(R/I), the walk
-        also ends at the first degree whose leads generate in(I) (the Hilbert
-        exit, ``_generates``), asked first of the top degree of a loop walked
-        before, with no pair.  The rows, the basis elements led by the Q_d
-        walked, are built here, each a 1 at q and then its tail, keys above
-        q's.  The loop can go on past ``cap`` afterwards."""
-        self.walk(cap, numerator)
+        cover or the Hilbert exit, then Buchberger's loop on the pairs whose
+        lcm lies above the top degree walked, with no pair once the loop is
+        ``complete``.  The rows, the basis elements led by the Q_d walked,
+        are built here, each a 1 at q and then its tail, keys above q's.  The
+        loop can go on past ``cap`` afterwards."""
+        self.walk(cap)
         rows = []
         for e in self.echelons:
             keys = _packed_monomials(self.pack.n, e.degree)

@@ -610,7 +610,7 @@ class TestCountedSeries:
         @given(krull_one_cases())
         def check(system):
             try:
-                basis, loop, profile, _, ext = analysis._ideal_for_search(system, 0, 64)
+                basis, loop, _, profile, _, ext = analysis._ideal_for_search(system, 0, 64)
             except (DimensionTooHigh, SearchExhausted):
                 return
             assert profile == regularity_profile(leading_monomial_ideal(buchberger(system)))
@@ -696,7 +696,8 @@ def sigma_image_check(monkeypatch, check):
         route, cap = analysis._default_route(image)
         assert route == "macaulay"
         loop = analysis._DegreeLoop(image)
-        check(image, loop.basis(cap, regularity_profile(lm).numerator), loop)
+        loop.walk(cap, regularity_profile(lm).numerator)
+        check(image, loop.basis(cap), loop)
 
     run()
 

@@ -1210,7 +1210,9 @@ def hilbert_walk(system, cap, numerator):
     real = engine._spoly
     with pytest.MonkeyPatch.context() as mp, eliminations(mp) as seen:
         mp.setattr(engine, "_spoly", lambda *args: spolys.append(args) or real(*args))
-        basis = engine._DegreeLoop(system).basis(cap, numerator)
+        loop = engine._DegreeLoop(system)
+        loop.walk(cap, numerator)
+        basis = loop.basis(cap)
     return basis, [echelon.degree for echelon in seen], len(spolys)
 
 
