@@ -7,13 +7,13 @@ HS(R/I), the first degree whose leading monomials have that Hilbert series
 Buchberger's loop finishes the basis.
 
 Matrices are dense int64 numpy arrays with entries in [0, p) on input and
-output.  Elimination leaves rows in place and takes as each column's pivot
-row the first free row in input order, so the pivots supplied by the first k
-rows are those of the RREF of those rows; rows are gathered into RREF order
-at the end.  It delays the reduction mod p: pivot columns and pivot rows are
-reduced before use, so every update subtracts a product of two residues, at
-most (p - 1)^2 < 2^62 for p < 2^31, and the trailing block is swept mod p
-only when the next update could pass 2^63 - 1.
+output.  Elimination swaps each column's pivot row, its first nonzero row
+below the pivot rows so far, up under them, and subtracts one outer product
+of the column and the pivot row, from the rows it hits when they are fewer
+than half, else from the whole block.  It delays the reduction mod p: pivot
+columns and pivot rows are reduced before use, so every update subtracts a
+product of two residues, at most (p - 1)^2 < 2^62 for p < 2^31, and the
+block is swept mod p only when the next update could pass 2^63 - 1.
 
 ``gb_up_to`` never builds M_d.  It keeps the RREF of the degree-(d - 1) part
 of the ideal as its leading monomials and their tails over the standard
@@ -242,49 +242,49 @@ class RrefResult:
 
 
 def _rref_inplace(a: np.ndarray, p: int):
-    """Gauss-Jordan elimination of an int64 matrix with entries in [0, p).
-    Rows stay in place: a column's pivot row is the first free row, in input
-    order, that is nonzero there.  The pivot rows are gathered in pivot order
-    at the end, leaving the canonical RREF in ``a``; returns the pivot
-    columns."""
+    """Gauss-Jordan elimination of an int64 matrix with entries in [0, p),
+    leaving the canonical RREF in ``a``; returns the pivot columns.  A
+    column's pivot row is its first nonzero row at or below ``top``, the
+    number of pivots so far, swapped up to ``top``; the outer product of the
+    column mod p and the pivot row is subtracted from the rows it hits when
+    they are fewer than half, else from the whole block."""
     rows, cols = a.shape
     step = (p - 1) ** 2  # largest product of a multiplier and a residue
     bound = p - 1  # every entry of a[:, c:] satisfies |entry| <= bound
-    free = np.ones(rows, dtype=bool)
-    pivots, pivot_rows = [], []
+    pivots = []
     for c in range(cols):
-        if len(pivots) == rows:
+        top = len(pivots)
+        if top == rows:
             break
-        a[:, c] %= p
-        nz = (free & (a[:, c] != 0)).nonzero()[0]
+        col = a[:, c] % p
+        nz = col[top:].nonzero()[0]
         if nz.size == 0:
             continue
-        r = int(nz[0])
-        free[r] = False
-        a[r, c:] %= p
-        a[r, c:] = a[r, c:] * pow(int(a[r, c]), -1, p) % p
-        hit = a[:, c].nonzero()[0]
-        hit = hit[hit != r]
+        r = top + int(nz[0])
+        row = a[r, c:] % p * pow(int(col[r]), -1, p) % p
+        if r != top:  # columns before c are 0 mod p in both rows
+            a[r, c:] = a[top, c:]
+            col[r] = col[top]
+        a[top, c:] = row
+        col[top] = 0
+        hit = col.nonzero()[0]
         if hit.size:
             if bound > _INT64_MAX - step:
                 a[:, c:] %= p
                 bound = p - 1
-            a[hit, c:] -= np.outer(a[hit, c], a[r, c:])
+            at = hit if 2 * hit.size < rows else slice(None)  # gather, or broadcast
+            a[at, c:] -= col[at, None] * row
             bound += step
         pivots.append(c)
-        pivot_rows.append(r)
-    # every free row is zero by now: each column either has no nonzero free
-    # entry or was cleared by its pivot
-    kept = a[pivot_rows]
-    kept %= p
-    a[: len(kept)] = kept
-    a[len(kept):] = 0
+    # rows below the pivot rows are 0 mod p: each column was cleared there
+    a[: len(pivots)] %= p
+    a[len(pivots):] = 0
     return pivots
 
 
 def rref_naive(a: np.ndarray, p: int) -> RrefResult:
-    """Canonical reduced row echelon form by Gauss-Jordan elimination over
-    F_p, for primes p < 2^31.
+    """Canonical reduced row echelon form by Gauss-Jordan elimination with
+    row swaps over F_p, for primes p < 2^31.
 
     Updates are left unreduced until the next one could pass 2^63 - 1; the
     pivot column and the pivot row are reduced before they are used, so the
@@ -298,8 +298,8 @@ def rref_naive(a: np.ndarray, p: int) -> RrefResult:
 def rref_block(a: np.ndarray, p: int) -> RrefResult:
     """RREF via repeated elimination of 2l-row batches (l = column count).
 
-    Each pass reduces the first 2l rows of the pool and puts the surviving
-    nonzero rows back in front; at most ceil(k/l) passes.
+    Each pass reduces the first 2l rows of the pool, which leaves its nonzero
+    rows on top, and puts those back in front; at most ceil(k/l) passes.
     The result is bitwise identical to :func:`rref_naive`.
     """
     pool = np.asarray(a, dtype=np.int64) % p

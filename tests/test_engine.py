@@ -649,6 +649,30 @@ class TestRref:
         assert not set(rref_naive(a, p).pivots) & set(dependent)
         assert_matches_oracle(a, p)
 
+    @pytest.mark.parametrize("p", KERNEL_PRIMES)
+    @pytest.mark.parametrize(
+        "blocks, size, dense",
+        [(8, 3, 0), (6, 4, 6), (3, 5, 20)],
+    )
+    def test_kernels_match_oracle_with_shuffled_blocks(self, p, blocks, size, dense):
+        # blocks of `size` rows and size - 1 columns down the diagonal, the
+        # rows shuffled, then `dense` random columns: most pivot rows lie below
+        # those found so far and are swapped up; a block column is hit by
+        # fewer than half the rows, and updated by gather and scatter, a dense
+        # column by more, and updated by one broadcast; at p = 2^31 - 1 a
+        # sweep mod p comes before every second update, of either kind
+        rng = np.random.default_rng(blocks * size + dense)
+        rows, width = blocks * size, blocks * (size - 1)
+        a = np.zeros((rows, width + dense), dtype=np.int64)
+        for b in range(blocks):
+            at = (slice(b * size, (b + 1) * size), slice(b * (size - 1), (b + 1) * (size - 1)))
+            a[at] = rng.integers(1, p, size=(size, size - 1), dtype=np.int64)
+        a[:, width:] = rng.integers(0, p, size=(rows, dense), dtype=np.int64)
+        a = a[rng.permutation(rows)]
+        assert_matches_oracle(a, p)
+        a += p * rng.integers(-2, 3, size=a.shape, dtype=np.int64)
+        assert_matches_oracle(a, p)
+
     def test_largest_prime_sweeps_unreduced_entries(self):
         # at p = 2^31 - 1 each update subtracts up to about 2^62, and the
         # non-pivot columns of a 12 x 16 or 24 x 32 matrix are hit by every
