@@ -29,8 +29,8 @@ from .core import (
     monomials_of_degree,
 )
 from .engine import (
+    MAX_LOOP_DEGREES,
     GroebnerBasis,
-    _check_degree_loop,
     _check_system,
     _DegreeLoop,
     buchberger,
@@ -42,7 +42,6 @@ from .errors import (
     DimensionMismatch,
     DimensionTooHigh,
     InvariantViolation,
-    MatrixTooLarge,
     NotHomogeneous,
     NotLinear,
     SearchExhausted,
@@ -63,12 +62,12 @@ from .series import (
 
 # Fewest monomials of degree top + 1, for top the largest generator degree,
 # at which the default route eliminates: quadrics in n >= 5, cubics in
-# n >= 4.  The CPU time of verify_main_theorem on the Buchberger route over
-# that on the loop, median over dense, Z and corner systems with m = n - 1
-# .. n + 2 over F_q, q in {2, 3, 7, 31, 2^31 - 1}, ranging over m, all
-# reports equal: quadrics in n = 3..7 (10, 20, 35, 56, 84 monomials)
-# 0.30-0.59, 0.48-0.86, 0.98-1.31, 1.74-3.36, 2.59-5.09; cubics in n = 3..5
-# (15, 35, 70) 0.25-0.44, 0.67-1.20, 1.43-4.36.
+# n >= 4.  The CPU time of verify_main_theorem with the loop forced over that
+# on the default route, per cell of the experiment-batch grid (dense and Z
+# quadrics over F_q, q in {2, 3, 7, 31}, 4 seeds x 5 trials, best of 5,
+# alternating, reports equal): n = 3 (10 monomials) 1.53-2.19, 4/4 (20)
+# 0.83-1.27, 4/5 0.63-1.47, the whole grid 1.11.  Cubics in n = 3..5 (15, 35,
+# 70) read 0.25-0.44, 0.67-1.20, 1.43-4.36 earlier, Buchberger over loop.
 _ELIMINATION_MIN_MONOMIALS = 35
 
 
@@ -78,8 +77,9 @@ def _default_route(system: PolySystem) -> tuple[str, int | None]:
     A system that the degree loop takes (``engine._check_system``) and whose
     degree top + 1 has at least ``_ELIMINATION_MIN_MONOMIALS`` monomials goes
     to the Macaulay engine at the cap D(n, m) (the Lazard bound where D is
-    undefined, and never below top), if ``gb_up_to``'s degree loop up to
-    that cap fits the engine's cell budget.  Every other system goes to the
+    undefined, and never below top), unless the loop would walk more than
+    ``MAX_LOOP_DEGREES`` degrees up to it; a walk that meets the loop's
+    other limits hands over below the cap.  Every other system goes to the
     Buchberger oracle, which raises the typed error of each system it
     refuses too.  The verifier routes I and I^sigma the same way, and on the
     Macaulay route reads HS(R/I) and the linear form off I's loop
@@ -99,9 +99,7 @@ def _default_route(system: PolySystem) -> tuple[str, int | None]:
     except (UndefinedBound, CapExhausted):
         cap = lazard_bound(n, m, degrees)
     cap = max(cap, top)
-    try:
-        _check_degree_loop(system, min(degrees), cap)
-    except MatrixTooLarge:
+    if cap - min(degrees) >= MAX_LOOP_DEGREES:
         return "buchberger", None
     return "macaulay", cap
 
@@ -419,8 +417,9 @@ def _loop_profile(loop: _DegreeLoop, start: int) -> HilbertProfile | None:
     """HS(R/I) counted on I's degree loop once a form l is accepted, with no
     basis of I, at the least m >= ``start`` = max(top generator degree,
     d_reg(<I, l>)) where l is injective from (R/I)_m to (R/I)_{m+1}; None
-    if no m up to the top degree walked, or the cover, has it.  The loop
-    walks one degree more for m = top.  HF_{R/<I, l>} is 0 from m on, so l
+    if no m up to the top degree walked, or the cover, has it, or the walk
+    stops before m + 1.  The loop walks one degree more for m = top.
+    HF_{R/<I, l>} is 0 from m on, so l
     maps (R/I)_m onto (R/I)_{m+1}, and injectivity, HF_{R/I}(m + 1) -
     HF_{R/<I, l>}(m + 1) = HF_{R/I}(m), reads HF_{R/I}(m + 1) = HF_{R/I}(m).
     Then HF_{R/I} stays HF_{R/I}(m) from m on (``_counted_profile``) by the
@@ -443,6 +442,8 @@ def _loop_profile(loop: _DegreeLoop, start: int) -> HilbertProfile | None:
     last = loop.top if loop.covered is None else max(loop.covered, start)
     for m in range(start, last + 1):
         loop.walk(m + 1)
+        if loop.covered is None and loop.top <= m:
+            return None
         if loop.hf(m + 1) == loop.hf(m):
             return _counted_profile([loop.hf(d) for d in range(m + 1)], loop.pack.n)
     return None
@@ -451,17 +452,13 @@ def _loop_profile(loop: _DegreeLoop, start: int) -> HilbertProfile | None:
 def _walk_for_search(system: PolySystem, loop: _DegreeLoop, cap: int) -> int | None:
     """Walk I's loop to ``cap`` and, short of its cover, to the Lazard degree
     of <I, l>, which it returns once the cover or the leads walked show dim
-    R/I <= 1 (they lie in in(I)); None if they do not, or if the cell budget
-    refuses the walk to one degree past both, with the loop at the cap."""
+    R/I <= 1 (they lie in in(I)); None if they do not, or if the loop's
+    budget stopped the walk short of the Lazard degree."""
     lazard = lazard_bound(system.n, system.m + 1, system.degrees + (1,))
-    loop.walk(cap)
-    if loop.covered is None:
-        try:
-            _check_degree_loop(system, loop.lo, max(cap, lazard) + 1)
-        except MatrixTooLarge:
-            return None
-        loop.walk(lazard)
-    return lazard if loop.covered is not None or krull_dim(loop.leads()) <= 1 else None
+    loop.walk(max(cap, lazard))
+    if loop.covered is None and (loop.top < lazard or krull_dim(loop.leads()) > 1):
+        return None
+    return lazard
 
 
 def _ideal_for_search(system: PolySystem, seed: int, max_attempts: int):
@@ -602,7 +599,6 @@ def verify_main_theorem(
     identity = pos.sigma.is_identity()  # then the normalized l is x_n
     if identity:
         image, basis_sigma, loop_sigma = system, basis, loop
-        cap = None if loop is None else loop.top
     else:
         # I^sigma takes I's route and cap: they depend on the shape only
         image, basis_sigma = apply_to_system(system, pos.sigma), None

@@ -1,10 +1,10 @@
 """Macaulay matrices, exact RREF over F_p (naive and block variants), and
 complete reduced Groebner bases two ways: degree-by-degree elimination
-(``gb_up_to``), and the Buchberger oracle.  The elimination has three
+(``gb_up_to``), and the Buchberger oracle.  The elimination has four
 exits: the first degree its leading monomials cover; given the numerator of
 HS(R/I), the first degree whose leading monomials have that Hilbert series
-(the Hilbert exit, ``_DegreeLoop._generates``); or else the cap, where
-Buchberger's loop finishes the basis.
+(the Hilbert exit, ``_DegreeLoop._generates``); or else the cap or a limit
+of the walk (``_DegreeLoop.walk``), where Buchberger's loop finishes it.
 
 Matrices are dense int64 numpy arrays with entries in [0, p) on input and
 output.  Elimination swaps each column's pivot row, its first nonzero row
@@ -75,6 +75,7 @@ from dataclasses import dataclass, field as _dc_field
 import numpy as np
 
 from .core import (
+    MAX_MONOMIALS,
     PolySystem,
     _packed_monomials,
     _packing,
@@ -94,9 +95,10 @@ from .hilbert import MonomialIdeal, _minimal, expand_hilbert_series, hilbert_num
 from .series import poly_trim
 
 # Largest Macaulay matrix the engine builds (2^27 int64 cells are 1 GiB), and
-# the most cells a gb_up_to degree loop's blocks may have in all.
+# the most cells a degree loop's arrays may have in all, by the bound it takes
+# before each degree; the loop stops before passing it, as at a cap.
 MAX_MACAULAY_CELLS = 2**27
-# Most degrees a gb_up_to loop walks: each costs an elimination however small
+# Most degrees a degree loop walks: each costs an elimination however small
 # its blocks are (in one variable every degree has one monomial).
 MAX_LOOP_DEGREES = 2**10
 # Most S-pair reductions one Buchberger loop makes, on every route: a count,
@@ -140,43 +142,6 @@ def _macaulay_cells(system: PolySystem, d: int) -> int:
     return rows * math.comb(n - 1 + d, d)
 
 
-def _check_cells(cells: int, what: str) -> None:
-    if cells > MAX_MACAULAY_CELLS:
-        raise MatrixTooLarge(
-            f"{what} needs at least {cells} matrix cells, over the limit "
-            f"of {MAX_MACAULAY_CELLS}"
-        )
-
-
-def _degree_cells(system: PolySystem, d: int) -> int:
-    """Most cells gb_up_to's degree-d blocks have together: every product
-    x_k * u of a degree-(d - 1) monomial and every degree-d generator is a
-    row of X or of D, over at most all the degree-d monomials."""
-    n = system.n
-    products = n * math.comb(n - 2 + d, d - 1) if d >= 1 else 0
-    rows = products + sum(dj == d for dj in system.degrees)
-    return rows * math.comb(n - 1 + d, d)
-
-
-def _check_degree_loop(system: PolySystem, lo: int, cap: int) -> None:
-    """Refuse gb_up_to's loop over the degrees lo..cap if it has too many
-    degrees or its blocks have too many cells in all.  The loop keeps every
-    echelon it makes, and the multiplication maps built from them: the
-    tails of degree d and the maps into degree d each have at most the cells
-    ``_degree_cells`` counts for d, as do its X and D (with a copy for the
-    RREF), which live only while d is eliminated.  So the summed count
-    bounds what the loop keeps, up to a factor of four."""
-    what = f"the degree loop {lo}..{cap}"
-    if cap - lo + 1 > MAX_LOOP_DEGREES:
-        raise MatrixTooLarge(
-            f"{what} has {cap - lo + 1} degrees, over the limit of {MAX_LOOP_DEGREES}"
-        )
-    total = 0
-    for d in range(cap, lo - 1, -1):  # largest first, to stop early
-        total += _degree_cells(system, d)
-        _check_cells(total, what)
-
-
 def _check_system(system: PolySystem, eliminate: bool) -> None:
     """Refuse, in this order, an empty system (EmptyBasis), with ``eliminate``
     an inhomogeneous one (NotHomogeneous), a zero generator (ZeroPolynomial,
@@ -203,7 +168,9 @@ def build_macaulay(system: PolySystem, d: int) -> MacaulayMatrix:
     degrees = system.degrees
     if d < min(degrees):
         raise DegreeTooSmall(f"degree {d} below the least generator degree {min(degrees)}")
-    _check_cells(_macaulay_cells(system, d), f"M_{d}")
+    cells = _macaulay_cells(system, d)
+    if cells > MAX_MACAULAY_CELLS:
+        raise MatrixTooLarge(f"M_{d} has {cells} cells, over the limit of {MAX_MACAULAY_CELLS}")
 
     pack = _packing(system.n)
     columns = monomials_of_degree(system.n, d)
@@ -509,7 +476,7 @@ def _update_pairs(pack, lmG, pairs, lcms, t):
     return kept
 
 
-def _reduced_basis(G, pack, fld, above: int | None = None) -> GroebnerBasis:
+def _reduced_basis(G, pack, fld, above: int) -> GroebnerBasis:
     """The reduced basis from the Groebner basis ``G`` of monic packed
     polynomials, listed in the order the loop grew it.
 
@@ -529,7 +496,7 @@ def _reduced_basis(G, pack, fld, above: int | None = None) -> GroebnerBasis:
         lm = next(iter(g))
         if done.find(lm) >= 0:
             continue
-        if above is None or pack.degree(lm) > above:
+        if pack.degree(lm) > above:
             g = _reduce(g, done, fld.p)
         done.add(g)
         kept.append((pack.degree(lm), lm, g))
@@ -537,24 +504,21 @@ def _reduced_basis(G, pack, fld, above: int | None = None) -> GroebnerBasis:
     return GroebnerBasis(tuple(g for _, _, g in kept), pack, fld)
 
 
-def _complete(G, pack, fld, above: float | None = None) -> GroebnerBasis:
+def _complete(G, pack, fld, above: int) -> GroebnerBasis:
     """The reduced basis of the ideal of ``G``, a list of monic packed
     polynomials, by Buchberger's loop: normal pair selection, Gebauer-Moeller
     pair pruning, and one :class:`_Reducers` that grows with the basis.
 
-    When ``above`` is given, ``G`` must be the reduced Groebner basis up to
-    that degree, so every initial pair whose lcm has degree <= ``above``
-    reduces to zero and is dropped, and ``G`` is not reduced again: the loop
-    adds elements of higher degree only, which divide none of their terms.
-    With ``above`` infinite ``G`` is the reduced basis, and no pair is made.  A
-    loop that would reduce more than ``MAX_S_PAIRS`` S-pairs, or pop more
-    than ``MAX_REDUCTION_STEPS`` terms, raises BudgetExhausted.  Every term
-    met in a reduction lies below the pair's lcm, so with the input terms
-    packed (DegreeTooLarge beyond the width), checking each selected lcm
-    keeps every exponent inside its field.
+    The elements of ``G`` of degree <= ``above`` (none for -1) must be the
+    reduced Groebner basis up to that degree, so every initial pair whose lcm
+    has degree <= ``above`` reduces to zero and is dropped, and they are not
+    reduced again: the loop adds elements of higher degree only, which divide
+    none of their terms.  A loop that would reduce more than ``MAX_S_PAIRS``
+    S-pairs, or pop more than ``MAX_REDUCTION_STEPS`` terms, raises
+    BudgetExhausted.  Every term met in a reduction lies below the pair's
+    lcm, so with the input terms packed (DegreeTooLarge beyond the width),
+    checking each selected lcm keeps every exponent inside its field.
     """
-    if above == math.inf:  # G is the reduced basis itself
-        return _reduced_basis(G, pack, fld, above)
     p = fld.p
     G = list(G)
     reducers = _Reducers(pack)
@@ -563,8 +527,7 @@ def _complete(G, pack, fld, above: float | None = None) -> GroebnerBasis:
     for t, g in enumerate(G):
         reducers.add(g)
         pairs = _update_pairs(pack, reducers.lms, pairs, lcms, t)
-    if above is not None:
-        pairs = {pair for pair in pairs if pack.degree(lcms[pair]) > above}
+    pairs = {pair for pair in pairs if pack.degree(lcms[pair]) > above}
 
     processed = 0
     while pairs:
@@ -594,7 +557,7 @@ def buchberger(system: PolySystem) -> GroebnerBasis:
     """
     _check_system(system, eliminate=False)
     fld, pack = system.field, _packing(system.n)
-    return _complete([_monic(pack.terms(f), fld.p) for f in system.polys], pack, fld)
+    return _complete([_monic(pack.terms(f), fld.p) for f in system.polys], pack, fld, -1)
 
 
 def _matmul_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
@@ -766,7 +729,7 @@ class _DegreeLoop:
     met).  I_d = 0 below lo, so every
     monomial of such a degree is standard; from ``covered`` on, none is.  It
     refuses what ``_check_system`` refuses and lists no monomial before it
-    walks, so a caller can check the walk's cells first."""
+    walks.  ``cells`` sums the bounds of the degrees walked (``_next_cells``)."""
 
     def __init__(self, system: PolySystem):
         _check_system(system, eliminate=True)
@@ -779,6 +742,7 @@ class _DegreeLoop:
         self.echelons = []  # of the degrees lo..top
         self.covered = None
         self.generated = None
+        self.cells = 0
         self._owner = None  # of the degree after the last echelon, once made
         self._maps = {}  # degree d -> multiplication by each x_k into degree d
 
@@ -814,21 +778,54 @@ class _DegreeLoop:
         and stop early at the cover or at a Hilbert exit already met.  Given
         ``numerator``, that of HS(R/I), it asks the Hilbert exit
         (``_generates``) of each degree from the top already walked on, and
-        records the first that passes as ``generated``."""
+        records the first that passes as ``generated``.  It also stops, as at
+        a cap, before a degree past ``_lists_next``, or whose bound would take
+        ``cells`` past ``MAX_MACAULAY_CELLS``; a later walk stops there too."""
         hf = None if numerator is None else expand_hilbert_series(
             numerator, self.pack.n, max(hi, self.top) + 1)
         ask = bool(self.echelons)  # a degree walked before without the numerator
-        while True:
+        while self._lists_next():
             if hf is not None and ask and not self.complete and self._generates(hf, numerator):
                 self.generated = self.top
                 return
             if self.generated is not None or self.covers_next() or self.top >= hi:
                 return
+            cells = self.cells + self._next_cells()
+            if cells > MAX_MACAULAY_CELLS:
+                return
             prev, gens = self.echelon(self.top), self.gens.get(self.top + 1, [])
             echelon = _eliminate_degree(prev, self._owner, gens, self.pack.n, self.field.p)
             self._owner = None
             self.echelons.append(echelon)
+            self.cells = cells
             ask = len(echelon.new) > 0
+
+    def _lists_next(self) -> bool:
+        """Whether degree top + 1 may be listed, before anything of it is:
+        ``MAX_LOOP_DEGREES`` not yet walked, at most ``MAX_MONOMIALS``
+        monomials (so at most as many in the degree below, which ``echelon``
+        lists before lo), and at most ``MAX_MACAULAY_CELLS`` cells in the
+        table of P that ``covers_next`` makes."""
+        n, d = self.pack.n, self.top + 1
+        size = math.comb(n - 1 + d, d)
+        return (len(self.echelons) < MAX_LOOP_DEGREES and size <= MAX_MONOMIALS
+                and (n + 1) * size <= MAX_MACAULAY_CELLS)
+
+    def _next_cells(self) -> int:
+        """A bound on the cells of each array that eliminating degree d =
+        top + 1 makes or keeps, from P_d (``covers_next``): every row is a
+        product x_k * u of a degree-(d - 1) monomial or a degree-d
+        generator, R = n N_{d-1} + g_d of them at most, over the W columns
+        outside P_d, and a product's tail lies on the S standard monomials
+        of degree d - 1.  So R (W + S) bounds X, D and the copy its RREF
+        makes, the rows of products and their tails, the kept tails and the
+        multiplication maps into degree d (``extension_hf``), and g_d |P_d|
+        the P columns of the generator rows."""
+        n, prev = self.pack.n, self.echelon(self.top)
+        gens = len(self.gens.get(self.top + 1, ()))
+        in_p = int(np.count_nonzero(self._owner < n))
+        rows = n * (len(prev.leads) + len(prev.standard)) + gens
+        return rows * (len(self._owner) - in_p + len(prev.standard)) + gens * in_p
 
     def _generates(self, hf: list, numerator) -> bool:
         """The Hilbert exit (Traverso, "Hilbert functions and the Buchberger
@@ -865,12 +862,11 @@ class _DegreeLoop:
         return MonomialIdeal(n, tuple(keys))
 
     def basis(self, cap: int) -> GroebnerBasis:
-        """The complete reduced basis: the walk up to ``cap``, or to the
-        cover or the Hilbert exit, then Buchberger's loop on the pairs whose
-        lcm lies above the top degree walked, with no pair once the loop is
-        ``complete``.  The rows, the basis elements led by the Q_d walked,
-        are built here, each a 1 at q and then its tail, keys above q's.  The
-        loop can go on past ``cap`` afterwards."""
+        """The complete reduced basis: the walk up to ``cap`` or one of its
+        stops, then, unless the loop is ``complete``, Buchberger's loop on the
+        pairs whose lcm lies above the top degree walked.  The rows, the basis
+        elements led by the Q_d walked, are built here, each a 1 at q and then
+        its tail, keys above q's.  The loop can go on past ``cap`` afterwards."""
         self.walk(cap)
         rows = []
         for e in self.echelons:
@@ -880,11 +876,15 @@ class _DegreeLoop:
                 terms = {names[j]: int(tail[j]) for j in tail.nonzero()[0].tolist()}
                 rows.append({keys[q]: 1, **terms})
         # with the next degree covered, or the leads generating in(I), the rows
-        # are the reduced basis; else every leading monomial of degree <= top
-        # in the ideal is divisible by a collected one, so the rows are a
-        # Groebner basis up to degree top
-        above = math.inf if self.complete else max(cap, self.top)
-        return _complete(rows, self.pack, self.field, above=above)
+        # are the reduced basis, in (degree, key) order; else every leading
+        # monomial of degree <= top in the ideal is divisible by a collected
+        # one, so with the generators above top they are a Groebner basis up
+        # to top
+        if self.complete:
+            return GroebnerBasis(tuple(rows), self.pack, self.field)
+        above = [g for d, gens in self.gens.items() if d > self.top for g in gens]
+        rows += [_monic(g, self.field.p) for g in above]
+        return _complete(rows, self.pack, self.field, above=self.top)
 
     def echelon(self, d: int) -> _Echelon:
         """The echelon of I_d, for d <= top or from the cover on."""
@@ -950,9 +950,10 @@ class _DegreeLoop:
 def gb_up_to(system: PolySystem, cap: int) -> GroebnerBasis:
     """Complete reduced Groebner basis of a homogeneous system: degree-by-
     degree elimination up to degree ``cap``, then Buchberger's loop on the
-    pairs whose lcm lies above ``cap``.  The loop stops at the first d where
-    every degree-d monomial is a multiple x_k * u of a leading monomial u of
-    degree d - 1, with no pairs, as then every monomial above is one too.
+    pairs whose lcm lies above the last degree eliminated.  The loop stops at
+    the first d where every degree-d monomial is a multiple x_k * u of a
+    leading monomial u of degree d - 1, with no pairs, as then every monomial
+    above is one too.
     The cap moves only the degree where elimination hands over; the basis is
     the same for every cap accepted.
 
@@ -964,12 +965,14 @@ def gb_up_to(system: PolySystem, cap: int) -> GroebnerBasis:
     hands them over (``_DegreeLoop.basis``).  The loop is dropped on return;
     a caller that reads its echelons builds one and asks it for the basis.
     A refused system raises before a cap below the top degree
-    (DegreeTooSmall) or a loop over the cell budget (MatrixTooLarge).
+    (DegreeTooSmall) or over ``MAX_LOOP_DEGREES`` degrees (MatrixTooLarge);
+    a walk stopped by a limit hands over below the cap (``_DegreeLoop.walk``).
     """
     loop = _DegreeLoop(system)
     if cap < max(system.degrees):
         raise DegreeTooSmall(f"cap {cap} below the largest generator degree {max(system.degrees)}")
-    _check_degree_loop(system, loop.lo, cap)
+    if cap - loop.lo >= MAX_LOOP_DEGREES:
+        raise MatrixTooLarge(f"{cap - loop.lo + 1} degrees, over the limit of {MAX_LOOP_DEGREES}")
     return loop.basis(cap)
 
 

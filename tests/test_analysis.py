@@ -1068,33 +1068,38 @@ class TestDefaultRoute:
             assert loops[1].generated == report.max_gb_deg_sigma <= cap
 
     def test_budget_falls_back_to_buchberger(self, f31, monkeypatch):
+        # the route depends on the shape only; a loop whose first degree is
+        # over the cell budget stops at lo - 1, as at a cap, and Buchberger's
+        # loop finishes the basis from the generators
         system = sample_system(6, 7, (2,) * 7, f31, seed=2)
         routed = verify_main_theorem(system, seed=0)
         assert routed.engine == "macaulay"
         monkeypatch.setattr(engine, "MAX_MACAULAY_CELLS", 1000)
-        assert analysis._default_route(system) == ("buchberger", None)
+        assert analysis._default_route(system) == ("macaulay", 4)
+        loops, real_loop = [], analysis._DegreeLoop
+        monkeypatch.setattr(analysis, "_DegreeLoop", lambda s: loops.append(real_loop(s)) or loops[-1])
         fallback = verify_main_theorem(system, seed=0)
-        assert fallback.engine == "buchberger"
-        assert comparable(fallback) == comparable(routed)
+        assert [loop.top for loop in loops] == [1] and not loops[0].cells
+        assert fallback == routed
 
     @pytest.mark.parametrize(
         "case, cells",
-        [("corner 5/6", 100_000), ("coordinate zeros", 10), ("corner 6/7", 10**6)],
+        [("corner 5/6", 10_000), ("coordinate zeros", 10), ("corner 6/7", 18_000)],
     )
     def test_refused_loop_leaves_candidates_to_buchberger(self, f31, monkeypatch, case, cells):
         # unpatched, the candidates after x_n read the echelons of I on the
         # Macaulay route, carried on from the cap D(6, 7) = 4 by the loop
         # that built I's basis, and get a basis of <I, l> each from the
-        # oracle on the Buchberger route, which builds no loop; with the loop
-        # up to the Lazard degree of <I, l> over the cell budget, each gets
-        # a basis of <I, l> on either route
+        # oracle on the Buchberger route, which builds no loop; with a cell
+        # budget that stops I's loop past the cap but short of the Lazard
+        # degree of <I, l>, each gets a basis of <I, l> on either route
         system = {
             "corner 5/6": corner_system(5, 6, (2,) * 6, f31, seed=1),
             "coordinate zeros": coordinate_zeros_system(f31),
             "corner 6/7": corner_system(6, 7, (2,) * 7, f31, seed=1),
         }[case]
         route = analysis._default_route(system)
-        loops, extensions = [], []
+        loops, built, extensions = [], [], []
         real_loop, real_buchberger = analysis._DegreeLoop, analysis.buchberger
 
         def spy(s):
@@ -1102,7 +1107,9 @@ class TestDefaultRoute:
                 extensions.append(s)
             return real_buchberger(s)
 
-        monkeypatch.setattr(analysis, "_DegreeLoop", lambda s: loops.append(s) or real_loop(s))
+        monkeypatch.setattr(
+            analysis, "_DegreeLoop",
+            lambda s: loops.append(s) or built.append(real_loop(s)) or built[-1])
         monkeypatch.setattr(analysis, "buchberger", spy)
         routed = verify_main_theorem(system, seed=0)
         assert not routed.sigma.is_identity()
@@ -1112,12 +1119,16 @@ class TestDefaultRoute:
         assert len(extensions) == (routed.attempts_used - 1 if route[0] == "buchberger" else 0)
 
         loops.clear()
+        built.clear()
         extensions.clear()
         monkeypatch.setattr(engine, "MAX_MACAULAY_CELLS", cells)
         assert analysis._default_route(system) == route
         oracle = verify_main_theorem(system, seed=0)
         assert oracle == routed and loops == bases
         assert len(extensions) == routed.attempts_used - 1
+        if built:
+            lazard = lazard_bound(system.n, system.m + 1, system.degrees + (1,))
+            assert route[1] <= built[0].top < lazard
 
     def test_buchberger_route_builds_no_loop(self, f31, monkeypatch):
         # every coordinate point is a zero of these systems, so x_n is

@@ -7,6 +7,7 @@ import gc
 import hashlib
 import math
 import random
+import sys
 import time
 import weakref
 
@@ -45,8 +46,6 @@ from sgb import analysis, core, engine
 from sgb.core import _Packing
 from sgb.engine import (
     MAX_MACAULAY_CELLS,
-    _check_degree_loop,
-    _degree_cells,
     _macaulay_cells,
     _matmul_mod,
     _reduce,
@@ -416,9 +415,13 @@ class TestPackedMonomials:
         system = PolySystem(f31, 3, tuple(parse_polynomial(f, names, f31) for f in polys))
         with pytest.raises(DegreeTooLarge, match="degree 2147483648;"):
             buchberger(system)
-        # the degree loop lists every monomial of a degree, so it is refused
-        # long before an lcm could pass the width
-        with pytest.raises(MatrixTooLarge):
+        # the degree loop would list every monomial of degree 2^30 + 1, so it
+        # stops before it, at lo - 1, and hands the generators over to
+        # Buchberger's loop, which meets the lcm
+        loop = engine._DegreeLoop(system)
+        loop.walk(2**30 + 1)
+        assert loop.top == 2**30 and not loop.echelons and loop._owner is None
+        with pytest.raises(DegreeTooLarge, match="degree 2147483648;"):
             gb_up_to(system, 2**30 + 1)
 
 
@@ -524,25 +527,28 @@ class TestBuildMacaulay:
         line = PolySystem(f7, 1, (Polynomial(f7, 1, {(1,): 1}),))
         with pytest.raises(MatrixTooLarge, match="degrees"):
             gb_up_to(line, 10**8)
-        # M_1000 alone (999 x 1,001) and the loop's degree-1000 blocks (at
-        # most 2,000 x 1,001) are under the limit, and the loop has 999
-        # degrees; its blocks together are over it
+        # M_1000 alone (999 x 1,001) is under the limit, and the loop has
+        # 999 degrees of two standard monomials each, far under its budget
         plane = PolySystem(f7, 2, (Polynomial(f7, 2, {(2, 0): 1}),))
         assert _macaulay_cells(plane, 1000) < MAX_MACAULAY_CELLS
-        assert _degree_cells(plane, 1000) < MAX_MACAULAY_CELLS
-        with pytest.raises(MatrixTooLarge, match="cells"):
-            gb_up_to(plane, 1000)
+        loop = engine._DegreeLoop(plane)
+        assert loop.basis(1000) == buchberger(plane)
+        assert loop.top == 1000 and loop.cells < 10**8
 
-    def test_size_limit_admits_dense_7_8_at_lazard_cap(self):
-        # 8 quadrics in 7 variables at cap 8: M_8 is 7,392 x 3,003; the
-        # loop's degree-8 blocks have at most 7 * 1,716 products over 3,003
-        # columns, and degrees 2..8 about 51 M cells; checked without building
+    def test_size_limit_admits_dense_7_8_at_lazard_cap(self, monkeypatch):
+        # 8 quadrics in 7 variables at the Lazard cap 8: M_8 is 7,392 x 3,003,
+        # and the loop meets its cover at 6 with its arrays bounded by under
+        # 10^5 cells, so a budget of exactly its total walks the same degrees
         f31 = PrimeField(31)
-        quad = Polynomial(f31, 7, {m: 1 for m in monomials_of_degree(7, 2)})
-        system = PolySystem(f31, 7, (quad,) * 8)
+        system = sample_system(7, 8, (2,) * 8, f31, seed=1)
         assert _macaulay_cells(system, 8) == 7392 * 3003
-        assert _degree_cells(system, 8) == 7 * 1716 * 3003
-        _check_degree_loop(system, 2, 8)
+        loop = engine._DegreeLoop(system)
+        loop.walk(8)
+        assert (loop.top, loop.covered) == (5, 6) and 0 < loop.cells < 10**5
+        monkeypatch.setattr(engine, "MAX_MACAULAY_CELLS", loop.cells)
+        again = engine._DegreeLoop(system)
+        again.walk(8)
+        assert (again.top, again.covered, again.cells) == (5, 6, loop.cells)
 
     def test_dump_golden(self, f7):
         mac = build_macaulay(fixture_f1_f2(f7), 3)
@@ -815,8 +821,10 @@ class TestGroebner:
         for system, oracle, top in complete_engine_cases:
             for cap in range(max(top, max(system.degrees)), top + 2):
                 starts.clear()
-                gb_up_to(system, cap)
-                assert sorted(map(str, starts[0])) == sorted(oracle), (system, cap)
+                basis = gb_up_to(system, cap)
+                # a loop that met its cover returns its rows as the basis
+                rows = starts[0] if starts else basis.elements
+                assert sorted(map(str, rows)) == sorted(oracle), (system, cap)
         # below it, the Z example's rows miss the degree-5 element
         starts.clear()
         gb_up_to(z_example(), 4)
@@ -1079,6 +1087,124 @@ class TestDegreeElimination:
                     for i in range(2)
                 ]
                 assert _matmul_mod(a, b, p).tolist() == exact, (p, k)
+
+
+def array_cells(frame_locals) -> int:
+    """The most cells of one array a frame holds, counting a view as the
+    array it was cut from."""
+    sizes = [0]
+    for value in frame_locals.values():
+        for a in value if isinstance(value, (list, tuple)) else (value,):
+            if isinstance(a, engine.RrefResult):
+                a = a.matrix
+            if isinstance(a, np.ndarray):
+                while isinstance(a.base, np.ndarray):
+                    a = a.base
+                sizes.append(a.size)
+    return max(sizes)
+
+
+@contextlib.contextmanager
+def largest_arrays(*functions):
+    """Record, for each return from one of ``functions`` or a function
+    defined in one, the most cells of one array among its locals (its
+    arguments too) and the array it returns."""
+    codes = {f.__code__ for f in functions}
+    codes |= {c for f in functions for c in f.__code__.co_consts if hasattr(c, "co_code")}
+    seen = []
+
+    def profile(frame, event, arg):
+        if event == "return" and frame.f_code in codes:
+            seen.append(max(array_cells(frame.f_locals), array_cells({"arg": arg})))
+
+    old = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        yield seen
+    finally:
+        sys.setprofile(old)
+
+
+class TestLoopBudget:
+    @pytest.mark.parametrize(
+        "sampler, n, degrees, p",
+        [
+            (sample_system, 5, (2,) * 6, 31),
+            (corner_system, 5, (2,) * 6, 31),
+            (sample_Z_system, 4, (2,) * 5, 2),
+            (sample_system, 5, (1, 2, 3, 3, 3), 31),
+            (sample_system, 3, (2, 4), 7),
+        ],
+    )
+    def test_the_bound_covers_every_array(self, sampler, n, degrees, p):
+        # each degree's bound, the growth of the loop's cells, is at least
+        # every array the elimination makes, the products' rows and tails,
+        # the block D and the copy its RREF works on, the kept tails, and the
+        # multiplication maps into that degree, with the table they gather
+        system = sampler(n, len(degrees), degrees, PrimeField(p), seed=1)
+        loop = engine._DegreeLoop(system)
+        functions = (
+            engine._eliminate_degree, engine.rref_naive, engine._rref_inplace,
+            engine._matmul_mod,
+        )
+        lazard = lazard_bound(n, len(degrees), degrees)
+        for d in range(loop.lo, lazard + 1):
+            before = loop.cells
+            with largest_arrays(*functions) as seen:
+                loop.walk(d)
+            if loop.top < d:
+                break
+            bound = loop.cells - before
+            with largest_arrays(engine._DegreeLoop.extension_hf) as maps:
+                loop.extension_hf([1] * n, d)
+            kept = vars(loop.echelon(d)).values()
+            seen += maps + [a.size for a in kept if isinstance(a, np.ndarray)]
+            assert max(seen) <= bound, (d, seen, bound)
+        assert loop.echelons and loop.cells <= MAX_MACAULAY_CELLS
+
+    def test_each_limit_stops_the_walk_before_its_degree(self, f7, monkeypatch):
+        # x1^2 in 3 variables: no degree is covered, and degree d has C(d + 2,
+        # 2) monomials.  The limits on degrees, on monomials and on the table
+        # of P stop the walk before that table is made, the cell budget after
+        system = PolySystem(f7, 3, (Polynomial(f7, 3, {(2, 0, 0): 1}),))
+        full = engine._DegreeLoop(system)
+        full.walk(7)
+
+        def walked(name, value):
+            with monkeypatch.context() as patch:
+                patch.setattr(engine, name, value)
+                loop = engine._DegreeLoop(system)
+                loop.walk(10)
+            return loop.top, loop._owner is None
+
+        assert walked("MAX_LOOP_DEGREES", 5) == (6, True)
+        assert walked("MAX_MONOMIALS", math.comb(9, 2)) == (7, True)  # N_8 = C(10, 2)
+        assert walked("MAX_MACAULAY_CELLS", full.cells) == (7, False)
+        assert walked("MAX_MACAULAY_CELLS", 4 * math.comb(4, 2) - 1) == (1, True)  # (n + 1) N_2
+
+    @pytest.mark.parametrize("sampler", [sample_system, corner_system])
+    def test_a_stop_below_the_top_generator_degree_is_exact(self, f31, monkeypatch, sampler):
+        # with a budget that stops the loop at degree 2, below the cubics,
+        # the rows and the generators of degrees 3 on go to Buchberger's
+        # loop, and every entry gives the basis and the report it gave
+        system = sampler(5, 5, (1, 2, 3, 3, 3), f31, seed=0)
+        oracle = buchberger(system)
+        report = analysis.verify_main_theorem(system, seed=0)
+        route, cap = analysis._default_route(system)
+        assert route == "macaulay"
+        loops, real_loop = [], engine._DegreeLoop
+
+        def spy(s):
+            loops.append(real_loop(s))
+            return loops[-1]
+
+        monkeypatch.setattr(engine, "_DegreeLoop", spy)
+        monkeypatch.setattr(analysis, "_DegreeLoop", spy)
+        monkeypatch.setattr(engine, "MAX_MACAULAY_CELLS", 1000)
+        assert gb_up_to(system, cap) == oracle
+        assert analysis.groebner_basis(system) == oracle
+        assert analysis.verify_main_theorem(system, seed=0) == report
+        assert loops and all(loop.top == 2 and not loop.complete for loop in loops)
 
 
 @st.composite
