@@ -651,6 +651,22 @@ class TestCountedSeries:
                 patch.setattr(analysis, "_loop_profile", lambda loop, start: None)
                 assert verify_main_theorem(system, seed=0) == counted
 
+    def test_a_walk_stopped_before_m_plus_1_falls_back_to_the_basis(self, monkeypatch):
+        # Z 5/4 over F_2: I's loop walks to L = 5 for the search, and the
+        # counted profile needs degree 6; with the cell budget at the loop's
+        # total at 5 the walk stops there, and I's basis comes from the loop
+        system = sample_Z_system(5, 4, (2,) * 4, PrimeField(2), seed=0)
+        loops, real_loop = [], analysis._DegreeLoop
+        monkeypatch.setattr(analysis, "_DegreeLoop", lambda s: loops.append(real_loop(s)) or loops[-1])
+        counted = verify_main_theorem(system, seed=0)
+        assert loops[0].top == 6 and loops[0].covered is None
+        probe = real_loop(system)
+        probe.walk(5)
+        monkeypatch.setattr(engine, "MAX_MACAULAY_CELLS", probe.cells)
+        loops.clear()
+        assert verify_main_theorem(system, seed=0) == counted
+        assert loops[0].top == 5
+
     def test_identity_sigma_ends_at_the_hilbert_exit(self, f31, monkeypatch):
         # Krull dimension 1 and sigma the identity: the counted HS(R/I)
         # ends I's basis on its loop by the Hilbert exit, with no S-pair
