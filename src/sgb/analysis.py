@@ -375,7 +375,7 @@ def _extension_test(system: PolySystem, loop: _DegreeLoop | None):
         profile = _hilbert_of_basis(buchberger(system.extended(ell)))[1]
         return profile if profile.artinian else None
 
-    lazard = lazard_bound(system.n, system.m + 1, system.degrees + (1,))
+    lazard = lazard_bound(system.n, system.m, system.degrees)  # that of <I, l> too
     if loop is None or loop.covered is None and loop.top < lazard:
         return oracle
     return lambda ell: _extension_profile(
@@ -449,13 +449,14 @@ def _loop_profile(loop: _DegreeLoop, start: int) -> HilbertProfile | None:
     return None
 
 
-def _walk_for_search(system: PolySystem, loop: _DegreeLoop, cap: int) -> int | None:
-    """Walk I's loop to ``cap`` and, short of its cover, to the Lazard degree
-    of <I, l>, which it returns once the cover or the leads walked show dim
-    R/I <= 1 (they lie in in(I)); None if they do not, or if the loop's
-    budget stopped the walk short of the Lazard degree."""
-    lazard = lazard_bound(system.n, system.m + 1, system.degrees + (1,))
-    loop.walk(max(cap, lazard))
+def _walk_for_search(system: PolySystem, loop: _DegreeLoop) -> int | None:
+    """Walk I's loop, short of its cover, to the Lazard degree L of I; return
+    L once the cover or the leads walked show dim R/I <= 1 (they lie in
+    in(I)), None if they do not or the budget stopped the walk short of L.
+    L is that of <I, l> too (a degree-1 form adds 0 to the sum) and at least
+    the route's cap: D(n, m) <= L (``series.truncated_froberg_polynomial``)."""
+    lazard = lazard_bound(system.n, system.m, system.degrees)
+    loop.walk(lazard)
     if loop.covered is None and (loop.top < lazard or krull_dim(loop.leads()) > 1):
         return None
     return lazard
@@ -481,7 +482,7 @@ def _ideal_for_search(system: PolySystem, seed: int, max_attempts: int):
         raise SgbError(f"max_attempts must be >= 1, got {max_attempts}")
     engine, cap = _default_route(system)
     loop = None if engine == "buchberger" else _DegreeLoop(system)
-    lazard = None if loop is None else _walk_for_search(system, loop, cap)
+    lazard = None if loop is None else _walk_for_search(system, loop)
     found = None
     if lazard is not None:
         first = _extension_profile(functools.partial(loop.hf, xn_free=True), lazard, system.n)

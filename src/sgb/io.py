@@ -18,11 +18,9 @@ list; a character that starts no token is reported before any other error.
 from __future__ import annotations
 
 import json
-import os
 import re
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
 
 from .analysis import (
@@ -306,15 +304,16 @@ class ExperimentRecord:
 CSV_COLUMNS = tuple(f.name for f in fields(ExperimentRecord))
 
 
-def _trial_record(args) -> ExperimentRecord:
-    trial, n, m, degrees, q, master_seed, construction, max_attempts, timings = args
+def _trial_record(
+    trial, n, m, degrees: tuple, q, master_seed, construction, max_attempts, timings
+) -> ExperimentRecord:
     seed = child_seed(master_seed, trial)
     fld = PrimeField(q)
     sampler = sample_Z_system if construction == "Z" else sample_system
     system = sampler(n, m, degrees, fld, seed)
     start = time.monotonic()
     engine, _ = _default_route(system)  # also the engine of a failed trial's bases
-    record = ExperimentRecord(trial, seed, "ok", n, m, tuple(degrees), q, engine=engine)
+    record = ExperimentRecord(trial, seed, "ok", n, m, degrees, q, engine=engine)
     try:
         report = verify_main_theorem(system, seed=seed, max_attempts=max_attempts)
         record.r = report.krull_dim
@@ -336,20 +335,6 @@ def _trial_record(args) -> ExperimentRecord:
     return record
 
 
-def worker_count(trials: int) -> int:
-    """Pool width: ``SGB_THREADS`` (default: the core count), clamped to the
-    trial and core counts, since a ``fork`` pool starts every worker at once."""
-    cores = os.cpu_count() or 1
-    env = os.environ.get("SGB_THREADS")
-    try:
-        wanted = int(env) if env else cores
-    except ValueError:
-        wanted = 0
-    if wanted < 1:
-        raise SgbError(f"SGB_THREADS must be a positive integer, got {env!r}")
-    return min(wanted, trials, cores)
-
-
 def run_experiment(
     n: int,
     m: int,
@@ -362,7 +347,8 @@ def run_experiment(
     timings: bool = False,
 ) -> list:
     """One record per trial, in trial order and deterministic for a fixed
-    seed (timings excluded, hence off by default).
+    seed (timings excluded, hence off by default).  The trials run one
+    after another in the calling process.
 
     Every trial runs ``verify_main_theorem``, whose bases of I and I^sigma
     take the default route of ``groebner_basis``.  That route depends only
@@ -383,20 +369,16 @@ def run_experiment(
         raise DimensionMismatch(f"expected {m} degrees, got {len(degrees)}")
     if any(d < 1 for d in degrees):
         raise InvalidDegree("degrees must be >= 1")
-    PrimeField(q)  # BadModulus; these are trial 0's errors, raised before any trial or pool
+    PrimeField(q)  # BadModulus; these are trial 0's errors, raised before any trial
     if construction == "Z" and n < 2:
         raise DimensionMismatch("the corner-vanishing construction needs n >= 2")
     if n < 1:
         raise DimensionMismatch(f"need n >= 1 and d >= 0, got n={n}, d={degrees[0] if degrees else 'NA'}")
-    jobs = [
-        (t, n, m, tuple(degrees), q, seed, construction, max_attempts, timings)
+    degrees = tuple(degrees)
+    return [
+        _trial_record(t, n, m, degrees, q, seed, construction, max_attempts, timings)
         for t in range(trials)
     ]
-    workers = worker_count(trials)
-    if workers == 1:
-        return [_trial_record(job) for job in jobs]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(_trial_record, jobs, chunksize=max(1, trials // (4 * workers))))
 
 
 def write_csv(records, stream) -> None:

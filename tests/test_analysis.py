@@ -969,7 +969,6 @@ class TestVerifyMainTheorem:
     def test_budget_exhaustion_is_a_row_status(self, f31, monkeypatch):
         # no capped basis stands in for an unfinished one
         system = sample_system(3, 4, (2, 2, 2, 2), f31, seed=3)
-        monkeypatch.setenv("SGB_THREADS", "1")  # workers see the patched limit
         monkeypatch.setattr(engine, "MAX_S_PAIRS", 1)
         with pytest.raises(BudgetExhausted):
             verify_main_theorem(system, seed=3)

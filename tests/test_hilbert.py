@@ -4,6 +4,7 @@ packed generators against plain tuple loops."""
 
 import itertools
 import random
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -142,6 +143,27 @@ class TestKrullDim:
                 assert all(v == 0 for v in far)
             elif r == 1:
                 assert len(set(far)) == 1 and far[0] > 0
+
+    def test_matches_cover_search(self):
+        # the free-set search stops early; the least cover over every
+        # subset is the plain definition
+        rng = random.Random(6)
+        for _ in range(1000):
+            J = random_minimal_ideal(rng, n_max=7, gens_max=9, deg_max=3)
+            assert krull_dim(J) == tuple_cover_dim(J.n, J.gens)
+
+    @pytest.mark.parametrize(
+        "n, pure, mixed, expected",
+        [(24, 24, [], 0), (30, 0, [(1,) + (0,) * 29], 29), (30, 29, [], 1)],
+        ids=["24-squares", "x1-in-30", "29-squares-in-30"],
+    )
+    def test_dimension_at_most_one_or_near_n_is_fast(self, n, pure, mixed, expected):
+        # a cover search alone tries about 2^n sets at dimension <= 1
+        squares = [tuple(2 * (j == i) for j in range(n)) for i in range(pure)]
+        J = minimalize(squares + mixed, n)
+        start = time.perf_counter()
+        assert krull_dim(J) == expected
+        assert time.perf_counter() - start < 0.1
 
 
 class TestHilbertFunction:

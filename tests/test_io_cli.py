@@ -4,7 +4,7 @@ experiment runner's determinism."""
 import argparse
 import io
 import json
-import os
+import multiprocessing.process
 import random
 import re
 import time
@@ -33,7 +33,7 @@ from sgb import analysis, cli, engine, hilbert
 from sgb import io as sgbio
 from sgb.analysis import child_seed
 from sgb.cli import build_parser
-from sgb.io import CSV_COLUMNS, worker_count
+from sgb.io import CSV_COLUMNS
 from sgb.errors import BadModulus, DimensionMismatch, ParseError, SgbError, UnknownVariable
 from conftest import random_polynomial, run_cli
 
@@ -533,11 +533,10 @@ class TestExperiment:
         ids=["degree-0", "two-degrees", "modulus-4"],
     )
     def test_bad_degrees_are_refused_before_any_trial(self, monkeypatch, degrees, q, err):
-        # sgb bound refuses these degrees too; no trial and no pool starts,
-        # and a modulus that is not a prime is refused as early
+        # sgb bound refuses these degrees too; no trial starts, and a
+        # modulus that is not a prime is refused as early
         started = []
-        monkeypatch.setattr(sgbio, "_trial_record", lambda job: started.append(job))
-        monkeypatch.setattr(sgbio, "ProcessPoolExecutor", lambda **kw: started.append(kw))
+        monkeypatch.setattr(sgbio, "_trial_record", lambda *args: started.append(args))
         code, out, err_text = run_cli(
             ["experiment", "-n", "3", "-m", "3", "-d", degrees, "-q", q, "--trials", "2"]
         )
@@ -558,12 +557,9 @@ class TestExperiment:
     def test_bad_shape_or_modulus_is_refused_before_any_trial(
         self, monkeypatch, n, construction, q, error, message
     ):
-        # the error trial 0 would raise, with no trial and no pool started;
-        # with SGB_THREADS unset a pool would start on two or more cores
+        # the error trial 0 would raise, with no trial started
         started = []
-        monkeypatch.delenv("SGB_THREADS", raising=False)
-        monkeypatch.setattr(sgbio, "_trial_record", lambda job: started.append(job))
-        monkeypatch.setattr(sgbio, "ProcessPoolExecutor", lambda **kw: started.append(kw))
+        monkeypatch.setattr(sgbio, "_trial_record", lambda *args: started.append(args))
         with pytest.raises(error, match="^" + re.escape(message) + "$"):
             run_experiment(n, 2, (2, 2), q, trials=4, seed=1, construction=construction)
         assert started == []
@@ -673,11 +669,10 @@ class TestExperiment:
         assert back == records
         assert summarize(back) == summarize(records)
 
-    def test_engine_column_names_the_route(self, monkeypatch):
+    def test_engine_column_names_the_route(self):
         # in 6 variables degree 3 has 56 monomials, so the bases of I and
         # I^sigma come from the Macaulay engine; in 4 it has 20, and they
         # come from the Buchberger oracle.  A failed trial names its route too
-        monkeypatch.setenv("SGB_THREADS", "1")
         routed = run_experiment(6, 7, (2,) * 7, 31, trials=2, seed=1)
         plain = run_experiment(4, 4, (2,) * 4, 31, trials=2, seed=1)
         failed = run_experiment(6, 4, (2,) * 4, 31, trials=1, seed=1)
@@ -685,43 +680,32 @@ class TestExperiment:
         assert [(r.status, r.engine) for r in plain] == [("ok", "buchberger")] * 2
         assert [(r.status, r.engine) for r in failed] == [("DimensionTooHigh", "macaulay")]
 
-    def test_single_worker_env(self, monkeypatch):
-        monkeypatch.setenv("SGB_THREADS", "1")
+    def test_single_worker_env(self):
         records = run_experiment(
             2, 2, (2, 2), 31, trials=4, seed=2, construction="generic"
         )
         assert [r.trial for r in records] == [0, 1, 2, 3]
 
-    def test_worker_count_is_clamped(self, monkeypatch):
-        # only the count is computed; no pool is started with it
-        cores = os.cpu_count() or 1
-        monkeypatch.setenv("SGB_THREADS", "1000000")
-        assert worker_count(3) == min(3, cores)
-        assert worker_count(10**9) == cores
-        monkeypatch.delenv("SGB_THREADS")
-        assert worker_count(1) == 1
-        assert worker_count(10**9) == cores
+    @pytest.mark.parametrize("threads", ["2", "abc"])
+    def test_trials_start_no_process(self, monkeypatch, threads):
+        # SGB_THREADS is no setting: whatever it holds, run_experiment and
+        # sgb experiment run every trial here and give the same records
+        args = ["experiment", "-n", "3", "-m", "3", "-d", "2,2,2", "--trials", "6", "--seed", "11"]
+        expected = run_experiment(3, 3, (2, 2, 2), 31, trials=6, seed=11)
 
-    @pytest.mark.parametrize("value", ["abc", "0", "-2", "1.5"])
-    def test_worker_count_rejects_bad_values(self, monkeypatch, value):
-        monkeypatch.setenv("SGB_THREADS", value)
-        with pytest.raises(SgbError, match="SGB_THREADS"):
-            worker_count(4)
-        code, _, err = run_cli(["experiment", "-n", "2", "-m", "2", "-d", "2,2", "--trials", "2"])
-        assert code == 1 and "SGB_THREADS" in err
+        def refuse(process):
+            raise AssertionError(f"process {process.name} started")
 
-    def test_records_independent_of_worker_count(self, monkeypatch):
-        monkeypatch.setenv("SGB_THREADS", "1")
-        serial = run_experiment(3, 3, (2, 2, 2), 31, trials=6, seed=11)
-        monkeypatch.setenv("SGB_THREADS", "2")
-        pooled = run_experiment(3, 3, (2, 2, 2), 31, trials=6, seed=11)
-        assert serial == pooled
+        monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", refuse)
+        monkeypatch.setenv("SGB_THREADS", threads)
+        assert run_experiment(3, 3, (2, 2, 2), 31, trials=6, seed=11) == expected
+        code, out, _ = run_cli(args)
+        assert code == 0 and read_csv(out) == expected
 
     def test_pair_limit(self, monkeypatch):
         args = ["experiment", "-n", "3", "-m", "4", "-d", "2,2,2,2", "--trials", "3", "--seed", "3"]
         code, out, err = run_cli(args)
         assert code == 0 and out == PAIR_LIMIT_CSV and " ok=3 " in err
-        monkeypatch.setenv("SGB_THREADS", "1")  # workers see the patched limit
         monkeypatch.setattr(engine, "MAX_S_PAIRS", 1)
         code, out, err = run_cli(args)
         assert code == 0
@@ -731,7 +715,6 @@ class TestExperiment:
     def test_invariant_violation_is_a_row_status(self, monkeypatch):
         # trial 1 runs with a wrong Krull dimension, so its regularity
         # profile fails; the other trials and the CSV are unaffected
-        monkeypatch.setenv("SGB_THREADS", "1")
         args = ["experiment", "-n", "3", "-m", "4", "-d", "2,2,2,2", "--trials", "3", "--seed", "5"]
         clean = run_cli(args)
         real_verify, real_krull = sgbio.verify_main_theorem, hilbert.krull_dim
