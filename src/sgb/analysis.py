@@ -52,7 +52,8 @@ from .errors import (
 )
 from .hilbert import HilbertProfile, MonomialIdeal, krull_dim, regularity_profile
 from .series import (
-    bound_report, degree_bound_Dnm, degree_product, lazard_bound, poly_mul, poly_sub, poly_trim,
+    _times_one_minus_z, bound_report, degree_bound_Dnm, degree_product, lazard_bound, poly_sub,
+    poly_trim,
 )
 
 # ---------------------------------------------------------------------------
@@ -62,12 +63,12 @@ from .series import (
 
 # Fewest monomials of degree top + 1, for top the largest generator degree,
 # at which the default route eliminates: quadrics in n >= 5, cubics in
-# n >= 4.  The CPU time of verify_main_theorem with the loop forced over that
-# on the default route, per cell of the experiment-batch grid (dense and Z
+# n >= 4.  The CPU time of run_experiment with the loop forced over that on
+# the default route, per cell of the experiment-batch grid (dense and Z
 # quadrics over F_q, q in {2, 3, 7, 31}, 4 seeds x 5 trials, best of 5,
-# alternating, reports equal): n = 3 (10 monomials) 1.53-2.19, 4/4 (20)
-# 0.83-1.27, 4/5 0.63-1.47, the whole grid 1.11.  Cubics in n = 3..5 (15, 35,
-# 70) read 0.25-0.44, 0.67-1.20, 1.43-4.36 earlier, Buchberger over loop.
+# alternating, two runs, records equal): n = 3 (10 monomials) 1.62-2.32, 4/4
+# (20) 0.83-1.43, 4/5 0.70-1.69, those cells 1.30-1.34.  Cubics in n = 3..5
+# (15, 35, 70) read 0.25-0.44, 0.67-1.20, 1.43-4.36 earlier, Buchberger over loop.
 _ELIMINATION_MIN_MONOMIALS = 35
 
 
@@ -343,8 +344,8 @@ def _counted_profile(values, n: int) -> HilbertProfile:
     + HF(m) z^m / (1 - z).  For HF(m) = 0, R/J is Artinian and h = values;
     else it has Krull dimension 1 and h = values (1 - z), cut at degree m."""
     r = int(values[-1] > 0)
-    h = poly_trim(values if r == 0 else [b - a for a, b in zip([0, *values], values)])
-    numerator = poly_mul(h, degree_product((1,) * (n - r)))
+    h = poly_trim(_times_one_minus_z(list(values), (1,) * r))
+    numerator = _times_one_minus_z(h + [0] * (n - r), (1,) * (n - r))
     stable = len(h) - r
     d_reg, constant = (None, values[-1]) if r else (stable, None)
     return HilbertProfile(tuple(numerator), r, tuple(h), stable, d_reg, stable, constant)

@@ -31,9 +31,10 @@ from .errors import (
 
 Monom = tuple  # tuple[int, ...], one exponent per variable
 
-# Most monomials one degree may have before any is listed (they are the
-# columns of M_d): 245,157 of them (n = 8, d = 16) take 1.6 s and 82 MB to
-# list on a 2-core Xeon.
+# Most monomials one degree in at most 8 variables may have before any is
+# listed (they are the columns of M_d): 245,157 of them (n = 8, d = 16) take
+# 1.6 s and 82 MB to list on a 2-core Xeon.  A monomial costs O(n), so above
+# 8 variables ``_lists`` bounds the exponents, n N_d, by 8 MAX_MONOMIALS.
 MAX_MONOMIALS = 2**18
 
 # ---------------------------------------------------------------------------
@@ -136,6 +137,12 @@ def drl_compare(a: Monom, b: Monom) -> int:
     return 0
 
 
+def _lists(n: int, count: int) -> bool:
+    """Whether ``count`` monomials in ``n`` variables may be listed: at most
+    8 ``MAX_MONOMIALS`` exponent cells, counting at least 8 per monomial."""
+    return max(n, 8) * count <= 8 * MAX_MONOMIALS
+
+
 # each (n, d) cache below keeps the 256 pairs used last, far above the few
 # dozen a batch of one shape walks, so a long process does not keep them all
 @functools.lru_cache(maxsize=256)
@@ -143,15 +150,15 @@ def monomials_of_degree(n: int, d: int) -> tuple:
     """All degree-``d`` monomials in ``n`` variables, DRL-descending.
 
     The first element is x_1^d and the last is x_n^d.  Raises MatrixTooLarge
-    when there are more than ``MAX_MONOMIALS``.
+    when ``_lists`` refuses them, before any is listed.
     """
     if n < 1 or d < 0:
         raise DimensionMismatch(f"need n >= 1 and d >= 0, got n={n}, d={d}")
     count = math.comb(n - 1 + d, d)
-    if count > MAX_MONOMIALS:
+    if not _lists(n, count):
         raise MatrixTooLarge(
             f"{count} monomials of degree {d} in {n} variables, over the limit of "
-            f"{MAX_MONOMIALS}"
+            f"{8 * MAX_MONOMIALS // max(n, 8)}"
         )
     if n == 1:  # combinations() would first copy range(d) into a tuple
         return ((d,),)

@@ -56,12 +56,13 @@ degree, and from those it answers the Hilbert function of <I, l> for a
 linear form l, with one rank mod p (``_DegreeLoop.extension_hf``).
 
 Buchberger's loop (``_complete``, which ``buchberger`` and ``gb_up_to``
-share) reduces against one append-only reducer set that caches, per
-monomial, the first reducer in list order whose leading monomial divides it
-(a miss records how many reducers were checked; only later ones are tried
-again), so remainders are those of plain division, whatever the cache
-holds.  It minimalizes and interreduces on packed leading keys and returns
-the sorted basis packed.
+share) reduces against one append-only set of monic reducers that caches,
+per monomial, the first reducer in list order whose leading monomial
+divides it (a miss records how many reducers were checked; only later ones
+are tried again), so remainders are those of plain division, whatever the
+cache holds.  Handed the rows of a loop stopped at degree e, it drops each
+pair of lcm degree <= e as the pruning makes it.  It minimalizes and
+interreduces on packed leading keys and returns the sorted basis packed.
 """
 
 from __future__ import annotations
@@ -75,8 +76,8 @@ from dataclasses import dataclass, field as _dc_field
 import numpy as np
 
 from .core import (
-    MAX_MONOMIALS,
     PolySystem,
+    _lists,
     _packed_monomials,
     _packing,
     monomials_of_degree,
@@ -340,28 +341,27 @@ def max_gb_deg(basis: GroebnerBasis) -> int:
 
 
 class _Reducers:
-    """Append-only packed reducers of one run: leading keys, inverses of the
-    leading coefficients, and tails as ``(key, coefficient)`` lists.
-    ``divisor`` maps a key to the index of its first dividing reducer, or to
-    ``~k`` for a miss after checking ``k`` reducers.  ``steps`` is how many
-    more terms reductions against them may pop."""
+    """Append-only packed monic reducers of one run: leading keys, and tails
+    as ``(key, coefficient)`` lists.  Every polynomial the engine adds is
+    monic already: ``_complete`` takes ``_monic`` generators and RREF rows and
+    adds ``_monic`` remainders, and ``_reduced_basis`` adds kept elements of
+    those.  ``divisor`` maps a key to the index of its first dividing
+    reducer, or to ``~k`` for a miss after checking ``k`` reducers.
+    ``steps`` is how many more terms reductions against them may pop."""
 
-    __slots__ = ("pack", "lms", "lc_invs", "tails", "divisor", "steps")
+    __slots__ = ("pack", "lms", "tails", "divisor", "steps")
 
     def __init__(self, pack):
         self.pack = pack
         self.lms = []
-        self.lc_invs = []
         self.tails = []
         self.divisor = {}
         self.steps = MAX_REDUCTION_STEPS
 
-    def add(self, terms: dict, lc_inv: int = 1) -> None:
-        """Append a packed polynomial (keys ascending) with the inverse of its
-        leading coefficient."""
+    def add(self, terms: dict) -> None:
+        """Append a monic packed polynomial (keys ascending)."""
         items = iter(terms.items())
         self.lms.append(next(items)[0])
-        self.lc_invs.append(lc_inv)
         self.tails.append(list(items))
 
     def find(self, m: int) -> int:
@@ -382,7 +382,7 @@ class _Reducers:
 
 
 def _reduce(terms: dict, reducers: _Reducers, p: int) -> dict:
-    """Remainder of the packed polynomial ``terms`` on division by
+    """Remainder of the packed polynomial ``terms`` on division by the monic
     ``reducers``, packed, leading term first.
 
     Keys leave a heap smallest first, so terms go in descending DRL order,
@@ -392,7 +392,7 @@ def _reduce(terms: dict, reducers: _Reducers, p: int) -> dict:
     the heap once, as every term added is below the popped one.  Each pop
     spends one of ``reducers.steps``.
     """
-    lms, lc_invs, tails = reducers.lms, reducers.lc_invs, reducers.tails
+    lms, tails = reducers.lms, reducers.tails
     divisor, find = reducers.divisor, reducers.find
     heappush, heappop = heapq.heappush, heapq.heappop
     work = dict(terms)
@@ -415,7 +415,7 @@ def _reduce(terms: dict, reducers: _Reducers, p: int) -> dict:
             if i < 0:
                 remainder[m] = c
                 continue
-        scale = -c * lc_invs[i] % p
+        scale = p - c
         shift = m - lms[i]
         for k, gc in tails[i]:
             k += shift
@@ -511,11 +511,12 @@ def _complete(G, pack, fld, above: int) -> GroebnerBasis:
 
     The elements of ``G`` of degree <= ``above`` (none for -1) must be the
     reduced Groebner basis up to that degree, so every initial pair whose lcm
-    has degree <= ``above`` reduces to zero and is dropped, and they are not
-    reduced again: the loop adds elements of higher degree only, which divide
-    none of their terms.  A loop that would reduce more than ``MAX_S_PAIRS``
-    S-pairs, or pop more than ``MAX_REDUCTION_STEPS`` terms, raises
-    BudgetExhausted.  Every term met in a reduction lies below the pair's
+    has degree <= ``above`` reduces to zero and is dropped as it is made (the
+    pruning judges a pair by its two leading monomials and the new one), and
+    they are not reduced again: the loop adds elements of higher degree only,
+    which divide none of their terms.  A loop that would reduce more than
+    ``MAX_S_PAIRS`` S-pairs, or pop more than ``MAX_REDUCTION_STEPS`` terms,
+    raises BudgetExhausted.  Every term met in a reduction lies below the pair's
     lcm, so with the input terms packed (DegreeTooLarge beyond the width),
     checking each selected lcm keeps every exponent inside its field.
     """
@@ -526,8 +527,8 @@ def _complete(G, pack, fld, above: int) -> GroebnerBasis:
     lcms = {}  # pair -> packed lcm, filled when the pair is created
     for t, g in enumerate(G):
         reducers.add(g)
-        pairs = _update_pairs(pack, reducers.lms, pairs, lcms, t)
-    pairs = {pair for pair in pairs if pack.degree(lcms[pair]) > above}
+        pairs = {pair for pair in _update_pairs(pack, reducers.lms, pairs, lcms, t)
+                 if pack.degree(lcms[pair]) > above}
 
     processed = 0
     while pairs:
@@ -802,14 +803,12 @@ class _DegreeLoop:
 
     def _lists_next(self) -> bool:
         """Whether degree top + 1 may be listed, before anything of it is:
-        ``MAX_LOOP_DEGREES`` not yet walked, at most ``MAX_MONOMIALS``
-        monomials (so at most as many in the degree below, which ``echelon``
-        lists before lo), and at most ``MAX_MACAULAY_CELLS`` cells in the
-        table of P that ``covers_next`` makes."""
+        ``MAX_LOOP_DEGREES`` not yet walked, and ``core._lists`` admitting
+        its monomials (so those of the degree below, which ``echelon`` lists
+        before lo, too).  That bounds the table of P that ``covers_next``
+        makes, (n + 1) N_d cells, by 9 MAX_MONOMIALS."""
         n, d = self.pack.n, self.top + 1
-        size = math.comb(n - 1 + d, d)
-        return (len(self.echelons) < MAX_LOOP_DEGREES and size <= MAX_MONOMIALS
-                and (n + 1) * size <= MAX_MACAULAY_CELLS)
+        return len(self.echelons) < MAX_LOOP_DEGREES and _lists(n, math.comb(n - 1 + d, d))
 
     def _next_cells(self) -> int:
         """A bound on the cells of each array that eliminating degree d =

@@ -1,7 +1,8 @@
 """Integer truncated power series and the numeric degree/complexity bounds.
 
 All coefficients are exact Python ints; binomial coefficients grow past 64
-bits quickly, so nothing here ever rounds.
+bits quickly, so nothing here ever rounds.  Every product of polynomials
+here and in ``analysis`` is by factors (1 - z^d), made by ``_times_one_minus_z``.
 """
 
 from __future__ import annotations
@@ -26,18 +27,6 @@ def poly_trim(c) -> list:
     while c and c[-1] == 0:
         c.pop()
     return c
-
-
-def poly_mul(a, b) -> list:
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    b_terms = [(j, y) for j, y in enumerate(b) if y]
-    for i, x in enumerate(a):
-        if x:
-            for j, y in b_terms:
-                out[i + j] += x * y
-    return poly_trim(out)
 
 
 def poly_sub(a, b) -> list:
@@ -65,6 +54,14 @@ def _check_series_length(length: int) -> None:
         )
 
 
+def _times_one_minus_z(out: list, degrees) -> list:
+    """Multiply ``out`` in place by prod_j (1 - z^(d_j)) mod z^len(out), for
+    degrees d_j >= 1, and return it: each factor sets a_k to a_k - a_(k-d)."""
+    for d in degrees:
+        out[d:] = [a - b for a, b in zip(out[d:], out)]
+    return out
+
+
 def degree_product(degrees) -> list:
     """Coefficients of prod_j (1 - z^(d_j)); the empty product is 1.  A
     product of more than ``MAX_SERIES_CAP`` coefficients raises CapExhausted
@@ -74,12 +71,7 @@ def degree_product(degrees) -> list:
         if d < 1:
             raise InvalidDegree(f"generator degree {d} < 1")
     _check_series_length(sum(degrees) + 1)
-    out = [1]
-    for d in degrees:
-        factor = [0] * (d + 1)
-        factor[0], factor[d] = 1, -1
-        out = poly_mul(out, factor)
-    return out
+    return _times_one_minus_z([1] + [0] * sum(degrees), degrees)
 
 
 # ---------------------------------------------------------------------------
@@ -124,7 +116,7 @@ def froberg_series(n: int, degrees, cap: int) -> TruncSeries:
     for d in degrees:
         if d < 1:
             raise InvalidDegree(f"generator degree {d} < 1")
-        out[d:] = [a - b for a, b in zip(out[d:], out)]
+        _times_one_minus_z(out, (d,))
     return TruncSeries(tuple(out))
 
 

@@ -155,11 +155,23 @@ class TestMonomialsOfDegree:
         # counted before any monomial is listed
         with pytest.raises(MatrixTooLarge):
             monomials_of_degree(4, 5000)
+        # in at most 8 variables the limit is MAX_MONOMIALS monomials; above,
+        # 8 MAX_MONOMIALS exponent cells
+        limit = core.MAX_MONOMIALS
+        for n in range(1, 9):
+            assert core._lists(n, limit) and not core._lists(n, limit + 1)
+        for n in (9, 600):
+            most = 8 * limit // n
+            assert core._lists(n, most) and not core._lists(n, most + 1)
         monkeypatch.setattr(core, "MAX_MONOMIALS", binom(9, 3))
         listing = monomials_of_degree.__wrapped__  # a cache hit skips the check
         assert len(listing(7, 3)) == binom(9, 3)
         with pytest.raises(MatrixTooLarge):
             listing(7, 4)
+        # 78 monomials of 12 exponents each: fewer than 84, but 936 cells
+        assert len(listing(9, 2)) == binom(10, 2)
+        with pytest.raises(MatrixTooLarge, match="^78 monomials .* over the limit of 56$"):
+            listing(12, 2)
 
     def test_high_degree_in_few_variables(self):
         # each monomial costs O(n), not O(d)

@@ -48,6 +48,7 @@ from sgb.engine import (
     MAX_MACAULAY_CELLS,
     _macaulay_cells,
     _matmul_mod,
+    _monic,
     _reduce,
     _Reducers,
 )
@@ -258,7 +259,8 @@ def reducer_set(polys, n):
 
 
 def add_reducer(reducers, g: Polynomial) -> None:
-    reducers.add(reducers.pack.terms(g), g.field.inv(g.leading_coeff()))
+    # division by g and by g / lc(g) leaves the same remainder
+    reducers.add(_monic(reducers.pack.terms(g), g.field.p))
 
 
 def remainder(f: Polynomial, reducers) -> Polynomial:
@@ -1164,23 +1166,69 @@ class TestLoopBudget:
 
     def test_each_limit_stops_the_walk_before_its_degree(self, f7, monkeypatch):
         # x1^2 in 3 variables: no degree is covered, and degree d has C(d + 2,
-        # 2) monomials.  The limits on degrees, on monomials and on the table
-        # of P stop the walk before that table is made, the cell budget after
+        # 2) monomials.  The limits on degrees and on listing monomials stop
+        # the walk before the table of P is made, the cell budget after
         system = PolySystem(f7, 3, (Polynomial(f7, 3, {(2, 0, 0): 1}),))
         full = engine._DegreeLoop(system)
         full.walk(7)
 
-        def walked(name, value):
+        def walked(module, name, value):
             with monkeypatch.context() as patch:
-                patch.setattr(engine, name, value)
+                patch.setattr(module, name, value)
                 loop = engine._DegreeLoop(system)
                 loop.walk(10)
             return loop.top, loop._owner is None
 
-        assert walked("MAX_LOOP_DEGREES", 5) == (6, True)
-        assert walked("MAX_MONOMIALS", math.comb(9, 2)) == (7, True)  # N_8 = C(10, 2)
-        assert walked("MAX_MACAULAY_CELLS", full.cells) == (7, False)
-        assert walked("MAX_MACAULAY_CELLS", 4 * math.comb(4, 2) - 1) == (1, True)  # (n + 1) N_2
+        assert walked(engine, "MAX_LOOP_DEGREES", 5) == (6, True)
+        assert walked(core, "MAX_MONOMIALS", math.comb(9, 2)) == (7, True)  # N_8 = C(10, 2)
+        assert walked(engine, "MAX_MACAULAY_CELLS", full.cells) == (7, False)
+        # the listing limit bounds the table of P, (n + 1) N_2 cells here, so
+        # a budget below it stops the walk after the table, by the cells
+        assert walked(engine, "MAX_MACAULAY_CELLS", 4 * math.comb(4, 2) - 1) == (1, False)
+
+    def test_listing_limit_counts_exponent_cells(self, f31):
+        # two linear forms in 600 variables: degree 2 has 180,300 monomials of
+        # 600 exponents each, over the listing limit, so the loop stops at
+        # degree 1 and hands its rows to Buchberger's loop, where the product
+        # criterion leaves no pair
+        n = 600
+        polys = tuple(
+            Polynomial(f31, n, {tuple(int(k == i) for k in range(n)): c for i, c in terms})
+            for terms in (((0, 1), (5, 3), (599, 2)), ((1, 1), (7, 5)))
+        )
+        system = PolySystem(f31, n, polys)
+        oracle = buchberger(system)
+        start = time.monotonic()
+        assert gb_up_to(system, 1) == oracle
+        assert analysis.groebner_basis(system) == oracle
+        assert time.monotonic() - start < 2
+        start = time.monotonic()
+        with pytest.raises(MatrixTooLarge, match="^180300 monomials of degree 2 in 600 variables"):
+            monomials_of_degree(n, 2)
+        assert time.monotonic() - start < 0.1
+
+    @pytest.mark.parametrize("sampler", [sample_system, corner_system])
+    def test_a_handover_prunes_no_pair_at_or_below_the_top(self, f31, monkeypatch, sampler):
+        # a loop stopped at a cap below the largest basis degree hands its
+        # rows over; each pair of lcm degree <= that cap is dropped as soon as
+        # the pruning makes it, so no later pruning is given one, and the
+        # basis stays the same
+        system = sampler(5, 5, (1, 2, 3, 3, 3), f31, seed=0)
+        oracle = buchberger(system)
+        degrees, real = [], engine._update_pairs
+
+        def spy(pack, lmG, pairs, lcms, t):
+            degrees.extend(pack.degree(lcms[pair]) for pair in pairs)
+            return real(pack, lmG, pairs, lcms, t)
+
+        monkeypatch.setattr(engine, "_update_pairs", spy)
+        assert max_gb_deg(oracle) > 4
+        for cap in range(3, max_gb_deg(oracle)):
+            degrees.clear()
+            loop = engine._DegreeLoop(system)
+            assert loop.basis(cap) == oracle
+            assert loop.top == cap and not loop.complete
+            assert degrees and min(degrees) > cap, cap
 
     @pytest.mark.parametrize("sampler", [sample_system, corner_system])
     def test_a_stop_below_the_top_generator_degree_is_exact(self, f31, monkeypatch, sampler):

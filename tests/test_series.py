@@ -26,12 +26,11 @@ from sgb.errors import (
     OmegaOutOfRange,
     UndefinedBound,
 )
-from sgb.series import MAX_SERIES_CAP, divide_by_one_minus_z
+from sgb.series import MAX_SERIES_CAP, degree_product, divide_by_one_minus_z
 
 
-def series_oracle(n, degrees, cap):
-    """Long multiplication / division oracle, independent of the library path."""
-    # prod (1 - z^d)
+def numerator_oracle(degrees):
+    """prod (1 - z^d) by long multiplication, independent of the library path."""
     num = [1]
     for d in degrees:
         nxt = [0] * (len(num) + d)
@@ -39,6 +38,12 @@ def series_oracle(n, degrees, cap):
             nxt[i] += c
             nxt[i + d] -= c
         num = nxt
+    return num
+
+
+def series_oracle(n, degrees, cap):
+    """Long multiplication / division oracle, independent of the library path."""
+    num = numerator_oracle(degrees)
     # divide by (1-z)^n termwise: repeated prefix sums
     out = num[:cap] + [0] * max(0, cap - len(num))
     for _ in range(n):
@@ -98,6 +103,38 @@ class TestFrobergSeries:
             big = froberg_series(n, degrees, 16)
             small = froberg_series(n, degrees, 9)
             assert big.coeffs[:9] == small.coeffs
+
+
+class TestDegreeProduct:
+    def test_against_long_multiplication_oracle(self):
+        rng = random.Random(4)
+        for _ in range(200):
+            degrees = [rng.randint(1, 5) for _ in range(rng.randint(0, 6))]
+            assert degree_product(degrees) == numerator_oracle(degrees), degrees
+
+    def test_empty_product_is_one(self):
+        assert degree_product([]) == [1]
+
+    def test_degree_zero_is_refused_before_the_length(self):
+        # the degree sum is over the limit too, but the bad degree is named
+        with pytest.raises(InvalidDegree):
+            degree_product([MAX_SERIES_CAP, 0])
+        with pytest.raises(InvalidDegree):
+            degree_product([2, 0, 3])
+
+    def test_long_product_is_refused_before_any_list(self):
+        # a list of 3 * 10^9 + 1 coefficients would take 24 GB
+        tracemalloc.start()
+        try:
+            with pytest.raises(CapExhausted):
+                degree_product([10**9] * 3)
+            with pytest.raises(CapExhausted):
+                degree_product([MAX_SERIES_CAP // 2] * 2)
+            assert tracemalloc.get_traced_memory()[1] < 2**16
+        finally:
+            tracemalloc.stop()
+        # the longest product accepted has MAX_SERIES_CAP coefficients
+        assert len(degree_product([MAX_SERIES_CAP // 2, MAX_SERIES_CAP // 2 - 1])) == MAX_SERIES_CAP
 
 
 class TestPositiveTruncate:
