@@ -351,48 +351,81 @@ def _counted_profile(values, n: int) -> HilbertProfile:
     return HilbertProfile(tuple(numerator), r, tuple(h), stable, d_reg, stable, constant)
 
 
-def _extension_profile(hf, lazard: int, n: int) -> HilbertProfile | None:
+def _extension_profile(hf, lazard: int, n: int, at_lazard: bool) -> HilbertProfile | None:
     """The profile of <I, l> when R/<I, l> is Artinian, else None, from
-    ``hf``, a function from d to HF_{R/<I, l>}(d) for 1 <= d <= ``lazard``,
-    the Lazard degree of <I, l>, with no basis of <I, l>.
-
-    An Artinian <I, l> has HF zero at the Lazard degree (Lazard 1983; the
-    Hilbert function is the same over the algebraic closure of F_p), so one
-    value there rejects.  An accepted form takes the values from degree 1
-    up to the first zero, and HF(0) = 1."""
-    if hf(lazard):
+    ``hf``, d -> HF_{R/<I, l>}(d) for 1 <= d <= ``lazard``, the Lazard degree
+    of <I, l>, with no basis of <I, l>.  An Artinian <I, l> has HF zero at
+    the Lazard degree (Lazard 1983; HF is the same over the algebraic
+    closure of F_p), and HF stays 0 above a zero: the values from degree 1
+    up accept at the first zero, with HF(0) = 1, and a nonzero value at the
+    Lazard degree rejects, asked first ``at_lazard`` (I's loop stands there)."""
+    if at_lazard and hf(lazard):
         return None
-    values = itertools.takewhile(bool, map(hf, range(1, lazard)))
-    return _counted_profile([1, *values, 0], n)
+    values = [1, *itertools.takewhile(bool, map(hf, range(1, lazard)))]
+    if len(values) == lazard and not at_lazard and hf(lazard):
+        return None
+    return _counted_profile(values + [0], n)
 
 
-def _extension_test(system: PolySystem, loop: _DegreeLoop | None):
+class _LoopFallsShort(Exception):
+    """I's degree loop cannot settle the search (``_extension_test``)."""
+
+
+def _leads_gate(loop: _DegreeLoop, lazard: int) -> bool:
+    """Whether I's loop, walked to the Lazard degree, shows dim R/I <= 1 (leads lie in in(I))."""
+    loop.walk(lazard)
+    return loop.covered is not None or loop.top >= lazard and krull_dim(loop.leads()) <= 1
+
+
+def _extension_test(system: PolySystem, loop: _DegreeLoop | None, lm: MonomialIdeal | None = None):
     """A function from a linear form l to the profile of <I, l> when R/<I, l>
-    is Artinian, else to None.  With I's ``loop`` walked to the Lazard degree
-    of <I, l> or to its cover, ``_extension_profile`` reads multiplication on
-    R/I (``_DegreeLoop.extension_hf``); otherwise (Buchberger's route, or a
-    walk the cell budget cut short) each l gets a Buchberger basis of <I, l>."""
-    def oracle(ell):
-        profile = _hilbert_of_basis(buchberger(system.extended(ell)))[1]
-        return profile if profile.artinian else None
+    is Artinian, else to None.  l is rejected with no rank or basis if l_j =
+    0 for a coordinate point e_j where every generator vanishes: e_j lies in
+    V(<I, l>).  Given ``lm`` = LM(I), x_n takes the profile of in(I) + <x_n>.
+    Else ``_extension_profile`` reads I's ``loop``, walked only to the degree
+    it reads: the x_n-free standard counts, or multiplication on R/I
+    (``_DegreeLoop.extension_hf``).  With no ``lm``, a walk the budget stops,
+    or a rejection that ``_leads_gate`` leaves open, raises ``_LoopFallsShort``;
+    given ``lm``, l goes to buchberger if no loop stands at the Lazard degree or its cover."""
+    n = system.n
+    lazard = lazard_bound(n, system.m, system.degrees)  # that of <I, l> too
+    # f(e_j) is the coefficient of x_j^(deg f) in f
+    zeros = [j for j in range(n) if not any(f.coeffs.get(tuple(d * (i == j) for i in range(n)))
+                                            for f, d in zip(system.polys, system.degrees))]
+    on_loop = loop is not None and (lm is None or loop.covered is not None or loop.top >= lazard)
+    gate = functools.cache(lambda: lm is not None or _leads_gate(loop, lazard))
 
-    lazard = lazard_bound(system.n, system.m, system.degrees)  # that of <I, l> too
-    if loop is None or loop.covered is None and loop.top < lazard:
-        return oracle
-    return lambda ell: _extension_profile(
-        functools.partial(loop.extension_hf, _coefficients(ell)), lazard, system.n)
+    def test(ell):
+        coeffs = _coefficients(ell)
+        if any(not coeffs[j] for j in zeros):
+            return None
+        xn = not any(coeffs[:-1])
+        if xn and lm is not None:
+            return _profile_with_xn(lm)
+        if not on_loop:
+            profile = _hilbert_of_basis(buchberger(system.extended(ell)))[1]
+            return profile if profile.artinian else None
+
+        def hf(d):
+            loop.walk(d)
+            if loop.covered is None and loop.top < d:
+                raise _LoopFallsShort(f"the budget stopped I's loop short of degree {d}")
+            return loop.hf(d, xn_free=True) if xn else loop.extension_hf(coeffs, d)
+
+        profile = _extension_profile(hf, lazard, n, loop.covered is not None or loop.top >= lazard)
+        if profile is None and not gate():
+            raise _LoopFallsShort("the leads walked to the Lazard degree leave dim R/I open")
+        return profile
+
+    return test
 
 
-def _search_linear_form(system, first, loop, seed, max_attempts):
+def _search_linear_form(system, extension, seed, max_attempts):
     """The position change of the first admissible candidate and the
-    profile of <I, l>, for dim R/I <= 1.  The first candidate, l = x_n, has
-    the profile ``first`` (None or not Artinian when rejected), read from
-    I's loop or in(I), as in(I + <x_n>) = in(I) + <x_n> for homogeneous I
-    under DRL (Bayer-Stillman 1987, Lemma 2.2); the later ones go to the
-    test of I's route, on I's ``loop`` or by the oracle (``_extension_test``)."""
+    profile of <I, l>, for dim R/I <= 1: x_n, x_(n-1), ..., x_1, then seeded
+    random forms, each tested by ``extension`` (``_extension_test``)."""
     fld, n = system.field, system.n
     rng = random.Random(seed)
-    extension = _extension_test(system, loop)
 
     def candidates():
         for i in reversed(range(n)):
@@ -403,7 +436,7 @@ def _search_linear_form(system, first, loop, seed, max_attempts):
                 yield Polynomial.linear_form(fld, vec)
 
     for attempts, ell in enumerate(itertools.islice(candidates(), max_attempts), 1):
-        ext_profile = first if attempts == 1 else extension(ell)  # attempt 1 is l = x_n
+        ext_profile = extension(ell)
         if ext_profile is not None and ext_profile.artinian:
             ell, pivot = normalized_form(ell)
             pos = PositionChange(ell, pivot, build_sigma(ell), attempts)
@@ -414,13 +447,13 @@ def _search_linear_form(system, first, loop, seed, max_attempts):
     )
 
 
-def _loop_profile(loop: _DegreeLoop, start: int) -> HilbertProfile | None:
+def _loop_profile(loop: _DegreeLoop, start: int, lazard: int) -> HilbertProfile | None:
     """HS(R/I) counted on I's degree loop once a form l is accepted, with no
     basis of I, at the least m >= ``start`` = max(top generator degree,
     d_reg(<I, l>)) where l is injective from (R/I)_m to (R/I)_{m+1}; None
-    if no m up to the top degree walked, or the cover, has it, or the walk
-    stops before m + 1.  The loop walks one degree more for m = top.
-    HF_{R/<I, l>} is 0 from m on, so l
+    if no m up to ``lazard``, the Lazard degree, has it with the loop short
+    of its cover, or the walk stops before m + 1.  The loop walks only to
+    the degree m + 1 it reads.  HF_{R/<I, l>} is 0 from m on, so l
     maps (R/I)_m onto (R/I)_{m+1}, and injectivity, HF_{R/I}(m + 1) -
     HF_{R/<I, l>}(m + 1) = HF_{R/I}(m), reads HF_{R/I}(m + 1) = HF_{R/I}(m).
     Then HF_{R/I} stays HF_{R/I}(m) from m on (``_counted_profile``) by the
@@ -440,27 +473,14 @@ def _loop_profile(loop: _DegreeLoop, start: int) -> HilbertProfile | None:
     c_ij), the c_ij cancelling in pairs, is in I.  So (I : l)_d = I_d for
     every d >= m: l is injective from (R/I)_d, and onto (R/I)_{d+1}.
     """
-    last = loop.top if loop.covered is None else max(loop.covered, start)
-    for m in range(start, last + 1):
+    for m in itertools.count(start):
+        if loop.covered is None and m > lazard:  # from the cover on HF is 0
+            return None
         loop.walk(m + 1)
         if loop.covered is None and loop.top <= m:
             return None
         if loop.hf(m + 1) == loop.hf(m):
             return _counted_profile([loop.hf(d) for d in range(m + 1)], loop.pack.n)
-    return None
-
-
-def _walk_for_search(system: PolySystem, loop: _DegreeLoop) -> int | None:
-    """Walk I's loop, short of its cover, to the Lazard degree L of I; return
-    L once the cover or the leads walked show dim R/I <= 1 (they lie in
-    in(I)), None if they do not or the budget stopped the walk short of L.
-    L is that of <I, l> too (a degree-1 form adds 0 to the sum) and at least
-    the route's cap: D(n, m) <= L (``series.truncated_froberg_polynomial``)."""
-    lazard = lazard_bound(system.n, system.m, system.degrees)
-    loop.walk(lazard)
-    if loop.covered is None and (loop.top < lazard or krull_dim(loop.leads()) > 1):
-        return None
-    return lazard
 
 
 def _ideal_for_search(system: PolySystem, seed: int, max_attempts: int):
@@ -468,34 +488,41 @@ def _ideal_for_search(system: PolySystem, seed: int, max_attempts: int):
     its route (both None on Buchberger's route), the profile of R/I, the
     position change and the profile of <I, l>.  NotHomogeneous and SgbError
     (``max_attempts`` < 1) come before any elimination, DimensionTooHigh
-    (dim R/I >= 2: no single form can work) before any candidate.
+    (dim R/I >= 2: no single form can work) before SearchExhausted.
 
-    On the Macaulay route x_n is read from the x_n-free standard counts of
-    I's loop at the Lazard degree of <I, l> (``_walk_for_search``), the
-    later candidates from its echelons, and HS(R/I), Artinian or not, from
-    the same loop (``_loop_profile``), with no basis of I.  Where the budget
-    refuses that walk, or the loop leaves dim R/I or HS(R/I) open, I's basis
-    comes from the loop, and LM(I) gives the profile, the dimension check
-    and x_n, as on Buchberger's route, which builds no loop."""
+    On the Macaulay route the candidates are tested on I's loop, walked
+    only as far as each test reads (``_extension_test``), and HS(R/I) is
+    counted on it (``_loop_profile``), with no basis of I.  An accepted l
+    shows dim R/I <= 1, as dim R/<I, l> >= dim R/I - 1; the leads gate is
+    asked at the first rejection at the Lazard degree and when the attempts
+    run out.  Where the budget stops the walk, the gate fails, or the loop
+    leaves HS(R/I) open, I's basis comes from the loop, and LM(I) gives the
+    profile, the dimension check and x_n, as on Buchberger's route."""
     if not system.homogeneous:
         raise NotHomogeneous("the degree bounds apply to homogeneous ideals")
     if max_attempts < 1:
         raise SgbError(f"max_attempts must be >= 1, got {max_attempts}")
     engine, cap = _default_route(system)
     loop = None if engine == "buchberger" else _DegreeLoop(system)
-    lazard = None if loop is None else _walk_for_search(system, loop)
-    found = None
-    if lazard is not None:
-        first = _extension_profile(functools.partial(loop.hf, xn_free=True), lazard, system.n)
-        found = _search_linear_form(system, first, loop, seed, max_attempts)
-        profile = _loop_profile(loop, max(max(system.degrees), found[1].d_reg))
-        if profile is not None:
-            return None, loop, cap, profile, *found
+    found = profile = None
+    if loop is not None:
+        lazard = lazard_bound(system.n, system.m, system.degrees)
+        try:
+            found = _search_linear_form(system, _extension_test(system, loop), seed, max_attempts)
+            profile = _loop_profile(loop, max(max(system.degrees), found[1].d_reg), lazard)
+        except SearchExhausted:
+            if _leads_gate(loop, lazard):
+                raise
+        except _LoopFallsShort:
+            pass
+    if profile is not None:
+        return None, loop, cap, profile, *found
     basis = buchberger(system) if loop is None else loop.basis(cap)
     lm, profile = _hilbert_of_basis(basis)
     if profile.krull_dim >= 2:
         raise DimensionTooHigh(f"Krull dimension {profile.krull_dim} >= 2: no single form can work")
-    found = found or _search_linear_form(system, _profile_with_xn(lm), loop, seed, max_attempts)
+    extension = _extension_test(system, loop, lm)
+    found = found or _search_linear_form(system, extension, seed, max_attempts)
     return basis, loop, cap, profile, *found
 
 
@@ -569,28 +596,29 @@ def verify_main_theorem(
     same pair for a fixed input; on the Macaulay route only the pairs of
     Buchberger's loop after the handover at the cap count.
 
-    On the Macaulay route I's degree loop gives the linear form and HS(R/I),
-    Artinian or of Krull dimension 1, with no basis of I
-    (``_ideal_for_search``); elsewhere LM(I) gives HS(R/I) and x_n.  sigma is
-    invertible, so HS(R/I^sigma) = HS(R/I), and the degree loop of I^sigma,
-    or I's when sigma is the identity, walks with that numerator to its cap
-    or stops earlier, complete, by its cover or at max.GB.deg(I^sigma) by
-    the Hilbert exit (``engine._DegreeLoop.walk``).  A complete loop gives
-    LM(I^sigma) (``_DegreeLoop.leads``), max.GB.deg(I^sigma) as the degree of
-    its least key (DRL is graded), and the weakly reverse-lex flag, with no
-    basis of I^sigma.  Only an incomplete loop, by the handover at its cap
+    On the Macaulay route I's degree loop, walked only as far as the search
+    and the count read, gives the linear form and HS(R/I), Artinian or of
+    Krull dimension 1, with no basis of I (``_ideal_for_search``); elsewhere
+    LM(I) gives HS(R/I) and x_n.  sigma is invertible, so HS(R/I^sigma) =
+    HS(R/I), and the degree loop of I^sigma, or I's when sigma is the
+    identity, walks with that numerator to its cap or stops earlier,
+    complete, by its cover or at max.GB.deg(I^sigma) by the Hilbert exit
+    (``engine._DegreeLoop.walk``).  A complete loop gives LM(I^sigma)
+    (``_DegreeLoop.leads``), max.GB.deg(I^sigma) as the degree of its least
+    key (DRL is graded), and the weakly reverse-lex flag, with no basis of
+    I^sigma.  Only an incomplete loop, by the handover at its cap
     (``_DegreeLoop.basis``), and Buchberger's route build that basis, and
     ``check_weakly_revlex`` scans its leading monomials.  This uses the
     exact series of I, not the theorem, so ``ineq_max_gb`` stays a check.
 
     No basis of <I^sigma, x_n> is computed: in(J + <x_n>) = in(J) + <x_n>
     for J = I^sigma (Bayer-Stillman 1987, Lemma 2.2), so d_reg(<I^sigma,
-    x_n>) == d_reg(<I, l>) compares LM(I^sigma) with the test of l on I's
-    route (``_extension_test``).  So a run on the Macaulay route computes no
-    basis unless a loop is left incomplete at its cap, the loop of I leaves
+    x_n>) == d_reg(<I, l>) compares LM(I^sigma) with the test of l
+    (``_extension_test``).  A run on the Macaulay route computes no basis
+    unless a loop is left incomplete at its cap, I's loop leaves dim R/I or
     HS(R/I) open, or the cell budget cuts its walk short; on Buchberger's
-    route it computes those of I, of <I, l> per candidate after x_n and of
-    I^sigma for sigma not the identity.
+    route it computes those of I, of I^sigma for sigma not the identity and
+    of <I, l> per candidate after x_n that vanishes at no coordinate zero of I.
     """
     basis, loop, cap, profile, pos, ext_profile = _ideal_for_search(system, seed, max_attempts)
     n, m, degrees = system.n, system.m, system.degrees

@@ -156,33 +156,30 @@ def hilbert_numerator(J: MonomialIdeal) -> list:
 
 
 def krull_dim(J: MonomialIdeal) -> int:
-    """Krull dimension of R/J: the size of the largest free set, a set of
-    variables that contains the support of no generator.  Its complement is
-    the least cover, a set that meets every support, so the search grows both
-    one size at a time and stops at the first size with a cover (dimension
-    n - size) or with no free set one larger (dimension size), in O(n^2) set
-    tests for a dimension <= 1 or >= n - 1.  Sets are read as guard bits."""
+    """Krull dimension of R/J: n minus the size of the least cover, a set of
+    variables meeting every generator's support; its complement is a largest
+    free set, containing no support.  No free variable gives dimension 0, no
+    free pair dimension 1, in O(n^2) set tests.  Else a free pair's
+    complement covers, and the search takes an uncovered support of fewest
+    variables, branches on each of them, and prunes a branch that cannot
+    beat the least cover found so far.  Sets are read as guard bits."""
     if J.is_unit():
         raise UnitIdeal("quotient by the unit ideal has no dimension")
     pack = _packing(J.n)
-    supports = set(map(pack.support, J.keys))
+    supports = sorted(set(map(pack.support, J.keys)), key=int.bit_count)
     variables = [1 << (s + pack.bits - 1) for s in pack.shifts]
-    touching = [[s for s in supports if s & v] for v in variables]
-    free = [(0, 0)]  # the free sets of the current size, each with the index above its top
-    for size in range(J.n + 1):
-        for cover in map(sum, itertools.combinations(variables, size)):
-            if all(s & cover for s in supports):
-                return J.n - size
-        # a subset of a free set is free, so each free set of size + 1 is one
-        # of size plus a variable v above its top, and only supports that
-        # contain v can lie inside it
-        free = [
-            (f | v, i + 1) for f, lo in free for i, v in enumerate(variables[lo:], lo)
-            if all(s & ~(f | v) for s in touching[i])
-        ]
-        if not free:
-            return size
-    raise AssertionError("unreachable: full variable set always covers")
+    free = [v for v in variables if v not in supports]
+    if not any(all(s & ~(v | w) for s in supports) for v, w in itertools.combinations(free, 2)):
+        return min(len(free), 1)
+    best, branches = J.n - 2, [(0, 0)]
+    while branches:
+        cover, size = branches.pop()
+        uncovered = next((s for s in supports if not s & cover), 0)
+        if not uncovered:
+            best = min(best, size)
+        elif size + 1 < best:
+            branches += [(cover | v, size + 1) for v in variables if uncovered & v]
+    return J.n - best
 
 
 def hilbert_function(J: MonomialIdeal, d: int) -> int:

@@ -382,6 +382,36 @@ def coordinate_zeros_system(fld):
     return PolySystem(fld, 3, polys)
 
 
+def candidate_forms(system, seed, count):
+    """The first ``count`` candidates of the linear-form search: x_n .. x_1,
+    then the forms of the seeded random vectors."""
+    fld, n = system.field, system.n
+    rng = random.Random(seed)
+    forms = [Polynomial.variable(fld, n, i) for i in reversed(range(n))]
+    while len(forms) < count:
+        vec = [rng.randrange(fld.p) for _ in range(n)]
+        if any(vec):
+            forms.append(Polynomial.linear_form(fld, vec))
+    return forms[:count]
+
+
+def at_a_coordinate_zero(system, ell):
+    """Whether ``ell`` vanishes at a coordinate point where every generator
+    does, by evaluation."""
+    points = [[int(i == j) for i in range(system.n)] for j in range(system.n)]
+    return any(ell.evaluate(e) == 0 and not any(f.evaluate(e) for f in system.polys) for e in points)
+
+
+def read_by_the_oracle(system, forms):
+    """The forms after x_n that the oracle route tests by a basis of <I, l>:
+    those that vanish at no coordinate zero of I and are no multiple of x_n,
+    whose profile comes from LM(I)."""
+    return [
+        ell for ell in forms[1:]
+        if not at_a_coordinate_zero(system, ell) and any(not t[-1] for t in ell.coeffs)
+    ]
+
+
 @st.composite
 def extension_cases(draw):
     """A dense or Z system over F_2, F_3 or F_31, of any dimension, and a
@@ -445,25 +475,33 @@ class TestExtensionMaps:
     @settings(max_examples=60, deadline=None)
     @given(map_cases())
     def test_matches_the_basis_of_the_extension(self, case):
-        # the profile from multiplication maps on the echelons of I's loop,
-        # walked to the Lazard degree of <I, l> or to its cover on either
-        # route, with no basis of <I, l>, and from the test with no loop,
-        # which takes the oracle's basis of <I, l>: None exactly when that
-        # <I, l> is not Artinian
+        # the profile from I's loop on either route, walked only as far as
+        # each form reads or to the Lazard degree of <I, l> beforehand, with
+        # no basis of <I, l>, and from the test with no loop, which takes
+        # the oracle's basis of <I, l>: None exactly when that <I, l> is not
+        # Artinian.  A rejection that the leads walked to the Lazard degree
+        # leave open raises instead, and no loop walks past that degree
         system, forms = case
-        maps = analysis._extension_test(system, walked_loop(system))
+        lazard = lazard_bound(system.n, system.m + 1, system.degrees + (1,))
         oracle = analysis._extension_test(system, None)
-        with mock.patch.object(analysis, "buchberger", wraps=buchberger) as bases:
-            profiles = [maps(ell) for ell in forms]
-        assert not bases.called
-        for ell, profile in zip(forms, profiles):
-            lm = leading_monomial_ideal(buchberger(system.extended(ell)))
-            expected = regularity_profile(lm)
-            assert profile == (expected if expected.artinian else None), ell
-            assert oracle(ell) == (expected if expected.artinian else None), ell
+        expected = []
+        for ell in forms:
+            profile = regularity_profile(leading_monomial_ideal(buchberger(system.extended(ell))))
+            expected.append(profile if profile.artinian else None)
+            assert oracle(ell) == expected[-1], ell
+        for loop in (engine._DegreeLoop(system), walked_loop(system)):
+            maps = analysis._extension_test(system, loop)
+            with mock.patch.object(analysis, "buchberger", wraps=buchberger) as bases:
+                for ell, profile in zip(forms, expected):
+                    try:
+                        assert maps(ell) == profile, ell
+                    except analysis._LoopFallsShort:
+                        assert profile is None and not analysis._leads_gate(loop, lazard)
+            assert not bases.called and loop.top <= lazard
 
     def test_rejection_is_one_rank_at_the_lazard_degree(self, f31, monkeypatch):
-        # each form vanishes at a point of V(I): x_1 .. x_(n-1) at
+        # a form that vanishes at a coordinate point where every generator
+        # does is rejected with no rank and no walk: x_1 .. x_(n-1) at
         # (0 : ... : 0 : 1) on a Z system, and on coordinate_zeros_system
         # every variable at the coordinate points where it is 0
         shapes = []
@@ -474,15 +512,77 @@ class TestExtensionMaps:
         corner = coordinate_zeros_system(f31)
         cases.append((corner, [Polynomial.variable(f31, 3, i) for i in range(3)]))
         for system, forms in cases:
-            n, degrees = system.n, system.degrees
-            top = lazard_bound(n, system.m + 1, degrees + (1,))
-            _, profile = exact_hilbert_of_ideal(system)
-            hf = expand_hilbert_series(profile.numerator, n, top)
-            test = analysis._extension_test(system, walked_loop(system))
+            loop = engine._DegreeLoop(system)
+            test = analysis._extension_test(system, loop)
             for ell in forms:
-                shapes.clear()
                 assert test(ell) is None
-                assert shapes == [(hf[top - 1], hf[top])]
+            assert shapes == [] and loop.top == loop.lo - 1
+        # x1^2 - x2 x3, x2^2 - x1 x3 and x3^2 - x1 x2 vanish at (1 : 1 : 1),
+        # and so does l = x1 + x2 - 2 x3, nonzero at every coordinate point:
+        # one rank at the Lazard degree once the loop stands there, else
+        # one per degree from 1 up, walking the loop as it reads
+        pairs = (((2, 0, 0), (0, 1, 1)), ((0, 2, 0), (1, 0, 1)), ((0, 0, 2), (1, 1, 0)))
+        system = PolySystem(f31, 3, tuple(poly(f31, 3, {a: 1, b: -1}) for a, b in pairs))
+        ell = Polynomial.linear_form(f31, [1, 1, -2])
+        top = lazard_bound(3, 4, (2, 2, 2, 1))
+        _, profile = exact_hilbert_of_ideal(system)
+        hf = expand_hilbert_series(profile.numerator, 3, top)
+        read, real_hf = [], engine._DegreeLoop.extension_hf
+        monkeypatch.setattr(
+            engine._DegreeLoop, "extension_hf", lambda loop, c, d: read.append(d) or real_hf(loop, c, d))
+        loop = walked_loop(system)
+        shapes.clear()
+        assert analysis._extension_test(system, loop)(ell) is None
+        assert read == [top] and shapes == [(hf[top - 1], hf[top])]
+        read.clear()
+        loop = engine._DegreeLoop(system)
+        assert analysis._extension_test(system, loop)(ell) is None
+        assert read == list(range(1, top + 1)) and loop.top == top
+
+    @settings(max_examples=80, deadline=None)
+    @given(map_cases())
+    def test_a_coordinate_zero_rejects_only_what_the_oracle_rejects(self, case):
+        # a form the test rejects with no basis of <I, l> vanishes at a
+        # coordinate point where every generator does, and the oracle's
+        # basis of <I, l> rejects it too; every other form gets that basis
+        system, forms = case
+        test = analysis._extension_test(system, None)
+        for ell in forms:
+            with mock.patch.object(analysis, "buchberger", wraps=buchberger) as bases:
+                profile = test(ell)
+            assert bases.called != at_a_coordinate_zero(system, ell), ell
+            if not bases.called:
+                assert profile is None
+                assert not regularity_profile(leading_monomial_ideal(buchberger(system.extended(ell)))).artinian
+
+    def test_no_basis_for_a_form_at_a_coordinate_zero(self, monkeypatch):
+        # corner 4/4 over F_3 takes Buchberger's route, and most of its
+        # candidates have a zero coefficient: each such candidate vanishes at
+        # a coordinate point, as every generator does, and gets no basis
+        extensions, real = [], analysis.buchberger
+
+        def spy(s):
+            if s.m > 4:
+                extensions.append(s.polys[-1])
+            return real(s)
+
+        monkeypatch.setattr(analysis, "buchberger", spy)
+        f3, searches, rejected = PrimeField(3), 0, 0
+        for seed in range(12):
+            system = corner_system(4, 4, (2,) * 4, f3, seed)
+            assert analysis._default_route(system)[0] == "buchberger"
+            extensions.clear()
+            try:
+                attempts = verify_main_theorem(system, seed=seed).attempts_used
+            except SearchExhausted:
+                attempts = 64
+            except DimensionTooHigh:  # before any candidate
+                continue
+            forms = candidate_forms(system, seed, attempts)
+            assert extensions == read_by_the_oracle(system, forms)
+            searches += 1
+            rejected += sum(at_a_coordinate_zero(system, ell) for ell in forms[4:])
+        assert searches >= 6 and rejected >= searches
 
 
 @st.composite
@@ -622,22 +722,39 @@ class TestCountedSeries:
         assert True in injective_at_start and False in injective_at_start
 
     def test_dimension_two_on_the_loop_route(self, monkeypatch):
-        # Z 5/5 over F_2 at these seeds has Krull dimension 2: the leads of
-        # I's loop leave the dimension open, so no candidate is tried, I's
+        # Z 5/5 over F_2 at these seeds has Krull dimension 2: x_n, the one
+        # candidate read on I's loop, is rejected at the Lazard degree, where
+        # the leads leave the dimension open, so the search ends there; I's
         # basis comes from the loop and LM(I) raises as on Buchberger's route
-        def no_search(*args):
-            raise AssertionError("a candidate was tried")
-
-        monkeypatch.setattr(analysis, "_search_linear_form", no_search)
+        read, real = [], analysis._extension_profile
+        monkeypatch.setattr(analysis, "_extension_profile", lambda *args: read.append(args) or real(*args))
         f2 = PrimeField(2)
         for seed in (121, 126, 180, 243):
             system = sample_Z_system(5, 5, (2,) * 5, f2, seed)
             assert analysis._default_route(system)[0] == "macaulay"
             message = r"^Krull dimension 2 >= 2: no single form can work$"
+            for search in (verify_main_theorem, find_linear_form):
+                read.clear()
+                with pytest.raises(DimensionTooHigh, match=message):
+                    search(system, seed=0)
+                assert len(read) == 1
+
+    @pytest.mark.parametrize("route", ["macaulay", "buchberger"])
+    def test_dimension_two_with_every_attempt_at_a_coordinate_zero(self, f31, monkeypatch, route):
+        # corner 6/4 has Krull dimension 2 and x_6 vanishes at e_1, a zero of
+        # every generator: the one attempt is rejected with no rank, and the
+        # leads gate, asked when the attempts run out, sends I to its basis
+        system = corner_system(6, 4, (2,) * 4, f31, seed=1)
+        assert analysis._default_route(system)[0] == "macaulay"
+        if route == "buchberger":
+            monkeypatch.setattr(analysis, "_default_route", lambda system: ("buchberger", None))
+        read, real = [], analysis._extension_profile
+        monkeypatch.setattr(analysis, "_extension_profile", lambda *args: read.append(args) or real(*args))
+        message = r"^Krull dimension 2 >= 2: no single form can work$"
+        for search in (verify_main_theorem, find_linear_form):
             with pytest.raises(DimensionTooHigh, match=message):
-                verify_main_theorem(system, seed=0)
-            with pytest.raises(DimensionTooHigh, match=message):
-                find_linear_form(system, seed=0)
+                search(system, seed=0, max_attempts=1)
+        assert read == []
 
     def test_no_degree_to_read_falls_back_to_the_basis(self, f31, monkeypatch):
         # with no m on the loop, I's basis comes from the loop and LM(I)
@@ -648,7 +765,7 @@ class TestCountedSeries:
         ):
             counted = verify_main_theorem(system, seed=0)
             with monkeypatch.context() as patch:
-                patch.setattr(analysis, "_loop_profile", lambda loop, start: None)
+                patch.setattr(analysis, "_loop_profile", lambda loop, start, lazard: None)
                 assert verify_main_theorem(system, seed=0) == counted
 
     def test_a_walk_stopped_before_m_plus_1_falls_back_to_the_basis(self, monkeypatch):
@@ -944,8 +1061,9 @@ class TestVerifyMainTheorem:
         # no basis of <I, x_n> or <I^sigma, x_n>: one basis when sigma is
         # the identity, otherwise those of I and I^sigma, that of I^sigma
         # through groebner_basis with the numerator of HS(R/I), and one of
-        # <I, l> for each candidate after x_n, all on Buchberger's route
-        # (n = 3), which tests candidates by the oracle
+        # <I, l> for each candidate after x_n that vanishes at no coordinate
+        # zero of I, all on Buchberger's route (n = 3), which tests
+        # candidates by the oracle
         bases = []
         real = analysis.buchberger
         monkeypatch.setattr(analysis, "buchberger", lambda system: bases.append(system) or real(system))
@@ -955,16 +1073,18 @@ class TestVerifyMainTheorem:
             for m in (2, 3, 4)
             for k in range(3)
         ]
-        seen = set()
+        seen, skipped = set(), set()
         for system in systems:
             bases.clear()
             report = verify_main_theorem(system, seed=0)
             identity = report.sigma.is_identity()
-            extensions = [s for s in bases if s.m == system.m + 1]
-            assert len(extensions) == report.attempts_used - 1
-            assert len(bases) == (1 if identity else 2 + report.attempts_used - 1)
+            extensions = [s.polys[-1] for s in bases if s.m == system.m + 1]
+            forms = candidate_forms(system, 0, report.attempts_used)
+            assert extensions == read_by_the_oracle(system, forms)
+            assert len(bases) == (1 if identity else 2 + len(extensions))
             seen.add(identity)
-        assert seen == {True, False}
+            skipped.add(len(extensions) < report.attempts_used - 1)
+        assert seen == skipped == {True, False}
 
     def test_budget_exhaustion_is_a_row_status(self, f31, monkeypatch):
         # no capped basis stands in for an unfinished one
@@ -1041,6 +1161,44 @@ class TestDefaultRoute:
         if not isinstance(routed, Exception):
             assert routed.engine == "macaulay" and oracle.engine == "buchberger"
 
+    @pytest.mark.parametrize("p", [2, 3, 7, 31])
+    @pytest.mark.parametrize("sampler", [sample_system, sample_Z_system, corner_system])
+    def test_reports_match_buchberger_with_the_loop_forced(self, monkeypatch, sampler, p):
+        # every shape on I's loop, walked only as far as the search and the
+        # count read, against Buchberger's route: n = 3..6, m = n - 1 .. n + 1
+        monkeypatch.setattr(analysis, "_ELIMINATION_MIN_MONOMIALS", 0)
+        for n in range(3, 7):
+            for m in (n - 1, n, n + 1):
+                system = sampler(n, m, (2,) * m, PrimeField(p), seed=n + m)
+                assert analysis._default_route(system)[0] == "macaulay"
+                routed = verify_outcome(system)
+                oracle = self.forced(monkeypatch, verify_outcome, system)
+                assert comparable(routed) == comparable(oracle), (n, m)
+
+    @pytest.mark.parametrize(
+        "sampler, n, m, p",
+        [(sample_Z_system, 5, 6, 7), (corner_system, 5, 6, 31), (sample_system, 6, 7, 31),
+         (corner_system, 6, 6, 2)],
+    )
+    def test_a_budget_at_each_degree_of_the_search_keeps_the_report(self, monkeypatch, sampler, n, m, p):
+        # a cell budget that stops I's loop at each degree below the top the
+        # unpatched search and count reach: I's basis comes from the loop,
+        # a stop within the search leaves the candidate then read and the
+        # later ones to the oracle, and the report is the unpatched one
+        system = sampler(n, m, (2,) * m, PrimeField(p), seed=1)
+        loops, real_loop = [], analysis._DegreeLoop
+        monkeypatch.setattr(analysis, "_DegreeLoop", lambda s: loops.append(real_loop(s)) or loops[-1])
+        unpatched = comparable(verify_outcome(system))
+        probe, top = real_loop(system), loops[0].top
+        assert top > probe.lo
+        for d in range(probe.lo, top):
+            probe.walk(d)
+            loops.clear()
+            with monkeypatch.context() as patch:
+                patch.setattr(engine, "MAX_MACAULAY_CELLS", probe.cells)
+                assert comparable(verify_outcome(system)) == unpatched, d
+            assert loops[0].top == d
+
     def test_route_by_shape(self, f31, monkeypatch):
         # each basis is built once, by the oracle or by one degree loop of
         # its ideal
@@ -1066,11 +1224,12 @@ class TestDefaultRoute:
         assert report.engine == "buchberger" and calls == [("buchberger", 4)]
 
         # I and I^sigma by elimination; the candidates after x_n read the
-        # echelons of I's degree loop, which is not built again: at 6/6 its
-        # cap D = 7 is the Lazard degree of <I, l>, at 6/7 it goes on past
-        # the cap D = 4 up to 7, while the loop of I^sigma stops by the
+        # echelons of I's degree loop, which is not built again and walks
+        # only to what the search and the count of HS(R/I) read: at 6/6 to
+        # 6, below its cap D = 7, the Lazard degree of <I, l>, and at 6/7
+        # past the cap D = 4 to 5, below 7; the loop of I^sigma stops by the
         # Hilbert exit at max.GB.deg(I^sigma): 5 below the cap at 6/6, 4 at it
-        for m, cap in ((6, 7), (7, 4)):
+        for m, cap, top in ((6, 7, 6), (7, 4, 5)):
             calls.clear()
             loops.clear()
             system = corner_system(6, m, (2,) * m, f31, seed=1)
@@ -1079,7 +1238,7 @@ class TestDefaultRoute:
             assert not report.sigma.is_identity() and report.engine == "macaulay"
             assert report.attempts_used > 6
             assert calls == [("loop", m), ("loop", m)]
-            assert [lp.top for lp in loops] == [7, report.max_gb_deg_sigma]
+            assert [lp.top for lp in loops] == [top, report.max_gb_deg_sigma]
             assert loops[1].generated == report.max_gb_deg_sigma <= cap
 
     def test_budget_falls_back_to_buchberger(self, f31, monkeypatch):
@@ -1099,15 +1258,16 @@ class TestDefaultRoute:
 
     @pytest.mark.parametrize(
         "case, cells",
-        [("corner 5/6", 10_000), ("coordinate zeros", 10), ("corner 6/7", 18_000)],
+        [("corner 5/6", 1_000), ("coordinate zeros", 10), ("corner 6/7", 1_500)],
     )
     def test_refused_loop_leaves_candidates_to_buchberger(self, f31, monkeypatch, case, cells):
-        # unpatched, the candidates after x_n read the echelons of I on the
-        # Macaulay route, carried on from the cap D(6, 7) = 4 by the loop
-        # that built I's basis, and get a basis of <I, l> each from the
-        # oracle on the Buchberger route, which builds no loop; with a cell
-        # budget that stops I's loop past the cap but short of the Lazard
-        # degree of <I, l>, each gets a basis of <I, l> on either route
+        # unpatched, the candidates read the echelons of I on the Macaulay
+        # route, walked only as far as each reads, and on the Buchberger
+        # route, which builds no loop, get a basis of <I, l> each from the
+        # oracle unless they vanish at a coordinate zero of I; with a cell
+        # budget that stops I's loop mid-search, short of the degree that
+        # settles the accepted form, I's basis comes from the loop, and that
+        # form gets a basis of <I, l> on either route
         system = {
             "corner 5/6": corner_system(5, 6, (2,) * 6, f31, seed=1),
             "coordinate zeros": coordinate_zeros_system(f31),
@@ -1119,7 +1279,7 @@ class TestDefaultRoute:
 
         def spy(s):
             if s.m > system.m:
-                extensions.append(s)
+                extensions.append(s.polys[-1])
             return real_buchberger(s)
 
         monkeypatch.setattr(
@@ -1131,7 +1291,8 @@ class TestDefaultRoute:
         # the loops that built the bases of I and I^sigma, if any
         bases = [] if route[0] == "buchberger" else [system, apply_to_system(system, routed.sigma)]
         assert loops == bases
-        assert len(extensions) == (routed.attempts_used - 1 if route[0] == "buchberger" else 0)
+        tested = read_by_the_oracle(system, candidate_forms(system, 0, routed.attempts_used))
+        assert tested and extensions == (tested if route[0] == "buchberger" else [])
 
         loops.clear()
         built.clear()
@@ -1140,10 +1301,9 @@ class TestDefaultRoute:
         assert analysis._default_route(system) == route
         oracle = verify_main_theorem(system, seed=0)
         assert oracle == routed and loops == bases
-        assert len(extensions) == routed.attempts_used - 1
+        assert extensions == tested
         if built:
-            lazard = lazard_bound(system.n, system.m + 1, system.degrees + (1,))
-            assert route[1] <= built[0].top < lazard
+            assert built[0].top < routed.d_reg_ell
 
     def test_buchberger_route_builds_no_loop(self, f31, monkeypatch):
         # every coordinate point is a zero of these systems, so x_n is

@@ -145,8 +145,8 @@ class TestKrullDim:
                 assert len(set(far)) == 1 and far[0] > 0
 
     def test_matches_cover_search(self):
-        # the free-set search stops early; the least cover over every
-        # subset is the plain definition
+        # the free-set tests and the pruned branching stop early; the least
+        # cover over every subset is the plain definition
         rng = random.Random(6)
         for _ in range(1000):
             J = random_minimal_ideal(rng, n_max=7, gens_max=9, deg_max=3)
@@ -164,6 +164,16 @@ class TestKrullDim:
         start = time.perf_counter()
         assert krull_dim(J) == expected
         assert time.perf_counter() - start < 0.1
+
+    def test_middle_dimension_is_fast(self):
+        # x1 x2, x3 x4, ..., x21 x22: the least cover takes one variable of
+        # each pair, dimension 11; a search over the covers of each size
+        # tries about C(22, 11) sets
+        n = 22
+        J = minimalize([tuple(int(j // 2 == i) for j in range(n)) for i in range(n // 2)], n)
+        start = time.perf_counter()
+        assert krull_dim(J) == 11
+        assert time.perf_counter() - start < 0.5
 
 
 class TestHilbertFunction:
